@@ -23,8 +23,12 @@ type specMetric struct {
 }
 
 // TestEveryWorkloadAtOnePercent runs each workload of BENCHMARK.json at 1%
-// of its size, traced, and checks that it is correct and emits exactly the
-// declared metrics with their units.
+// of its size (one operation where that rounds to less), traced, and
+// checks that it is correct and emits exactly the declared metrics with
+// their units. repro-cold runs untraced: its one operation is a cold
+// `repro -exp all` of 4–9 s, which the traced pass would repeat, and
+// repro-warm already traces the same experiment spans. Every workload emits
+// the same per-layer set, so the other five check it.
 func TestEveryWorkloadAtOnePercent(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
 	if err != nil {
@@ -41,7 +45,8 @@ func TestEveryWorkloadAtOnePercent(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			dir := t.TempDir()
 			var log bytes.Buffer
-			r, err := run(options{workload: w.Name, seed: 1, seconds: 0.1, trace: true, setups: 1,
+			trace := w.Name != "repro-cold"
+			r, err := run(options{workload: w.Name, seed: 1, seconds: 0.1, trace: trace, setups: 1,
 				tmp: dir, spans: filepath.Join(dir, "spans.json")}, &log)
 			if err != nil {
 				t.Fatalf("%v\n%s", err, log.String())
@@ -50,6 +55,9 @@ func TestEveryWorkloadAtOnePercent(t *testing.T) {
 				t.Fatalf("correct %v, %d of %d operations failed\n%s", r.Correct, r.Failed, r.Attempted, log.String())
 			}
 			checkMetrics(t, "end-to-end", r.Metrics, spec.EndToEnd, true)
+			if !trace {
+				return
+			}
 			checkMetrics(t, "per-layer", r.layers, spec.PerLayer, false)
 			if _, err := os.Stat(filepath.Join(dir, "spans.json")); err != nil {
 				t.Errorf("traced run wrote no spans: %v", err)

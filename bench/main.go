@@ -36,7 +36,7 @@ type options struct {
 	seed     int64
 	seconds  float64
 	trace    bool
-	setups   int
+	setups   int // set-ups per run; setup_s is their median
 	tmp      string
 	spans    string
 }
@@ -64,9 +64,8 @@ func main() {
 	var trace int
 	flag.StringVar(&o.workload, "workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
 	flag.Int64Var(&o.seed, "seed", 1, "seed the workload's inputs are generated from")
-	flag.Float64Var(&o.seconds, "seconds", 10, "size of the measured phase: this many seconds of work at the workload's nominal rate")
+	flag.Float64Var(&o.seconds, "seconds", 10, "size of the measured phase: each workload runs this many times its operations per second (bench/README.md)")
 	flag.IntVar(&trace, "trace", 0, "1 runs the workload a second time traced and reports the per-layer metrics")
-	flag.IntVar(&o.setups, "setups", 3, "how often set-up runs; setup_s is the median")
 	flag.StringVar(&o.tmp, "tmp", filepath.Join(".bench_build", "tmp"), "directory for the run's temporary stores")
 	flag.StringVar(&o.spans, "spans", "", "file the traced run writes its spans to (default .bench_build/spans-WORKLOAD.json)")
 	flag.Parse()
@@ -75,6 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 	o.trace = trace == 1
+	o.setups = 3
 	if o.spans == "" {
 		o.spans = filepath.Join(".bench_build", "spans-"+o.workload+".json")
 	}
@@ -104,8 +104,8 @@ func run(o options, log io.Writer) (*result, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q (want one of %s)", o.workload, strings.Join(workloadNames(), ", "))
 	}
-	if o.seconds <= 0 || o.setups < 1 {
-		return nil, fmt.Errorf("-seconds must be positive and -setups at least 1")
+	if o.seconds <= 0 {
+		return nil, fmt.Errorf("-seconds must be positive")
 	}
 	workers := pipeline.SetDefaultWorkers(0)
 	if err := os.MkdirAll(o.tmp, 0o755); err != nil {
@@ -117,7 +117,14 @@ func run(o options, log io.Writer) (*result, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	e := &env{seed: o.seed, seconds: o.seconds, workers: workers}
+	e := &env{seed: o.seed, seconds: o.seconds, workers: workers, shared: filepath.Join(dir, "shared")}
+	if w.prepare != nil {
+		start := time.Now()
+		if err := w.prepare(e.shared); err != nil {
+			return nil, fmt.Errorf("%s: %w", o.workload, err)
+		}
+		fmt.Fprintf(log, "bench %s: prepared in %v\n", o.workload, time.Since(start))
+	}
 	var inst *instance
 	setups := make([]time.Duration, o.setups)
 	for k := range setups {

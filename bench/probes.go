@@ -189,6 +189,9 @@ func (k *kit) cold(s scope, in probeInput) error {
 	if _, err := probe(s, "core.decode", func() (*core.Result, error) { return core.UnmarshalStable(data, b, m) }); err != nil {
 		return err
 	}
+	// serve.encode mirrors the response the serve handler builds and its
+	// indented JSON encoding (internal/serve's writeJSON), which serve does
+	// not export; change both together.
 	var buf bytes.Buffer
 	if _, err := probe(s, "serve.encode", func() (int, error) {
 		enc := json.NewEncoder(&buf)
