@@ -28,6 +28,7 @@ import (
 	"incore/internal/core"
 	"incore/internal/isa"
 	"incore/internal/kernels"
+	"incore/internal/memsim"
 	"incore/internal/pipeline"
 	"incore/internal/serve"
 	"incore/internal/sim"
@@ -200,6 +201,10 @@ func suite() map[string]func(b *testing.B) {
 	}
 	glcPortValue := float64(uarch.MustGet("goldencove").LoadPorts.Count() - 1)
 	return map[string]func(b *testing.B){
+		"MemsimStoreStream/neoversev2":            memsimStoreBench("neoversev2"),
+		"MemsimStoreStream/goldencove":            memsimStoreBench("goldencove"),
+		"MemsimStoreStream/zen4":                  memsimStoreBench("zen4"),
+		"CacheInsert":                             cacheInsertBench(),
 		"SimRun/goldencove/striad":                simBench(striadGLC, "goldencove"),
 		"SimRun/neoversev2/j3d27":                 simBench(j3d27V2, "neoversev2"),
 		"SimRun/zen4/pi":                          simBench(piZen4, "zen4"),
@@ -219,6 +224,52 @@ func suite() map[string]func(b *testing.B) {
 		"SweepVariantWarm/goldencove/striad":      variantBench(striadGLC, "goldencove", "mem_bandwidth_gbs", 123, 0),
 		"SweepVariantWarm/zen4/pi":                variantBench(piZen4, "zen4", "tdp_watts", 123, 0),
 		"SweepVariantPortDelta/goldencove/striad": variantBench(striadGLC, "goldencove", "load_ports", glcPortValue, 1),
+	}
+}
+
+// memsimStoreBench is one warm store-stream run — 8 cores, 2048 lines per
+// core — on a reused memsim System: the caches reset in place and the
+// controller queues keep the buffers they grew in the warmup run.
+func memsimStoreBench(key string) func(b *testing.B) {
+	sys, err := memsim.NewSystem(memsim.MustConfigFor(key))
+	if err != nil {
+		panic(err)
+	}
+	run := func() error {
+		_, err := sys.RunStoreStream(8, 2048, false)
+		return err
+	}
+	if err := run(); err != nil {
+		panic(err)
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// cacheInsertBench is the simulator's miss path on one cache: a Lookup
+// that misses, then an Insert that evicts the oldest way of a full set.
+// The cache is a Zen 4 L3 slice, whose set count is not a power of two.
+func cacheInsertBench() func(b *testing.B) {
+	c, err := memsim.NewCache(memsim.MustConfigFor("zen4").L3)
+	if err != nil {
+		panic(err)
+	}
+	var a memsim.LineAddr
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a++
+			if c.Lookup(a, true) {
+				b.Fatal("streaming line hit")
+			}
+			c.Insert(a, true)
+		}
 	}
 }
 

@@ -17,6 +17,11 @@
 //     hierarchy; perfect on Zen 4, with a residual RFO fraction on SPR).
 package memsim
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // LineAddr is a cache-line-granular address.
 type LineAddr uint64
 
@@ -39,115 +44,209 @@ func (c CacheConfig) Sets() int {
 	return int(s)
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; larger = more recently used.
-	lru uint64
+// maxWays is the largest associativity a cache supports: a set's valid
+// ways are one bit each in a uint64.
+const maxWays = 64
+
+// noWay ends a set's age list.
+const noWay = 0xff
+
+// wayState is one way's replacement state: its neighbours in the set's
+// age list and its dirty bit.
+type wayState struct {
+	older, newer uint8
+	dirty        bool
+}
+
+// setState is one set's valid mask and the ends of its age list.
+type setState struct {
+	valid          uint64
+	oldest, newest uint8
 }
 
 // Cache is a set-associative write-back cache with LRU replacement.
+//
+// Each set keeps its valid ways in a doubly linked age list, oldest
+// first. A hit moves its way to the newest end, an insert into a full set
+// evicts the oldest way, and an insert into a set with room fills its
+// lowest-index invalid way. Both are O(1) and choose exactly the way a
+// per-line timestamp scan would: every touch takes a fresh timestamp, so
+// the way with the smallest one is always the head of the list.
+//
+// A way stores its full line address rather than a tag: within one set
+// the two identify a line equally, and the address needs no division to
+// form or to hand back as a victim.
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]cacheLine
+	ways  int
 	nsets uint64
-	clock uint64
+	pow2  bool   // nsets is a power of two: the set index is a mask
+	full  uint64 // valid mask of a full set
+
+	addrs []LineAddr // per line: set s, way w at s*ways+w
+	lines []wayState // per line, same index
+	sets  []setState
 
 	// Stats.
-	Hits, Misses  int64
-	Evictions     int64
-	DirtyEvictons int64
+	Hits, Misses   int64
+	Evictions      int64
+	DirtyEvictions int64
 }
 
-// NewCache builds an empty cache.
-func NewCache(cfg CacheConfig) *Cache {
+// NewCache builds an empty cache. It rejects configs without a set or
+// with more ways than the age list can hold.
+func NewCache(cfg CacheConfig) (*Cache, error) {
 	n := cfg.Sets()
-	sets := make([][]cacheLine, n)
-	backing := make([]cacheLine, n*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	if n == 0 || cfg.Ways > maxWays {
+		return nil, fmt.Errorf("memsim: cache %+v: need 1..%d ways and a positive size and line size", cfg, maxWays)
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: uint64(n)}
+	c := &Cache{
+		cfg:   cfg,
+		ways:  cfg.Ways,
+		nsets: uint64(n),
+		pow2:  n&(n-1) == 0,
+		full:  ^uint64(0) >> (maxWays - cfg.Ways),
+		addrs: make([]LineAddr, n*cfg.Ways),
+		lines: make([]wayState, n*cfg.Ways),
+		sets:  make([]setState, n),
+	}
+	c.reset()
+	return c, nil
 }
 
-func (c *Cache) setIndex(a LineAddr) uint64 { return uint64(a) % c.nsets }
-func (c *Cache) tag(a LineAddr) uint64      { return uint64(a) / c.nsets }
+// reset empties the cache in place and zeroes its stats.
+func (c *Cache) reset() {
+	for s := range c.sets {
+		c.sets[s] = setState{oldest: noWay, newest: noWay}
+	}
+	clear(c.lines)
+	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
+}
+
+// setOf returns the set a line maps to.
+func (c *Cache) setOf(a LineAddr) int {
+	if c.pow2 {
+		return int(uint64(a) & (c.nsets - 1))
+	}
+	return int(uint64(a) % c.nsets)
+}
+
+// find returns the lowest-index valid way of set s holding a, or -1.
+func (c *Cache) find(s int, a LineAddr) int {
+	valid := c.sets[s].valid
+	base := s * c.ways
+	for w, x := range c.addrs[base : base+c.ways] {
+		if x == a && valid&(1<<uint(w)) != 0 {
+			return w
+		}
+	}
+	return -1
+}
+
+// unlink removes way w from set s's age list.
+func (c *Cache) unlink(s, w int) {
+	base := s * c.ways
+	l := c.lines[base+w]
+	if l.older == noWay {
+		c.sets[s].oldest = l.newer
+	} else {
+		c.lines[base+int(l.older)].newer = l.newer
+	}
+	if l.newer == noWay {
+		c.sets[s].newest = l.older
+	} else {
+		c.lines[base+int(l.newer)].older = l.older
+	}
+}
+
+// pushNewest appends way w to the newest end of set s's age list.
+func (c *Cache) pushNewest(s, w int) {
+	base := s * c.ways
+	st := &c.sets[s]
+	c.lines[base+w].older = st.newest
+	c.lines[base+w].newer = noWay
+	if st.newest == noWay {
+		st.oldest = uint8(w)
+	} else {
+		c.lines[base+int(st.newest)].newer = uint8(w)
+	}
+	st.newest = uint8(w)
+}
 
 // Lookup probes the cache; on a hit it updates LRU state and, for writes,
 // the dirty bit.
 func (c *Cache) Lookup(a LineAddr, write bool) bool {
-	set := c.sets[c.setIndex(a)]
-	tag := c.tag(a)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.clock++
-			set[i].lru = c.clock
-			if write {
-				set[i].dirty = true
-			}
-			c.Hits++
-			return true
-		}
+	s := c.setOf(a)
+	w := c.find(s, a)
+	if w < 0 {
+		c.Misses++
+		return false
 	}
-	c.Misses++
-	return false
+	if int(c.sets[s].newest) != w {
+		c.unlink(s, w)
+		c.pushNewest(s, w)
+	}
+	if write {
+		c.lines[s*c.ways+w].dirty = true
+	}
+	c.Hits++
+	return true
 }
 
 // Insert allocates a line (marking it dirty for writes) and returns the
 // evicted victim, if any. evictedDirty reports whether the victim needs a
 // writeback.
 func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evictedDirty bool) {
-	si := c.setIndex(a)
-	set := c.sets[si]
-	tag := c.tag(a)
-	c.clock++
-	// Prefer an invalid way.
-	for i := range set {
-		if !set[i].valid {
-			set[i] = cacheLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
-			return 0, false, false
+	s := c.setOf(a)
+	st := &c.sets[s]
+	var w int
+	if free := c.full &^ st.valid; free != 0 {
+		// Prefer the lowest-index invalid way.
+		w = bits.TrailingZeros64(free)
+		st.valid |= 1 << uint(w)
+	} else {
+		// Evict LRU.
+		w = int(st.oldest)
+		c.unlink(s, w)
+		i := s*c.ways + w
+		victim = c.addrs[i]
+		evicted, evictedDirty = true, c.lines[i].dirty
+		c.Evictions++
+		if evictedDirty {
+			c.DirtyEvictions++
 		}
 	}
-	// Evict LRU.
-	v := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[v].lru {
-			v = i
-		}
-	}
-	victimAddr := LineAddr(set[v].tag*c.nsets + si)
-	wasDirty := set[v].dirty
-	set[v] = cacheLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
-	c.Evictions++
-	if wasDirty {
-		c.DirtyEvictons++
-	}
-	return victimAddr, true, wasDirty
+	i := s*c.ways + w
+	c.addrs[i] = a
+	c.lines[i].dirty = dirty
+	c.pushNewest(s, w)
+	return victim, evicted, evictedDirty
 }
 
 // Invalidate drops a line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
-	set := c.sets[c.setIndex(a)]
-	tag := c.tag(a)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			d := set[i].dirty
-			set[i] = cacheLine{}
-			return true, d
-		}
+	s := c.setOf(a)
+	w := c.find(s, a)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	c.unlink(s, w)
+	c.sets[s].valid &^= 1 << uint(w)
+	i := s*c.ways + w
+	dirty = c.lines[i].dirty
+	c.lines[i].dirty = false
+	return true, dirty
 }
 
 // FlushDirty visits every dirty line, invokes fn, and marks it clean.
 func (c *Cache) FlushDirty(fn func(LineAddr)) {
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			l := &c.sets[si][i]
-			if l.valid && l.dirty {
-				fn(LineAddr(l.tag*c.nsets + uint64(si)))
-				l.dirty = false
+	for s := range c.sets {
+		valid := c.sets[s].valid
+		for w := 0; w < c.ways; w++ {
+			i := s*c.ways + w
+			if valid&(1<<uint(w)) != 0 && c.lines[i].dirty {
+				fn(c.addrs[i])
+				c.lines[i].dirty = false
 			}
 		}
 	}

@@ -1,12 +1,207 @@
 package memsim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func testCache() *Cache {
-	return NewCache(CacheConfig{SizeBytes: 4096, Ways: 4, LineBytes: 64})
+	c, err := NewCache(CacheConfig{SizeBytes: 4096, Ways: 4, LineBytes: 64})
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func TestNewCacheRejectsUnsupportedGeometry(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{},
+		{SizeBytes: 4096, Ways: 0, LineBytes: 64},
+		{SizeBytes: 4096, Ways: 4, LineBytes: 0},
+		{SizeBytes: 1 << 20, Ways: maxWays + 1, LineBytes: 64},
+	} {
+		if _, err := NewCache(cfg); err == nil {
+			t.Errorf("NewCache(%+v) must fail", cfg)
+		}
+	}
+	if _, err := NewCache(CacheConfig{SizeBytes: 1 << 20, Ways: maxWays, LineBytes: 64}); err != nil {
+		t.Errorf("NewCache with %d ways: %v", maxWays, err)
+	}
+}
+
+// refCache is the timestamp-scan LRU cache the age-list Cache replaced:
+// every access stamps its line with a fresh clock value, an insert fills
+// the lowest-index invalid way, and a full set evicts its minimum stamp.
+type refCache struct {
+	sets  [][]refLine
+	nsets uint64
+	clock uint64
+
+	Hits, Misses, Evictions, DirtyEvictions int64
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	n := cfg.Sets()
+	sets := make([][]refLine, n)
+	for i := range sets {
+		sets[i] = make([]refLine, cfg.Ways)
+	}
+	return &refCache{sets: sets, nsets: uint64(n)}
+}
+
+func (c *refCache) Lookup(a LineAddr, write bool) bool {
+	set := c.sets[uint64(a)%c.nsets]
+	tag := uint64(a) / c.nsets
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			c.clock++
+			set[i].lru = c.clock
+			if write {
+				set[i].dirty = true
+			}
+			c.Hits++
+			return true
+		}
+	}
+	c.Misses++
+	return false
+}
+
+func (c *refCache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evictedDirty bool) {
+	si := uint64(a) % c.nsets
+	set := c.sets[si]
+	tag := uint64(a) / c.nsets
+	c.clock++
+	for i := range set {
+		if !set[i].valid {
+			set[i] = refLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+			return 0, false, false
+		}
+	}
+	v := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].lru < set[v].lru {
+			v = i
+		}
+	}
+	victim, evictedDirty = LineAddr(set[v].tag*c.nsets+si), set[v].dirty
+	set[v] = refLine{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	c.Evictions++
+	if evictedDirty {
+		c.DirtyEvictions++
+	}
+	return victim, true, evictedDirty
+}
+
+func (c *refCache) Invalidate(a LineAddr) (present, dirty bool) {
+	set := c.sets[uint64(a)%c.nsets]
+	tag := uint64(a) / c.nsets
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			d := set[i].dirty
+			set[i] = refLine{}
+			return true, d
+		}
+	}
+	return false, false
+}
+
+func (c *refCache) FlushDirty(fn func(LineAddr)) {
+	for si := range c.sets {
+		for i := range c.sets[si] {
+			l := &c.sets[si][i]
+			if l.valid && l.dirty {
+				fn(LineAddr(l.tag*c.nsets + uint64(si)))
+				l.dirty = false
+			}
+		}
+	}
+}
+
+// TestCacheMatchesScanLRU drives the age-list cache and the scan-LRU
+// reference with the same seeded operation sequences and requires
+// identical return values, stats and flush order throughout, also after
+// an in-place reset. Addresses
+// come from a pool a few times the cache's capacity, so sequences mix
+// hits, misses, evictions, duplicate inserts and invalidations.
+func TestCacheMatchesScanLRU(t *testing.T) {
+	var geoms []CacheConfig
+	for _, sets := range []int{1, 3, 4, 7, 16} {
+		for _, ways := range []int{1, 2, 3, 4, 8, 11, 16} {
+			geoms = append(geoms, CacheConfig{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64})
+		}
+	}
+	for gi, cfg := range geoms {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%dsets/%dways/seed%d", cfg.Sets(), cfg.Ways, seed)
+			t.Run(name, func(t *testing.T) {
+				got, err := NewCache(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := newRefCache(cfg)
+				rng := rand.New(rand.NewSource(seed*1000 + int64(gi)))
+				pool := 3*cfg.Sets()*cfg.Ways + 1
+				var gotFlush, wantFlush []LineAddr
+				hits, evictions := 0, 0
+				for op := 0; op < 4000; op++ {
+					a := LineAddr(rng.Intn(pool))
+					switch k := rng.Intn(1000); {
+					case k < 450:
+						w := rng.Intn(2) == 0
+						if g, r := got.Lookup(a, w), want.Lookup(a, w); g != r {
+							t.Fatalf("op %d: Lookup(%d, %t) = %t, want %t", op, a, w, g, r)
+						} else if r {
+							hits++
+						}
+					case k < 850:
+						d := rng.Intn(2) == 0
+						gv, ge, gd := got.Insert(a, d)
+						rv, re, rd := want.Insert(a, d)
+						if gv != rv || ge != re || gd != rd {
+							t.Fatalf("op %d: Insert(%d, %t) = (%d, %t, %t), want (%d, %t, %t)",
+								op, a, d, gv, ge, gd, rv, re, rd)
+						} else if re {
+							evictions++
+						}
+					case k < 950:
+						gp, gd := got.Invalidate(a)
+						rp, rd := want.Invalidate(a)
+						if gp != rp || gd != rd {
+							t.Fatalf("op %d: Invalidate(%d) = (%t, %t), want (%t, %t)", op, a, gp, gd, rp, rd)
+						}
+					case k < 998:
+						gotFlush, wantFlush = gotFlush[:0], wantFlush[:0]
+						got.FlushDirty(func(a LineAddr) { gotFlush = append(gotFlush, a) })
+						want.FlushDirty(func(a LineAddr) { wantFlush = append(wantFlush, a) })
+						if fmt.Sprint(gotFlush) != fmt.Sprint(wantFlush) {
+							t.Fatalf("op %d: FlushDirty visited %v, want %v", op, gotFlush, wantFlush)
+						}
+					default:
+						got.reset()
+						want = newRefCache(cfg)
+					}
+					if got.Hits != want.Hits || got.Misses != want.Misses ||
+						got.Evictions != want.Evictions || got.DirtyEvictions != want.DirtyEvictions {
+						t.Fatalf("op %d: stats (%d, %d, %d, %d), want (%d, %d, %d, %d)", op,
+							got.Hits, got.Misses, got.Evictions, got.DirtyEvictions,
+							want.Hits, want.Misses, want.Evictions, want.DirtyEvictions)
+					}
+				}
+				if hits == 0 || evictions == 0 {
+					t.Fatalf("sequence too easy: %d hits, %d evictions", hits, evictions)
+				}
+			})
+		}
+	}
 }
 
 func TestCacheConfigSets(t *testing.T) {
@@ -84,8 +279,8 @@ func TestCacheDirtyEviction(t *testing.T) {
 	if !evicted || !dirty {
 		t.Error("evicting a dirty line must report dirty")
 	}
-	if c.DirtyEvictons != 1 {
-		t.Errorf("DirtyEvictons = %d", c.DirtyEvictons)
+	if c.DirtyEvictions != 1 {
+		t.Errorf("DirtyEvictions = %d", c.DirtyEvictions)
 	}
 }
 

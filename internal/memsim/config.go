@@ -81,29 +81,6 @@ func MustConfigFor(key string) Config {
 	return cfg
 }
 
-// WACurve runs the store benchmark across core counts and returns the
-// traffic ratio per active core count (Fig. 4 series). Core counts are
-// swept in steps to keep runtime bounded: 1,2,4,... plus the full socket.
-func WACurve(key string, nt bool, counts []int) (map[int]float64, error) {
-	cfg, err := ConfigFor(key)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(counts))
-	for _, n := range counts {
-		r, err := sys.RunStoreStream(n, DefaultStoreLinesPerCore, nt)
-		if err != nil {
-			return nil, err
-		}
-		out[n] = r.WARatio()
-	}
-	return out, nil
-}
-
 // DefaultCounts returns a sensible sweep of core counts for a node.
 func DefaultCounts(cores int) []int {
 	var out []int

@@ -66,7 +66,7 @@ type request struct {
 type controller struct {
 	bytesPerTick float64
 	budget       float64
-	queue        []request
+	queue        ring
 	queuedBytes  int64
 	util         float64 // EMA of served/capacity
 	i2m          specI2MState
@@ -74,8 +74,48 @@ type controller struct {
 	ReadBytes, WriteBytes int64
 }
 
+// ring is a growable FIFO of requests. Its capacity is a power of two,
+// and it keeps its buffer across runs, so a warm system queues without
+// allocating.
+type ring struct {
+	buf        []request
+	head, size int
+}
+
+func (q *ring) push(r request) {
+	if q.size == len(q.buf) {
+		grown := make([]request, max(2*len(q.buf), 64))
+		n := copy(grown, q.buf[q.head:])
+		copy(grown[n:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = r
+	q.size++
+}
+
+// front returns the oldest request; the ring must not be empty.
+func (q *ring) front() request { return q.buf[q.head] }
+
+// pop removes and returns the oldest request; the ring must not be empty.
+func (q *ring) pop() request {
+	r := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.size--
+	return r
+}
+
+// reset returns the controller to its initial state, keeping the queue's
+// buffer.
+func (c *controller) reset(cfg Config) {
+	*c = controller{
+		bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9,
+		queue:        ring{buf: c.queue.buf},
+		i2m:          specI2MState{Threshold: cfg.SpecI2MThreshold, MaxShare: cfg.SpecI2MMaxShare, RampEnd: cfg.SpecI2MRampEnd},
+	}
+}
+
 func (c *controller) enqueue(r request) {
-	c.queue = append(c.queue, r)
+	c.queue.push(r)
 	c.queuedBytes += int64(r.bytes)
 }
 
@@ -83,9 +123,8 @@ func (c *controller) enqueue(r request) {
 func (c *controller) serve(completed []int) {
 	c.budget += c.bytesPerTick
 	served := 0.0
-	for len(c.queue) > 0 && c.budget >= float64(c.queue[0].bytes) {
-		r := c.queue[0]
-		c.queue = c.queue[1:]
+	for c.queue.size > 0 && c.budget >= float64(c.queue.front().bytes) {
+		r := c.queue.pop()
 		c.queuedBytes -= int64(r.bytes)
 		c.budget -= float64(r.bytes)
 		served += float64(r.bytes)
@@ -119,7 +158,6 @@ type simCore struct {
 	cursor    int64
 	done      bool
 
-	nt          bool
 	ntResidAcc  float64
 	storedBytes int64
 	loadedBytes int64
@@ -140,6 +178,8 @@ type System struct {
 	l3    []*Cache
 	ctrl  []*controller
 	ticks int64
+	// completed counts each core's reads served in the current tick.
+	completed []int
 }
 
 // NewSystem builds a system from a config.
@@ -150,19 +190,27 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, completed: make([]int, cfg.Cores)}
 	for d := 0; d < cfg.Domains; d++ {
-		s.l3 = append(s.l3, NewCache(cfg.L3))
-		ctl := &controller{bytesPerTick: cfg.DomainGBs * TickSeconds * 1e9}
-		ctl.i2m = specI2MState{Threshold: cfg.SpecI2MThreshold, MaxShare: cfg.SpecI2MMaxShare, RampEnd: cfg.SpecI2MRampEnd}
+		l3, err := NewCache(cfg.L3)
+		if err != nil {
+			return nil, fmt.Errorf("%s L3: %w", cfg.Key, err)
+		}
+		ctl := &controller{}
+		ctl.reset(cfg)
+		s.l3 = append(s.l3, l3)
 		s.ctrl = append(s.ctrl, ctl)
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		c := &simCore{
-			id: i,
-			l1: NewCache(cfg.L1),
-			l2: NewCache(cfg.L2),
+		l1, err := NewCache(cfg.L1)
+		if err != nil {
+			return nil, fmt.Errorf("%s L1: %w", cfg.Key, err)
 		}
+		l2, err := NewCache(cfg.L2)
+		if err != nil {
+			return nil, fmt.Errorf("%s L2: %w", cfg.Key, err)
+		}
+		c := &simCore{id: i, l1: l1, l2: l2}
 		c.detector.TrainLen = cfg.DetectorTrainLen
 		s.cores = append(s.cores, c)
 	}
@@ -256,13 +304,13 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	act := s.cores[:active]
 	for i, c := range act {
 		c.domain = s.domainOf(i, active)
-		c.strides = make([]workStream, len(streams))
-		for j, st := range streams {
-			c.strides[j] = workStream{
+		c.strides = c.strides[:0]
+		for _, st := range streams {
+			c.strides = append(c.strides, workStream{
 				base:  st.base/64 + LineAddr(i)*regionLines*8,
 				write: st.write,
 				nt:    st.nt,
-			}
+			})
 		}
 		c.cursor = 0
 		c.done = false
@@ -272,7 +320,7 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	// iterations/tick; each iteration touches len(streams) lines.
 	linesPerTickStored := s.cfg.CoreGBs * TickSeconds * 1e9 / float64(s.cfg.LineBytes)
 
-	completed := make([]int, s.cfg.Cores)
+	completed := s.completed
 	var res TrafficResult
 	res.ActiveCores = active
 
@@ -334,7 +382,7 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		if allDone && flushed {
 			empty := true
 			for _, ctl := range s.ctrl {
-				if len(ctl.queue) > 0 {
+				if ctl.queue.size > 0 {
 					empty = false
 				}
 			}
@@ -459,10 +507,8 @@ func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
 	if !e2 || !d2 {
 		return
 	}
-	v3, e3, d3 := s.l3[c.domain].Insert(v2, true)
-	if e3 && d3 {
+	if _, e3, d3 := s.l3[c.domain].Insert(v2, true); e3 && d3 {
 		s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
-		_ = v3
 	}
 }
 
@@ -470,25 +516,22 @@ func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
 func (s *System) reset() {
 	for i := range s.cores {
 		c := s.cores[i]
-		c.l1 = NewCache(s.cfg.L1)
-		c.l2 = NewCache(s.cfg.L2)
+		c.l1.reset()
+		c.l2.reset()
 		c.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
 		c.outstanding = 0
 		c.issueAcc = 0
 		c.cursor = 0
 		c.done = true
-		c.nt = false
 		c.ntResidAcc = 0
 		c.storedBytes = 0
 		c.loadedBytes = 0
 	}
 	for d := range s.l3 {
-		s.l3[d] = NewCache(s.cfg.L3)
-		s.ctrl[d] = &controller{
-			bytesPerTick: s.cfg.DomainGBs * TickSeconds * 1e9,
-			i2m:          specI2MState{Threshold: s.cfg.SpecI2MThreshold, MaxShare: s.cfg.SpecI2MMaxShare, RampEnd: s.cfg.SpecI2MRampEnd},
-		}
+		s.l3[d].reset()
+		s.ctrl[d].reset(s.cfg)
 	}
+	clear(s.completed)
 	s.ticks = 0
 }
 

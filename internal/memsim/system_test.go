@@ -210,25 +210,6 @@ func TestSystemReuse(t *testing.T) {
 	}
 }
 
-func TestWACurveAndDefaultCounts(t *testing.T) {
-	counts := DefaultCounts(52)
-	if counts[0] != 1 || counts[len(counts)-1] != 52 {
-		t.Errorf("DefaultCounts bounds: %v", counts)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] <= counts[i-1] {
-			t.Errorf("DefaultCounts not strictly increasing: %v", counts)
-		}
-	}
-	curve, err := WACurve("neoversev2", false, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 2 {
-		t.Errorf("curve size = %d", len(curve))
-	}
-}
-
 func TestPlacementCompactVsScatter(t *testing.T) {
 	cfg := MustConfigFor("goldencove")
 	cfg.Placement = PlacementCompact

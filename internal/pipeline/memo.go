@@ -219,14 +219,40 @@ func MeasureInstr(m *uarch.Model, kind ibench.Kind, cfg sim.Config) (*ibench.Res
 	return doStoredJSON(shared, key, func() (*ibench.Result, error) { return ibench.Measure(m, kind, cfg) })
 }
 
-// WACurve memoizes memsim.WACurve by (node key, store flavour, sweep).
+// WACurve runs the store benchmark across core counts and returns the
+// traffic ratio per active core count (a Fig. 4 series). The whole curve
+// is one memo entry keyed by (node key, store flavour, sweep); on a miss
+// its samples run in parallel on the default pool, each on a fresh
+// memsim system. memsim.System.run resets all state per run, so this
+// equals sweeping one system serially.
 func WACurve(key string, nt bool, counts []int) (map[int]float64, error) {
 	parts := make([]string, len(counts))
 	for i, c := range counts {
 		parts[i] = strconv.Itoa(c)
 	}
 	ck := fmt.Sprintf("wacurve\x00%s\x00%t\x00%s", key, nt, strings.Join(parts, ","))
-	return doStoredJSON(shared, ck, func() (map[int]float64, error) { return memsim.WACurve(key, nt, counts) })
+	return doStoredJSON(shared, ck, func() (map[int]float64, error) {
+		cfg, err := memsim.ConfigFor(key)
+		if err != nil {
+			return nil, err
+		}
+		ratios, err := Map(Default(), counts, func(n int) (float64, error) {
+			sys, err := memsim.NewSystem(cfg)
+			if err != nil {
+				return 0, err
+			}
+			r, err := sys.RunStoreStream(n, memsim.DefaultStoreLinesPerCore, nt)
+			return r.WARatio(), err
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[int]float64, len(counts))
+		for i, n := range counts {
+			out[n] = ratios[i]
+		}
+		return out, nil
+	})
 }
 
 // Triad memoizes one triad sample — (node, active cores, lines per core,
