@@ -200,6 +200,32 @@ func suite() map[string]func(b *testing.B) {
 		}
 	}
 	glcPortValue := float64(uarch.MustGet("goldencove").LoadPorts.Count() - 1)
+	// Sweep64/cold is a whole node-only sweep — the goldencove 8x8
+	// bandwidth x TDP grid over the kernel suite — from empty memo and
+	// artifact tiers: per block content one skeleton, one descriptor
+	// table and one analysis shared by all 64 variants, then one memo
+	// entry per (variant, block) cell.
+	sweepColdBench := func() func(b *testing.B) {
+		base := uarch.MustGet("goldencove")
+		blocks, err := sweep.SuiteBlocks(base.Key)
+		if err != nil {
+			panic(err)
+		}
+		axes := []sweep.Axis{
+			{Param: "mem_bandwidth_gbs", Values: []float64{150, 200, 250, 300, 350, 400, 450, 500}},
+			{Param: "tdp_watts", Values: []float64{200, 225, 250, 275, 300, 325, 350, 375}},
+		}
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pipeline.Shared().Reset()
+				pipeline.CompiledArtifacts().Reset()
+				if _, err := sweep.Run(base, axes, blocks, sweep.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	return map[string]func(b *testing.B){
 		"MemsimStoreStream/neoversev2":            memsimStoreBench("neoversev2"),
 		"MemsimStoreStream/goldencove":            memsimStoreBench("goldencove"),
@@ -221,6 +247,7 @@ func suite() map[string]func(b *testing.B) {
 		"AnalyzeInternal/neoversev2/j3d27":        internalBench(j3d27V2, "neoversev2"),
 		"AnalyzeInternal/zen4/pi":                 internalBench(piZen4, "zen4"),
 		"ServeAnalyzeWarm/goldencove/striad":      serveWarmBench(striadGLC, "goldencove"),
+		"Sweep64/cold":                            sweepColdBench(),
 		"SweepVariantWarm/goldencove/striad":      variantBench(striadGLC, "goldencove", "mem_bandwidth_gbs", 123, 0),
 		"SweepVariantWarm/zen4/pi":                variantBench(piZen4, "zen4", "tdp_watts", 123, 0),
 		"SweepVariantPortDelta/goldencove/striad": variantBench(striadGLC, "goldencove", "load_ports", glcPortValue, 1),

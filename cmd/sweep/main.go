@@ -150,8 +150,8 @@ func main() {
 	cs := pipeline.CompiledArtifacts().Stats()
 	fmt.Fprintf(os.Stderr, "sweep: compiled %d programs / %d skeletons / %d mca, %d hits + %d attaches / %d compiles (~%d KiB)\n",
 		cs.Programs, cs.Skeletons, cs.MCA, cs.Hits, cs.Attaches, cs.Compiles, cs.BytesEstimated/1024)
-	fmt.Fprintf(os.Stderr, "sweep: %d variants / %d distinct port signatures over %d blocks (%d parsed), cells %d warm / %d cold\n",
-		len(res.Variants), res.DistinctSignatures, len(res.Blocks), cs.Blocks, res.Warm, res.Cold)
+	fmt.Fprintf(os.Stderr, "sweep: %d variants / %d distinct port signatures over %d blocks (%d parsed), cells %d warm / %d cold, %d analyzed\n",
+		len(res.Variants), res.DistinctSignatures, len(res.Blocks), cs.Blocks, res.Warm, res.Cold, sweep.GlobalStats().CellsAnalyzed)
 }
 
 // parseAxis parses one -axis flag value: name=v1,v2,...

@@ -43,8 +43,12 @@ import (
 // still misses, and a what-if model can never share a mis-parameterized
 // Program with the built-in it shadows. Memo and store entries, by
 // contrast, stay keyed on the full Model.CacheKey: a *result* names the
-// whole modeled scenario, an *artifact* only its in-core inputs. Errors
-// are cached like successes (determinism over optimism, matching
+// whole modeled scenario, an *artifact* only its in-core inputs. A sweep
+// shares one step further without a tier entry: within one run, the
+// variants of a signature share each block's analysis through a
+// CellSlot (memo.go), while each variant's cell stays its own memo
+// entry, so every additional node-only variant costs only a memo entry.
+// Errors are cached like successes (determinism over optimism, matching
 // Cache.Do). SwapTiers deliberately does not touch this tier: artifacts
 // are content-addressed and model-signed, so they stay valid across store
 // swaps.

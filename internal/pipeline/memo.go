@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"incore/internal/core"
 	"incore/internal/ibench"
@@ -145,27 +146,59 @@ func CellOf(res *core.Result) Cell {
 	return c
 }
 
+// CellSlot is one compute-once sweep cell, shared within one sweep run by
+// every variant with the same port signature, for one block.
+// A Cell reads only signature-covered model state — the dialect, the
+// descriptor table, the load latency, the port list, the issue width,
+// and the load, store-AGU, store-data and wide-load port masks — so
+// every variant of a signature would compute the same Cell; the slot
+// computes it once. The zero slot
+// is not usable: Key must hold BlockKey of the slot's block, rendered
+// once by the slot's owner.
+type CellSlot struct {
+	Key string
+
+	once     sync.Once
+	analyses int
+	cell     Cell
+	err      error
+}
+
+// Analyses reports how many analyses the slot ran: 1 once a miss has
+// filled it, else 0. Read it only after every AnalyzeCellWarm call on
+// the slot has returned.
+func (s *CellSlot) Analyses() int { return s.analyses }
+
 // AnalyzeCellWarm is the design-space sweep's analysis entry point: it
 // memoizes (and, with a store attached, persists) the Cell projection of
 // one analysis, keyed like AnalyzeWarm by (analyzer options, model cache
 // key, block content) — the full Model.CacheKey, never the port
 // signature, so a sweep is warm-resumable per variant and a variant's
 // cells can never collide with the built-in scenario sharing its key.
-// Cold cells compute through the zero-allocation AnalyzeInternal arena
-// path: the arena-owned Result is projected to a value Cell before the
-// compute closure returns, so no arena memory escapes into the memo
-// tier. ar is bound to the calling goroutine like any InternalArena.
-// warm reports provenance exactly as AnalyzeWarm does.
-func AnalyzeCellWarm(an *core.Analyzer, b *isa.Block, m *uarch.Model, ar *InternalArena) (Cell, bool, error) {
-	key := "sweepcell\x00" + an.Fingerprint() + "\x00" + m.CacheKey() + "\x00" + BlockKey(b)
+// A memo and store miss fills the value from slot, which b and every
+// model sharing m's port signature use within one sweep run under one
+// analyzer: the first miss computes it through the zero-allocation
+// AnalyzeInternal arena path, projecting the arena-owned Result to a
+// value Cell before returning, so no arena memory escapes; later misses
+// take the slot's Cell or error. ar is bound to the calling goroutine
+// like any InternalArena. warm reports provenance exactly as
+// AnalyzeWarm does: a miss counts cold whether or not it ran the
+// analysis.
+func AnalyzeCellWarm(an *core.Analyzer, b *isa.Block, m *uarch.Model, ar *InternalArena, slot *CellSlot) (Cell, bool, error) {
+	key := "sweepcell\x00" + an.Fingerprint() + "\x00" + m.CacheKey() + "\x00" + slot.Key
 	computed := false
 	cell, err := doStoredJSON(shared, key, func() (Cell, error) {
 		computed = true
-		res, err := AnalyzeInternal(an, b, m, ar)
-		if err != nil {
-			return Cell{}, err
-		}
-		return CellOf(res), nil
+		slot.once.Do(func() {
+			slot.analyses++
+			res, err := AnalyzeInternal(an, b, m, ar)
+			if err != nil {
+				slot.err = err
+				return
+			}
+			slot.cell = CellOf(res)
+		})
+		return slot.cell, slot.err
 	})
 	return cell, err == nil && !computed, err
 }

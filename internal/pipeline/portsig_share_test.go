@@ -3,6 +3,8 @@ package pipeline
 import (
 	"testing"
 
+	"incore/internal/core"
+	"incore/internal/isa"
 	"incore/internal/uarch"
 )
 
@@ -71,8 +73,10 @@ func TestNodeVariantSharesArtifacts(t *testing.T) {
 
 // TestPortVariantRecompilesDescsOnly: a port-count variant changes the
 // signature, so descriptor tables recompile — but the model-independent
-// skeleton and parsed block stay shared.
+// skeleton and parsed block stay shared. The artifact tier starts empty,
+// so the variant's table is new however often the test runs.
 func TestPortVariantRecompilesDescsOnly(t *testing.T) {
+	CompiledArtifacts().Reset()
 	m, an, tb := genBlock(t, "goldencove", "striad")
 	ar := &InternalArena{}
 	if _, err := AnalyzeInternal(an, tb.Block, m, ar); err != nil {
@@ -154,7 +158,8 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 	m, an, tb := genBlock(t, "zen4", "striad")
 
 	ar := &InternalArena{}
-	c1, warm, err := AnalyzeCellWarm(an, tb.Block, m, ar)
+	slot := &CellSlot{Key: BlockKey(tb.Block)}
+	c1, warm, err := AnalyzeCellWarm(an, tb.Block, m, ar, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +169,7 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 	if c1.Prediction <= 0 || c1.Bound == "" {
 		t.Fatalf("implausible cell: %+v", c1)
 	}
-	c2, warm, err := AnalyzeCellWarm(an, tb.Block, m, ar)
+	c2, warm, err := AnalyzeCellWarm(an, tb.Block, m, ar, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +181,14 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 	}
 
 	// A node variant gets its own (cold) cell even though it shares
-	// every compiled artifact: results are keyed by full scenario.
+	// every compiled artifact and the slot: results are keyed by full
+	// scenario.
 	v := loadedVariant(t, "zen4")
 	v.Node.MemBWGBs *= 2
 	if err := v.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	cv, warm, err := AnalyzeCellWarm(an, tb.Block, v, ar)
+	cv, warm, err := AnalyzeCellWarm(an, tb.Block, v, ar, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +199,61 @@ func TestSweepCellWarmProvenance(t *testing.T) {
 		t.Fatalf("variant cell prediction %v != base %v", cv.Prediction, c1.Prediction)
 	}
 
-	// The cell agrees with the full analysis path.
+	// The cell agrees with the full analysis path, for the variant too.
 	full, err := Analyze(an, tb.Block, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := CellOf(full); got != c1 {
 		t.Fatalf("cell %+v disagrees with full analysis projection %+v", c1, got)
+	}
+	fullV, err := an.Analyze(tb.Block, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CellOf(fullV); got != cv {
+		t.Fatalf("shared variant cell %+v disagrees with its own analysis %+v", cv, got)
+	}
+	if n := slot.Analyses(); n != 1 {
+		t.Fatalf("slot ran %d analyses, want 1", n)
+	}
+}
+
+// TestCellSlotSharesError: a failed analysis is computed once and
+// returned, cold, to every variant that shares the slot, just as the
+// memo caches an error for one key.
+func TestCellSlotSharesError(t *testing.T) {
+	withFreshTiers(t, t.TempDir())
+	m := uarch.MustGet("goldencove")
+	b, err := isa.ParseMarkedBlock("bogus", m.Key, m.Dialect, ".L0:\n\tfrobnicateq %rax, %rbx\n\tjb .L0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := core.New()
+	an.Opt.DegradeUnknown = false
+	slot := &CellSlot{Key: BlockKey(b)}
+	var first error
+	for i, bw := range []float64{0, 100, 200} {
+		v := m
+		if bw > 0 {
+			v = loadedVariant(t, m.Key)
+			v.Node.MemBWGBs = bw
+			if err := v.Reindex(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, warm, err := AnalyzeCellWarm(an, b, v, &InternalArena{}, slot)
+		if err == nil || warm {
+			t.Fatalf("variant %d: err %v, warm %t; want the shared error, cold", i, err, warm)
+		}
+		if first == nil {
+			first = err
+		} else if err != first {
+			t.Fatalf("variant %d: error %v, want the slot's %v", i, err, first)
+		}
+	}
+	if n := slot.Analyses(); n != 1 {
+		t.Fatalf("slot ran %d analyses, want 1", n)
 	}
 }
 

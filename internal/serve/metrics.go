@@ -61,7 +61,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("incore_sweep_variants_total", "Sweep variants generated.", sw.Variants)
 	counter("incore_sweep_shared_signature_total", "Variants reusing another variant's port signature.", sw.SharedSignature)
 	counter("incore_sweep_cells_warm_total", "Sweep result cells served from cache tiers.", sw.CellsWarm)
-	counter("incore_sweep_cells_cold_total", "Sweep result cells computed fresh.", sw.CellsCold)
+	counter("incore_sweep_cells_cold_total", "Sweep result cells that missed the memo and store under their variant's key.", sw.CellsCold)
+	counter("incore_sweep_cells_analyzed_total", "Sweep cell analyses run (one per port signature and block content).", sw.CellsAnalyzed)
 	counter("incore_sweep_rejected_too_large_total", "Sweeps refused by the variant cap.", sw.RejectedTooLarge)
 
 	if st := pipeline.PersistentStore(); st != nil {

@@ -139,6 +139,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"incore_jobs_depth ",
 		"incore_sweep_sweeps_total ",
 		"incore_sweep_rejected_too_large_total ",
+		"incore_sweep_cells_analyzed_total ",
 		"# TYPE incore_cache_hits_total counter",
 		"# TYPE incore_jobs_depth gauge",
 	} {

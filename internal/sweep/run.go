@@ -126,17 +126,22 @@ type Stats struct {
 	Sweeps          uint64 `json:"sweeps"`
 	Variants        uint64 `json:"variants"`
 	SharedSignature uint64 `json:"shared_signature"`
-	// CellsWarm / CellsCold count result cells by provenance.
-	CellsWarm uint64 `json:"cells_warm"`
-	CellsCold uint64 `json:"cells_cold"`
+	// CellsWarm / CellsCold count result cells by provenance: a cold
+	// cell missed the memo and store under its variant's key.
+	// CellsAnalyzed counts the analyses that actually ran: variants
+	// sharing a port signature share one per block content, so a cold
+	// node-only sweep analyzes each block once.
+	CellsWarm     uint64 `json:"cells_warm"`
+	CellsCold     uint64 `json:"cells_cold"`
+	CellsAnalyzed uint64 `json:"cells_analyzed"`
 	// RejectedTooLarge counts sweeps refused by a variant cap.
 	RejectedTooLarge uint64 `json:"rejected_too_large"`
 }
 
 var stats struct {
-	sweeps, variants, shared atomic.Uint64
-	cellsWarm, cellsCold     atomic.Uint64
-	rejected                 atomic.Uint64
+	sweeps, variants, shared            atomic.Uint64
+	cellsWarm, cellsCold, cellsAnalyzed atomic.Uint64
+	rejected                            atomic.Uint64
 }
 
 // GlobalStats snapshots the process-wide sweep accounting.
@@ -147,6 +152,7 @@ func GlobalStats() Stats {
 		SharedSignature:  stats.shared.Load(),
 		CellsWarm:        stats.cellsWarm.Load(),
 		CellsCold:        stats.cellsCold.Load(),
+		CellsAnalyzed:    stats.cellsAnalyzed.Load(),
 		RejectedTooLarge: stats.rejected.Load(),
 	}
 }
@@ -159,7 +165,9 @@ func CountRejected() { stats.rejected.Add(1) }
 // (variant, block) cell through the memoized arena path, project
 // node-level metrics, and reduce to Pareto fronts. Variants fan out over
 // the default pipeline pool; output is deterministic at any worker count
-// (Map preserves order, and cell values are content-addressed).
+// (Map preserves order, and cell values are content-addressed). Cells
+// that miss the memo and store are analyzed once per (port signature,
+// block), not once per variant (see cellPlan).
 func Run(base *uarch.Model, axes []Axis, blocks []Block, opt Options) (*Result, error) {
 	canon, err := Canonicalize(axes)
 	if err != nil {
@@ -191,36 +199,75 @@ func Run(base *uarch.Model, axes []Axis, blocks []Block, opt Options) (*Result, 
 		res.Blocks[i] = b.Name
 	}
 
+	plan := newCellPlan(variants, blocks)
 	rows, err := pipeline.MapN(pipeline.Default(), len(variants), func(i int) (VariantResult, error) {
-		return runVariant(an, &variants[i], blocks)
+		return runVariant(an, &variants[i], blocks, plan[variants[i].Model.PortSignature()])
 	})
+	stats.cellsAnalyzed.Add(uint64(plan.analyzed()))
 	if err != nil {
 		return nil, err
 	}
 	res.Variants = rows
 
-	sigs := map[string]bool{}
 	for i := range rows {
 		res.Warm += rows[i].Warm
 		res.Cold += rows[i].Cold
-		sigs[variants[i].Model.PortSignature()] = true
 	}
-	res.DistinctSignatures = len(sigs)
+	res.DistinctSignatures = len(plan)
 	res.Fronts = fronts(res)
 
 	stats.sweeps.Add(1)
 	stats.variants.Add(uint64(len(rows)))
-	stats.shared.Add(uint64(len(rows) - len(sigs)))
+	stats.shared.Add(uint64(len(rows) - len(plan)))
 	stats.cellsWarm.Add(uint64(res.Warm))
 	stats.cellsCold.Add(uint64(res.Cold))
 	return res, nil
+}
+
+// cellPlan maps each port signature among a run's variants to one
+// compute-once slot per block, with each block's BlockKey rendered once
+// for all of them. A repeated block body never fills its own slot: the
+// variant's memo already holds that content's cell. The plan lives only
+// for the run, so sharing adds no memo or artifact entries.
+type cellPlan map[string][]pipeline.CellSlot
+
+func newCellPlan(variants []Variant, blocks []Block) cellPlan {
+	keys := make([]string, len(blocks))
+	for i, blk := range blocks {
+		keys[i] = pipeline.BlockKey(blk.B)
+	}
+	plan := cellPlan{}
+	for i := range variants {
+		sig := variants[i].Model.PortSignature()
+		if _, ok := plan[sig]; ok {
+			continue
+		}
+		slots := make([]pipeline.CellSlot, len(blocks))
+		for j := range slots {
+			slots[j].Key = keys[j]
+		}
+		plan[sig] = slots
+	}
+	return plan
+}
+
+// analyzed counts the analyses the slots ran. Call it only after every
+// variant has finished.
+func (p cellPlan) analyzed() int {
+	n := 0
+	for _, slots := range p {
+		for i := range slots {
+			n += slots[i].Analyses()
+		}
+	}
+	return n
 }
 
 // runVariant analyzes every block for one variant and projects its
 // node-level metrics. Each call owns its InternalArena: the arena is
 // single-goroutine state, and one variant's blocks run serially within
 // the pool worker.
-func runVariant(an *core.Analyzer, v *Variant, blocks []Block) (VariantResult, error) {
+func runVariant(an *core.Analyzer, v *Variant, blocks []Block, slots []pipeline.CellSlot) (VariantResult, error) {
 	m := v.Model
 	row := VariantResult{
 		Index:         v.Index,
@@ -237,7 +284,7 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block) (VariantResult, e
 		}
 	}
 	for i, blk := range blocks {
-		cell, warm, err := pipeline.AnalyzeCellWarm(an, blk.B, m, ar)
+		cell, warm, err := pipeline.AnalyzeCellWarm(an, blk.B, m, ar, &slots[i])
 		if err != nil {
 			return VariantResult{}, fmt.Errorf("sweep: variant %d (%s), block %s: %w",
 				v.Index, FormatParams(v.Params), blk.Name, err)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"incore/internal/core"
+	"incore/internal/isa"
 	"incore/internal/kernels"
 	"incore/internal/pipeline"
 	"incore/internal/uarch"
@@ -27,6 +29,16 @@ func testBlocks(t *testing.T, arch string) []Block {
 		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: kernels.ElemsPerIter(k, cfg), Kernel: k})
 	}
 	return out
+}
+
+// freshTiers gives the test an empty memo and artifact tier and no
+// store, restoring the memo tier and store on cleanup, so a sweep's
+// first run is cold however often the test runs.
+func freshTiers(t *testing.T) {
+	t.Helper()
+	oldC, oldSt := pipeline.SwapTiers(pipeline.NewCache(), nil)
+	pipeline.CompiledArtifacts().Reset()
+	t.Cleanup(func() { pipeline.SwapTiers(oldC, oldSt) })
 }
 
 func TestCanonicalizeOrderIndependence(t *testing.T) {
@@ -200,6 +212,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		{Param: "mem_bandwidth_gbs", Values: []float64{60, 120}},
 		{Param: "tdp_watts", Values: []float64{200, 350}},
 	}
+	freshTiers(t)
 	prev := pipeline.SetDefaultWorkers(1)
 	defer pipeline.SetDefaultWorkers(prev)
 
@@ -290,5 +303,134 @@ func TestRenderStable(t *testing.T) {
 	}
 	if r.DistinctSignatures != 2 {
 		t.Fatalf("rob_size sweep: %d distinct signatures, want 2", r.DistinctSignatures)
+	}
+}
+
+// mixedAxes cross a node axis with a port axis: two port signatures,
+// each shared by two variants.
+var mixedAxes = []Axis{
+	{Param: "mem_bandwidth_gbs", Values: []float64{100, 200}},
+	{Param: "issue_width", Values: []float64{4, 6}},
+}
+
+// TestRunSharesCellsPerSignature pins signature-shared cells: over a
+// mixed grid from empty tiers, every variant's cells equal an independent
+// analysis of that variant, per-variant provenance is what it would be
+// without sharing, and the analyses that ran number distinct signatures
+// times distinct block contents: a duplicate block body (same content,
+// another name) is a memo hit and analyzes nothing.
+func TestRunSharesCellsPerSignature(t *testing.T) {
+	freshTiers(t)
+	prev := pipeline.SetDefaultWorkers(8)
+	defer pipeline.SetDefaultWorkers(prev)
+	base := uarch.MustGet("goldencove")
+	blocks := testBlocks(t, "goldencove")
+	dup := blocks[0]
+	dup.Name += "-again"
+	blocks = append(blocks, dup)
+	keys := map[string]bool{}
+	for _, b := range blocks {
+		keys[pipeline.BlockKey(b.B)] = true
+	}
+
+	before := GlobalStats()
+	r, err := Run(base, mixedAxes, blocks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DistinctSignatures != 2 {
+		t.Fatalf("%d distinct signatures, want 2", r.DistinctSignatures)
+	}
+	if got, want := GlobalStats().CellsAnalyzed-before.CellsAnalyzed, uint64(2*len(keys)); got != want {
+		t.Fatalf("cold run analyzed %d cells, want %d (signatures x block contents)", got, want)
+	}
+	// Without sharing, a variant's first cell per block content is cold
+	// and a repeated content is a memo hit.
+	for _, row := range r.Variants {
+		if row.Cold != len(keys) || row.Warm != len(blocks)-len(keys) {
+			t.Fatalf("variant %d: %d warm / %d cold, want %d / %d",
+				row.Index, row.Warm, row.Cold, len(blocks)-len(keys), len(keys))
+		}
+	}
+
+	vs, err := Variants(base, mixedAxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := core.New()
+	for i, v := range vs {
+		for j, b := range blocks {
+			ref, err := core.New().Analyze(b.B, v.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pipeline.CellOf(ref)
+			got, warm, err := pipeline.AnalyzeCellWarm(an, b.B, v.Model, &pipeline.InternalArena{},
+				&pipeline.CellSlot{Key: pipeline.BlockKey(b.B)})
+			if err != nil || !warm {
+				t.Fatalf("variant %d block %s: memoized cell missing (warm %t, err %v)", i, b.Name, warm, err)
+			}
+			if got != want {
+				t.Fatalf("variant %d (%s) block %s: cell %+v, want %+v",
+					i, FormatParams(v.Params), b.Name, got, want)
+			}
+			if r.Variants[i].Predictions[j] != want.Prediction {
+				t.Fatalf("variant %d block %s: prediction %v, want %v",
+					i, b.Name, r.Variants[i].Predictions[j], want.Prediction)
+			}
+		}
+	}
+
+	before = GlobalStats()
+	r2, err := Run(base, mixedAxes, blocks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Render() != r.Render() {
+		t.Fatal("rerun renders differently")
+	}
+	for _, row := range r2.Variants {
+		if row.Cold != 0 || row.Warm != len(blocks) {
+			t.Fatalf("rerun variant %d: %d warm / %d cold, want all warm", row.Index, row.Warm, row.Cold)
+		}
+	}
+	if got := GlobalStats().CellsAnalyzed - before.CellsAnalyzed; got != 0 {
+		t.Fatalf("warm rerun analyzed %d cells, want 0", got)
+	}
+}
+
+// TestRunSharedCellError: a block that fails to analyze fails every
+// variant sharing its slot, with the analysis run once per signature.
+func TestRunSharedCellError(t *testing.T) {
+	freshTiers(t)
+	prev := pipeline.SetDefaultWorkers(8)
+	defer pipeline.SetDefaultWorkers(prev)
+	base := uarch.MustGet("goldencove")
+	bogus, err := isa.ParseMarkedBlock("bogus", base.Key, base.Dialect, ".L0:\n\tfrobnicateq %rax, %rbx\n\tjb .L0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := append([]Block{{Name: "bogus", B: bogus}}, testBlocks(t, "goldencove")...)
+	an := core.New()
+	an.Opt.DegradeUnknown = false
+
+	vs, err := Variants(base, mixedAxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := newCellPlan(vs, blocks)
+	for i := range vs {
+		_, err := runVariant(an, &vs[i], blocks, plan[vs[i].Model.PortSignature()])
+		if err == nil || !strings.Contains(err.Error(), "frobnicateq") {
+			t.Fatalf("variant %d: error %v, want the shared unknown-mnemonic error", i, err)
+		}
+	}
+	if got := plan.analyzed(); got != 2 {
+		t.Fatalf("%d analyses ran, want 2 (one per signature)", got)
+	}
+
+	_, err = Run(base, mixedAxes, blocks, Options{Analyzer: an})
+	if err == nil || !strings.Contains(err.Error(), "variant 0 ") {
+		t.Fatalf("Run: error %v, want variant 0's", err)
 	}
 }
