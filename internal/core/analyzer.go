@@ -108,120 +108,96 @@ func (a *Analyzer) Fingerprint() string {
 		a.Opt.IncludeFalseDeps, a.Opt.MemCarriedWindow, a.Opt.StoreForwardLat, a.Opt.DegradeUnknown)
 }
 
-// Analyze runs the in-core model for block b on machine model m. Scratch
-// memory is drawn from an internal pool, so concurrent callers (pipeline
-// jobs, served requests) are safe and a steady stream of analyses does
-// O(1) heap work after warmup beyond the returned Result itself.
+// Analyze runs the in-core model for block b on machine model m. b must
+// be in m's dialect (the block's dialect drives effect extraction). The
+// skeleton, descriptors and result are built in a pooled ResultArena, so
+// concurrent callers (pipeline jobs, served requests) are safe and a
+// steady stream of analyses does O(1) heap work after warmup beyond the
+// returned Result, which shares no arena memory.
 func (a *Analyzer) Analyze(b *isa.Block, m *uarch.Model) (*Result, error) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	return a.AnalyzeScratch(b, m, s)
-}
-
-// AnalyzeScratch is Analyze with caller-provided scratch memory (nil
-// falls back to fresh scratch). The Result never aliases s, so s may be
-// reused immediately; s must not be shared between goroutines.
-func (a *Analyzer) AnalyzeScratch(b *isa.Block, m *uarch.Model, s *Scratch) (*Result, error) {
-	if s == nil {
-		s = &Scratch{}
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	g, err := depgraph.NewScratch(b, m, a.Opt, &s.dg)
+	ar := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(ar)
+	sk, err := depgraph.NewSkeletonScratch(b, a.Opt, &ar.dg)
 	if err != nil {
 		return nil, err
 	}
-	return finishResult(b, m, g, s, nil)
+	return copyOut(a.AnalyzeArena(b, m, sk, nil, ar))
 }
 
-// finishResult builds the Result from an instantiated dependency graph —
-// the back half of every analysis entry point. With ar == nil the Result
-// and everything it references are freshly allocated (safe to memoize and
-// persist); with an arena the Result reuses ar's backing arrays and is
-// only valid until ar's next use.
-func finishResult(b *isa.Block, m *uarch.Model, g *depgraph.Graph, s *Scratch, ar *ResultArena) (*Result, error) {
-	var res *Result
-	if ar != nil {
-		res = &ar.res
-		*res = Result{Block: b, Model: m}
-	} else {
-		res = &Result{Block: b, Model: m}
+// AnalyzeCompiled is Analyze against prebuilt compiled artifacts: sk holds
+// the block's model-independent dependency structure and descs the
+// instructions resolved against m (nil descs resolve here). The Result is
+// freshly allocated and byte-identical to Analyze's for the same inputs —
+// callers (internal/pipeline) may memoize and persist it interchangeably.
+func (a *Analyzer) AnalyzeCompiled(b *isa.Block, m *uarch.Model, sk *depgraph.Skeleton, descs []uarch.Desc) (*Result, error) {
+	ar := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(ar)
+	return copyOut(a.AnalyzeArena(b, m, sk, descs, ar))
+}
+
+// AnalyzeArena computes the analysis of b on m into ar and returns the
+// arena-owned Result — the one implementation behind every entry point,
+// and the zero-allocation internal path. sk must be a skeleton of b's
+// content built under a.Opt's structural options (NewSkeleton validated
+// the block); descs the instructions resolved against m, or nil to
+// resolve them here. See ResultArena for the (strict) validity contract.
+func (a *Analyzer) AnalyzeArena(b *isa.Block, m *uarch.Model, sk *depgraph.Skeleton, descs []uarch.Desc, ar *ResultArena) (*Result, error) {
+	if descs == nil {
+		var err error
+		if descs, err = sk.AppendDescs(ar.descs[:0], m, a.Opt.DegradeUnknown); err != nil {
+			return nil, err
+		}
+		ar.descs = descs
 	}
+	g := sk.Instantiate(b, m, descs, a.Opt, &ar.dg)
+
+	res := &ar.res
+	*res = Result{Block: b, Model: m, Instrs: ar.instrs[:0]}
 	nPorts := len(m.Ports)
-	s.jobs = s.jobs[:0]
-	s.jobSpan = append(s.jobSpan[:0], 0)
-	if ar != nil {
-		res.Instrs = ar.instrs[:0]
-	} else {
-		res.Instrs = make([]InstrReport, 0, len(b.Instrs))
-	}
+	ar.jobs = ar.jobs[:0]
+	ar.jobSpan = append(ar.jobSpan[:0], 0)
 	for i := range b.Instrs {
-		d := g.Nodes[i].Desc
+		d := &g.Nodes[i].Desc
 		ir := InstrReport{
 			Index:      i,
+			Text:       ar.text(b, i),
 			Uops:       d.UopCount(),
 			Lat:        d.Lat,
 			TotalLat:   d.TotalLat,
 			Throughput: d.ThroughputCycles(),
-		}
-		if ar != nil {
-			ir.Text = ar.text(b, i)
-		} else {
-			ir.Text = b.Instrs[i].String()
 		}
 		if d.Match != uarch.MatchExact {
 			ir.Match = d.Match.String()
 		}
 		res.Coverage.add(b.Instrs[i].Mnemonic, d.Match)
 		for _, u := range d.Uops {
-			s.jobs = append(s.jobs, balanceJob{Mask: u.Ports, Cycles: u.Cycles})
+			ar.jobs = append(ar.jobs, balanceJob{Mask: u.Ports, Cycles: u.Cycles})
 		}
-		s.jobSpan = append(s.jobSpan, int32(len(s.jobs)))
+		ar.jobSpan = append(ar.jobSpan, int32(len(ar.jobs)))
 		res.TotalUops += d.UopCount()
 		res.Instrs = append(res.Instrs, ir)
 	}
-	if ar != nil {
-		ar.instrs = res.Instrs
-	}
+	ar.instrs = res.Instrs
 	// Per-instruction pressure over the instruction's span of the shared
-	// job array; only the Result's own copy is freshly allocated (from
-	// the arena's flat backing when one is supplied).
-	if ar != nil {
-		need := len(res.Instrs) * nPorts
-		ar.portLoads = grow(ar.portLoads, need)
-	}
+	// job array, each copied into its row of the flat port-load matrix.
+	ar.portLoads = grow(ar.portLoads, len(res.Instrs)*nPorts)
 	for i := range res.Instrs {
-		loads := s.heuristicInto(s.jobs[s.jobSpan[i]:s.jobSpan[i+1]], nPorts)
-		if ar != nil {
-			dst := ar.portLoads[i*nPorts : (i+1)*nPorts : (i+1)*nPorts]
-			copy(dst, loads)
-			res.Instrs[i].PortLoads = dst
-		} else {
-			res.Instrs[i].PortLoads = append([]float64(nil), loads...)
-		}
+		row := ar.portLoads[i*nPorts : (i+1)*nPorts : (i+1)*nPorts]
+		copy(row, ar.heuristicInto(ar.jobs[ar.jobSpan[i]:ar.jobSpan[i+1]], nPorts))
+		res.Instrs[i].PortLoads = row
 	}
+	ar.portPressure = grow(ar.portPressure, nPorts)
+	copy(ar.portPressure, ar.heuristicInto(ar.jobs, nPorts))
+	res.PortPressure = ar.portPressure
 
-	if ar != nil {
-		ar.portPressure = grow(ar.portPressure, nPorts)
-		copy(ar.portPressure, s.heuristicInto(s.jobs, nPorts))
-		res.PortPressure = ar.portPressure[:nPorts]
-	} else {
-		res.PortPressure = append([]float64(nil), s.heuristicInto(s.jobs, nPorts)...)
-	}
-	res.TPBound = s.optimalBound(s.jobs, nPorts)
-	res.GreedyTPBound = s.greedyBound(s.jobs, nPorts)
+	res.TPBound = ar.optimalBound(ar.jobs, nPorts)
+	res.GreedyTPBound = ar.greedyBound(ar.jobs, nPorts)
 	res.IssueBound = float64(res.TotalUops) / float64(m.IssueWidth)
-	if ar != nil {
-		res.CriticalPath, res.CPPath = g.CriticalPathDetailAppend(ar.cpPath)
-		ar.cpPath = res.CPPath
-		res.LCD = g.LoopCarriedAppend(-1, ar.lcdPath)
-		if res.LCD.Path != nil {
-			ar.lcdPath = res.LCD.Path
-		}
-	} else {
-		res.CriticalPath, res.CPPath = g.CriticalPathDetail()
-		res.LCD = g.LoopCarried(-1)
+	res.CriticalPath, res.CPPath = g.CriticalPath(ar.cpPath)
+	ar.cpPath = res.CPPath
+	res.LCD = g.LoopCarried(-1, ar.lcdPath)
+	if res.LCD.Path != nil {
+		ar.lcdPath = res.LCD.Path
 	}
 
 	res.Prediction = math.Max(res.TPBound, res.IssueBound)

@@ -8,15 +8,15 @@ import (
 	"incore/internal/uarch"
 )
 
-// TestAnalyzeCompiledMatchesAnalyze pins the compiled path's equivalence
-// contract suite-wide: analyses assembled from a prebuilt skeleton and
-// descriptor table render the same report bytes as the direct path, both
-// through the escaping entry (AnalyzeCompiled) and the arena entry
-// (AnalyzeArena) — including one arena reused across blocks and models,
-// which is exactly how the pipeline's internal path drives it.
+// TestAnalyzeCompiledMatchesAnalyze pins the copy-out step every escaping
+// entry point ends in: the copied Result renders the same stable bytes as
+// the arena Result it was copied from, and keeps rendering them after the
+// arena has been reused for every other suite block and model.
 func TestAnalyzeCompiledMatchesAnalyze(t *testing.T) {
 	an := New()
 	ar := &ResultArena{}
+	var copies []*Result
+	var want [][]byte
 	for _, arch := range []string{"goldencove", "zen4", "neoversev2"} {
 		m := uarch.MustGet(arch)
 		for ki := range kernels.Kernels {
@@ -27,45 +27,33 @@ func TestAnalyzeCompiledMatchesAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := an.Analyze(b, m)
-			if err != nil {
-				t.Fatal(err)
-			}
 			sk, err := depgraph.NewSkeleton(b, an.Opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			descs, err := sk.ResolveDescs(m, an.Opt.DegradeUnknown)
+			arRes, err := an.AnalyzeArena(b, m, sk, nil, ar)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			got, err := an.AnalyzeCompiled(b, m, sk, descs)
+			bytes, err := arRes.MarshalStable()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Report() != want.Report() {
-				t.Errorf("%s/%s: AnalyzeCompiled report diverges from Analyze", arch, k.Name)
-			}
-
-			// nil descs resolve inside the call.
-			gotNil, err := an.AnalyzeCompiled(b, m, sk, nil)
+			cp, err := copyOut(arRes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotNil.Report() != want.Report() {
-				t.Errorf("%s/%s: AnalyzeCompiled(nil descs) diverges", arch, k.Name)
-			}
-
-			arRes, err := an.AnalyzeArena(b, m, sk, descs, ar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The arena result must be consumed before the arena's next
-			// use; Report() renders it to an independent string here.
-			if arRes.Report() != want.Report() {
-				t.Errorf("%s/%s: AnalyzeArena report diverges from Analyze", arch, k.Name)
-			}
+			copies = append(copies, cp)
+			want = append(want, bytes)
+		}
+	}
+	for i, cp := range copies {
+		got, err := cp.MarshalStable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want[i]) {
+			t.Errorf("%s/%s: copy-out bytes differ from its arena Result's", cp.Model.Key, cp.Block.Name)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package core_test
 
-// Race coverage for the pooled analyzer scratch: many goroutines
+// Race coverage for the pooled analyzer arenas: many goroutines
 // analyzing different blocks at once must each get exactly the result a
 // serial run produces — pooled arenas may never leak one analysis's
-// state into another. Run under -race by the CI test job.
+// state into another, and a returned Result may never alias the arena it
+// was copied out of. Run under -race by the CI test job.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -42,12 +44,19 @@ func TestConcurrentAnalyzeMatchesSerial(t *testing.T) {
 	an := core.New()
 
 	want := make([]*core.Result, len(blocks))
+	wantBytes := make([][]byte, len(blocks))
 	for i := range blocks {
 		r, err := an.Analyze(blocks[i], models[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
+		// Record the bytes now: if a Result aliased pooled arena memory,
+		// DeepEqual below could pass with both sides pointing at the
+		// same rewritten buffers, but these bytes would no longer match.
+		if wantBytes[i], err = r.MarshalStable(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const workers = 8
@@ -81,5 +90,15 @@ func TestConcurrentAnalyzeMatchesSerial(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	for i, r := range want {
+		got, err := r.MarshalStable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes[i]) {
+			t.Errorf("block %s/%s: serial result changed after the hammer (aliases arena memory)",
+				models[i].Key, blocks[i].Name)
+		}
 	}
 }

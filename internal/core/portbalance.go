@@ -27,13 +27,13 @@ type balanceJob struct {
 // candidate sets. The number of distinct candidate sets in a real machine
 // model is small, so enumerating all unions is cheap and exact.
 func OptimalPortBound(jobs []balanceJob, nPorts int) float64 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
+	s := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(s)
 	return s.optimalBound(jobs, nPorts)
 }
 
-// optimalBound is OptimalPortBound on this scratch's arenas.
-func (s *Scratch) optimalBound(jobs []balanceJob, nPorts int) float64 {
+// optimalBound is OptimalPortBound on this arena's balancer state.
+func (s *ResultArena) optimalBound(jobs []balanceJob, nPorts int) float64 {
 	// Aggregate work per distinct mask, in job order. Real models carry
 	// ~10 distinct masks, so a linear scan beats hashing.
 	s.masks, s.works = s.masks[:0], s.works[:0]
@@ -114,16 +114,16 @@ func (s *Scratch) optimalBound(jobs []balanceJob, nPorts int) float64 {
 // load vector. It is used for the per-port pressure *report*; the bound
 // itself comes from OptimalPortBound. nPorts caps the port index range.
 func HeuristicAssignment(jobs []balanceJob, nPorts int) []float64 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
+	s := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(s)
 	loads := s.heuristicInto(jobs, nPorts)
 	out := make([]float64, len(loads))
 	copy(out, loads)
 	return out
 }
 
-// heuristicInto is HeuristicAssignment on this scratch's arenas; the
-// returned slice is s.loads and valid until the scratch's next use.
+// heuristicInto is HeuristicAssignment on this arena's balancer state; the
+// returned slice is s.loads and valid until the arena's next use.
 //
 // The splits live in one flat shares array (portSpan[j]..portSpan[j+1] is
 // job j's span over ports) instead of a jagged per-job matrix, and the
@@ -131,7 +131,7 @@ func HeuristicAssignment(jobs []balanceJob, nPorts int) []float64 {
 // share bitwise unchanged, each remaining pass would start from the same
 // shares and run the identical float sequence, so the final loads are
 // bit-for-bit those of the fixed 64-pass reference.
-func (s *Scratch) heuristicInto(jobs []balanceJob, nPorts int) []float64 {
+func (s *ResultArena) heuristicInto(jobs []balanceJob, nPorts int) []float64 {
 	s.loads = grow(s.loads, nPorts)
 	loads := s.loads
 	s.ports, s.shares = s.ports[:0], s.shares[:0]
@@ -201,13 +201,13 @@ func (s *Scratch) heuristicInto(jobs []balanceJob, nPorts int) []float64 {
 // achieves and is exposed for the ablation study of the port-balancing
 // design choice (DESIGN.md #1).
 func GreedyPortBound(jobs []balanceJob, nPorts int) float64 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
+	s := arenaPool.Get().(*ResultArena)
+	defer arenaPool.Put(s)
 	return s.greedyBound(jobs, nPorts)
 }
 
-// greedyBound is GreedyPortBound on this scratch's arenas.
-func (s *Scratch) greedyBound(jobs []balanceJob, nPorts int) float64 {
+// greedyBound is GreedyPortBound on this arena's balancer state.
+func (s *ResultArena) greedyBound(jobs []balanceJob, nPorts int) float64 {
 	s.loads = grow(s.loads, nPorts)
 	loads := s.loads
 	for i := range loads {

@@ -204,26 +204,26 @@ func TestOptimalCloseToReferenceNonDyadic(t *testing.T) {
 }
 
 // TestScratchReuseIsStateless: results must not depend on what a pooled
-// scratch previously computed.
+// arena previously computed.
 func TestScratchReuseIsStateless(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := &Scratch{}
+	s := &ResultArena{}
 	for trial := 0; trial < 500; trial++ {
 		nPorts := 1 + rng.Intn(10)
 		jobs := randomJobs(rng, nPorts, false)
-		fresh := &Scratch{}
+		fresh := &ResultArena{}
 		a := append([]float64(nil), s.heuristicInto(jobs, nPorts)...)
 		b := fresh.heuristicInto(jobs, nPorts)
 		for p := range b {
 			if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
-				t.Fatalf("trial %d: reused scratch diverges from fresh scratch at port %d", trial, p)
+				t.Fatalf("trial %d: reused arena diverges from fresh arena at port %d", trial, p)
 			}
 		}
 		if ab, bb := s.optimalBound(jobs, nPorts), fresh.optimalBound(jobs, nPorts); math.Float64bits(ab) != math.Float64bits(bb) {
-			t.Fatalf("trial %d: reused scratch bound %x != fresh %x", trial, ab, bb)
+			t.Fatalf("trial %d: reused arena bound %x != fresh %x", trial, ab, bb)
 		}
 		if ag, bg := s.greedyBound(jobs, nPorts), fresh.greedyBound(jobs, nPorts); math.Float64bits(ag) != math.Float64bits(bg) {
-			t.Fatalf("trial %d: reused scratch greedy %x != fresh %x", trial, ag, bg)
+			t.Fatalf("trial %d: reused arena greedy %x != fresh %x", trial, ag, bg)
 		}
 	}
 }

@@ -63,11 +63,10 @@ type Edge struct {
 	ViaAccumulator bool
 }
 
-// Node is the per-instruction dependency-relevant summary.
+// Node is one instruction's resolved descriptor.
 type Node struct {
 	Index int
 	Desc  uarch.Desc
-	Eff   isa.Effects
 }
 
 // Options tune graph construction.
@@ -125,19 +124,20 @@ type skelEdge struct {
 	reg      isa.RegKey
 }
 
-// Scratch holds every reusable arena graph construction and path
-// extraction need, so a steady stream of graphs does O(1) heap work
-// after warmup. The zero value is ready. A Scratch serves one
-// goroutine at a time, and a Graph built against it (NewScratch) — its
-// nodes, edges, and effect slices — is only valid until the scratch's
-// next use; results that outlive the graph (paths, LCD reports) are
-// freshly allocated and safe to retain.
+// Scratch holds every reusable arena skeleton construction, graph
+// instantiation, and path extraction need, so a steady stream of analyses
+// does O(1) heap work after warmup. The zero value is ready. A Scratch
+// serves one goroutine at a time. A Skeleton built against it
+// (NewSkeletonScratch) is valid until the scratch's next skeleton build;
+// a Graph instantiated into it (Skeleton.Instantiate) until its next
+// instantiation or skeleton build. Instantiating a scratch-built skeleton
+// into its own scratch is allowed: the two use disjoint arenas.
 type Scratch struct {
-	graph    Graph
+	// Skeleton arenas.
+	skeleton Skeleton
 	interner isa.RegInterner
 	effects  isa.EffectsArena
-	nodes    []Node
-	edges    []Edge
+	effs     []isa.Effects
 	skel     []skelEdge
 	out      [][]int
 	readIDs  [][]int32
@@ -147,8 +147,12 @@ type Scratch struct {
 	lastReaders [][]regAccess
 	dedupe      map[edgeIdent]struct{}
 
-	dist []float64
-	prev []int
+	// Graph and path arenas.
+	graph Graph
+	nodes []Node
+	edges []Edge
+	dist  []float64
+	prev  []int
 }
 
 // growOuter returns s resized to n entries, keeping existing entries (and
@@ -161,6 +165,7 @@ func growOuter[T any](s []T, n int) []T {
 }
 
 // Graph is the dependency graph of one block against one machine model.
+// Graphs come only from Skeleton.Instantiate.
 type Graph struct {
 	Block *isa.Block
 	Model *uarch.Model
@@ -168,58 +173,8 @@ type Graph struct {
 	Edges []Edge
 	// out[i] lists indices into Edges with From == i.
 	out [][]int
-	// scr backs all construction and query arenas.
+	// scr backs the path queries' arenas.
 	scr *Scratch
-}
-
-// New builds the dependency graph. Every instruction must resolve against
-// the model.
-func New(b *isa.Block, m *uarch.Model, opt Options) (*Graph, error) {
-	return NewScratch(b, m, opt, nil)
-}
-
-// NewScratch is New with the graph's internal storage carved out of s's
-// reusable arenas (a nil s uses fresh ones). The returned graph and its
-// nodes/edges are only valid until s is next passed to NewScratch.
-func NewScratch(b *isa.Block, m *uarch.Model, opt Options, s *Scratch) (*Graph, error) {
-	if s == nil {
-		s = &Scratch{}
-	}
-	s.interner.Reset()
-	s.effects.Reset()
-	g := &s.graph
-	*g = Graph{Block: b, Model: m, scr: s}
-	n := len(b.Instrs)
-	s.nodes = growOuter(s.nodes, n)
-	g.Nodes = s.nodes
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		eff := isa.InstrEffectsArena(in, m.Dialect, &s.effects)
-		var d uarch.Desc
-		if opt.DegradeUnknown {
-			d = m.LookupEffDegraded(in, &eff)
-		} else {
-			var err error
-			d, err = m.LookupEff(in, &eff)
-			if err != nil {
-				return nil, fmt.Errorf("depgraph: block %s: instr %d (%s): %w", b.Name, i, in.Mnemonic, err)
-			}
-		}
-		g.Nodes[i] = Node{Index: i, Desc: d, Eff: eff}
-	}
-	skel := buildStructure(b, m.Dialect, g.Nodes, opt, s)
-	g.Edges = fillEdges(s.edges[:0], skel, g.Nodes, m.LoadLat, opt)
-	s.edges = g.Edges
-	s.out = growOuter(s.out, n)
-	for i := range s.out {
-		s.out[i] = s.out[i][:0]
-	}
-	g.out = s.out[:n]
-	for ei := range g.Edges {
-		e := &g.Edges[ei]
-		g.out[e.From] = append(g.out[e.From], ei)
-	}
-	return g, nil
 }
 
 // accumulatorKey returns the register a fused multiply-add reads as its
@@ -261,11 +216,8 @@ func accumulatorKey(in *isa.Instruction, d isa.Dialect) (isa.RegKey, bool) {
 // reads a uarch.Desc — structure depends only on block content, dialect,
 // and the structural options — which is what lets a Skeleton cache it
 // across models; latencies are filled per model by fillEdges.
-//
-// Only Eff is read from nodes, so structural-only callers (NewSkeleton)
-// may pass nodes with zero Descs.
-func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *Scratch) []skelEdge {
-	n := len(nodes)
+func buildStructure(b *isa.Block, effs []isa.Effects, opt Options, s *Scratch) []skelEdge {
+	n := len(effs)
 	s.skel = s.skel[:0]
 	// lastWriter[id] = index of the most recent writer of the register
 	// with that interned ID in program order; simulate two consecutive
@@ -274,9 +226,9 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 	// to dense-ID slices, so per-register tracking is slice indexing.
 	s.readIDs = growOuter(s.readIDs, n)
 	s.writeIDs = growOuter(s.writeIDs, n)
-	for i := range nodes {
-		s.readIDs[i] = s.interner.InternAll(s.readIDs[i][:0], nodes[i].Eff.Reads)
-		s.writeIDs[i] = s.interner.InternAll(s.writeIDs[i][:0], nodes[i].Eff.Writes)
+	for i := range effs {
+		s.readIDs[i] = s.interner.InternAll(s.readIDs[i][:0], effs[i].Reads)
+		s.writeIDs[i] = s.interner.InternAll(s.writeIDs[i][:0], effs[i].Writes)
 	}
 	nRegs := s.interner.Len()
 	s.lastWriter = growOuter(s.lastWriter, nRegs)
@@ -302,7 +254,7 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 			return
 		}
 		consumer := &b.Instrs[to.idx]
-		acc, isAcc := accumulatorKey(consumer, d)
+		acc, isAcc := accumulatorKey(consumer, b.Dialect)
 		s.skel = append(s.skel, skelEdge{
 			from: int32(from.idx), to: int32(to.idx), kind: EdgeRAW, carried: carried,
 			reg: key, viaAcc: isAcc && acc == key,
@@ -311,9 +263,9 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 
 	for iter := 0; iter < 2; iter++ {
 		for i := 0; i < n; i++ {
-			node := &nodes[i]
+			eff := &effs[i]
 			cur := regAccess{idx: i, iter: iter}
-			for ri, r := range node.Eff.Reads {
+			for ri, r := range eff.Reads {
 				id := s.readIDs[i][ri]
 				if w := lastWriter[id]; w.idx >= 0 {
 					if !(w.iter == iter && w.idx == i) {
@@ -322,7 +274,7 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 				}
 				lastReaders[id] = append(lastReaders[id], cur)
 			}
-			for wi, w := range node.Eff.Writes {
+			for wi, w := range eff.Writes {
 				id := s.writeIDs[i][wi]
 				if opt.IncludeFalseDeps {
 					if pw := lastWriter[id]; pw.idx >= 0 && !(pw.iter == 1 && iter == 1) && pw.iter <= iter {
@@ -352,7 +304,7 @@ func buildStructure(b *isa.Block, d isa.Dialect, nodes []Node, opt Options, s *S
 		}
 	}
 	s.skel = dedupeStructure(s.skel, s)
-	buildMemStructure(nodes, opt, s)
+	buildMemStructure(effs, opt, s)
 	return s.skel
 }
 
@@ -397,7 +349,7 @@ func chainLat(d *uarch.Desc) float64 {
 // re-reads a stored location only if S - L > 0 (the store runs ahead of
 // the load in address space); equal displacements alias within one
 // iteration when the store precedes the load in program order.
-func buildMemStructure(nodes []Node, opt Options, s *Scratch) {
+func buildMemStructure(effs []isa.Effects, opt Options, s *Scratch) {
 	if opt.MemCarriedWindow == 0 {
 		return
 	}
@@ -417,10 +369,10 @@ func buildMemStructure(nodes []Node, opt Options, s *Scratch) {
 		}
 		return true
 	}
-	for si := range nodes {
-		for _, st := range nodes[si].Eff.StoreOps {
-			for li := range nodes {
-				for _, ld := range nodes[li].Eff.LoadOps {
+	for si := range effs {
+		for _, st := range effs[si].StoreOps {
+			for li := range effs {
+				for _, ld := range effs[li].LoadOps {
 					if !sameStream(st, ld) {
 						continue
 					}
@@ -476,23 +428,11 @@ func fillEdges(dst []Edge, skel []skelEdge, nodes []Node, loadLat int, opt Optio
 
 // CriticalPath returns the longest latency path through one iteration,
 // considering only intra-iteration edges (cycles are impossible within one
-// iteration of straight-line code).
-func (g *Graph) CriticalPath() float64 {
-	cp, _ := g.CriticalPathDetail()
-	return cp
-}
-
-// CriticalPathDetail additionally returns the instruction indices on the
-// critical path in program order (the OSACA report's CP column). The
-// returned path is freshly allocated and safe to retain.
-func (g *Graph) CriticalPathDetail() (float64, []int) {
-	return g.CriticalPathDetailAppend(nil)
-}
-
-// CriticalPathDetailAppend is CriticalPathDetail writing the path into
-// buf's backing array (buf[:0]); the path is only valid until the buffer
-// is reused. A nil buf allocates, matching CriticalPathDetail.
-func (g *Graph) CriticalPathDetailAppend(buf []int) (float64, []int) {
+// iteration of straight-line code), and the instruction indices on it in
+// program order (the OSACA report's CP column). The path is written into
+// buf's backing array (buf[:0]) and is only valid until the buffer is
+// reused; a nil buf allocates a path safe to retain.
+func (g *Graph) CriticalPath(buf []int) (float64, []int) {
 	n := len(g.Nodes)
 	s := g.scr
 	// dist[i] = longest path ending at i, including i's own latency.
@@ -551,15 +491,10 @@ type LCDResult struct {
 //
 // AccLatOverride, when non-negative, replaces the latency of RAW
 // accumulator edges (used to model accumulator forwarding); pass -1 for
-// table latencies.
-func (g *Graph) LoopCarried(accLatOverride float64) LCDResult {
-	return g.LoopCarriedAppend(accLatOverride, nil)
-}
-
-// LoopCarriedAppend is LoopCarried writing the winning cycle's path into
-// buf's backing array (buf[:0]); the result's Path is only valid until
-// the buffer is reused. A nil buf allocates, matching LoopCarried.
-func (g *Graph) LoopCarriedAppend(accLatOverride float64, buf []int) LCDResult {
+// table latencies. The winning cycle's path is written into buf's backing
+// array (buf[:0]) and is only valid until the buffer is reused; a nil buf
+// allocates a path safe to retain.
+func (g *Graph) LoopCarried(accLatOverride float64, buf []int) LCDResult {
 	// First pass finds the dominant carried edge by cycle latency alone;
 	// the (allocating) path is materialized only for the winner.
 	best := LCDResult{}

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"strings"
 	"testing"
 
 	"incore/internal/isa"
@@ -14,11 +15,25 @@ func mustGraph(t *testing.T, arch, src string, opt Options) *Graph {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	g, err := New(b, m, opt)
+	g, err := build(b, m, opt)
 	if err != nil {
 		t.Fatalf("graph: %v", err)
 	}
 	return g
+}
+
+// build runs the one graph-construction path: skeleton, descriptors,
+// instantiation.
+func build(b *isa.Block, m *uarch.Model, opt Options) (*Graph, error) {
+	sk, err := NewSkeleton(b, opt)
+	if err != nil {
+		return nil, err
+	}
+	descs, err := sk.ResolveDescs(m, opt.DegradeUnknown)
+	if err != nil {
+		return nil, err
+	}
+	return sk.Instantiate(b, m, descs, opt, &Scratch{}), nil
 }
 
 func TestEdgeKindString(t *testing.T) {
@@ -59,7 +74,7 @@ func TestLoopCarriedAccumulator(t *testing.T) {
 	cmp x3, x4
 	b.ne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1)
+	lcd := g.LoopCarried(-1, nil)
 	if lcd.Cycles != 2 {
 		t.Errorf("sum LCD = %.1f, want 2 (fadd latency)", lcd.Cycles)
 	}
@@ -82,7 +97,7 @@ func TestLoopCarriedChainGS(t *testing.T) {
 	cmp x1, x4
 	b.ne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1)
+	lcd := g.LoopCarried(-1, nil)
 	if lcd.Cycles != 5 {
 		t.Errorf("GS LCD = %.1f, want 5 (fadd 2 + fmul 3)", lcd.Cycles)
 	}
@@ -94,7 +109,7 @@ func TestIndexChainIsCarried(t *testing.T) {
 	cmpq %rbx, %rax
 	jne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1)
+	lcd := g.LoopCarried(-1, nil)
 	if lcd.Cycles != 1 {
 		t.Errorf("index LCD = %.1f, want 1", lcd.Cycles)
 	}
@@ -107,7 +122,7 @@ func TestCriticalPathLongerThanLCD(t *testing.T) {
 	vmulpd %ymm1, %ymm1, %ymm2
 	vmovupd %ymm2, (%rdi)
 `, DefaultOptions())
-	cp := g.CriticalPath()
+	cp, _ := g.CriticalPath(nil)
 	// load (7) + mul (4) + mul (4) = 15 at least.
 	if cp < 15 {
 		t.Errorf("critical path = %.1f, want >= 15", cp)
@@ -161,7 +176,7 @@ func TestMemCarriedDirection(t *testing.T) {
 	if !carried {
 		t.Error("expected carried memory edge for the GS round trip")
 	}
-	lcd := g.LoopCarried(-1)
+	lcd := g.LoopCarried(-1, nil)
 	// fwd total (LoadLat+2 = 9) + fmul (4) = 13.
 	if lcd.Cycles < 12 || lcd.Cycles > 14 {
 		t.Errorf("GS memory LCD = %.1f, want ~13", lcd.Cycles)
@@ -220,7 +235,7 @@ func TestAccumulatorEdgeDetection(t *testing.T) {
 	if !acc {
 		t.Error("fmla self-accumulation must be flagged ViaAccumulator")
 	}
-	lcd := g.LoopCarried(-1)
+	lcd := g.LoopCarried(-1, nil)
 	if lcd.Cycles != 4 {
 		t.Errorf("fmla chain LCD = %.1f, want 4", lcd.Cycles)
 	}
@@ -228,7 +243,7 @@ func TestAccumulatorEdgeDetection(t *testing.T) {
 		t.Error("LCD must be flagged as accumulator-carried")
 	}
 	// With accumulator-forwarding override the chain shrinks.
-	fwd := g.LoopCarried(2)
+	fwd := g.LoopCarried(2, nil)
 	if fwd.Cycles != 2 {
 		t.Errorf("forwarded fmla chain = %.1f, want 2", fwd.Cycles)
 	}
@@ -243,7 +258,7 @@ func TestChainLatPipelinesFoldedLoads(t *testing.T) {
 	cmpq %rbx, %rax
 	jne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1)
+	lcd := g.LoopCarried(-1, nil)
 	if lcd.Cycles != 2 {
 		t.Errorf("folded-load sum LCD = %.1f, want 2 (vaddsd latency only)", lcd.Cycles)
 	}
@@ -269,7 +284,11 @@ func TestUnknownInstructionErrors(t *testing.T) {
 	m := uarch.MustGet("zen4")
 	b := &isa.Block{Name: "x", Arch: "zen4", Dialect: m.Dialect,
 		Instrs: []isa.Instruction{{Mnemonic: "bogus"}}}
-	if _, err := New(b, m, DefaultOptions()); err == nil {
-		t.Error("unknown instruction must fail graph construction")
+	_, err := build(b, m, DefaultOptions())
+	if err == nil {
+		t.Fatal("unknown instruction must fail graph construction")
+	}
+	if want := "depgraph: block x: instr 0 (bogus): "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q; want prefix %q", err, want)
 	}
 }

@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"incore/internal/isa"
 	"incore/internal/uarch"
@@ -15,19 +16,13 @@ import (
 // filling edge latencies (Instantiate) — no effect extraction, no register
 // interning, no two-iteration walk, no dedupe map.
 //
-// A Skeleton is immutable after NewSkeleton and safe to share across
-// goroutines and models. It retains its source block (pinning the MemOp
-// pointers the effects reference), so cached skeletons keep their blocks
-// alive — intended for the process-lifetime artifact cache in
-// internal/pipeline.
+// A Skeleton from NewSkeleton is immutable and safe to share across
+// goroutines and models (one from NewSkeletonScratch is scratch-owned). It
+// retains its source block (pinning the MemOp pointers the effects
+// reference), so cached skeletons keep their blocks alive — intended for
+// the process-lifetime artifact cache in internal/pipeline.
 type Skeleton struct {
-	block   *isa.Block
-	dialect isa.Dialect
-	// Structural options the edge list was built under; Instantiate
-	// callers must pass options agreeing on these fields.
-	falseDeps bool
-	memWindow int64
-
+	block *isa.Block
 	effs  []isa.Effects
 	edges []skelEdge
 	// out[i] lists indices into edges with from == i; shared read-only by
@@ -37,88 +32,132 @@ type Skeleton struct {
 
 // NewSkeleton builds the durable structure of b under opt's structural
 // fields (IncludeFalseDeps, MemCarriedWindow; latency-side options are
-// applied at Instantiate). The block's own dialect drives effect
-// extraction, so the skeleton serves any model of that dialect.
+// applied at Instantiate). It is NewSkeletonScratch over a fresh scratch,
+// so the skeleton owns its memory and may be cached and shared.
 func NewSkeleton(b *isa.Block, opt Options) (*Skeleton, error) {
+	sk, err := NewSkeletonScratch(b, opt, &Scratch{})
+	if err != nil {
+		return nil, err
+	}
+	// Copy the arrays out of the scratch at their exact sizes, so a
+	// cached skeleton retains neither the construction tables nor the
+	// slack (and the outgrown arrays) of the scratch's append-grown slabs.
+	owned := *sk
+	owned.effs = compactEffects(sk.effs)
+	owned.edges = slices.Clone(sk.edges)
+	return &owned, nil
+}
+
+// compactEffects copies effs into exactly sized register and memory-operand
+// slabs; empty sets stay nil.
+func compactEffects(effs []isa.Effects) []isa.Effects {
+	var nRegs, nMems int
+	for i := range effs {
+		nRegs += len(effs[i].Reads) + len(effs[i].Writes)
+		nMems += len(effs[i].LoadOps) + len(effs[i].StoreOps)
+	}
+	regs := make([]isa.RegKey, 0, nRegs)
+	mems := make([]*isa.MemOp, 0, nMems)
+	out := make([]isa.Effects, len(effs))
+	for i, e := range effs {
+		out[i] = isa.Effects{
+			Reads:    carve(&regs, e.Reads),
+			Writes:   carve(&regs, e.Writes),
+			LoadOps:  carve(&mems, e.LoadOps),
+			StoreOps: carve(&mems, e.StoreOps),
+		}
+	}
+	return out
+}
+
+// carve appends src to *buf, which must have room for it, and returns the
+// appended span with its capacity clipped; an empty src yields nil.
+func carve[T any](buf *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	n := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[n:len(*buf):len(*buf)]
+}
+
+// NewSkeletonScratch is NewSkeleton with the skeleton's storage carved out
+// of s's reusable arenas. The skeleton is only valid until s's next
+// skeleton build and must not be cached or shared. The block's own dialect
+// drives effect extraction, so the skeleton serves any model of that
+// dialect.
+func NewSkeletonScratch(b *isa.Block, opt Options, s *Scratch) (*Skeleton, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
+	s.interner.Reset()
+	s.effects.Reset()
 	n := len(b.Instrs)
-	sk := &Skeleton{
-		block:     b,
-		dialect:   b.Dialect,
-		falseDeps: opt.IncludeFalseDeps,
-		memWindow: opt.MemCarriedWindow,
-		effs:      make([]isa.Effects, n),
-	}
-	nodes := make([]Node, n)
+	s.effs = growOuter(s.effs, n)
 	for i := range b.Instrs {
-		sk.effs[i] = isa.InstrEffects(&b.Instrs[i], b.Dialect)
-		nodes[i] = Node{Index: i, Eff: sk.effs[i]}
+		s.effs[i] = isa.InstrEffectsArena(&b.Instrs[i], b.Dialect, &s.effects)
 	}
-	s := &Scratch{}
-	skel := buildStructure(b, b.Dialect, nodes, opt, s)
-	sk.edges = append([]skelEdge(nil), skel...)
-	sk.out = make([][]int, n)
-	for ei := range sk.edges {
-		f := sk.edges[ei].from
-		sk.out[f] = append(sk.out[f], ei)
+	skel := buildStructure(b, s.effs, opt, s)
+	s.out = growOuter(s.out, n)
+	for i := range s.out {
+		s.out[i] = s.out[i][:0]
 	}
-	return sk, nil
+	for ei := range skel {
+		f := skel[ei].from
+		s.out[f] = append(s.out[f], ei)
+	}
+	s.skeleton = Skeleton{block: b, effs: s.effs, edges: skel, out: s.out}
+	return &s.skeleton, nil
 }
 
 // Block returns the block the skeleton was built from.
 func (sk *Skeleton) Block() *isa.Block { return sk.block }
 
-// Matches reports whether opt agrees with the skeleton on the structural
-// options its edge list was built under.
-func (sk *Skeleton) Matches(opt Options) bool {
-	return sk.falseDeps == opt.IncludeFalseDeps && sk.memWindow == opt.MemCarriedWindow
-}
-
 // ResolveDescs resolves every instruction's descriptor against one model —
 // the per-(block, model) half of graph construction that Instantiate
 // consumes. The returned slice is freshly allocated, treated as immutable,
-// and safe to cache and share across goroutines; error text matches what
-// NewScratch reports for the same lookup failure.
+// and safe to cache and share across goroutines.
 func (sk *Skeleton) ResolveDescs(m *uarch.Model, degrade bool) ([]uarch.Desc, error) {
+	return sk.AppendDescs(make([]uarch.Desc, 0, len(sk.effs)), m, degrade)
+}
+
+// AppendDescs is ResolveDescs appending to dst, so a caller-owned buffer
+// can be reused across blocks.
+func (sk *Skeleton) AppendDescs(dst []uarch.Desc, m *uarch.Model, degrade bool) ([]uarch.Desc, error) {
 	b := sk.block
-	descs := make([]uarch.Desc, len(b.Instrs))
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		eff := sk.effs[i]
 		if degrade {
-			descs[i] = m.LookupEffDegraded(in, &eff)
+			dst = append(dst, m.LookupEffDegraded(in, &eff))
 			continue
 		}
 		d, err := m.LookupEff(in, &eff)
 		if err != nil {
 			return nil, fmt.Errorf("depgraph: block %s: instr %d (%s): %w", b.Name, i, in.Mnemonic, err)
 		}
-		descs[i] = d
+		dst = append(dst, d)
 	}
-	return descs, nil
+	return dst, nil
 }
 
-// Instantiate materializes the skeleton against one model into s's arenas,
-// producing a graph identical to NewScratch(b, m, opt, s) — same nodes,
-// same edge order, same latencies. b must be content-identical to the
-// skeleton's source block (same instruction sequence and dialect), descs
-// must come from ResolveDescs against m (or a cache of it) with
-// opt.DegradeUnknown, and opt must satisfy Matches; the artifact keys in
-// internal/pipeline enforce all three. The graph is valid until s's next
-// use, like NewScratch.
+// Instantiate materializes the skeleton against one model into s's arenas:
+// nodes in program order, the skeleton's edges in
+// its order with each kind's latency filled from descs. b must be
+// content-identical to the skeleton's source block (same instruction
+// sequence and dialect), descs must come from ResolveDescs against m (or a
+// cache of it) with opt.DegradeUnknown, and opt must agree with the
+// skeleton's build options on IncludeFalseDeps and MemCarriedWindow; the
+// artifact keys in internal/pipeline enforce all three. The graph is valid
+// until s's next use.
 func (sk *Skeleton) Instantiate(b *isa.Block, m *uarch.Model, descs []uarch.Desc, opt Options, s *Scratch) *Graph {
-	if s == nil {
-		s = &Scratch{}
-	}
 	g := &s.graph
 	*g = Graph{Block: b, Model: m, scr: s}
 	n := len(sk.effs)
 	s.nodes = growOuter(s.nodes, n)
 	g.Nodes = s.nodes[:n]
 	for i := range g.Nodes {
-		g.Nodes[i] = Node{Index: i, Desc: descs[i], Eff: sk.effs[i]}
+		g.Nodes[i] = Node{Index: i, Desc: descs[i]}
 	}
 	g.Edges = fillEdges(s.edges[:0], sk.edges, g.Nodes, m.LoadLat, opt)
 	s.edges = g.Edges

@@ -48,7 +48,8 @@ func simConfigKey(cfg sim.Config) string {
 }
 
 // Analyze memoizes core.Analyzer.Analyze by (analyzer options, machine
-// model, block content). With a store attached, results persist across
+// model, block content). b must be in m's dialect, as core.Analyze
+// requires; callers parse with m.Dialect. With a store attached, results persist across
 // processes in core.Result's stable wire form; a warm decode reattaches
 // the requesting block and model, whose content the key already pins.
 //
@@ -59,10 +60,10 @@ func simConfigKey(cfg sim.Config) string {
 // scenario that happens to share its name. The same rule applies to
 // Simulate, MCAPredict, and MeasureInstr below.
 //
-// Cold computations draw analysis scratch from core's internal
-// sync.Pool, so concurrent pipeline jobs (and the serve tier routing
-// through this function) share arenas safely; the memoized Result never
-// aliases pooled memory.
+// Cold computations fill an arena from core's internal sync.Pool, so
+// concurrent pipeline jobs (and the serve tier routing through this
+// function) share arenas safely; the memoized Result is copied out and
+// never aliases pooled memory.
 func Analyze(an *core.Analyzer, b *isa.Block, m *uarch.Model) (*core.Result, error) {
 	res, _, err := AnalyzeWarm(an, b, m)
 	return res, err

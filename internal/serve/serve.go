@@ -416,9 +416,9 @@ func (s *Server) resolveModel(req *AnalyzeRequest) (*uarch.Model, error) {
 }
 
 // analyze runs one request through the memoized pipeline path. Memo
-// misses compute on pooled core.Scratch arenas (core.Analyze draws from
-// an internal sync.Pool), so any number of concurrent requests share
-// scratch safely without per-request allocation storms.
+// misses compute in pooled core.ResultArenas (drawn from core's internal
+// sync.Pool) and copy the Result out, so any number of concurrent
+// requests share arenas safely without per-request allocation storms.
 func (s *Server) analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	resp, _, err := s.analyzeTracked(req)
 	return resp, err
