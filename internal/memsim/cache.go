@@ -76,12 +76,22 @@ type setState struct {
 // A way stores its full line address rather than a tag: within one set
 // the two identify a line equally, and the address needs no division to
 // form or to hand back as a victim.
+//
+// A cache from NewCache is in LRU mode. Only System.reset puts a cache in
+// first-touch mode, for a run whose stream layout proves that no line is
+// accessed twice. There Lookup counts a miss without scanning, and Insert
+// evicts round robin: with no hits a set's age order is its insertion
+// order, so once the ways have filled 0..W-1 the oldest way is a cursor
+// that advances by one per eviction. The cursor lives in the set's oldest
+// field and the age links are left alone. Hits and Invalidate are valid
+// only in LRU mode.
 type Cache struct {
-	cfg   CacheConfig
-	ways  int
-	nsets uint64
-	pow2  bool   // nsets is a power of two: the set index is a mask
-	full  uint64 // valid mask of a full set
+	cfg        CacheConfig
+	ways       int
+	nsets      uint64
+	pow2       bool   // nsets is a power of two: the set index is a mask
+	full       uint64 // valid mask of a full set
+	firstTouch bool   // no line repeats: no scans, round-robin victims
 
 	addrs []LineAddr // per line: set s, way w at s*ways+w
 	lines []wayState // per line, same index
@@ -110,14 +120,20 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		lines: make([]wayState, n*cfg.Ways),
 		sets:  make([]setState, n),
 	}
-	c.reset()
+	c.reset(false)
 	return c, nil
 }
 
-// reset empties the cache in place and zeroes its stats.
-func (c *Cache) reset() {
+// reset empties the cache in place, zeroes its stats and sets its mode.
+// In first-touch mode every set's victim cursor starts at way 0.
+func (c *Cache) reset(firstTouch bool) {
+	c.firstTouch = firstTouch
+	empty := setState{oldest: noWay, newest: noWay}
+	if firstTouch {
+		empty.oldest = 0
+	}
 	for s := range c.sets {
-		c.sets[s] = setState{oldest: noWay, newest: noWay}
+		c.sets[s] = empty
 	}
 	clear(c.lines)
 	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
@@ -174,8 +190,12 @@ func (c *Cache) pushNewest(s, w int) {
 }
 
 // Lookup probes the cache; on a hit it updates LRU state and, for writes,
-// the dirty bit.
+// the dirty bit. In first-touch mode it counts a miss without probing.
 func (c *Cache) Lookup(a LineAddr, write bool) bool {
+	if c.firstTouch {
+		c.Misses++
+		return false
+	}
 	s := c.setOf(a)
 	w := c.find(s, a)
 	if w < 0 {
@@ -205,9 +225,18 @@ func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evicte
 		w = bits.TrailingZeros64(free)
 		st.valid |= 1 << uint(w)
 	} else {
-		// Evict LRU.
+		// Evict LRU: the age list's head, or in first-touch mode the
+		// round-robin cursor.
 		w = int(st.oldest)
-		c.unlink(s, w)
+		if c.firstTouch {
+			next := w + 1
+			if next == c.ways {
+				next = 0
+			}
+			st.oldest = uint8(next)
+		} else {
+			c.unlink(s, w)
+		}
 		i := s*c.ways + w
 		victim = c.addrs[i]
 		evicted, evictedDirty = true, c.lines[i].dirty
@@ -219,11 +248,14 @@ func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evicte
 	i := s*c.ways + w
 	c.addrs[i] = a
 	c.lines[i].dirty = dirty
-	c.pushNewest(s, w)
+	if !c.firstTouch {
+		c.pushNewest(s, w)
+	}
 	return victim, evicted, evictedDirty
 }
 
 // Invalidate drops a line if present, returning whether it was dirty.
+// It is valid only in LRU mode.
 func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
 	s := c.setOf(a)
 	w := c.find(s, a)

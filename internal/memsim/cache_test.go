@@ -133,13 +133,7 @@ func (c *refCache) FlushDirty(fn func(LineAddr)) {
 // come from a pool a few times the cache's capacity, so sequences mix
 // hits, misses, evictions, duplicate inserts and invalidations.
 func TestCacheMatchesScanLRU(t *testing.T) {
-	var geoms []CacheConfig
-	for _, sets := range []int{1, 3, 4, 7, 16} {
-		for _, ways := range []int{1, 2, 3, 4, 8, 11, 16} {
-			geoms = append(geoms, CacheConfig{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64})
-		}
-	}
-	for gi, cfg := range geoms {
+	for gi, cfg := range testGeometries() {
 		for seed := int64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("%dsets/%dways/seed%d", cfg.Sets(), cfg.Ways, seed)
 			t.Run(name, func(t *testing.T) {
@@ -186,7 +180,7 @@ func TestCacheMatchesScanLRU(t *testing.T) {
 							t.Fatalf("op %d: FlushDirty visited %v, want %v", op, gotFlush, wantFlush)
 						}
 					default:
-						got.reset()
+						got.reset(false)
 						want = newRefCache(cfg)
 					}
 					if got.Hits != want.Hits || got.Misses != want.Misses ||
@@ -198,6 +192,84 @@ func TestCacheMatchesScanLRU(t *testing.T) {
 				}
 				if hits == 0 || evictions == 0 {
 					t.Fatalf("sequence too easy: %d hits, %d evictions", hits, evictions)
+				}
+			})
+		}
+	}
+}
+
+// testGeometries are the differential tests' cache shapes: 1–16 ways
+// over power-of-two and other set counts.
+func testGeometries() []CacheConfig {
+	var geoms []CacheConfig
+	for _, sets := range []int{1, 3, 4, 7, 16} {
+		for _, ways := range []int{1, 2, 3, 4, 8, 11, 16} {
+			geoms = append(geoms, CacheConfig{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64})
+		}
+	}
+	return geoms
+}
+
+// TestCacheFirstTouchMatchesLRU drives a first-touch cache and an LRU
+// cache with the same seeded sequences of distinct addresses, each a
+// Lookup miss then an Insert, mixed with flushes and in-place resets, and
+// requires identical victims, stats and flush order throughout.
+func TestCacheFirstTouchMatchesLRU(t *testing.T) {
+	for gi, cfg := range testGeometries() {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%dsets/%dways/seed%d", cfg.Sets(), cfg.Ways, seed)
+			t.Run(name, func(t *testing.T) {
+				ft, err := NewCache(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ft.reset(true)
+				lru, err := NewCache(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed*1000 + int64(gi)))
+				var a LineAddr
+				var ftFlush, lruFlush []LineAddr
+				evictions := 0
+				for op := 0; op < 4000; op++ {
+					switch k := rng.Intn(1000); {
+					case k < 950:
+						// Gaps up to two sets' worth spread the stream
+						// unevenly over the sets.
+						a += 1 + LineAddr(rng.Intn(2*cfg.Sets()))
+						w, d := rng.Intn(2) == 0, rng.Intn(2) == 0
+						if ft.Lookup(a, w) || lru.Lookup(a, w) {
+							t.Fatalf("op %d: Lookup(%d) hit a line never inserted", op, a)
+						}
+						fv, fe, fd := ft.Insert(a, d)
+						lv, le, ld := lru.Insert(a, d)
+						if fv != lv || fe != le || fd != ld {
+							t.Fatalf("op %d: Insert(%d, %t) = (%d, %t, %t), LRU (%d, %t, %t)",
+								op, a, d, fv, fe, fd, lv, le, ld)
+						} else if le {
+							evictions++
+						}
+					case k < 998:
+						ftFlush, lruFlush = ftFlush[:0], lruFlush[:0]
+						ft.FlushDirty(func(a LineAddr) { ftFlush = append(ftFlush, a) })
+						lru.FlushDirty(func(a LineAddr) { lruFlush = append(lruFlush, a) })
+						if fmt.Sprint(ftFlush) != fmt.Sprint(lruFlush) {
+							t.Fatalf("op %d: FlushDirty visited %v, LRU %v", op, ftFlush, lruFlush)
+						}
+					default:
+						ft.reset(true)
+						lru.reset(false)
+					}
+					if ft.Hits != lru.Hits || ft.Misses != lru.Misses ||
+						ft.Evictions != lru.Evictions || ft.DirtyEvictions != lru.DirtyEvictions {
+						t.Fatalf("op %d: stats (%d, %d, %d, %d), LRU (%d, %d, %d, %d)", op,
+							ft.Hits, ft.Misses, ft.Evictions, ft.DirtyEvictions,
+							lru.Hits, lru.Misses, lru.Evictions, lru.DirtyEvictions)
+					}
+				}
+				if evictions == 0 {
+					t.Fatal("sequence too easy: no evictions")
 				}
 			})
 		}

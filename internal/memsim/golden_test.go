@@ -5,6 +5,11 @@ package memsim
 // every TrafficResult must match exactly: the cache and queue data
 // structures may change, the simulated events may not.
 //
+// Every golden case touches each line at most once, so it runs on the
+// caches' first-touch path (no lookup scans, round-robin victims).
+// TestGoldenFirstTouchMatchesLRU reruns each case forced onto the LRU
+// path and requires the same results and per-cache counters.
+//
 // Regenerate (only when the simulator's *intended* semantics change):
 //
 //	go test ./internal/memsim -run TestGoldenTraffic -update
@@ -14,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -36,14 +42,25 @@ var goldenWorkloads = []struct {
 	{"copy", func(s *System, n int) (TrafficResult, error) { return s.RunCopy(n, goldenLines, false) }},
 }
 
-// goldenResults runs every workload at 1 core, half the socket and the
-// full socket of each config, in a fixed order on one System per config,
-// so the golden also pins that reset leaves no state behind.
-func goldenResults(t *testing.T) map[string]TrafficResult {
+// goldenRun is one golden case's outcome: its result, the counters of
+// every cache of the system, and whether the run took the first-touch
+// path.
+type goldenRun struct {
+	result     TrafficResult
+	counts     []cacheCounts
+	firstTouch bool
+}
+
+// goldenRuns runs every workload at 1 core, half the socket and the full
+// socket of each config, in a fixed order on one System per config, so
+// the golden also pins that reset leaves no state behind. forceLRU keeps
+// every cache on the LRU path.
+func goldenRuns(t *testing.T, forceLRU bool) map[string]goldenRun {
 	t.Helper()
-	got := map[string]TrafficResult{}
+	got := map[string]goldenRun{}
 	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
 		s := sys(t, key)
+		s.forceLRU = forceLRU
 		cores := MustConfigFor(key).Cores
 		for _, n := range []int{1, cores / 2, cores} {
 			for _, w := range goldenWorkloads {
@@ -51,15 +68,40 @@ func goldenResults(t *testing.T) map[string]TrafficResult {
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", key, w.name, n, err)
 				}
-				got[fmt.Sprintf("%s/%s/%d", key, w.name, n)] = r
+				got[fmt.Sprintf("%s/%s/%d", key, w.name, n)] = goldenRun{r, counters(s), s.l3[0].firstTouch}
 			}
 		}
 	}
 	return got
 }
 
+// TestGoldenFirstTouchMatchesLRU runs every golden case on the default
+// path, which the layout check sends to first-touch mode, and again
+// forced onto the LRU path. Both must give the same TrafficResult and
+// the same per-cache counters.
+func TestGoldenFirstTouchMatchesLRU(t *testing.T) {
+	ft, lru := goldenRuns(t, false), goldenRuns(t, true)
+	for name, f := range ft {
+		l := lru[name]
+		if !f.firstTouch || l.firstTouch {
+			t.Fatalf("%s: first-touch mode %t on the default path, %t forced LRU; want true, false",
+				name, f.firstTouch, l.firstTouch)
+		}
+		if f.result != l.result {
+			t.Errorf("%s: first-touch %+v, LRU %+v", name, f.result, l.result)
+		}
+		if !slices.Equal(f.counts, l.counts) {
+			t.Errorf("%s: first-touch counters %v, LRU %v", name, f.counts, l.counts)
+		}
+	}
+}
+
 func TestGoldenTraffic(t *testing.T) {
-	got := goldenResults(t)
+	runs := goldenRuns(t, false)
+	got := make(map[string]TrafficResult, len(runs))
+	for name, r := range runs {
+		got[name] = r.result
+	}
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // TickSeconds is the simulation time step (10 ns).
@@ -180,6 +181,11 @@ type System struct {
 	ticks int64
 	// completed counts each core's reads served in the current tick.
 	completed []int
+	// bases holds the current run's stream bases for the layout check.
+	bases []LineAddr
+	// forceLRU keeps every cache in LRU mode even when the layout check
+	// passes; only package tests set it.
+	forceLRU bool
 }
 
 // NewSystem builds a system from a config.
@@ -297,7 +303,6 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	if linesPerCore <= 0 {
 		return TrafficResult{}, fmt.Errorf("memsim: linesPerCore must be positive")
 	}
-	s.reset()
 	// Per-core disjoint address regions, 1 GiB apart per core per stream.
 	lineShift := uint(6)
 	regionLines := LineAddr(1 << (30 - lineShift))
@@ -312,7 +317,9 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 				nt:    st.nt,
 			})
 		}
-		c.cursor = 0
+	}
+	s.reset(!s.forceLRU && s.linesNeverRepeat(act, linesPerCore))
+	for _, c := range act {
 		c.done = false
 	}
 
@@ -403,6 +410,26 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	}
 	res.Ticks = s.ticks
 	return res, nil
+}
+
+// linesNeverRepeat reports whether a run of linesPerCore lines per stream
+// touches every line at most once: the intervals [base, base+linesPerCore)
+// of all the active cores' streams are pairwise disjoint. Each stream's
+// cursor only increases, so within one interval no line repeats.
+func (s *System) linesNeverRepeat(act []*simCore, linesPerCore int) bool {
+	s.bases = s.bases[:0]
+	for _, c := range act {
+		for _, st := range c.strides {
+			s.bases = append(s.bases, st.base)
+		}
+	}
+	slices.Sort(s.bases)
+	for i := 1; i < len(s.bases); i++ {
+		if s.bases[i]-s.bases[i-1] < LineAddr(linesPerCore) {
+			return false
+		}
+	}
+	return true
 }
 
 // issueIteration performs one iteration (one line per stream) for a core.
@@ -512,12 +539,13 @@ func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
 	}
 }
 
-// reset clears all state for a fresh run.
-func (s *System) reset() {
+// reset clears all state for a fresh run and puts every cache in
+// first-touch or LRU mode.
+func (s *System) reset(firstTouch bool) {
 	for i := range s.cores {
 		c := s.cores[i]
-		c.l1.reset()
-		c.l2.reset()
+		c.l1.reset(firstTouch)
+		c.l2.reset(firstTouch)
 		c.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
 		c.outstanding = 0
 		c.issueAcc = 0
@@ -528,7 +556,7 @@ func (s *System) reset() {
 		c.loadedBytes = 0
 	}
 	for d := range s.l3 {
-		s.l3[d].reset()
+		s.l3[d].reset(firstTouch)
 		s.ctrl[d].reset(s.cfg)
 	}
 	clear(s.completed)

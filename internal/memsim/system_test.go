@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -207,6 +208,77 @@ func TestSystemReuse(t *testing.T) {
 	}
 	if a.WARatio() != b.WARatio() {
 		t.Errorf("runs not reproducible: %.4f vs %.4f", a.WARatio(), b.WARatio())
+	}
+}
+
+// cacheCounts is one cache's counters.
+type cacheCounts struct {
+	Hits, Misses, Evictions, DirtyEvictions int64
+}
+
+// counters returns the counters of every L1 and L2, then every L3.
+func counters(s *System) []cacheCounts {
+	var out []cacheCounts
+	add := func(c *Cache) {
+		out = append(out, cacheCounts{c.Hits, c.Misses, c.Evictions, c.DirtyEvictions})
+	}
+	for _, c := range s.cores {
+		add(c.l1)
+		add(c.l2)
+	}
+	for _, c := range s.l3 {
+		add(c)
+	}
+	return out
+}
+
+// TestInPlaceUpdateTakesLRUPath runs an in-place a[i] = s*a[i]: a load
+// stream and a store stream on the same base, so each line is loaded and
+// then stored. The layout check must see the repeats and keep the LRU
+// path, the stores must hit L1, and the run must equal one forced onto
+// the LRU path.
+func TestInPlaceUpdateTakesLRUPath(t *testing.T) {
+	streams := []workStream{{base: 0}, {base: 0, write: true}}
+	s := sys(t, "zen4")
+	got, err := s.run(4, testLines, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.cores[0].l1.firstTouch || s.l3[0].firstTouch {
+		t.Fatal("layout check chose first-touch mode for a workload that repeats lines")
+	}
+	if h := s.cores[0].l1.Hits; h == 0 {
+		t.Fatal("in-place update: no L1 hits")
+	}
+	gotCounts := counters(s)
+
+	lru := sys(t, "zen4")
+	lru.forceLRU = true
+	want, err := lru.run(4, testLines, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("result %+v, forced LRU %+v", got, want)
+	}
+	if wantCounts := counters(lru); !slices.Equal(gotCounts, wantCounts) {
+		t.Errorf("counters %v, forced LRU %v", gotCounts, wantCounts)
+	}
+}
+
+// TestLinesNeverRepeatEdges checks the layout check's interval
+// arithmetic: two cores with streams at unsorted bases 100 lines apart
+// at the closest are first-touch up to 100 lines per stream and not at
+// 101.
+func TestLinesNeverRepeatEdges(t *testing.T) {
+	s := sys(t, "zen4")
+	act := s.cores[:2]
+	act[0].strides = []workStream{{base: 500}, {base: 100, write: true}}
+	act[1].strides = []workStream{{base: 200}, {base: 350, write: true, nt: true}}
+	for lines, want := range map[int]bool{1: true, 100: true, 101: false, 1000: false} {
+		if got := s.linesNeverRepeat(act, lines); got != want {
+			t.Errorf("linesNeverRepeat(%d lines) = %t, want %t", lines, got, want)
+		}
 	}
 }
 
