@@ -30,9 +30,12 @@
 //	    Write runtime/pprof CPU and allocation profiles, so performance
 //	    work on the pipeline can show where cycles and allocations go.
 //
-// After a text run the pipeline's memo-cache accounting (hits, misses,
-// entries) is reported on stderr — plus the store's warm/cold lookup
-// counts when -cache-dir is given; stdout carries only the artifacts.
+// After a text run the process tiers' accounting goes to stderr, one
+// line each: the memo cache (hits, misses, entries), the store's
+// warm/cold lookup counts when -cache-dir is given, and the
+// compiled-artifact tier (cached programs, skeletons and mca schedules,
+// hits, attaches, compiles, estimated KiB). stdout carries only the
+// artifacts.
 package main
 
 import (
@@ -196,17 +199,7 @@ func main() {
 		os.Stdout.WriteString(sb.String())
 	}
 	failIf(runErr)
-	st := pipeline.Shared().Stats()
-	fmt.Fprintf(os.Stderr, "repro: pipeline j=%d, cache %d hits / %d misses (%d entries)\n",
-		nw, st.Hits, st.Misses, st.Entries)
-	if ps := pipeline.PersistentStore(); ps != nil {
-		s := ps.Stats()
-		fmt.Fprintf(os.Stderr, "repro: store %d warm / %d cold (mem %d, disk %d, evictions %d)\n",
-			s.Warm(), s.Misses, s.MemHits, s.DiskHits, s.Evictions)
-	}
-	cs := pipeline.CompiledArtifacts().Stats()
-	fmt.Fprintf(os.Stderr, "repro: compiled %d programs / %d skeletons / %d mca, %d hits + %d attaches / %d compiles (~%d KiB)\n",
-		cs.Programs, cs.Skeletons, cs.MCA, cs.Hits, cs.Attaches, cs.Compiles, cs.BytesEstimated/1024)
+	pipeline.ReportTiers(os.Stderr, "repro", nw)
 	stopProfiles()
 }
 

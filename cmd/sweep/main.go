@@ -139,17 +139,8 @@ func main() {
 
 	// Accounting on stderr, in cmd/repro's shapes plus the sweep-level
 	// sharing observables — CI greps these to gate the contract.
-	st := pipeline.Shared().Stats()
-	fmt.Fprintf(os.Stderr, "sweep: pipeline j=%d, cache %d hits / %d misses (%d entries)\n",
-		nw, st.Hits, st.Misses, st.Entries)
-	if ps := pipeline.PersistentStore(); ps != nil {
-		s := ps.Stats()
-		fmt.Fprintf(os.Stderr, "sweep: store %d warm / %d cold (mem %d, disk %d, evictions %d)\n",
-			s.Warm(), s.Misses, s.MemHits, s.DiskHits, s.Evictions)
-	}
+	pipeline.ReportTiers(os.Stderr, "sweep", nw)
 	cs := pipeline.CompiledArtifacts().Stats()
-	fmt.Fprintf(os.Stderr, "sweep: compiled %d programs / %d skeletons / %d mca, %d hits + %d attaches / %d compiles (~%d KiB)\n",
-		cs.Programs, cs.Skeletons, cs.MCA, cs.Hits, cs.Attaches, cs.Compiles, cs.BytesEstimated/1024)
 	fmt.Fprintf(os.Stderr, "sweep: %d variants / %d distinct port signatures over %d blocks (%d parsed), cells %d warm / %d cold, %d analyzed\n",
 		len(res.Variants), res.DistinctSignatures, len(res.Blocks), cs.Blocks, res.Warm, res.Cold, sweep.GlobalStats().CellsAnalyzed)
 }

@@ -9,8 +9,10 @@
 // -j N runs the per-system curves as parallel pipeline jobs (default 1,
 // 0 = GOMAXPROCS); output order and bytes are identical at any -j.
 // -cache-dir DIR attaches the persistent result store at DIR so WA
-// curves survive across runs; warm/cold lookup counts are then reported
-// on stderr. Output bytes are identical warm or cold.
+// curves survive across runs. Output bytes are identical warm or cold.
+// stderr carries the tier accounting in cmd/repro's shapes: the memo
+// cache line, the store's warm/cold lookup counts when -cache-dir is
+// given, and the compiled-artifact line.
 package main
 
 import (
@@ -33,7 +35,7 @@ func main() {
 	workers := flag.Int("j", 1, "pipeline workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent result store directory (empty = process-local cache only)")
 	flag.Parse()
-	pipeline.SetDefaultWorkers(*workers)
+	nw := pipeline.SetDefaultWorkers(*workers)
 	if *cacheDir != "" {
 		if _, err := pipeline.AttachStore(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "wabench: %v\n", err)
@@ -79,14 +81,7 @@ func main() {
 	for _, out := range outputs {
 		os.Stdout.WriteString(out)
 	}
-	if ps := pipeline.PersistentStore(); ps != nil {
-		s := ps.Stats()
-		fmt.Fprintf(os.Stderr, "wabench: store %d warm / %d cold (mem %d, disk %d, evictions %d)\n",
-			s.Warm(), s.Misses, s.MemHits, s.DiskHits, s.Evictions)
-	}
-	cs := pipeline.CompiledArtifacts().Stats()
-	fmt.Fprintf(os.Stderr, "wabench: compiled %d programs / %d skeletons / %d mca, %d hits + %d attaches / %d compiles (~%d KiB)\n",
-		cs.Programs, cs.Skeletons, cs.MCA, cs.Hits, cs.Attaches, cs.Compiles, cs.BytesEstimated/1024)
+	pipeline.ReportTiers(os.Stderr, "wabench", nw)
 }
 
 // sweepThreshold shows how the SpecI2M utilization threshold shapes the

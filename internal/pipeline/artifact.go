@@ -4,8 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"incore/internal/core"
 	"incore/internal/depgraph"
@@ -18,8 +17,12 @@ import (
 // This file is the compiled-artifact tier: a process-lifetime,
 // content-keyed cache of the pipeline's expensive front-ends — compiled
 // sim.Programs, parsed request blocks, depgraph skeletons, resolved
-// descriptor tables, and mca static schedules. Artifacts differ from memo
-// results in two ways that give them their own tier:
+// descriptor tables, and mca static schedules. It is a second instance
+// of the memo tier's Cache type (same singleflight entry, same
+// hit/attach/miss accounting, with each successful build's size estimate
+// recorded on its entry); only its Stats differ, breaking the entries
+// down by kind. Artifacts differ from memo results in two ways that give
+// them their own tier:
 //
 //   - they are pointer-shared and immutable, not serializable values: a
 //     *sim.Program full of interned-ID tables has no stable wire form
@@ -48,84 +51,16 @@ import (
 // variants of a signature share each block's analysis through a
 // CellSlot (memo.go), while each variant's cell stays its own memo
 // entry, so every additional node-only variant costs only a memo entry.
-// Errors are cached like successes (determinism over optimism, matching
-// Cache.Do). SwapTiers deliberately does not touch this tier: artifacts
-// are content-addressed and model-signed, so they stay valid across store
-// swaps.
+// Errors are cached like successes (determinism over optimism, as in
+// every Cache) and count toward no entry or byte total. SwapTiers
+// deliberately does not touch this tier: artifacts are content-addressed
+// and model-signed, so they stay valid across store swaps.
 
-// artifactKind indexes the per-kind entry counters.
-type artifactKind int
-
-const (
-	kindProgram artifactKind = iota
-	kindBlock
-	kindSkeleton
-	kindDescs
-	kindMCA
-	numArtifactKinds
-)
-
-// Artifacts is a concurrency-safe compiled-artifact cache with
-// singleflight semantics and three-way accounting: the executor of a key
-// counts one compile, a requester that found the entry already built
-// counts a hit, and a requester that arrived while the build was in
-// flight counts a singleflight attach (it blocked on the executor instead
-// of duplicating the work).
-type Artifacts struct {
-	mu sync.Mutex
-	m  map[string]*aentry
-
-	kinds    [numArtifactKinds]atomic.Int64
-	hits     atomic.Uint64
-	attaches atomic.Uint64
-	compiles atomic.Uint64
-	bytes    atomic.Int64
-}
-
-type aentry struct {
-	once sync.Once
-	done atomic.Bool
-	val  any
-	err  error
-}
-
-// NewArtifacts returns an empty artifact cache.
-func NewArtifacts() *Artifacts { return &Artifacts{m: map[string]*aentry{}} }
-
-// do returns the cached artifact for key, building it with fn on first
-// use. size, when non-nil, estimates the retained bytes of a successful
-// build for the accounting.
-func (a *Artifacts) do(kind artifactKind, key string, size func(any) int, fn func() (any, error)) (any, error) {
-	a.mu.Lock()
-	e, ok := a.m[key]
-	if !ok {
-		e = &aentry{}
-		a.m[key] = e
-	}
-	a.mu.Unlock()
-	settled := ok && e.done.Load()
-	executed := false
-	e.once.Do(func() {
-		executed = true
-		e.val, e.err = fn()
-		if e.err == nil {
-			a.kinds[kind].Add(1)
-			if size != nil {
-				a.bytes.Add(int64(size(e.val)))
-			}
-		}
-		e.done.Store(true)
-	})
-	switch {
-	case executed:
-		a.compiles.Add(1)
-	case settled:
-		a.hits.Add(1)
-	default:
-		a.attaches.Add(1)
-	}
-	return e.val, e.err
-}
+// Artifacts is the compiled-artifact tier: a Cache (singleflight,
+// three-way hit/attach/compile accounting, per-entry size estimates)
+// whose Stats also break the cached entries down by kind. The kind is
+// the key's first field, which every builder below writes.
+type Artifacts struct{ c *Cache }
 
 // ArtifactStats is a point-in-time accounting snapshot of the compiled
 // tier. Like the memo tier's Stats, the counts depend only on the
@@ -148,50 +83,41 @@ type ArtifactStats struct {
 	BytesEstimated int64 `json:"bytes_estimated"`
 }
 
-// Stats returns the current accounting.
+// Stats returns the current accounting. Entry counts and bytes are
+// derived from the settled successful entries the tier holds, so a build
+// that finishes after a Reset never reappears in them.
 func (a *Artifacts) Stats() ArtifactStats {
-	return ArtifactStats{
-		Programs:       a.kinds[kindProgram].Load(),
-		Blocks:         a.kinds[kindBlock].Load(),
-		Skeletons:      a.kinds[kindSkeleton].Load(),
-		Descs:          a.kinds[kindDescs].Load(),
-		MCA:            a.kinds[kindMCA].Load(),
-		Compiles:       a.compiles.Load(),
-		Hits:           a.hits.Load(),
-		Attaches:       a.attaches.Load(),
-		BytesEstimated: a.bytes.Load(),
+	s := ArtifactStats{Compiles: a.c.misses.Load(), Hits: a.c.hits.Load(), Attaches: a.c.attaches.Load()}
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	for key, e := range a.c.m {
+		if !e.done.Load() || e.err != nil {
+			continue
+		}
+		kind, _, _ := strings.Cut(key, "\x00")
+		switch kind {
+		case "prog":
+			s.Programs++
+		case "block":
+			s.Blocks++
+		case "skel":
+			s.Skeletons++
+		case "descs":
+			s.Descs++
+		case "mcaprog":
+			s.MCA++
+		}
+		s.BytesEstimated += e.size
 	}
+	return s
 }
 
 // Reset drops all artifacts and zeroes the counters (tests). In-flight
 // builds keyed before the reset complete against the old entries.
-func (a *Artifacts) Reset() {
-	a.mu.Lock()
-	a.m = map[string]*aentry{}
-	a.mu.Unlock()
-	for i := range a.kinds {
-		a.kinds[i].Store(0)
-	}
-	a.hits.Store(0)
-	a.attaches.Store(0)
-	a.compiles.Store(0)
-	a.bytes.Store(0)
-}
-
-// doArtifact is the typed wrapper over Artifacts.do.
-func doArtifact[T any](a *Artifacts, kind artifactKind, key string, size func(T) int, fn func() (T, error)) (T, error) {
-	v, err := a.do(kind, key,
-		func(v any) int { return size(v.(T)) },
-		func() (any, error) { return fn() })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
-}
+func (a *Artifacts) Reset() { a.c.Reset() }
 
 // artifacts is the process-wide compiled-artifact cache.
-var artifacts = NewArtifacts()
+var artifacts = &Artifacts{NewCache()}
 
 // CompiledArtifacts returns the process-wide compiled-artifact cache (for
 // stats reporting and test resets).
@@ -209,7 +135,7 @@ func CompiledArtifacts() *Artifacts { return artifacts }
 // changes what Run reports, never what Compile produces.
 func CompileProgram(b *isa.Block, m *uarch.Model) (*sim.Program, error) {
 	key := "prog\x00" + m.PortSignature() + "\x00" + BlockKey(b)
-	return doArtifact(artifacts, kindProgram, key, (*sim.Program).SizeEstimate,
+	return Do(artifacts.c, key, (*sim.Program).SizeEstimate,
 		func() (*sim.Program, error) { return sim.Compile(b, m) })
 }
 
@@ -226,7 +152,7 @@ func CompileProgram(b *isa.Block, m *uarch.Model) (*sim.Program, error) {
 func ParseRequestBlock(name, arch string, d isa.Dialect, asm string) (*isa.Block, error) {
 	sum := sha256.Sum256([]byte(asm))
 	key := "block\x00" + arch + "\x00" + strconv.Itoa(int(d)) + "\x00" + hex.EncodeToString(sum[:])
-	b, err := doArtifact(artifacts, kindBlock, key, blockSizeEstimate,
+	b, err := Do(artifacts.c, key, blockSizeEstimate,
 		func() (*isa.Block, error) { return isa.ParseMarkedBlock(name, arch, d, asm) })
 	if err != nil {
 		return nil, err
@@ -267,7 +193,7 @@ func descsSizeEstimate(ds []uarch.Desc) int {
 // signature deliberately excludes.
 func compiledMCA(b *isa.Block, m *uarch.Model) (*mca.Compiled, error) {
 	key := "mcaprog\x00" + m.Key + "\x00" + m.PortSignature() + "\x00" + BlockKey(b)
-	return doArtifact(artifacts, kindMCA, key, (*mca.Compiled).SizeEstimate,
+	return Do(artifacts.c, key, (*mca.Compiled).SizeEstimate,
 		func() (*mca.Compiled, error) { return mca.Compile(b, m, mca.ParamsFor(m.Key)) })
 }
 
@@ -284,7 +210,7 @@ func compiledMCA(b *isa.Block, m *uarch.Model) (*mca.Compiled, error) {
 //     table while a mutated-and-reindexed port table resolves its own.
 func analysisArtifacts(b *isa.Block, m *uarch.Model, opt depgraph.Options) (*depgraph.Skeleton, []uarch.Desc, error) {
 	bk := BlockKey(b)
-	sk, err := doArtifact(artifacts, kindSkeleton,
+	sk, err := Do(artifacts.c,
 		"skel\x00falsedeps="+strconv.FormatBool(opt.IncludeFalseDeps)+
 			"|memwin="+strconv.FormatInt(opt.MemCarriedWindow, 10)+"\x00"+bk,
 		(*depgraph.Skeleton).SizeEstimate,
@@ -292,7 +218,7 @@ func analysisArtifacts(b *isa.Block, m *uarch.Model, opt depgraph.Options) (*dep
 	if err != nil {
 		return nil, nil, err
 	}
-	descs, err := doArtifact(artifacts, kindDescs,
+	descs, err := Do(artifacts.c,
 		"descs\x00"+m.PortSignature()+"\x00degrade="+strconv.FormatBool(opt.DegradeUnknown)+"\x00"+bk,
 		descsSizeEstimate,
 		func() ([]uarch.Desc, error) { return sk.ResolveDescs(m, opt.DegradeUnknown) })

@@ -288,6 +288,31 @@ func TestArtifactErrorsCached(t *testing.T) {
 	}
 }
 
+// TestArtifactResetDropsInflightBuild pins that a build still in flight
+// when the tier is reset never reappears in its per-kind entry counts or
+// byte estimate: those describe what the tier holds, and the reset tier
+// holds nothing.
+func TestArtifactResetDropsInflightBuild(t *testing.T) {
+	a := CompiledArtifacts()
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		Do(a.c, "prog\x00reset-drift-test", func(int) int { return 4096 }, func() (int, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
+	}()
+	<-started
+	a.Reset()
+	close(release)
+	<-done
+	s := a.Stats()
+	if s.Programs != 0 || s.Blocks != 0 || s.Skeletons != 0 || s.Descs != 0 || s.MCA != 0 || s.BytesEstimated != 0 {
+		t.Errorf("after reset, an in-flight build is still counted: %+v", s)
+	}
+}
+
 func BenchmarkAnalyzeInternal(b *testing.B) {
 	m := uarch.MustGet("goldencove")
 	an := core.New()

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -10,17 +12,30 @@ import (
 // once per process; concurrent requesters block for the single executor's
 // result instead of duplicating work. Values are treated as immutable
 // after insertion — callers must not mutate what Do returns.
+//
+// Both process tiers are Caches: the memo tier (Shared) and the
+// compiled-artifact tier (CompiledArtifacts, a thin Artifacts wrapper
+// that adds per-kind accounting). Each keeps three-way request
+// accounting: the executor of a key counts one miss, a requester that
+// found the entry settled counts a hit, and a requester that arrived
+// while the computation was in flight counts a singleflight attach.
 type Cache struct {
-	mu     sync.Mutex
-	m      map[string]*centry
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	mu       sync.Mutex
+	m        map[string]*centry
+	hits     atomic.Uint64
+	attaches atomic.Uint64
+	misses   atomic.Uint64
 }
 
+// centry is one key's singleflight slot. val, err and size are written
+// once inside once.Do, before done is set; readers that did not run or
+// wait on the once may read them only after observing done.
 type centry struct {
 	once sync.Once
+	done atomic.Bool
 	val  any
 	err  error
+	size int64 // estimated retained bytes of a successful value
 }
 
 // NewCache returns an empty cache.
@@ -29,8 +44,11 @@ func NewCache() *Cache { return &Cache{m: map[string]*centry{}} }
 // Do returns the cached value for key, computing it with fn on first use.
 // Errors are cached too: a failed computation is not retried, so the
 // outcome for a key is stable for the process lifetime (determinism over
-// optimism).
-func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
+// optimism). size, when non-nil, estimates the retained bytes of a
+// successful value; the estimate is recorded on the entry. The first
+// computation of a key fixes the concrete type; all requesters of that
+// key must use the same T.
+func Do[T any](c *Cache, key string, size func(T) int, fn func() (T, error)) (T, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if !ok {
@@ -38,23 +56,37 @@ func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 		c.m[key] = e
 	}
 	c.mu.Unlock()
+	settled := ok && e.done.Load()
 	executed := false
 	e.once.Do(func() {
 		executed = true
-		e.val, e.err = fn()
+		v, err := fn()
+		e.val, e.err = v, err
+		if err == nil && size != nil {
+			e.size = int64(size(v))
+		}
+		e.done.Store(true)
 	})
-	if executed {
+	switch {
+	case executed:
 		c.misses.Add(1)
-	} else {
+	case settled:
 		c.hits.Add(1)
+	default:
+		c.attaches.Add(1)
 	}
-	return e.val, e.err
+	if e.err != nil {
+		var zero T
+		return zero, e.err
+	}
+	return e.val.(T), nil
 }
 
-// Stats is a point-in-time cache accounting snapshot. Hits and Misses
+// Stats is a point-in-time memo accounting snapshot. Hits and Misses
 // depend only on the sequence of Do keys, not on scheduling: the executor
-// of a key counts one miss, every other requester one hit — so the totals
-// for a fixed workload are identical at any worker count.
+// of a key counts one miss, every other requester one hit (settled hits
+// and singleflight attaches together) — so the totals for a fixed
+// workload are identical at any worker count.
 type Stats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -66,7 +98,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	n := len(c.m)
 	c.mu.Unlock()
-	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+	return Stats{Hits: c.hits.Load() + c.attaches.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
 // Reset drops all entries and zeroes the counters. In-flight computations
@@ -76,18 +108,8 @@ func (c *Cache) Reset() {
 	c.m = map[string]*centry{}
 	c.mu.Unlock()
 	c.hits.Store(0)
+	c.attaches.Store(0)
 	c.misses.Store(0)
-}
-
-// Do is the typed wrapper over Cache.Do. The first computation of a key
-// fixes the concrete type; all requesters of that key must use the same T.
-func Do[T any](c *Cache, key string, fn func() (T, error)) (T, error) {
-	v, err := c.Do(key, func() (any, error) { return fn() })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
 }
 
 // shared is the process-wide memo cache used by the wrappers in memo.go.
@@ -95,3 +117,21 @@ var shared = NewCache()
 
 // Shared returns the process-wide memo cache.
 func Shared() *Cache { return shared }
+
+// ReportTiers writes the process tiers' accounting to w, one line each,
+// prefixed with the program name: the memo cache with the worker count,
+// the persistent store when one is attached, and the compiled-artifact
+// tier. CI greps these lines, so their text is a contract.
+func ReportTiers(w io.Writer, prog string, workers int) {
+	st := shared.Stats()
+	fmt.Fprintf(w, "%s: pipeline j=%d, cache %d hits / %d misses (%d entries)\n",
+		prog, workers, st.Hits, st.Misses, st.Entries)
+	if ps := persistent; ps != nil {
+		s := ps.Stats()
+		fmt.Fprintf(w, "%s: store %d warm / %d cold (mem %d, disk %d, evictions %d)\n",
+			prog, s.Warm(), s.Misses, s.MemHits, s.DiskHits, s.Evictions)
+	}
+	cs := artifacts.Stats()
+	fmt.Fprintf(w, "%s: compiled %d programs / %d skeletons / %d mca, %d hits + %d attaches / %d compiles (~%d KiB)\n",
+		prog, cs.Programs, cs.Skeletons, cs.MCA, cs.Hits, cs.Attaches, cs.Compiles, cs.BytesEstimated/1024)
+}

@@ -74,9 +74,9 @@ func SwapTiers(c *Cache, st *store.Store) (*Cache, *store.Store) {
 func doStored[T any](c *Cache, key string, enc func(T) ([]byte, error), dec func([]byte) (T, error), fn func() (T, error)) (T, error) {
 	st := persistent
 	if st == nil {
-		return Do(c, key, fn)
+		return Do(c, key, nil, fn)
 	}
-	return Do(c, key, func() (T, error) {
+	return Do(c, key, nil, func() (T, error) {
 		var decoded T
 		if _, ok := st.GetValidated(key, func(data []byte) error {
 			v, err := dec(data)

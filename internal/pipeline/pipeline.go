@@ -1,8 +1,12 @@
 // Package pipeline is the shared concurrent substrate for every
 // experiment runner: a bounded worker pool with an order-preserving
-// parallel map, a dependency-aware job graph, and a content-keyed,
-// concurrency-safe result cache (see cache.go and memo.go) that
-// memoizes in-core analyses and simulator runs.
+// parallel map, a dependency-aware job graph, and one content-keyed,
+// concurrency-safe singleflight cache type (cache.go) behind two process
+// tiers: the memo tier, which memoizes in-core analyses and simulator
+// runs (memo.go, with the persistent store beneath it in persist.go),
+// and the compiled-artifact tier, which holds parsed blocks, skeletons,
+// descriptor tables and compiled programs (artifact.go).
+// ReportTiers prints both tiers' accounting in the CLIs' shared format.
 //
 // Design constraints, in order of priority:
 //

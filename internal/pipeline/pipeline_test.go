@@ -67,6 +67,11 @@ func TestPoolWidths(t *testing.T) {
 	}
 }
 
+// TestCacheHitMissAccounting pins the singleflight contract of the one
+// cache type both tiers use: one execution per key, the executor counted
+// as the miss, every other caller as a settled hit or an in-flight
+// attach, the memo view folding both into Hits (schedule-independent),
+// and the size estimate of the successful value recorded once.
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache()
 	var executions atomic.Int64
@@ -76,7 +81,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := Do(c, "k", func() (int, error) {
+			v, err := Do(c, "k", func(v int) int { return v * 10 }, func() (int, error) {
 				executions.Add(1)
 				return 42, nil
 			})
@@ -89,9 +94,15 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if n := executions.Load(); n != 1 {
 		t.Errorf("compute ran %d times, want 1 (singleflight)", n)
 	}
+	if m, h, a := c.misses.Load(), c.hits.Load(), c.attaches.Load(); m != 1 || h+a != callers-1 {
+		t.Errorf("misses %d, hits %d + attaches %d; want 1 miss and %d hits+attaches", m, h, a, callers-1)
+	}
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != callers-1 || st.Entries != 1 {
 		t.Errorf("stats = %+v, want 1 miss / %d hits / 1 entry", st, callers-1)
+	}
+	if as := (&Artifacts{c}).Stats(); as.BytesEstimated != 420 || as.Compiles != 1 {
+		t.Errorf("artifact view = %+v, want 1 compile and 420 bytes", as)
 	}
 }
 
@@ -100,7 +111,7 @@ func TestCacheCachesErrors(t *testing.T) {
 	calls := 0
 	fn := func() (int, error) { calls++; return 0, errors.New("boom") }
 	for i := 0; i < 3; i++ {
-		if _, err := Do(c, "k", fn); err == nil {
+		if _, err := Do(c, "k", nil, fn); err == nil {
 			t.Fatal("want error")
 		}
 	}
@@ -111,7 +122,7 @@ func TestCacheCachesErrors(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c := NewCache()
-	if _, err := Do(c, "k", func() (int, error) { return 1, nil }); err != nil {
+	if _, err := Do(c, "k", nil, func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.Reset()
@@ -230,7 +241,7 @@ func ExampleCache() {
 		return 416, nil
 	}
 	for i := 0; i < 3; i++ {
-		v, _ := Do(c, "fig3/goldencove/triad", expensive)
+		v, _ := Do(c, "fig3/goldencove/triad", nil, expensive)
 		fmt.Println(v)
 	}
 	st := c.Stats()

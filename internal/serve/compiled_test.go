@@ -3,11 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"incore/internal/pipeline"
 )
+
+// freshSeq backs freshImm.
+var freshSeq atomic.Int64
+
+// freshImm returns an immediate no earlier call in this process
+// returned, for tests whose block text must miss the process-wide tiers.
+func freshImm() int64 { return 1000 + freshSeq.Add(1) }
 
 // TestHealthzReportsCompiledTier pins the compiled-artifact accounting on
 // /healthz: after two analyze requests with identical text under
@@ -17,8 +26,9 @@ func TestHealthzReportsCompiledTier(t *testing.T) {
 	ts := newServerWith(t, Options{JobWorkers: -1})
 	before := pipeline.CompiledArtifacts().Stats()
 
-	// Unique text so the shared process-wide cache is cold for this key.
-	asm := ".LHZ0:\n\taddq $24, %rax\n\taddq $24, %rbx\n\tcmpq %rcx, %rax\n\tjb .LHZ0\n"
+	// Text no earlier run in this process sent, so the shared
+	// process-wide cache is cold for this key under -count=N too.
+	asm := fmt.Sprintf(".LHZ0:\n\taddq $%d, %%rax\n\taddq $24, %%rbx\n\tcmpq %%rcx, %%rax\n\tjb .LHZ0\n", freshImm())
 	post := func(name string) {
 		t.Helper()
 		body, _ := json.Marshal(map[string]string{"arch": "zen4", "name": name, "asm": asm})

@@ -53,6 +53,7 @@ import (
 	"incore/internal/pipeline"
 	"incore/internal/remotestore"
 	"incore/internal/store"
+	"incore/internal/sweep"
 	"incore/internal/uarch"
 )
 
@@ -211,6 +212,9 @@ type HealthResponse struct {
 	// blocks, and depgraph skeletons cached for the process lifetime,
 	// with hit/attach/compile counts and an estimated byte footprint.
 	Compiled pipeline.ArtifactStats `json:"compiled"`
+	// Sweep reports the process-wide design-space sweep counters, the
+	// same ones /metrics exposes as incore_sweep_*.
+	Sweep sweep.Stats `json:"sweep"`
 }
 
 // maxInlineModels bounds the parsed-inline-machine cache; above it the
@@ -664,6 +668,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Cache:    pipeline.Shared().Stats(),
 		Jobs:     s.jobs.Stats(),
 		Compiled: pipeline.CompiledArtifacts().Stats(),
+		Sweep:    sweep.GlobalStats(),
 	}
 	if st := pipeline.PersistentStore(); st != nil {
 		stats := st.Stats()

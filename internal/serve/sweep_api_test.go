@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -109,6 +111,50 @@ func TestSweepEndpointCustomModelNeedsBlocks(t *testing.T) {
 
 // TestMetricsEndpoint pins /metrics: Prometheus text format carrying the
 // health counters, including the sweep tier's.
+// TestHealthzSweepMatchesMetrics pins that /healthz and /metrics report
+// the same sweep counters.
+func TestHealthzSweepMatchesMetrics(t *testing.T) {
+	ts := newTestServer(t)
+	asm := fmt.Sprintf("\tvaddpd %%ymm1, %%ymm0, %%ymm0\n\taddq $%d, %%rax\n\tcmpq %%rcx, %%rax\n\tjb .L1\n", freshImm())
+	req := SweepRequest{
+		Arch:   "zen4",
+		Axes:   []SweepAxis{{Param: "tdp_watts", Values: []float64{200, 280}}},
+		Blocks: []SweepBlock{{Name: "fresh", Asm: asm}},
+	}
+	if resp, body := post(t, ts, "/v1/sweep", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status = %d: %s", resp.StatusCode, body)
+	}
+	var h HealthResponse
+	getJSON(t, ts, "/healthz", &h)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := func(name string) string {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("metrics output missing %s", name)
+		return ""
+	}
+	if h.Sweep.CellsAnalyzed == 0 {
+		t.Error("/healthz sweep.cells_analyzed is 0 after a cold sweep")
+	}
+	if got, want := strconv.FormatUint(h.Sweep.CellsAnalyzed, 10), series("incore_sweep_cells_analyzed_total"); got != want {
+		t.Errorf("/healthz sweep.cells_analyzed = %s, /metrics incore_sweep_cells_analyzed_total = %s", got, want)
+	}
+	if got, want := strconv.FormatUint(h.Sweep.Sweeps, 10), series("incore_sweep_sweeps_total"); got != want {
+		t.Errorf("/healthz sweep.sweeps = %s, /metrics incore_sweep_sweeps_total = %s", got, want)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	// Generate some traffic so counters are live.
