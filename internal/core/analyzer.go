@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"incore/internal/depgraph"
 	"incore/internal/isa"
@@ -103,9 +104,18 @@ func New() *Analyzer {
 // Two analyzers with equal fingerprints produce identical Results for the
 // same (block, model) input; memoization layers (internal/pipeline) key
 // cached analyses on it.
+//
+// It runs on every memo lookup, so it is appended into a stack buffer
+// rather than formatted; the string is part of persisted store keys and
+// must keep the form "falsedeps=%t|memwin=%d|stfwd=%d|degrade=%t".
 func (a *Analyzer) Fingerprint() string {
-	return fmt.Sprintf("falsedeps=%t|memwin=%d|stfwd=%d|degrade=%t",
-		a.Opt.IncludeFalseDeps, a.Opt.MemCarriedWindow, a.Opt.StoreForwardLat, a.Opt.DegradeUnknown)
+	var buf [96]byte
+	b := append(buf[:0], "falsedeps="...)
+	b = strconv.AppendBool(b, a.Opt.IncludeFalseDeps)
+	b = strconv.AppendInt(append(b, "|memwin="...), a.Opt.MemCarriedWindow, 10)
+	b = strconv.AppendInt(append(b, "|stfwd="...), int64(a.Opt.StoreForwardLat), 10)
+	b = strconv.AppendBool(append(b, "|degrade="...), a.Opt.DegradeUnknown)
+	return string(b)
 }
 
 // Analyze runs the in-core model for block b on machine model m. b must

@@ -48,7 +48,7 @@ func TestConcurrentAnalyzeRequests(t *testing.T) {
 				t.Fatal(err)
 			}
 			req := AnalyzeRequest{Arch: m.Key, Asm: b.Text(), Name: b.Name}
-			want, err := srv.analyze(req)
+			want, _, err := srv.analyze(req)
 			if err != nil {
 				t.Fatal(err)
 			}

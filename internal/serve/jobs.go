@@ -158,7 +158,7 @@ func (s *Server) runJobItem(raw json.RawMessage) (json.RawMessage, bool, error) 
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return nil, false, wrapAPIError(CodeInvalidRequest, http.StatusBadRequest, err)
 	}
-	resp, warm, err := s.analyzeTracked(req)
+	resp, warm, err := s.analyze(req)
 	if err != nil {
 		return nil, warm, err
 	}

@@ -419,27 +419,38 @@ func (s *Server) resolveModel(req *AnalyzeRequest) (*uarch.Model, error) {
 	return m, nil
 }
 
-// analyze runs one request through the memoized pipeline path. Memo
-// misses compute in pooled core.ResultArenas (drawn from core's internal
-// sync.Pool) and copy the Result out, so any number of concurrent
-// requests share arenas safely without per-request allocation storms.
-func (s *Server) analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
-	resp, _, err := s.analyzeTracked(req)
-	return resp, err
+// analyze runs one request through the memoized pipeline path and
+// renders its report into the response, for /v1/batch items and job
+// records. warm is true when the answer came from the memo tier or the
+// persistent store without a fresh computation. The job queue records
+// the flag per item, which is how a resumed job proves its
+// already-stored items were not recomputed.
+func (s *Server) analyze(req AnalyzeRequest) (*AnalyzeResponse, bool, error) {
+	resp, res, warm, err := s.analyzeTracked(req)
+	if err != nil {
+		return nil, warm, err
+	}
+	bufs := renderPool.Get().(*renderBufs)
+	bufs.report = res.AppendReport(bufs.report[:0], resp.Name)
+	resp.Report = string(bufs.report)
+	putRenderBufs(bufs)
+	return &resp, warm, nil
 }
 
-// analyzeTracked is analyze reporting cache provenance: warm is true
-// when the answer came from the memo tier or the persistent store
-// without a fresh computation. The job queue records the flag per item,
-// which is how a resumed job proves its already-stored items were not
-// recomputed.
-func (s *Server) analyzeTracked(req AnalyzeRequest) (*AnalyzeResponse, bool, error) {
+// analyzeTracked runs one request through the memoized pipeline path and
+// returns its response without the report, plus the Result the report
+// renders from (under the response's name: a memoized Result may carry
+// the block of an earlier requester with identical content). Memo misses
+// compute in pooled core.ResultArenas (drawn from core's internal
+// sync.Pool) and copy the Result out, so any number of concurrent
+// requests share arenas safely without per-request allocation storms.
+func (s *Server) analyzeTracked(req AnalyzeRequest) (AnalyzeResponse, *core.Result, bool, error) {
 	if req.Asm == "" {
-		return nil, false, apiErrorf(CodeInvalidRequest, http.StatusBadRequest, "missing asm")
+		return AnalyzeResponse{}, nil, false, apiErrorf(CodeInvalidRequest, http.StatusBadRequest, "missing asm")
 	}
 	m, err := s.resolveModel(&req)
 	if err != nil {
-		return nil, false, err
+		return AnalyzeResponse{}, nil, false, err
 	}
 	name := req.Name
 	if name == "" {
@@ -452,23 +463,17 @@ func (s *Server) analyzeTracked(req AnalyzeRequest) (*AnalyzeResponse, bool, err
 	// request pipeline treats blocks as immutable already.
 	b, err := pipeline.ParseRequestBlock(name, m.Key, m.Dialect, req.Asm)
 	if err != nil {
-		return nil, false, wrapAPIError(CodeInvalidRequest, http.StatusBadRequest, err)
+		return AnalyzeResponse{}, nil, false, wrapAPIError(CodeInvalidRequest, http.StatusBadRequest, err)
 	}
 	if n := len(b.Instrs); n > s.opt.MaxBlockInstrs {
-		return nil, false, apiErrorf(CodeBlockTooLarge, http.StatusRequestEntityTooLarge,
+		return AnalyzeResponse{}, nil, false, apiErrorf(CodeBlockTooLarge, http.StatusRequestEntityTooLarge,
 			"block has %d instructions, limit is %d", n, s.opt.MaxBlockInstrs)
 	}
 	res, warm, err := s.analyzeBounded(b, m)
 	if err != nil {
-		return nil, false, err
+		return AnalyzeResponse{}, nil, false, err
 	}
-	// The memoized Result may carry the block of an earlier requester
-	// with identical content but a different name; render the report
-	// against a shallow copy holding this request's block so the label
-	// always matches the request.
-	labeled := *res
-	labeled.Block = b
-	return &AnalyzeResponse{
+	return AnalyzeResponse{
 		Name:          name,
 		Arch:          m.Key,
 		Prediction:    res.Prediction,
@@ -481,8 +486,7 @@ func (s *Server) analyzeTracked(req AnalyzeRequest) (*AnalyzeResponse, bool, err
 		LCDPath:       res.LCD.Path,
 		TotalUops:     res.TotalUops,
 		Coverage:      coverageInfo(res.Coverage),
-		Report:        labeled.Report(),
-	}, warm, nil
+	}, res, warm, nil
 }
 
 // analyzeBounded runs the memoized analysis under the configured
@@ -522,12 +526,22 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	resp, err := s.analyze(req)
+	resp, res, _, err := s.analyzeTracked(req)
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// The report renders into pooled scratch and is escaped straight into
+	// the pooled body, which goes out in one write; neither buffer's bytes
+	// outlive the request.
+	bufs := renderPool.Get().(*renderBufs)
+	bufs.report = res.AppendReport(bufs.report[:0], resp.Name)
+	bufs.body = appendResponse(bufs.body[:0], &resp, bufs.report, true)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(bufs.body)
+	putRenderBufs(bufs)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -541,7 +555,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// tier, and come back in request order. Item failures are data, not
 	// a map error, so one bad block cannot veto its neighbors.
 	items, _ := pipeline.Map(pipeline.Default(), req.Requests, func(ar AnalyzeRequest) (BatchItem, error) {
-		resp, err := s.analyze(ar)
+		resp, _, err := s.analyze(ar)
 		if err != nil {
 			_, code := classify(err)
 			return BatchItem{Error: err.Error(), Code: string(code)}, nil
