@@ -205,22 +205,36 @@ func suite() map[string]func(b *testing.B) {
 	// artifact tiers: per block content one skeleton, one descriptor
 	// table and one analysis shared by all 64 variants, then one memo
 	// entry per (variant, block) cell.
+	nodeAxes := []sweep.Axis{
+		{Param: "mem_bandwidth_gbs", Values: []float64{150, 200, 250, 300, 350, 400, 450, 500}},
+		{Param: "tdp_watts", Values: []float64{200, 225, 250, 275, 300, 325, 350, 375}},
+	}
 	sweepColdBench := func() func(b *testing.B) {
 		base := uarch.MustGet("goldencove")
 		blocks, err := sweep.SuiteBlocks(base.Key)
 		if err != nil {
 			panic(err)
 		}
-		axes := []sweep.Axis{
-			{Param: "mem_bandwidth_gbs", Values: []float64{150, 200, 250, 300, 350, 400, 450, 500}},
-			{Param: "tdp_watts", Values: []float64{200, 225, 250, 275, 300, 325, 350, 375}},
-		}
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pipeline.Shared().Reset()
 				pipeline.CompiledArtifacts().Reset()
-				if _, err := sweep.Run(base, axes, blocks, sweep.Options{}); err != nil {
+				if _, err := sweep.Run(base, nodeAxes, blocks, sweep.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	// SweepExpand/goldencove-node64 is the expansion step of the same grid
+	// alone: 64 variants derived from the base, sharing its encoded
+	// instruction table and entry index.
+	sweepExpandBench := func() func(b *testing.B) {
+		base := uarch.MustGet("goldencove")
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sweep.Variants(base, nodeAxes); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -248,6 +262,7 @@ func suite() map[string]func(b *testing.B) {
 		"AnalyzeInternal/zen4/pi":                 internalBench(piZen4, "zen4"),
 		"ServeAnalyzeWarm/goldencove/striad":      serveWarmBench(striadGLC, "goldencove"),
 		"Sweep64/cold":                            sweepColdBench(),
+		"SweepExpand/goldencove-node64":           sweepExpandBench(),
 		"SweepVariantWarm/goldencove/striad":      variantBench(striadGLC, "goldencove", "mem_bandwidth_gbs", 123, 0),
 		"SweepVariantWarm/zen4/pi":                variantBench(piZen4, "zen4", "tdp_watts", 123, 0),
 		"SweepVariantPortDelta/goldencove/striad": variantBench(striadGLC, "goldencove", "load_ports", glcPortValue, 1),

@@ -211,14 +211,23 @@ type Variant struct {
 // variant i takes the mixed-radix digits of i over the canonical axis
 // order. A parameter combination the model rejects (e.g. a ROB smaller
 // than the issue width) fails the whole expansion — sweeps are grids, not
-// best-effort samples, so a hole would silently skew every front.
+// best-effort samples, so a hole would silently skew every front. So does
+// a cross-product too large to count.
+//
+// Each variant is derived through one uarch.Deriver, so the base's
+// instruction table, which no parameter touches, is encoded, validated,
+// and indexed once per call rather than once per variant.
 func Variants(base *uarch.Model, axes []Axis) ([]Variant, error) {
 	canon, err := Canonicalize(axes)
 	if err != nil {
 		return nil, err
 	}
 	n := Count(canon)
-	out := make([]Variant, 0, n)
+	if n == math.MaxInt {
+		return nil, fmt.Errorf("sweep: the cross-product of %d axes overflows the variant count", len(canon))
+	}
+	d := uarch.NewDeriver(base)
+	out := make([]Variant, 0, min(n, maxPrealloc))
 	for i := 0; i < n; i++ {
 		v := Variant{Index: i, Params: make([]ParamValue, len(canon))}
 		rem := i
@@ -227,7 +236,14 @@ func Variants(base *uarch.Model, axes []Axis) ([]Variant, error) {
 			v.Params[a] = ParamValue{Param: ax.Param, Value: ax.Values[rem%len(ax.Values)]}
 			rem /= len(ax.Values)
 		}
-		m, err := applyParams(base, v.Params)
+		m, err := d.Derive(func(m *uarch.Model) error {
+			for _, p := range v.Params {
+				if err := paramDefs[p.Param].apply(m, p.Value); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("sweep: variant %d (%s): %w", i, FormatParams(v.Params), err)
 		}
@@ -236,6 +252,11 @@ func Variants(base *uarch.Model, axes []Axis) ([]Variant, error) {
 	}
 	return out, nil
 }
+
+// maxPrealloc caps the variant slice Variants sizes up front, so an
+// uncapped grid too large to hold fails on memory as it grows instead of
+// in one impossible allocation.
+const maxPrealloc = 1 << 16
 
 // FormatParams renders an assignment as "a=1,b=2.5" (params are already
 // in canonical order).
@@ -248,50 +269,6 @@ func FormatParams(ps []ParamValue) string {
 		s += p.Param + "=" + strconv.FormatFloat(p.Value, 'g', -1, 64)
 	}
 	return s
-}
-
-// applyParams clones the base model, applies the assignment, and
-// reindexes the clone (rebuilding its lookup tables, fingerprint, and
-// port signature). The clone is deep where mutation reaches — the port
-// list and the node section — and shares the immutable rest (entries,
-// maps rebuilt by Reindex).
-func applyParams(base *uarch.Model, ps []ParamValue) (*uarch.Model, error) {
-	m := cloneForMutation(base)
-	for _, p := range ps {
-		if err := paramDefs[p.Param].apply(m, p.Value); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.Reindex(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// cloneForMutation copies a model deeply enough that applying any
-// parameter never writes through to the base: the port list (port-count
-// growth appends) and the node section (bandwidth/TDP set scalars) get
-// fresh copies; the entry table is shared read-only.
-func cloneForMutation(base *uarch.Model) *uarch.Model {
-	m := *base
-	m.Ports = append([]string(nil), base.Ports...)
-	if np := base.Node; np != nil {
-		nc := *np
-		if np.ECM != nil {
-			ec := *np.ECM
-			nc.ECM = &ec
-		}
-		if np.Freq != nil {
-			fc := *np.Freq
-			nc.Freq = &fc
-		}
-		m.Node = &nc
-	}
-	if base.Unknown != nil {
-		uc := *base.Unknown
-		m.Unknown = &uc
-	}
-	return &m
 }
 
 // setPortCount resizes a port mask to count ports. Shrinking drops the

@@ -1,8 +1,13 @@
 package sweep
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -432,5 +437,151 @@ func TestRunSharedCellError(t *testing.T) {
 	_, err = Run(base, mixedAxes, blocks, Options{Analyzer: an})
 	if err == nil || !strings.Contains(err.Error(), "variant 0 ") {
 		t.Fatalf("Run: error %v, want variant 0's", err)
+	}
+}
+
+func TestVariantsRejectSaturatedCount(t *testing.T) {
+	vals := make([]float64, 192)
+	for i := range vals {
+		vals[i] = float64(i + 1)
+	}
+	var axes []Axis
+	for _, p := range []string{"issue_width", "decode_width", "retire_width", "rob_size",
+		"scheduler_size", "phys_vec_regs", "phys_gp_regs", "load_latency", "cores_per_chip"} {
+		axes = append(axes, Axis{Param: p, Values: vals})
+	}
+	if n := Count(axes); n != math.MaxInt {
+		t.Fatalf("Count = %d, want saturation at MaxInt", n)
+	}
+	base := uarch.MustGet("goldencove")
+	if _, err := Variants(base, axes); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("Variants: want an overflow error, got %v", err)
+	}
+	// With no cap the same grid reaches Variants through Run.
+	if _, err := Run(base, axes, testBlocks(t, "goldencove"), Options{}); err == nil {
+		t.Fatal("Run: want an error for a saturated grid")
+	}
+}
+
+// portFileOracle mirrors the port-signature wire subset field for field,
+// so the test can rebuild the signature's bytes from a machine file
+// without going through the encoder under test.
+type portFileOracle struct {
+	Dialect        string          `json:"dialect"`
+	Ports          []string        `json:"ports"`
+	IssueWidth     int             `json:"issue_width"`
+	DecodeWidth    int             `json:"decode_width"`
+	RetireWidth    int             `json:"retire_width"`
+	ROBSize        int             `json:"rob_size"`
+	SchedSize      int             `json:"scheduler_size"`
+	PhysVecRegs    int             `json:"phys_vec_regs,omitempty"`
+	PhysGPRegs     int             `json:"phys_gp_regs,omitempty"`
+	LoadPorts      []string        `json:"load_ports"`
+	StoreAGUPorts  []string        `json:"store_agu_ports"`
+	StoreDataPorts []string        `json:"store_data_ports"`
+	LoadLat        int             `json:"load_latency"`
+	LoadWidthBits  int             `json:"load_width_bits"`
+	StoreWidthBits int             `json:"store_width_bits"`
+	WideLoadPorts  []string        `json:"wide_load_ports,omitempty"`
+	WideLoadBits   int             `json:"wide_load_bits,omitempty"`
+	Unknown        json.RawMessage `json:"unknown,omitempty"`
+	Entries        []struct {
+		Mnemonic string `json:"mnemonic"`
+		Sig      string `json:"sig,omitempty"`
+		Width    int    `json:"width,omitempty"`
+		Lat      int    `json:"latency"`
+		Uops     []struct {
+			Ports  []string `json:"ports"`
+			Cycles float64  `json:"cycles"`
+			Kind   string   `json:"kind,omitempty"`
+		} `json:"uops"`
+	} `json:"instructions"`
+}
+
+func sha256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestVariantIdentitiesMatchWriteJSON pins the derived identities to the
+// whole-model encodings they stand for: a variant's fingerprint is sha256
+// of its WriteJSON bytes, its port signature sha256 of the compact
+// port-subset JSON, and its cache key what a clone reindexed from scratch
+// gets — on node-only grids, where every variant shares the base's table
+// encoding, and on port grids that grow and shrink the port list.
+func TestVariantIdentitiesMatchWriteJSON(t *testing.T) {
+	steps := func(lo, step float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = lo + step*float64(i)
+		}
+		return out
+	}
+	v2 := uarch.MustGet("neoversev2")
+	grids := []struct {
+		name string
+		base *uarch.Model
+		axes []Axis
+	}{
+		{"ci sweep gate", uarch.MustGet("goldencove"), []Axis{
+			{Param: "mem_bandwidth_gbs", Values: steps(50, 25, 8)},
+			{Param: "tdp_watts", Values: steps(150, 25, 8)},
+		}},
+		{"goldencove node", uarch.MustGet("goldencove"), []Axis{
+			{Param: "mem_bandwidth_gbs", Values: steps(150, 50, 8)},
+			{Param: "tdp_watts", Values: steps(200, 25, 8)},
+		}},
+		{"zen4 ports", uarch.MustGet("zen4"), []Axis{
+			{Param: "issue_width", Values: []float64{4, 6, 8}},
+			{Param: "load_ports", Values: []float64{1, 2, 3}},
+		}},
+		{"neoversev2 store data", v2, []Axis{
+			{Param: "store_data_ports", Values: []float64{1, float64(v2.StoreDataPorts.Count()), 4, 6}},
+			{Param: "rob_size", Values: []float64{256, 320}},
+			{Param: "max_freq_ghz", Values: []float64{3.1, 3.4}},
+		}},
+	}
+	for _, g := range grids {
+		vs, err := Variants(g.base, g.axes)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if len(vs) != Count(g.axes) {
+			t.Fatalf("%s: %d variants, want %d", g.name, len(vs), Count(g.axes))
+		}
+		for _, v := range vs {
+			m := v.Model
+			where := g.name + " " + FormatParams(v.Params)
+			var mf bytes.Buffer
+			if err := m.WriteJSON(&mf); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.Fingerprint(), sha256Hex(mf.Bytes()); got != want {
+				t.Fatalf("%s: fingerprint %s, sha256(WriteJSON) %s", where, got[:12], want[:12])
+			}
+			var pf portFileOracle
+			if err := json.Unmarshal(mf.Bytes(), &pf); err != nil {
+				t.Fatal(err)
+			}
+			pfBytes, err := json.Marshal(pf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.PortSignature(), sha256Hex(pfBytes); got != want {
+				t.Fatalf("%s: port signature %s, sha256(port subset) %s", where, got[:12], want[:12])
+			}
+			c := *m
+			if err := c.Reindex(); err != nil {
+				t.Fatal(err)
+			}
+			if m.CacheKey() != c.CacheKey() || m.PortSignature() != c.PortSignature() {
+				t.Fatalf("%s: identities differ from a reindexed clone", where)
+			}
+			for _, mask := range []uarch.PortMask{m.LoadPorts, m.StoreAGUPorts, m.StoreDataPorts} {
+				if got, want := m.PortIndices(mask), mask.Indices(); !slices.Equal(got, want) {
+					t.Fatalf("%s: PortIndices(%b) = %v, want %v", where, mask, got, want)
+				}
+			}
+		}
 	}
 }

@@ -204,6 +204,16 @@ func kindFromName(s string) (UopKind, error) {
 
 // WriteJSON serializes the model as a machine file.
 func (m *Model) WriteJSON(w io.Writer) error {
+	mf := m.wireHeader()
+	mf.Entries = m.wireEntries(true)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(mf)
+}
+
+// wireHeader is the machine-file wire form of everything but the
+// instruction table (Entries stays nil).
+func (m *Model) wireHeader() machineFile {
 	mf := machineFile{
 		Key: m.Key, Name: m.Name, CPU: m.CPU, Vendor: m.Vendor,
 		Dialect: m.Dialect.String(), Ports: m.Ports,
@@ -224,21 +234,29 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	if u := m.Unknown; u != nil {
 		mf.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
 	}
+	return mf
+}
+
+// wireEntries is the wire form of the instruction table. Notes are kept
+// for the machine file and dropped for the port signature: they are
+// provenance documentation, not modeling content, so a comment edit
+// must not invalidate shared artifacts.
+func (m *Model) wireEntries(notes bool) []machineEntry {
+	var out []machineEntry
 	for _, e := range m.Entries {
-		me := machineEntry{Mnemonic: e.Mnemonic, Sig: e.Sig, Width: e.Width, Lat: e.Lat, Notes: e.Notes}
+		me := machineEntry{Mnemonic: e.Mnemonic, Sig: e.Sig, Width: e.Width, Lat: e.Lat}
+		if notes {
+			me.Notes = e.Notes
+		}
+		me.Uops = []machineUop{}
 		for _, u := range e.Uops {
 			me.Uops = append(me.Uops, machineUop{
 				Ports: m.maskNames(u.Ports), Cycles: u.Cycles, Kind: kindName(u.Kind),
 			})
 		}
-		if me.Uops == nil {
-			me.Uops = []machineUop{}
-		}
-		mf.Entries = append(mf.Entries, me)
+		out = append(out, me)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(mf)
+	return out
 }
 
 func (m *Model) maskNames(mask PortMask) []string {
@@ -340,19 +358,65 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// computeFingerprint hashes the canonical machine-file wire form. The
-// form is deterministic — struct fields encode in declaration order,
-// maps sort by key, floats use the shortest round-trippable
-// representation — so equal model content always yields equal bytes and
-// therefore equal fingerprints, across processes and builds.
-func (m *Model) computeFingerprint() string {
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		// WriteJSON only fails on writer errors; a bytes.Buffer has none.
+// The identities hash the wire forms in two parts: a per-model header and
+// the instruction table, encoded separately so what-if variants that keep
+// their base's table (see Deriver) hash the base's encoding instead of
+// re-encoding it. The header encodes with a nil table, which puts the
+// table's place at its very end: `"instructions": null` then the closing
+// brace. Cutting "null" and what follows and appending the table and the
+// closing bytes gives exactly the bytes of encoding the whole struct.
+var (
+	indentedCut  = []byte("null\n}")
+	indentedTail = []byte("\n}\n")
+	compactCut   = []byte("null}")
+	compactTail  = []byte("}")
+)
+
+// indentedTable is the instruction table exactly as WriteJSON writes it,
+// at depth 1 of the machine file.
+func (m *Model) indentedTable() []byte {
+	data, err := json.MarshalIndent(m.wireEntries(true), "  ", "  ")
+	if err != nil {
 		panic(fmt.Sprintf("uarch: fingerprint %s: %v", m.Key, err))
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
+	return data
+}
+
+// compactTable is the instruction table as the port signature encodes it:
+// compact, without notes.
+func (m *Model) compactTable() []byte {
+	data, err := json.Marshal(m.wireEntries(false))
+	if err != nil {
+		panic(fmt.Sprintf("uarch: port signature %s: %v", m.Key, err))
+	}
+	return data
+}
+
+// splitDigest returns the sha256 hex of header (with cut removed from its
+// end), table, and tail.
+func splitDigest(header, cut, table, tail []byte) string {
+	if !bytes.HasSuffix(header, cut) {
+		panic(fmt.Sprintf("uarch: wire header does not end in %q", cut))
+	}
+	h := sha256.New()
+	h.Write(header[:len(header)-len(cut)])
+	h.Write(table)
+	h.Write(tail)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// computeFingerprint hashes the canonical machine-file wire form, the
+// WriteJSON bytes, given the model's indentedTable. The form is
+// deterministic — struct fields encode in declaration order, maps sort by
+// key, floats use the shortest round-trippable representation — so equal
+// model content always yields equal bytes and therefore equal
+// fingerprints, across processes and builds.
+func (m *Model) computeFingerprint(table []byte) string {
+	header, err := json.MarshalIndent(m.wireHeader(), "", "  ")
+	if err != nil {
+		panic(fmt.Sprintf("uarch: fingerprint %s: %v", m.Key, err))
+	}
+	return splitDigest(header, indentedCut, table, indentedTail)
 }
 
 // portFile is the canonical wire subset behind Model.PortSignature: every
@@ -389,11 +453,11 @@ type portFile struct {
 	Entries []machineEntry `json:"instructions"`
 }
 
-// computePortSignature hashes the canonical encoding of the port-relevant
-// model subset (see portFile). Like computeFingerprint, the encoding is
-// deterministic, so equal in-core content always yields equal signatures
-// across processes and builds.
-func (m *Model) computePortSignature() string {
+// computePortSignature hashes the compact encoding of the port-relevant
+// model subset (see portFile), given the model's compactTable. Like
+// computeFingerprint, the encoding is deterministic, so equal in-core
+// content always yields equal signatures across processes and builds.
+func (m *Model) computePortSignature(table []byte) string {
 	pf := portFile{
 		Dialect: m.Dialect.String(), Ports: m.Ports,
 		IssueWidth: m.IssueWidth, DecodeWidth: m.DecodeWidth,
@@ -409,26 +473,11 @@ func (m *Model) computePortSignature() string {
 	if u := m.Unknown; u != nil {
 		pf.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
 	}
-	for _, e := range m.Entries {
-		// Notes are provenance documentation, not modeling content: a
-		// comment edit must not invalidate shared artifacts.
-		me := machineEntry{Mnemonic: e.Mnemonic, Sig: e.Sig, Width: e.Width, Lat: e.Lat}
-		for _, u := range e.Uops {
-			me.Uops = append(me.Uops, machineUop{
-				Ports: m.maskNames(u.Ports), Cycles: u.Cycles, Kind: kindName(u.Kind),
-			})
-		}
-		if me.Uops == nil {
-			me.Uops = []machineUop{}
-		}
-		pf.Entries = append(pf.Entries, me)
-	}
-	data, err := json.Marshal(pf)
+	header, err := json.Marshal(pf)
 	if err != nil {
 		panic(fmt.Sprintf("uarch: port signature %s: %v", m.Key, err))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return splitDigest(header, compactCut, table, compactTail)
 }
 
 func (m *Model) namesMask(names []string) (PortMask, error) {

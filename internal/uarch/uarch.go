@@ -198,11 +198,15 @@ type Model struct {
 
 	Entries []Entry
 
+	// index and portIdx are built from Entries alone; variants derived
+	// from one base share them (see Deriver).
 	index map[entryKey]*Entry
-	// portIdx precompiles mask→ascending-indices for every mask a Lookup
-	// can emit (entry µ-ops plus the synthesized memory-µ-op masks), so
-	// hot paths resolve candidate ports without allocating.
-	portIdx map[PortMask][]int
+	// portIdx precompiles mask→ascending-indices for every mask of the
+	// entries' µ-ops, and memPortIdx for the masks Lookup synthesizes
+	// (memory µ-ops, the unknown-instruction descriptor), so hot paths
+	// resolve candidate ports without allocating.
+	portIdx    map[PortMask][]int
+	memPortIdx [5]maskIndices
 	// fingerprint is the sha256 hex of the canonical machine-file wire
 	// form, computed at buildIndex time; see Fingerprint.
 	fingerprint string
@@ -233,6 +237,12 @@ type UnknownPolicy struct {
 	Cycles float64
 }
 
+// maskIndices is one precompiled PortIndices answer.
+type maskIndices struct {
+	mask PortMask
+	idx  []int
+}
+
 type entryKey struct {
 	mnemonic string
 	sig      string
@@ -259,36 +269,45 @@ func (m *Model) PortsByName(names ...string) PortMask {
 	return mask
 }
 
-// buildIndex populates the lookup index and the precompiled port tables;
-// called by the registry.
+// buildIndex populates the lookup index, the precompiled port tables,
+// and the identities; called by the registry.
 func (m *Model) buildIndex() {
-	m.index = make(map[entryKey]*Entry, len(m.Entries))
-	for i := range m.Entries {
-		e := &m.Entries[i]
+	m.index = entryIndex(m.Key, m.Entries)
+	m.portIdx = entryPortIdx(m.Entries)
+	m.finishIndex(m.indentedTable(), m.compactTable())
+}
+
+// entryIndex maps each entry's (mnemonic, signature, width) to the entry.
+func entryIndex(key string, entries []Entry) map[entryKey]*Entry {
+	index := make(map[entryKey]*Entry, len(entries))
+	for i := range entries {
+		e := &entries[i]
 		k := entryKey{e.Mnemonic, e.Sig, e.Width}
-		if _, dup := m.index[k]; dup {
-			panic(fmt.Sprintf("uarch: model %s: duplicate entry %s/%s/%d", m.Key, e.Mnemonic, e.Sig, e.Width))
+		if _, dup := index[k]; dup {
+			panic(fmt.Sprintf("uarch: model %s: duplicate entry %s/%s/%d", key, e.Mnemonic, e.Sig, e.Width))
 		}
-		m.index[k] = e
+		index[k] = e
 	}
-	m.portIdx = make(map[PortMask][]int)
-	addMask := func(mask PortMask) {
-		if mask == 0 {
-			return
-		}
-		if _, ok := m.portIdx[mask]; !ok {
-			m.portIdx[mask] = mask.Indices()
+	return index
+}
+
+// entryPortIdx precompiles the port indices of every entry µ-op mask.
+func entryPortIdx(entries []Entry) map[PortMask][]int {
+	portIdx := make(map[PortMask][]int)
+	for i := range entries {
+		for _, u := range entries[i].Uops {
+			if _, ok := portIdx[u.Ports]; !ok && u.Ports != 0 {
+				portIdx[u.Ports] = u.Ports.Indices()
+			}
 		}
 	}
-	for i := range m.Entries {
-		for _, u := range m.Entries[i].Uops {
-			addMask(u.Ports)
-		}
-	}
-	addMask(m.LoadPorts)
-	addMask(m.WideLoadPorts)
-	addMask(m.StoreAGUPorts)
-	addMask(m.StoreDataPorts)
+	return portIdx
+}
+
+// finishIndex builds what depends on more than the instruction table —
+// the synthesized masks and descriptor, and the identities — given the
+// table's two encodings (indentedTable, compactTable).
+func (m *Model) finishIndex(indented, compact []byte) {
 	ports, lat, cycles := m.unknownPolicy()
 	m.unknown = Entry{
 		Mnemonic: "?",
@@ -296,9 +315,11 @@ func (m *Model) buildIndex() {
 		Uops:     []Uop{{Ports: ports, Cycles: cycles}},
 		Notes:    "synthesized unknown-instruction descriptor",
 	}
-	addMask(ports)
-	m.fingerprint = m.computeFingerprint()
-	m.portsig = m.computePortSignature()
+	for i, mask := range [5]PortMask{m.LoadPorts, m.WideLoadPorts, m.StoreAGUPorts, m.StoreDataPorts, ports} {
+		m.memPortIdx[i] = maskIndices{mask, mask.Indices()}
+	}
+	m.fingerprint = m.computeFingerprint(indented)
+	m.portsig = m.computePortSignature(compact)
 }
 
 // unknownPolicy resolves the unknown-instruction policy with defaults
@@ -321,8 +342,11 @@ func (m *Model) unknownPolicy() (PortMask, int, float64) {
 }
 
 // Reindex revalidates the model and rebuilds its lookup index, port
-// tables, and content fingerprint. Call it after mutating a model in
-// place (what-if studies), so lookups and CacheKey reflect the mutation.
+// tables, fingerprint, and port signature from scratch, encoding the
+// whole model including its instruction table. Call it after mutating a
+// model in place (what-if studies), so lookups and CacheKey reflect the
+// mutation. A Deriver gives the same result for many variants of one
+// base without re-encoding the table each shares with the base.
 func (m *Model) Reindex() error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -336,14 +360,17 @@ func (m *Model) Reindex() error {
 // models have equal fingerprints exactly when their machine files are
 // byte-identical, so a fingerprint names the full modeled scenario —
 // port tables, latencies, frontend, and node-level parameters alike.
+// The digest is computed in two parts, the header and the instruction
+// table (see computeFingerprint), so variants can hash their base's
+// table encoding; the bytes hashed are still exactly WriteJSON's.
 //
 // Models that went through buildIndex (registry construction, Register,
-// ReadJSON, Reindex) carry a precomputed fingerprint; for a hand-built
-// model the first call computes and caches it, which is not safe to race
-// with concurrent use — index such models first.
+// ReadJSON, Reindex, Deriver.Derive) carry a precomputed fingerprint; for
+// a hand-built model the first call computes and caches it, which is not
+// safe to race with concurrent use — index such models first.
 func (m *Model) Fingerprint() string {
 	if m.fingerprint == "" {
-		m.fingerprint = m.computeFingerprint()
+		m.fingerprint = m.computeFingerprint(m.indentedTable())
 	}
 	return m.fingerprint
 }
@@ -358,14 +385,16 @@ func (m *Model) Fingerprint() string {
 // vendor, entry notes) are excluded: two models that differ only in those
 // produce identical descriptor tables, port analyses, mca schedules, and
 // sim programs, and equal signatures let the compiled-artifact tier share
-// those artifacts across a design-space sweep's variants.
+// those artifacts across a design-space sweep's variants. Like the
+// fingerprint it hashes a header and the table's encoding in turn, and
+// the bytes hashed are exactly the compact JSON of the whole subset.
 //
 // Like Fingerprint, models that went through buildIndex carry a
 // precomputed signature; for a hand-built model the first call computes
 // and caches it, which is not safe to race with concurrent use.
 func (m *Model) PortSignature() string {
 	if m.portsig == "" {
-		m.portsig = m.computePortSignature()
+		m.portsig = m.computePortSignature(m.compactTable())
 	}
 	return m.portsig
 }
@@ -389,6 +418,11 @@ func (m *Model) CacheKey() string {
 // of this model ever emits. The returned slice is shared and must not be
 // mutated.
 func (m *Model) PortIndices(mask PortMask) []int {
+	for i := range m.memPortIdx {
+		if mi := &m.memPortIdx[i]; mi.mask == mask {
+			return mi.idx
+		}
+	}
 	if idx, ok := m.portIdx[mask]; ok {
 		return idx
 	}

@@ -6,6 +6,15 @@ import "fmt"
 // range, positive cycle counts, sane frontend parameters. It returns the
 // first problem found, or nil.
 func (m *Model) Validate() error {
+	if err := m.validateMachine(); err != nil {
+		return err
+	}
+	return m.validateEntries()
+}
+
+// validateMachine checks everything Validate checks except the
+// instruction table.
+func (m *Model) validateMachine() error {
 	if m.Key == "" || m.Name == "" {
 		return fmt.Errorf("uarch: model missing key/name")
 	}
@@ -71,6 +80,13 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("uarch: model %s: unknown-instruction policy has negative cycles", m.Key)
 		}
 	}
+	return nil
+}
+
+// validateEntries checks the instruction table against the model's port
+// count.
+func (m *Model) validateEntries() error {
+	allPorts := PortMask(1<<uint(len(m.Ports))) - 1
 	seen := map[entryKey]bool{}
 	for i := range m.Entries {
 		e := &m.Entries[i]
