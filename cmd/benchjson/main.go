@@ -32,6 +32,7 @@ import (
 	"incore/internal/pipeline"
 	"incore/internal/serve"
 	"incore/internal/sim"
+	"incore/internal/store"
 	"incore/internal/sweep"
 	"incore/internal/uarch"
 )
@@ -240,6 +241,27 @@ func suite() map[string]func(b *testing.B) {
 			}
 		}
 	}
+	// UnmarshalStable/* decodes one stored analysis: the payload work of
+	// every warm store read of a core.Result.
+	decodeBench := func(blk *isa.Block, arch string) func(b *testing.B) {
+		m := uarch.MustGet(arch)
+		r, err := an.Analyze(blk, m)
+		if err != nil {
+			panic(err)
+		}
+		data, err := r.MarshalStable()
+		if err != nil {
+			panic(err)
+		}
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.UnmarshalStable(data, blk, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	return map[string]func(b *testing.B){
 		"MemsimStoreStream/neoversev2":            memsimStoreBench("neoversev2"),
 		"MemsimStoreStream/goldencove":            memsimStoreBench("goldencove"),
@@ -254,6 +276,10 @@ func suite() map[string]func(b *testing.B) {
 		"SimRunWarm/goldencove/striad":            warmRunBench(striadGLC, "goldencove"),
 		"SimRunWarm/neoversev2/j3d27":             warmRunBench(j3d27V2, "neoversev2"),
 		"SimRunWarm/zen4/pi":                      warmRunBench(piZen4, "zen4"),
+		"UnmarshalStable/goldencove/striad":       decodeBench(striadGLC, "goldencove"),
+		"UnmarshalStable/neoversev2/j3d27":        decodeBench(j3d27V2, "neoversev2"),
+		"UnmarshalStable/zen4/pi":                 decodeBench(piZen4, "zen4"),
+		"StoreGetDisk/goldencove/striad":          storeDiskBench(an, striadGLC, "goldencove"),
 		"Analyze/goldencove/striad":               analyzeBench(striadGLC, "goldencove"),
 		"Analyze/neoversev2/j3d27":                analyzeBench(j3d27V2, "neoversev2"),
 		"Analyze/zen4/pi":                         analyzeBench(piZen4, "zen4"),
@@ -266,6 +292,45 @@ func suite() map[string]func(b *testing.B) {
 		"SweepVariantWarm/goldencove/striad":      variantBench(striadGLC, "goldencove", "mem_bandwidth_gbs", 123, 0),
 		"SweepVariantWarm/zen4/pi":                variantBench(piZen4, "zen4", "tdp_watts", 123, 0),
 		"SweepVariantPortDelta/goldencove/striad": variantBench(striadGLC, "goldencove", "load_ports", glcPortValue, 1),
+	}
+}
+
+// storeDiskBench is one disk-tier store read: GetValidated of a stored
+// analysis under its real content key, envelope checks and base64 decode
+// included, payload decode (UnmarshalStable/*) excluded. Two entries
+// alternate behind a one-entry memory tier, so every read misses memory
+// and is served from disk.
+func storeDiskBench(an *core.Analyzer, blk *isa.Block, arch string) func(b *testing.B) {
+	m := uarch.MustGet(arch)
+	r, err := an.Analyze(blk, m)
+	if err != nil {
+		panic(err)
+	}
+	payload, err := r.MarshalStable()
+	if err != nil {
+		panic(err)
+	}
+	key := "analyze\x00" + an.Fingerprint() + "\x00" + m.CacheKey() + "\x00" + pipeline.BlockKey(blk)
+	keys := [2]string{key, key + "\x00other"}
+	return func(b *testing.B) {
+		st, err := store.Open(b.TempDir(), store.Options{Schema: pipeline.StoreSchema(), MemEntries: 1, Shards: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			st.Put(k, payload)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := st.GetValidated(keys[i%2], nil); !ok {
+				b.Fatal("stored entry missed")
+			}
+		}
+		b.StopTimer()
+		if s := st.Stats(); s.MemHits != 0 {
+			b.Fatalf("%d reads served from memory, want every read from disk", s.MemHits)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"unicode/utf8"
+
+	"incore/internal/jsonstr"
 )
 
 // AppendAnalyzeResponse appends the bytes /v1/analyze writes for r: its
@@ -63,13 +64,13 @@ func appendResponse[S string | []byte](dst []byte, r *AnalyzeResponse, report S,
 		e.open('[')
 		for _, m := range c.UnknownMnemonics {
 			e.elem()
-			e.b = appendJSONString(e.b, m)
+			e.b = jsonstr.Append(e.b, m)
 		}
 		e.close(']')
 	}
 	e.close('}')
 	e.key("report")
-	e.b = appendJSONString(e.b, report)
+	e.b = jsonstr.Append(e.b, report)
 	e.close('}')
 	if indent {
 		e.b = append(e.b, '\n')
@@ -122,7 +123,7 @@ func (e *jsonAppender) key(k string) {
 
 func (e *jsonAppender) str(k, v string) {
 	e.key(k)
-	e.b = appendJSONString(e.b, v)
+	e.b = jsonstr.Append(e.b, v)
 }
 
 func (e *jsonAppender) float(k string, v float64) {
@@ -161,73 +162,6 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 		}
 	}
 	return dst
-}
-
-const hexDigits = "0123456789abcdef"
-
-// jsonSafe marks the ASCII bytes a JSON string carries unescaped when
-// HTML escaping is on.
-var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
-	for c := byte(' '); c < utf8.RuneSelf; c++ {
-		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return safe
-}()
-
-// appendJSONString appends s as a JSON string escaped as encoding/json
-// escapes with HTML escaping on: '"' and '\\' backslashed; \b \f \n \r
-// \t short forms; other control bytes and '<', '>', '&' as \u00XX;
-// U+2028 and U+2029 as \u2028 and \u2029; each invalid UTF-8 byte as
-// \ufffd. Everything else is copied.
-func appendJSONString[S string | []byte](dst []byte, s S) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		n := len(s) - i
-		if n > utf8.UTFMax {
-			n = utf8.UTFMax
-		}
-		r, size := utf8.DecodeRuneInString(string(s[i : i+n]))
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(append(dst, s[start:i]...), `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
 
 // renderBufs are one /v1/analyze request's report scratch and response

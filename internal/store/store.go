@@ -27,7 +27,9 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -35,6 +37,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"unicode/utf8"
+
+	"incore/internal/jsonstr"
 )
 
 // envelopeVersion identifies the on-disk envelope layout itself,
@@ -45,6 +50,16 @@ const envelopeVersion = 1
 // can reject SHA-256 prefix collisions and detect truncation cheaply.
 // Payload is opaque bytes (base64 on disk): the store must not assume its
 // callers' encoding.
+//
+// writeDisk encodes it with encoding/json, whose output for this fixed
+// struct is one canonical byte string:
+//
+//	{"v":1,"schema":N,"key":"<key, JSON-escaped>","payload":"<base64>"}
+//
+// (a nil payload encodes as null). Reads do not decode it reflectively:
+// cutEntry accepts exactly those bytes and nothing else, so any other
+// bytes — truncation, stray whitespace, reordered fields, alternative
+// escapes — are damage and self-evict.
 type envelope struct {
 	V       int    `json:"v"`
 	Schema  int    `json:"schema"`
@@ -133,6 +148,9 @@ type Store struct {
 	schema int
 	mem    *lru
 	remote Remote
+	// head is the prefix every entry of this schema starts with, up to
+	// and excluding the key token.
+	head []byte
 
 	memHits       atomic.Uint64
 	diskHits      atomic.Uint64
@@ -161,7 +179,12 @@ func Open(dir string, o Options) (*Store, error) {
 		shards = 16
 	}
 	removeStaleTemps(dir)
-	return &Store{dir: dir, schema: o.Schema, mem: newLRU(capacity, shards)}, nil
+	return &Store{
+		dir:    dir,
+		schema: o.Schema,
+		mem:    newLRU(capacity, shards),
+		head:   fmt.Appendf(nil, `{"v":%d,"schema":%d,"key":`, envelopeVersion, o.Schema),
+	}, nil
 }
 
 // removeStaleTemps deletes leftover write-temp files from a process
@@ -236,18 +259,16 @@ func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, b
 		return payload, true
 	}
 	if data, err := os.ReadFile(p); err == nil {
-		var e envelope
-		if err := json.Unmarshal(data, &e); err != nil ||
-			e.V != envelopeVersion || e.Schema != s.schema || e.Key != key ||
-			(validate != nil && validate(e.Payload) != nil) {
+		payload, ok := s.cutEntry(data, key)
+		if !ok || (validate != nil && validate(payload) != nil) {
 			os.Remove(p)
 			s.evictions.Add(1)
 			// A damaged disk entry falls through to the remote tier: the
 			// peer may hold an intact copy of exactly this entry.
 		} else {
-			s.mem.put(h, e.Payload)
+			s.mem.put(h, payload)
 			s.diskHits.Add(1)
-			return e.Payload, true
+			return payload, true
 		}
 	}
 	// Remote peer tier. The remote client verifies transport integrity
@@ -281,19 +302,77 @@ func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, b
 // readers of one entry never observe a partial file; write failures are
 // counted, not returned — a store that cannot persist degrades to a
 // per-process cache.
+//
+// A key must be valid UTF-8. Put refuses any other key: it counts a put
+// error and writes nothing to any tier, because the envelope could only
+// hold the key with U+FFFD in place of its invalid bytes, an entry no
+// read of the original key could match.
 func (s *Store) Put(key string, payload []byte) {
-	s.PutLocal(key, payload)
-	if r := s.remote; r != nil {
-		r.Put(key, payload)
+	if s.putLocal(key, payload) {
+		if r := s.remote; r != nil {
+			r.Put(key, payload)
+		}
 	}
 }
 
 // PutLocal is Put without remote propagation. The peer PUT handler uses
 // it so replicated entries cannot ping-pong between peers.
 func (s *Store) PutLocal(key string, payload []byte) {
+	s.putLocal(key, payload)
+}
+
+// putLocal writes the local tiers and reports whether key was accepted.
+func (s *Store) putLocal(key string, payload []byte) bool {
+	if !utf8.ValidString(key) {
+		s.putErrors.Add(1)
+		return false
+	}
 	h, p := s.path(key)
 	s.mem.put(h, payload)
 	s.writeDisk(key, p, payload)
+	return true
+}
+
+// cutEntry returns the payload of data when data is exactly the bytes
+// writeDisk writes for key under this store's schema. The key token is
+// compared in its escaped form, so no key is decoded on the hot path.
+// A key that is not valid UTF-8 never matches: its escaped form is
+// shared with the key holding U+FFFD in place of the invalid bytes.
+func (s *Store) cutEntry(data []byte, key string) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(data, s.head)
+	if !ok || !utf8.ValidString(key) {
+		return nil, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, jsonstr.Append(make([]byte, 0, len(key)+len(key)/4+2), key)); !ok {
+		return nil, false
+	}
+	return cutPayload(rest)
+}
+
+// cutPayload decodes the tail of an entry after its key token: exactly
+// `,"payload":"<base64>"}` or `,"payload":null}`. The base64 is decoded
+// as encoding/json decodes a []byte field (StdEncoding, padded), and
+// must be all of the field: StdEncoding skips raw line breaks, which a
+// JSON string cannot hold.
+func cutPayload(rest []byte) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(rest, []byte(`,"payload":`))
+	if !ok {
+		return nil, false
+	}
+	if string(rest) == `null}` {
+		return nil, true
+	}
+	src, ok := bytes.CutSuffix(rest, []byte(`"}`))
+	if !ok || len(src) == 0 || src[0] != '"' {
+		return nil, false
+	}
+	src = src[1:]
+	dst := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+	n, err := base64.StdEncoding.Decode(dst, src)
+	if err != nil || base64.StdEncoding.EncodedLen(n) != len(src) {
+		return nil, false
+	}
+	return dst[:n], true
 }
 
 // writeDisk persists one entry at its final path, counting failures.
@@ -321,14 +400,20 @@ func (s *Store) GetByHash(hash string) (key string, payload []byte, ok bool) {
 	if err != nil {
 		return "", nil, false
 	}
-	var e envelope
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.V != envelopeVersion || e.Schema != s.schema || hashOf(e.Key) != hash {
+	// The key is read from its token, then the whole entry is checked
+	// against it by the same reader GetValidated uses, so both accept
+	// exactly writeDisk's bytes.
+	if rest, found := bytes.CutPrefix(data, s.head); found {
+		if key, _, ok = jsonstr.Cut(rest); ok {
+			payload, ok = s.cutEntry(data, key)
+		}
+	}
+	if !ok || hashOf(key) != hash {
 		os.Remove(p)
 		s.evictions.Add(1)
 		return "", nil, false
 	}
-	return e.Key, e.Payload, true
+	return key, payload, true
 }
 
 func hashOf(key string) string {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -91,13 +92,29 @@ func TestSchemaMismatchEvicts(t *testing.T) {
 	}
 }
 
+// TestCorruptedEntryEvicts damages a written entry and reads it back
+// through both disk readers, Get and GetByHash: each must evict the file
+// and count it. Besides plain damage, the cases include envelopes that
+// encoding/json would read but writeDisk never writes; a disk entry is
+// exactly writeDisk's bytes, so those are damage too.
 func TestCorruptedEntryEvicts(t *testing.T) {
+	replace := func(old, new string) func([]byte) []byte {
+		return func(b []byte) []byte { return []byte(strings.Replace(string(b), old, new, 1)) }
+	}
 	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
-		"garbage":      func([]byte) []byte { return []byte("not json at all{{{") },
-		"empty":        func([]byte) []byte { return nil },
-		"wrongKey":     func([]byte) []byte { return []byte(`{"v":1,"schema":1,"key":"other","payload":"MQ=="}`) },
-		"wrongVersion": func([]byte) []byte { return []byte(`{"v":99,"schema":1,"key":"k","payload":"MQ=="}`) },
+		"truncated":       func(b []byte) []byte { return b[:len(b)/2] },
+		"garbage":         func([]byte) []byte { return []byte("not json at all{{{") },
+		"empty":           func([]byte) []byte { return nil },
+		"wrongKey":        func([]byte) []byte { return []byte(`{"v":1,"schema":1,"key":"other","payload":"MQ=="}`) },
+		"wrongVersion":    func([]byte) []byte { return []byte(`{"v":99,"schema":1,"key":"k","payload":"MQ=="}`) },
+		"extraWhitespace": replace(`,"payload":`, `, "payload": `),
+		"reorderedFields": func([]byte) []byte { return []byte(`{"schema":1,"v":1,"key":"k","payload":"MQ=="}`) },
+		"escapedSlash":    func([]byte) []byte { return []byte(`{"v":1,"schema":1,"key":"k","payload":"\/\/\/\/"}`) },
+		"escapedKey":      replace(`"key":"k"`, `"key":"\u006b"`),
+		"trailingNewline": func(b []byte) []byte { return append(b, '\n') },
+		"escapedNewline":  replace(`"MQ==`, `"MQ\n==`),
+		"rawNewline":      replace(`"MQ==`, "\"MQ\n=="),
+		"badBase64":       replace(`"MQ==`, `"M!==`),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -107,21 +124,86 @@ func TestCorruptedEntryEvicts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadFile: %v", err)
 			}
-			if err := os.WriteFile(p, mutate(raw), 0o644); err != nil {
-				t.Fatalf("WriteFile: %v", err)
+			damage := func() {
+				t.Helper()
+				if err := os.WriteFile(p, mutate(raw), 0o644); err != nil {
+					t.Fatalf("WriteFile: %v", err)
+				}
+			}
+			evicted := func(reader string) {
+				t.Helper()
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Fatalf("%s: damaged entry file still present (err=%v)", reader, err)
+				}
 			}
 
+			damage()
 			s := open(t, dir, Options{Schema: 1})
 			if _, ok := s.Get("k"); ok {
 				t.Fatal("damaged entry served as a hit")
 			}
-			if st := s.Stats(); st.Evictions != 1 {
-				t.Fatalf("stats = %+v; want 1 eviction", st)
+			if st := s.Stats(); st.Evictions != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v; want 1 eviction, 1 miss", st)
 			}
-			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Fatalf("damaged entry file still present (err=%v)", err)
+			evicted("Get")
+
+			damage()
+			if _, _, ok := s.GetByHash(hashOf("k")); ok {
+				t.Fatal("damaged entry served by GetByHash")
 			}
+			if st := s.Stats(); st.Evictions != 2 {
+				t.Fatalf("stats after GetByHash = %+v; want a second eviction", st)
+			}
+			evicted("GetByHash")
 		})
+	}
+}
+
+// TestIntactEntryReadsBack is the control for TestCorruptedEntryEvicts:
+// the exact bytes writeDisk writes read back through both disk readers,
+// for keys and payloads that exercise escaping and base64 padding.
+func TestIntactEntryReadsBack(t *testing.T) {
+	key := "analyze\x00a<b>&\"c\\\n\t\u2028é"
+	for _, payload := range [][]byte{nil, {}, []byte("1"), []byte("12"), []byte("123"), {0xff, 0xfe, 0xfd, 0xfc}} {
+		dir := t.TempDir()
+		open(t, dir, Options{Schema: -3}).Put(key, payload)
+		s := open(t, dir, Options{Schema: -3})
+		if got, ok := s.Get(key); !ok || string(got) != string(payload) {
+			t.Fatalf("Get(%q) = %q, %v; want %q", payload, got, ok, payload)
+		}
+		k, got, ok := s.GetByHash(hashOf(key))
+		if !ok || k != key || string(got) != string(payload) {
+			t.Fatalf("GetByHash = %q, %q, %v; want %q, %q", k, got, ok, key, payload)
+		}
+		if st := s.Stats(); st.Evictions != 0 || st.DiskHits != 1 {
+			t.Fatalf("stats = %+v; want 1 disk hit, no eviction", st)
+		}
+	}
+}
+
+// TestPutRefusesInvalidUTF8Key: a key that is not valid UTF-8 would be
+// written with U+FFFD in its place, an entry no read could match, so
+// Put and PutLocal count a put error and write nothing.
+func TestPutRefusesInvalidUTF8Key(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{Schema: 1})
+	rem := newFakeRemote()
+	s.SetRemote(rem)
+	key := "analyze\x00blk\xff\xfe"
+	s.Put(key, []byte("x"))
+	s.PutLocal(key, []byte("y"))
+	if st := s.Stats(); st.PutErrors != 2 || st.MemEntries != 0 {
+		t.Fatalf("stats = %+v; want 2 put errors, empty LRU", st)
+	}
+	if _, err := os.Stat(entryPath(dir, key)); !os.IsNotExist(err) {
+		t.Fatalf("entry written for an invalid key (err=%v)", err)
+	}
+	if _, n := rem.counts(); n != 0 {
+		t.Fatalf("invalid key forwarded to the remote tier %d times", n)
+	}
+	s.SetRemote(nil)
+	if _, ok := s.Get(key); ok {
+		t.Fatal("Get hit for a key that was refused")
 	}
 }
 
