@@ -262,7 +262,33 @@ func suite() map[string]func(b *testing.B) {
 			}
 		}
 	}
+	// ParseBlock/* parses one generated block's text: the per-block work
+	// of serve, corpus and sweep requests and of suite generation.
+	parseBench := func(blk *isa.Block) func(b *testing.B) {
+		text := blk.Text()
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := isa.ParseBlock(blk.Name, blk.Arch, blk.Dialect, text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	// KernelsFullSuite generates and parses the 416-block validation
+	// suite, which fig3, ecm and nodeperf do on every repro run.
+	fullSuiteBench := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := kernels.FullSuite(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	return map[string]func(b *testing.B){
+		"KernelsFullSuite":                        fullSuiteBench,
+		"ParseBlock/goldencove/striad":            parseBench(striadGLC),
+		"ParseBlock/neoversev2/j3d27":             parseBench(j3d27V2),
 		"MemsimStoreStream/neoversev2":            memsimStoreBench("neoversev2"),
 		"MemsimStoreStream/goldencove":            memsimStoreBench("goldencove"),
 		"MemsimStoreStream/zen4":                  memsimStoreBench("zen4"),

@@ -45,7 +45,7 @@ type Fig3 struct {
 
 // RunFig3 executes the full study: one pipeline job per test block, each
 // running the analyzer, the simulator, and the baseline through the
-// shared memo cache (the suite's duplicate code bodies — 416 blocks, 290
+// shared memo cache (the suite's duplicate code bodies — 416 blocks, 229
 // unique — collapse onto single computations). Records come back in suite
 // order, so aggregation and rendering are independent of the worker
 // count.

@@ -1,12 +1,56 @@
-package isa
+package isa_test
 
 import (
+	"reflect"
 	"testing"
+
+	"incore/internal/isa"
+	"incore/internal/kernels"
 )
 
-// Fuzz targets: the parsers must never panic on arbitrary input, and any
-// block they accept must validate and survive a Text() -> re-parse round
-// trip without changing length.
+// Fuzz targets: the parsers must never panic on arbitrary input, must
+// agree with the oracle parser (oracle_test.go) on every input — a
+// reflect.DeepEqual block or the identical error string — and any block
+// they accept must validate and survive a Text() -> re-parse round trip
+// without changing length. Both parse targets are also seeded with the
+// generated validation suite's 416 texts, in both dialects.
+
+func addSuiteSeeds(f *testing.F) {
+	full, err := kernels.FullSuite()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tb := range full {
+		f.Add(tb.Block.Text())
+	}
+}
+
+func checkParse(t *testing.T, arch string, d isa.Dialect, src string) {
+	b, err := isa.ParseBlock("fuzz", arch, d, src)
+	want, werr := isa.OracleParseBlock("fuzz", arch, d, src)
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("parser error %v, oracle error %v", err, werr)
+	}
+	if !reflect.DeepEqual(b, want) {
+		t.Fatalf("parsed block differs from the oracle's:\n got %+v\nwant %+v", b, want)
+	}
+	if err != nil {
+		return // rejected input is fine; panics are not
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatalf("accepted block does not validate: %v", err)
+	}
+	for i := range b.Instrs {
+		_ = isa.InstrEffects(&b.Instrs[i], d)
+	}
+	b2, err := isa.ParseBlock("fuzz2", arch, d, b.Text())
+	if err != nil {
+		t.Fatalf("rendered block does not re-parse: %v\n%s", err, b.Text())
+	}
+	if b2.Len() != b.Len() {
+		t.Fatalf("round trip changed length %d -> %d", b.Len(), b2.Len())
+	}
+}
 
 func FuzzParseX86(f *testing.F) {
 	seeds := []string{
@@ -25,24 +69,9 @@ func FuzzParseX86(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	addSuiteSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		b, err := ParseBlock("fuzz", "goldencove", DialectX86, src)
-		if err != nil {
-			return // rejected input is fine; panics are not
-		}
-		if err := b.Validate(); err != nil {
-			t.Fatalf("accepted block does not validate: %v", err)
-		}
-		for i := range b.Instrs {
-			_ = InstrEffects(&b.Instrs[i], DialectX86)
-		}
-		b2, err := ParseBlock("fuzz2", "goldencove", DialectX86, b.Text())
-		if err != nil {
-			t.Fatalf("rendered block does not re-parse: %v\n%s", err, b.Text())
-		}
-		if b2.Len() != b.Len() {
-			t.Fatalf("round trip changed length %d -> %d", b.Len(), b2.Len())
-		}
+		checkParse(t, "goldencove", isa.DialectX86, src)
 	})
 }
 
@@ -63,24 +92,9 @@ func FuzzParseAArch64(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	addSuiteSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		b, err := ParseBlock("fuzz", "neoversev2", DialectAArch64, src)
-		if err != nil {
-			return
-		}
-		if err := b.Validate(); err != nil {
-			t.Fatalf("accepted block does not validate: %v", err)
-		}
-		for i := range b.Instrs {
-			_ = InstrEffects(&b.Instrs[i], DialectAArch64)
-		}
-		b2, err := ParseBlock("fuzz2", "neoversev2", DialectAArch64, b.Text())
-		if err != nil {
-			t.Fatalf("rendered block does not re-parse: %v\n%s", err, b.Text())
-		}
-		if b2.Len() != b.Len() {
-			t.Fatalf("round trip changed length %d -> %d", b.Len(), b2.Len())
-		}
+		checkParse(t, "neoversev2", isa.DialectAArch64, src)
 	})
 }
 
@@ -90,6 +104,6 @@ func FuzzExtractMarkedRegion(f *testing.F) {
 	f.Add("# IACA START\nx\n# IACA END\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Must never panic; errors are fine.
-		_, _ = ExtractMarkedRegion(src)
+		_, _ = isa.ExtractMarkedRegion(src)
 	})
 }

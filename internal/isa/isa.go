@@ -12,6 +12,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -288,30 +289,87 @@ func (in *Instruction) String() string {
 		return in.Raw
 	}
 	var sb strings.Builder
+	sb.Grow(in.textLen())
+	in.writeText(&sb)
+	return sb.String()
+}
+
+// textLen is the length of String's result.
+func (in *Instruction) textLen() int {
+	if in.Raw != "" {
+		return len(in.Raw)
+	}
+	n := len(in.Mnemonic)
+	for i := range in.Operands {
+		n += 2 // " " before the first operand, ", " before the others
+		op := &in.Operands[i]
+		switch op.Kind {
+		case OpReg:
+			n += len(op.Reg.Name)
+		case OpImm:
+			n += 1 + intLen(op.Imm)
+		case OpLabel:
+			n += len(op.Label)
+		case OpMem:
+			n += intLen(op.Mem.Disp)
+			if op.Mem.Base.Valid() {
+				n += 2 + len(op.Mem.Base.Name)
+			}
+		}
+	}
+	if len(in.Operands) > 0 {
+		n-- // the first separator is one byte
+	}
+	return n
+}
+
+// writeText writes String's result to sb without building it first.
+func (in *Instruction) writeText(sb *strings.Builder) {
+	if in.Raw != "" {
+		sb.WriteString(in.Raw)
+		return
+	}
+	var num [20]byte
 	sb.WriteString(in.Mnemonic)
-	for i, op := range in.Operands {
+	for i := range in.Operands {
 		if i == 0 {
 			sb.WriteByte(' ')
 		} else {
 			sb.WriteString(", ")
 		}
+		op := &in.Operands[i]
 		switch op.Kind {
 		case OpReg:
 			sb.WriteString(op.Reg.Name)
 		case OpImm:
-			fmt.Fprintf(&sb, "$%d", op.Imm)
+			sb.WriteByte('$')
+			sb.Write(strconv.AppendInt(num[:0], op.Imm, 10))
 		case OpLabel:
 			sb.WriteString(op.Label)
 		case OpMem:
 			m := op.Mem
+			sb.Write(strconv.AppendInt(num[:0], m.Disp, 10))
 			if m.Base.Valid() {
-				fmt.Fprintf(&sb, "%d(%s)", m.Disp, m.Base.Name)
-			} else {
-				fmt.Fprintf(&sb, "%d", m.Disp)
+				sb.WriteByte('(')
+				sb.WriteString(m.Base.Name)
+				sb.WriteByte(')')
 			}
 		}
 	}
-	return sb.String()
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int64) int {
+	n := 1
+	u := uint64(v)
+	if v < 0 {
+		n++
+		u = -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // Block is a straight-line instruction sequence representing one loop body
@@ -350,20 +408,42 @@ func (b *Block) Clone() *Block {
 	return nb
 }
 
-// Text renders the block as assembly source in its dialect.
+// Text renders the block as assembly source in its dialect: each label
+// on its own line ("label:"), each instruction as a tab, its String and a
+// newline. It allocates once, at exact size.
 func (b *Block) Text() string {
 	var sb strings.Builder
+	sb.Grow(b.TextLen())
+	b.WriteText(&sb)
+	return sb.String()
+}
+
+// TextLen is the length of Text's result, for callers that size a buffer
+// before WriteText.
+func (b *Block) TextLen() int {
+	n := 0
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Label != "" {
+			n += len(in.Label) + 2
+		}
+		n += in.textLen() + 2
+	}
+	return n
+}
+
+// WriteText writes Text's result to sb.
+func (b *Block) WriteText(sb *strings.Builder) {
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		if in.Label != "" {
 			sb.WriteString(in.Label)
 			sb.WriteString(":\n")
 		}
-		sb.WriteString("\t")
-		sb.WriteString(in.String())
-		sb.WriteString("\n")
+		sb.WriteByte('\t')
+		in.writeText(sb)
+		sb.WriteByte('\n')
 	}
-	return sb.String()
 }
 
 // Validate performs structural sanity checks and returns the first problem

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -15,76 +16,158 @@ import (
 // (reports, the persistent store), where encoding/json silently rewrites
 // invalid bytes to U+FFFD — a block that cannot round-trip byte-identically
 // must be rejected here, not mangled there.
+//
+// The block is built in four allocations: the Block, its Instrs, one
+// Operand slab and one MemOp slab, each sized exactly. Instructions,
+// operands and memory operands are first collected in pooled scratch
+// slices; each instruction's Operands is then a full slice expression of
+// the operand slab (so appending to it reallocates instead of overwriting
+// the next instruction's operands) and each Mem points at its own slab
+// element. Register names, labels and Raw are substrings of src.
 func ParseBlock(name, arch string, d Dialect, src string) (*Block, error) {
 	if !utf8.ValidString(src) {
 		return nil, fmt.Errorf("isa: %s: source is not valid UTF-8", name)
 	}
-	b := &Block{Name: name, Arch: arch, Dialect: d}
+	s := parsePool.Get().(*parseScratch)
+	defer s.release()
 	pendingLabel := ""
-	for lineNo, line := range strings.Split(src, "\n") {
-		line = stripComment(line, d)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	rest := src
+	for lineNo, more := 1, true; more; lineNo++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(stripComment(line, d))
+		switch {
+		case line == "":
+		case line[len(line)-1] == ':':
+			pendingLabel = line[:len(line)-1]
+		case line[0] == '.':
+			// assembler directive
+		default:
+			if err := s.parseInstr(line, d, pendingLabel); err != nil {
+				return nil, fmt.Errorf("isa: %s line %d: %w", name, lineNo, err)
+			}
+			pendingLabel = ""
 		}
-		if strings.HasSuffix(line, ":") {
-			pendingLabel = strings.TrimSuffix(line, ":")
-			continue
-		}
-		if strings.HasPrefix(line, ".") {
-			continue // assembler directive
-		}
-		in, err := parseInstr(line, d)
-		if err != nil {
-			return nil, fmt.Errorf("isa: %s line %d: %w", name, lineNo+1, err)
-		}
-		in.Label = pendingLabel
-		pendingLabel = ""
-		b.Instrs = append(b.Instrs, in)
 	}
+	b := &Block{Name: name, Arch: arch, Dialect: d}
+	s.build(b)
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-func stripComment(line string, d Dialect) string {
-	markers := []string{"#", "//", ";"}
-	if d == DialectAArch64 {
-		// '#' introduces immediates on AArch64, not comments.
-		markers = []string{"//", ";"}
+// parseScratch collects one block's instructions before ParseBlock copies
+// them into exactly sized slices. instrs[i].Operands stays nil here;
+// opEnd[i] is the end of instruction i's operands in ops, or -1 when the
+// instruction had no operand text (its Operands stays nil). The k-th OpMem
+// operand in ops owns mems[k].
+type parseScratch struct {
+	instrs []Instruction
+	opEnd  []int32
+	ops    []Operand
+	mems   []MemOp
+}
+
+var parsePool = sync.Pool{New: func() any { return new(parseScratch) }}
+
+// release clears the scratch, so the pool does not pin the source text,
+// and returns it to the pool.
+func (s *parseScratch) release() {
+	clear(s.instrs)
+	clear(s.ops)
+	clear(s.mems)
+	s.instrs, s.opEnd, s.ops, s.mems = s.instrs[:0], s.opEnd[:0], s.ops[:0], s.mems[:0]
+	parsePool.Put(s)
+}
+
+// build copies the collected block into b: Instrs, one Operand slab and
+// one MemOp slab, each of exact length.
+func (s *parseScratch) build(b *Block) {
+	if len(s.instrs) == 0 {
+		return
 	}
-	for _, marker := range markers {
-		if i := strings.Index(line, marker); i >= 0 {
-			line = line[:i]
+	b.Instrs = make([]Instruction, len(s.instrs))
+	copy(b.Instrs, s.instrs)
+	ops := make([]Operand, len(s.ops))
+	copy(ops, s.ops)
+	var mems []MemOp
+	if len(s.mems) > 0 {
+		mems = make([]MemOp, len(s.mems))
+		copy(mems, s.mems)
+	}
+	start, m := 0, 0
+	for i, end := range s.opEnd {
+		if end < 0 {
+			continue
+		}
+		in := ops[start:end:end]
+		for j := range in {
+			if in[j].Kind == OpMem {
+				in[j].Mem = &mems[m]
+				m++
+			}
+		}
+		b.Instrs[i].Operands = in
+		start = int(end)
+	}
+}
+
+// stripComment cuts line at its first comment marker: '#' (x86 only; it
+// introduces immediates on AArch64), "//" or ';'.
+func stripComment(line string, d Dialect) string {
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case '#':
+			if d != DialectAArch64 {
+				return line[:i]
+			}
+		case '/':
+			if i+1 < len(line) && line[i+1] == '/' {
+				return line[:i]
+			}
+		case ';':
+			return line[:i]
 		}
 	}
 	return line
 }
 
-func parseInstr(line string, d Dialect) (Instruction, error) {
+func (s *parseScratch) parseInstr(line string, d Dialect, label string) error {
 	mnemonic, rest := splitMnemonic(line)
 	if mnemonic == "" {
-		return Instruction{}, fmt.Errorf("empty instruction %q", line)
+		return fmt.Errorf("empty instruction %q", line)
 	}
-	var (
-		ops []Operand
-		err error
-	)
+	opStart, memStart := len(s.ops), len(s.mems)
+	end := int32(-1)
 	if rest != "" {
+		var err error
 		if d == DialectAArch64 {
-			ops, err = parseAArch64Operands(rest)
+			err = s.aarch64Operands(rest)
 		} else {
-			ops, err = parseX86Operands(rest)
+			err = s.x86Operands(rest)
 		}
 		if err != nil {
-			return Instruction{}, fmt.Errorf("%q: %w", line, err)
+			return fmt.Errorf("%q: %w", line, err)
+		}
+		end = int32(len(s.ops))
+	}
+	in := Instruction{Mnemonic: strings.ToLower(mnemonic), Operands: s.ops[opStart:], Raw: line, Label: label}
+	in.Ext = classifyExt(&in, d)
+	if isNonTemporal(in.Mnemonic) {
+		for k := memStart; k < len(s.mems); k++ {
+			s.mems[k].NonTemporal = true
 		}
 	}
-	in := Instruction{Mnemonic: strings.ToLower(mnemonic), Operands: ops, Raw: line}
-	in.Ext = classifyExt(&in, d)
-	markNonTemporal(&in)
-	return in, nil
+	in.Operands = nil
+	s.instrs = append(s.instrs, in)
+	s.opEnd = append(s.opEnd, end)
+	return nil
+}
+
+func (s *parseScratch) addMem(m MemOp) {
+	s.ops = append(s.ops, Operand{Kind: OpMem})
+	s.mems = append(s.mems, m)
 }
 
 func splitMnemonic(line string) (string, string) {
@@ -95,9 +178,13 @@ func splitMnemonic(line string) (string, string) {
 	return line[:i], strings.TrimSpace(line[i+1:])
 }
 
-// splitOperands splits on top-level commas, respecting (), [] and {}.
-func splitOperands(s string) []string {
-	var out []string
+// maxParts sizes the stack arrays operand and memory-field splitting fill;
+// longer lists spill to the heap.
+const maxParts = 8
+
+// splitOperands appends to dst the top-level comma-separated parts of s,
+// trimmed, respecting (), [] and {}. An empty final part is dropped.
+func splitOperands(dst []string, s string) []string {
 	depth := 0
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -108,150 +195,154 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
+				dst = append(dst, strings.TrimSpace(s[start:i]))
 				start = i + 1
 			}
 		}
 	}
 	if t := strings.TrimSpace(s[start:]); t != "" {
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	return out
+	return dst
 }
 
 // ---------------------------------------------------------------------------
 // x86 AT&T operands
 
-func parseX86Operands(s string) ([]Operand, error) {
-	parts := splitOperands(s)
-	ops := make([]Operand, 0, len(parts))
-	for _, p := range parts {
-		op, err := parseX86Operand(p)
-		if err != nil {
-			return nil, err
+func (s *parseScratch) x86Operands(str string) error {
+	var buf [maxParts]string
+	for _, p := range splitOperands(buf[:0], str) {
+		if err := s.x86Operand(p); err != nil {
+			return err
 		}
-		ops = append(ops, op)
 	}
-	return ops, nil
+	return nil
 }
 
-func parseX86Operand(p string) (Operand, error) {
+func (s *parseScratch) x86Operand(p string) error {
 	switch {
 	case strings.HasPrefix(p, "$"):
 		v, err := parseInt(p[1:])
 		if err != nil {
-			return Operand{}, fmt.Errorf("bad immediate %q: %w", p, err)
+			return fmt.Errorf("bad immediate %q: %w", p, err)
 		}
-		return NewImmOperand(v), nil
+		s.ops = append(s.ops, NewImmOperand(v))
 	case strings.HasPrefix(p, "%"):
-		// Register, possibly with AVX-512 mask suffix "{%k1}" handled by
-		// the caller splitting on '{'.
-		name := strings.TrimPrefix(p, "%")
+		// Register, possibly with an AVX-512 mask suffix "{%k1}", which
+		// is cut off here.
+		name := p[1:]
 		if i := strings.IndexByte(name, '{'); i >= 0 {
 			name = name[:i]
 		}
-		name = strings.TrimSpace(name)
-		r := ParseX86Register(name)
+		r := ParseX86Register(strings.TrimSpace(name))
 		if !r.Valid() {
-			return Operand{}, fmt.Errorf("unknown register %q", p)
+			return fmt.Errorf("unknown register %q", p)
 		}
-		return NewRegOperand(r), nil
+		s.ops = append(s.ops, NewRegOperand(r))
 	case strings.Contains(p, "("):
-		return parseX86Mem(p)
+		m, err := parseX86Mem(p)
+		if err != nil {
+			return err
+		}
+		s.addMem(m)
 	default:
 		// Bare displacement or label.
-		if v, err := parseInt(p); err == nil {
-			return NewMemOperand(MemOp{Disp: v}), nil
+		if v, ok := scanInt(p); ok {
+			s.addMem(MemOp{Disp: v})
+		} else {
+			s.ops = append(s.ops, NewLabelOperand(p))
 		}
-		return NewLabelOperand(p), nil
 	}
+	return nil
 }
 
 // parseX86Mem parses disp(base,index,scale).
-func parseX86Mem(p string) (Operand, error) {
+func parseX86Mem(p string) (MemOp, error) {
 	open := strings.IndexByte(p, '(')
 	closing := strings.LastIndexByte(p, ')')
 	if closing < open {
-		return Operand{}, fmt.Errorf("bad memory operand %q", p)
+		return MemOp{}, fmt.Errorf("bad memory operand %q", p)
 	}
 	var m MemOp
 	if dispStr := strings.TrimSpace(p[:open]); dispStr != "" {
 		v, err := parseInt(dispStr)
 		if err != nil {
-			return Operand{}, fmt.Errorf("bad displacement in %q: %w", p, err)
+			return MemOp{}, fmt.Errorf("bad displacement in %q: %w", p, err)
 		}
 		m.Disp = v
 	}
-	inner := p[open+1 : closing]
-	fields := strings.Split(inner, ",")
-	for i := range fields {
-		fields[i] = strings.TrimSpace(fields[i])
+	// The first three comma-separated fields; any further ones are
+	// ignored.
+	var fields [3]string
+	n := 0
+	for rest, more := p[open+1:closing], true; more && n < len(fields); n++ {
+		fields[n], rest, more = strings.Cut(rest, ",")
+		fields[n] = strings.TrimSpace(fields[n])
 	}
-	if len(fields) >= 1 && fields[0] != "" {
+	if fields[0] != "" {
 		r := ParseX86Register(strings.TrimPrefix(fields[0], "%"))
 		if !r.Valid() {
-			return Operand{}, fmt.Errorf("bad base register in %q", p)
+			return MemOp{}, fmt.Errorf("bad base register in %q", p)
 		}
 		m.Base = r
 	}
-	if len(fields) >= 2 && fields[1] != "" {
+	if n >= 2 && fields[1] != "" {
 		r := ParseX86Register(strings.TrimPrefix(fields[1], "%"))
 		if !r.Valid() {
-			return Operand{}, fmt.Errorf("bad index register in %q", p)
+			return MemOp{}, fmt.Errorf("bad index register in %q", p)
 		}
 		m.Index = r
 	}
 	m.Scale = 1
-	if len(fields) >= 3 && fields[2] != "" {
-		sc, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return Operand{}, fmt.Errorf("bad scale in %q: %w", p, err)
+	if n >= 3 && fields[2] != "" {
+		sc, ok := atoi(fields[2])
+		if !ok {
+			_, err := strconv.Atoi(fields[2])
+			return MemOp{}, fmt.Errorf("bad scale in %q: %w", p, err)
 		}
 		m.Scale = sc
 	}
-	return NewMemOperand(m), nil
+	return m, nil
 }
 
 // ---------------------------------------------------------------------------
 // AArch64 operands
 
-func parseAArch64Operands(s string) ([]Operand, error) {
+func (s *parseScratch) aarch64Operands(str string) error {
 	// Post-index writes look like "[x0], #16": merge the immediate into
 	// the preceding memory operand.
-	parts := splitOperands(s)
-	ops := make([]Operand, 0, len(parts))
+	var buf [maxParts]string
+	parts := splitOperands(buf[:0], str)
 	for i := 0; i < len(parts); i++ {
 		p := parts[i]
 		switch {
 		case strings.HasPrefix(p, "["):
-			op, err := parseAArch64Mem(p)
+			m, err := parseAArch64Mem(p)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// Post-index: "[x0], #16"
 			if i+1 < len(parts) && strings.HasPrefix(parts[i+1], "#") {
-				v, err := parseInt(strings.TrimPrefix(parts[i+1], "#"))
-				if err == nil {
-					op.Mem.PostIndex = true
-					op.Mem.Disp = v
+				if v, ok := scanInt(parts[i+1][1:]); ok {
+					m.PostIndex = true
+					m.Disp = v
 					i++
 				}
 			}
-			ops = append(ops, op)
+			s.addMem(m)
 		case strings.HasPrefix(p, "{"):
 			// Register list "{ v0.2d }" or "{ z0.d }": single register.
-			inner := strings.Trim(p, "{} ")
-			r := ParseAArch64Register(inner)
+			r := ParseAArch64Register(strings.Trim(p, "{} "))
 			if !r.Valid() {
-				return nil, fmt.Errorf("bad register list %q", p)
+				return fmt.Errorf("bad register list %q", p)
 			}
-			ops = append(ops, NewRegOperand(r))
+			s.ops = append(s.ops, NewRegOperand(r))
 		case strings.HasPrefix(p, "#"):
-			v, err := parseInt(strings.TrimPrefix(p, "#"))
+			v, err := parseInt(p[1:])
 			if err != nil {
-				return nil, fmt.Errorf("bad immediate %q: %w", p, err)
+				return fmt.Errorf("bad immediate %q: %w", p, err)
 			}
-			ops = append(ops, NewImmOperand(v))
+			s.ops = append(s.ops, NewImmOperand(v))
 		default:
 			// Predicate with qualifier "p0/z" or "p0/m".
 			name := p
@@ -259,7 +350,7 @@ func parseAArch64Operands(s string) ([]Operand, error) {
 				name = name[:i]
 			}
 			if r := ParseAArch64Register(name); r.Valid() {
-				ops = append(ops, NewRegOperand(r))
+				s.ops = append(s.ops, NewRegOperand(r))
 				continue
 			}
 			// "lsl #3" shift modifiers attached to the previous register
@@ -269,49 +360,46 @@ func parseAArch64Operands(s string) ([]Operand, error) {
 				strings.HasPrefix(p, "uxtw") || strings.HasPrefix(p, "mul vl") {
 				continue
 			}
-			if v, err := parseInt(p); err == nil {
-				ops = append(ops, NewImmOperand(v))
+			if v, ok := scanInt(p); ok {
+				s.ops = append(s.ops, NewImmOperand(v))
 				continue
 			}
-			ops = append(ops, NewLabelOperand(p))
+			s.ops = append(s.ops, NewLabelOperand(p))
 		}
 	}
-	return ops, nil
+	return nil
 }
 
 // parseAArch64Mem parses [base], [base, #disp], [base, #disp]!,
 // [base, xIndex], [base, xIndex, lsl #3], [base, zIndex.d] (SVE gather),
 // and [base, #imm, mul vl].
-func parseAArch64Mem(p string) (Operand, error) {
+func parseAArch64Mem(p string) (MemOp, error) {
 	pre := strings.HasSuffix(p, "!")
 	p = strings.TrimSuffix(p, "!")
 	if !strings.HasPrefix(p, "[") || !strings.HasSuffix(p, "]") {
-		return Operand{}, fmt.Errorf("bad memory operand %q", p)
+		return MemOp{}, fmt.Errorf("bad memory operand %q", p)
 	}
-	inner := p[1 : len(p)-1]
-	fields := splitOperands(inner)
-	var m MemOp
-	m.PreIndex = pre
-	m.Scale = 1
-	for i, f := range fields {
-		f = strings.TrimSpace(f)
+	var buf [maxParts]string
+	m := MemOp{PreIndex: pre, Scale: 1}
+	for i, f := range splitOperands(buf[:0], p[1:len(p)-1]) {
 		switch {
 		case i == 0:
 			r := ParseAArch64Register(f)
 			if !r.Valid() {
-				return Operand{}, fmt.Errorf("bad base register in %q", p)
+				return MemOp{}, fmt.Errorf("bad base register in %q", p)
 			}
 			m.Base = r
 		case strings.HasPrefix(f, "#"):
-			v, err := parseInt(strings.TrimPrefix(f, "#"))
+			v, err := parseInt(f[1:])
 			if err != nil {
-				return Operand{}, fmt.Errorf("bad displacement in %q: %w", p, err)
+				return MemOp{}, fmt.Errorf("bad displacement in %q: %w", p, err)
 			}
 			m.Disp = v
 		case strings.HasPrefix(f, "lsl"):
-			sh := strings.TrimSpace(strings.TrimPrefix(f, "lsl"))
+			sh := strings.TrimSpace(f[len("lsl"):])
 			sh = strings.TrimPrefix(sh, "#")
-			if n, err := strconv.Atoi(sh); err == nil {
+			// A negative or unparsable shift leaves the scale at 1.
+			if n, ok := atoi(sh); ok && n >= 0 {
 				m.Scale = 1 << n
 			}
 		case f == "mul vl":
@@ -320,36 +408,102 @@ func parseAArch64Mem(p string) (Operand, error) {
 		default:
 			r := ParseAArch64Register(f)
 			if !r.Valid() {
-				return Operand{}, fmt.Errorf("bad index register in %q", p)
+				return MemOp{}, fmt.Errorf("bad index register in %q", p)
 			}
 			m.Index = r
 		}
 	}
-	return NewMemOperand(m), nil
+	return m, nil
 }
 
+// parseInt parses a decimal or 0x-prefixed hexadecimal integer with an
+// optional leading '-'. It fails exactly when strconv.ParseUint fails on
+// the digits, with ParseUint's error.
 func parseInt(s string) (int64, error) {
+	if v, ok := scanInt(s); ok {
+		return v, nil
+	}
+	// scanInt accepts what ParseUint accepts; call it only for the error.
+	s = strings.TrimPrefix(strings.TrimSpace(s), "-")
+	var err error
+	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
+		_, err = strconv.ParseUint(s[2:], 16, 64)
+	} else {
+		_, err = strconv.ParseUint(s, 10, 64)
+	}
+	return 0, err
+}
+
+// scanInt is parseInt without building an error, for callers that only
+// ask whether s is a number (labels are tried as numbers first).
+func scanInt(s string) (int64, bool) {
 	s = strings.TrimSpace(s)
 	neg := false
 	if strings.HasPrefix(s, "-") {
 		neg = true
 		s = s[1:]
 	}
-	var v uint64
-	var err error
+	base := uint64(10)
 	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		v, err = strconv.ParseUint(s[2:], 16, 64)
-	} else {
-		v, err = strconv.ParseUint(s, 10, 64)
+		base = 16
+		s = s[2:]
 	}
-	if err != nil {
-		return 0, err
+	v, ok := scanUint(s, base)
+	if !ok {
+		return 0, false
 	}
 	r := int64(v)
 	if neg {
 		r = -r
 	}
-	return r, nil
+	return r, true
+}
+
+// scanUint accepts what strconv.ParseUint(s, base, 64) accepts for base
+// 10 or 16: one or more digits, no sign, no underscores, no overflow.
+func scanUint(s string, base uint64) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	const maxUint64 = 1<<64 - 1
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		var d uint64
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c && c <= 'f':
+			d = uint64(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			d = uint64(c-'A') + 10
+		default:
+			return 0, false
+		}
+		if d >= base || v > (maxUint64-d)/base {
+			return 0, false
+		}
+		v = v*base + d
+	}
+	return v, true
+}
+
+// atoi accepts exactly what strconv.Atoi accepts on a 64-bit platform —
+// an optional sign, then decimal digits within int64 range — without
+// building an error on failure.
+func atoi(s string) (int, bool) {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	v, ok := scanUint(s, 10)
+	if !ok || v > 1<<63 || (!neg && v == 1<<63) {
+		return 0, false
+	}
+	if neg {
+		return -int(v), true
+	}
+	return int(v), true
 }
 
 // ---------------------------------------------------------------------------
@@ -413,16 +567,10 @@ func classifyExtAArch64(in *Instruction) Ext {
 	return ExtScalar
 }
 
-func markNonTemporal(in *Instruction) {
-	nt := strings.HasPrefix(in.Mnemonic, "vmovnt") ||
-		strings.HasPrefix(in.Mnemonic, "movnt") ||
-		in.Mnemonic == "stnp"
-	if !nt {
-		return
-	}
-	for i := range in.Operands {
-		if in.Operands[i].Kind == OpMem {
-			in.Operands[i].Mem.NonTemporal = true
-		}
-	}
+// isNonTemporal reports whether a mnemonic is a streaming store, whose
+// memory operands the parser marks NonTemporal.
+func isNonTemporal(mnemonic string) bool {
+	return strings.HasPrefix(mnemonic, "vmovnt") ||
+		strings.HasPrefix(mnemonic, "movnt") ||
+		mnemonic == "stnp"
 }

@@ -297,14 +297,14 @@ func formatUint(v uint64) string {
 }
 
 func TestSplitOperandsRespectsBrackets(t *testing.T) {
-	got := splitOperands("d0, [x1, x3, lsl #3], #8")
+	got := splitOperands(nil, "d0, [x1, x3, lsl #3], #8")
 	if len(got) != 3 {
 		t.Fatalf("splitOperands = %v", got)
 	}
 	if got[1] != "[x1, x3, lsl #3]" {
 		t.Errorf("bracketed operand split: %q", got[1])
 	}
-	got = splitOperands("(%rsi,%rax,8), %zmm0")
+	got = splitOperands(nil, "(%rsi,%rax,8), %zmm0")
 	if len(got) != 2 {
 		t.Fatalf("splitOperands paren = %v", got)
 	}

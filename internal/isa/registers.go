@@ -33,15 +33,15 @@ func ParseX86Register(name string) Register {
 	}
 	switch {
 	case strings.HasPrefix(name, "xmm"):
-		if id, err := strconv.Atoi(name[3:]); err == nil && id >= 0 && id < 32 {
+		if id, ok := atoi(name[3:]); ok && id >= 0 && id < 32 {
 			return Register{Name: name, Class: ClassVec, ID: id, Width: 128}
 		}
 	case strings.HasPrefix(name, "ymm"):
-		if id, err := strconv.Atoi(name[3:]); err == nil && id >= 0 && id < 32 {
+		if id, ok := atoi(name[3:]); ok && id >= 0 && id < 32 {
 			return Register{Name: name, Class: ClassVec, ID: id, Width: 256}
 		}
 	case strings.HasPrefix(name, "zmm"):
-		if id, err := strconv.Atoi(name[3:]); err == nil && id >= 0 && id < 32 {
+		if id, ok := atoi(name[3:]); ok && id >= 0 && id < 32 {
 			return Register{Name: name, Class: ClassVec, ID: id, Width: 512}
 		}
 	case name == "rip":
@@ -59,10 +59,12 @@ func ParseX86Register(name string) Register {
 // s0..s31, v0..v31 (NEON, optionally with ".2d"-style arrangement),
 // z0..z31 (SVE), p0..p15 (SVE predicate).
 func ParseAArch64Register(name string) Register {
-	name = strings.ToLower(name)
 	if i := strings.IndexByte(name, '.'); i >= 0 {
 		name = name[:i] // strip arrangement suffix like v3.2d, z1.d, p0.d
 	}
+	// Lower-casing after the cut keeps labels such as ".L0" from
+	// allocating; no rune lower-cases to or from '.'.
+	name = strings.ToLower(name)
 	switch name {
 	case "sp":
 		return Register{Name: name, Class: ClassGPR, ID: 31, Width: 64}
@@ -76,8 +78,8 @@ func ParseAArch64Register(name string) Register {
 	if len(name) < 2 {
 		return Register{}
 	}
-	num, err := strconv.Atoi(name[1:])
-	if err != nil || num < 0 {
+	num, ok := atoi(name[1:])
+	if !ok || num < 0 {
 		return Register{}
 	}
 	switch name[0] {

@@ -2,8 +2,7 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // aarch64Emitter generates AArch64 loop bodies (NEON, SVE, scalar).
@@ -25,10 +24,11 @@ import (
 // vector length favors immediate-offset addressing) and SVE for the
 // streaming kernels.
 type aarch64Emitter struct {
-	sb   strings.Builder
+	asmWriter
 	p    genParams
 	mode aMode
-	used map[string]bool
+	// closed marks a body that emitted its own loop control.
+	closed bool
 }
 
 type aMode int
@@ -40,21 +40,51 @@ const (
 	aSVE                        // whilelo-predicated SVE
 )
 
-func (e *aarch64Emitter) f(format string, args ...interface{}) {
-	fmt.Fprintf(&e.sb, format, args...)
-	e.sb.WriteByte('\n')
-}
+var (
+	aarchZ = regNames("z", ".d")
+	aarchV = regNames("v", ".2d")
+	aarchD = regNames("d", "")
+	aarchQ = regNames("q", "")
+)
 
 // vreg names vector/scalar register i in the current mode.
 func (e *aarch64Emitter) vreg(i int) string {
 	switch e.mode {
 	case aSVE:
-		return fmt.Sprintf("z%d.d", i)
+		return aarchZ[i]
 	case aNEON:
-		return fmt.Sprintf("v%d.2d", i)
+		return aarchV[i]
 	default:
-		return fmt.Sprintf("d%d", i)
+		return aarchD[i]
 	}
+}
+
+// ins starts an instruction line; reg, list, imm and mem append its
+// operands and end finishes it.
+func (e *aarch64Emitter) ins(mn string) *aarch64Emitter {
+	e.begin(mn)
+	return e
+}
+
+// reg appends a register operand (or any operand spelled r).
+func (e *aarch64Emitter) reg(r string) *aarch64Emitter {
+	e.str(r)
+	return e
+}
+
+// list appends the single-register list "{ r }".
+func (e *aarch64Emitter) list(r string) *aarch64Emitter {
+	e.sep()
+	e.buf = append(e.buf, "{ "...)
+	e.buf = append(e.buf, r...)
+	e.buf = append(e.buf, " }"...)
+	return e
+}
+
+// imm appends the immediate "#n".
+func (e *aarch64Emitter) imm(n int) *aarch64Emitter {
+	e.num("#", n)
+	return e
 }
 
 // lanes per register in the current mode.
@@ -65,9 +95,12 @@ func (e *aarch64Emitter) lanes() int {
 	return 1
 }
 
-// mem renders an address for unroll lane u plus a byte offset.
-func (e *aarch64Emitter) mem(base string, u, extra int) string {
-	e.used[base] = true
+// mem appends the address of unroll lane u plus a byte offset.
+func (e *aarch64Emitter) mem(base string, u, extra int) *aarch64Emitter {
+	e.used.add(base)
+	e.sep()
+	e.buf = append(e.buf, '[')
+	e.buf = append(e.buf, base...)
 	switch e.mode {
 	case aScalarIndexed, aSVE:
 		// Indexed by x3 (elements). Byte offsets must be baked into
@@ -75,15 +108,15 @@ func (e *aarch64Emitter) mem(base string, u, extra int) string {
 		if extra != 0 {
 			panic("aarch64: indexed mode cannot take immediate offsets")
 		}
-		_ = u
-		return fmt.Sprintf("[%s, x3, lsl #3]", base)
+		e.buf = append(e.buf, ", x3, lsl #3"...)
 	default:
-		disp := u*e.vecBytes() + extra
-		if disp == 0 {
-			return fmt.Sprintf("[%s]", base)
+		if disp := u*e.vecBytes() + extra; disp != 0 {
+			e.buf = append(e.buf, ", #"...)
+			e.buf = strconv.AppendInt(e.buf, int64(disp), 10)
 		}
-		return fmt.Sprintf("[%s, #%d]", base, disp)
 	}
+	e.buf = append(e.buf, ']')
+	return e
 }
 
 func (e *aarch64Emitter) vecBytes() int {
@@ -94,19 +127,19 @@ func (e *aarch64Emitter) vecBytes() int {
 func (e *aarch64Emitter) load(base string, u, extra int, dst int) {
 	switch e.mode {
 	case aSVE:
-		e.f("\tld1d { %s }, p0/z, %s", e.vreg(dst), e.mem(base, u, extra))
+		e.ins("ld1d").list(e.vreg(dst)).reg("p0/z").mem(base, u, extra).end()
 	case aNEON:
 		mn := "ldr"
 		if extra < 0 {
 			mn = "ldur"
 		}
-		e.f("\t%s q%d, %s", mn, dst, e.mem(base, u, extra))
+		e.ins(mn).reg(aarchQ[dst]).mem(base, u, extra).end()
 	default:
 		mn := "ldr"
 		if extra < 0 && e.mode == aScalarPointer {
 			mn = "ldur"
 		}
-		e.f("\t%s d%d, %s", mn, dst, e.mem(base, u, extra))
+		e.ins(mn).reg(aarchD[dst]).mem(base, u, extra).end()
 	}
 }
 
@@ -114,64 +147,60 @@ func (e *aarch64Emitter) load(base string, u, extra int, dst int) {
 func (e *aarch64Emitter) store(src int, base string, u, extra int) {
 	switch e.mode {
 	case aSVE:
-		e.f("\tst1d { %s }, p0, %s", e.vreg(src), e.mem(base, u, extra))
+		e.ins("st1d").list(e.vreg(src)).reg("p0").mem(base, u, extra).end()
 	case aNEON:
 		mn := "str"
 		if extra < 0 {
 			mn = "stur"
 		}
-		e.f("\t%s q%d, %s", mn, src, e.mem(base, u, extra))
+		e.ins(mn).reg(aarchQ[src]).mem(base, u, extra).end()
 	default:
 		mn := "str"
 		if extra < 0 {
 			mn = "stur"
 		}
-		e.f("\t%s d%d, %s", mn, src, e.mem(base, u, extra))
+		e.ins(mn).reg(aarchD[src]).mem(base, u, extra).end()
 	}
 }
 
 // op3 emits "mn dst, a, b".
 func (e *aarch64Emitter) op3(mn string, dst, a, b int) {
-	e.f("\t%s %s, %s, %s", mn, e.vreg(dst), e.vreg(a), e.vreg(b))
+	e.ins(mn).reg(e.vreg(dst)).reg(e.vreg(a)).reg(e.vreg(b)).end()
 }
 
 // close emits the induction update and the loop branch.
 func (e *aarch64Emitter) close() {
-	if e.used["__closed"] {
+	if e.closed {
 		return
 	}
 	elems := e.lanes() * e.p.unroll
 	switch e.mode {
 	case aScalarIndexed:
-		e.f("\tadd x3, x3, #%d", elems)
-		e.f("\tcmp x3, x4")
-		e.f("\tb.ne .L0")
+		e.ins("add").reg("x3").reg("x3").imm(elems).end()
+		e.line("\tcmp x3, x4")
+		e.line("\tb.ne .L0")
 	case aSVE:
-		e.f("\tincd x3")
-		e.f("\twhilelo p0.d, x3, x4")
-		e.f("\tb.first .L0")
+		e.line("\tincd x3")
+		e.line("\twhilelo p0.d, x3, x4")
+		e.line("\tb.first .L0")
 	default:
-		bases := make([]string, 0, len(e.used))
-		for b := range e.used {
-			bases = append(bases, b)
-		}
-		sort.Strings(bases)
+		bases := e.used.sorted()
 		if len(bases) == 0 {
 			// No memory streams (π): plain counter loop.
-			e.f("\tadd x3, x3, #%d", elems)
-			e.f("\tcmp x3, x4")
-			e.f("\tb.ne .L0")
+			e.ins("add").reg("x3").reg("x3").imm(elems).end()
+			e.line("\tcmp x3, x4")
+			e.line("\tb.ne .L0")
 			return
 		}
 		for _, b := range bases {
-			e.f("\tadd %s, %s, #%d", b, b, elems*8)
+			e.ins("add").reg(b).reg(b).imm(elems * 8).end()
 		}
 		cmpBase := "x1"
-		if !e.used["x1"] {
+		if !e.used.has("x1") {
 			cmpBase = "x0"
 		}
-		e.f("\tcmp %s, x4", cmpBase)
-		e.f("\tb.ne .L0")
+		e.ins("cmp").reg(cmpBase).reg("x4").end()
+		e.line("\tb.ne .L0")
 	}
 }
 
@@ -185,9 +214,9 @@ func stencilKind(k Kind) bool {
 	return false
 }
 
-// emitAArch64 dispatches on kernel kind.
-func emitAArch64(k *Kernel, p genParams) (string, error) {
-	e := &aarch64Emitter{p: p, used: map[string]bool{}}
+// emitAArch64 appends the loop body of kernel k to buf.
+func emitAArch64(buf []byte, k *Kernel, p genParams) ([]byte, error) {
+	e := aarch64Emitter{asmWriter: asmWriter{buf: buf}, p: p}
 	switch {
 	case p.scalar && p.sve:
 		e.mode = aScalarPointer
@@ -211,7 +240,7 @@ func emitAArch64(k *Kernel, p genParams) (string, error) {
 		// pointer-bumped code here.
 		e.mode = aScalarPointer
 	}
-	e.f(".L0:")
+	e.line(".L0:")
 	U := e.p.unroll
 	switch k.Kind {
 	case KindCopy:
@@ -279,39 +308,39 @@ func emitAArch64(k *Kernel, p genParams) (string, error) {
 		}
 
 	case KindPi:
-		emitPiAArch64(e)
+		emitPiAArch64(&e)
 
 	case KindJ2D5:
-		emitStencilAArch64(e, []rowRef{{"x1", -8}, {"x1", 8}, {"x5", 0}, {"x6", 0}}, U)
+		emitStencilAArch64(&e, []rowRef{{"x1", -8}, {"x1", 8}, {"x5", 0}, {"x6", 0}}, U)
 
 	case KindJ3D7:
-		emitStencilAArch64(e, []rowRef{
+		emitStencilAArch64(&e, []rowRef{
 			{"x1", -8}, {"x1", 8}, {"x5", 0}, {"x6", 0}, {"x7", 0}, {"x8", 0},
 		}, U)
 
 	case KindJ3D11:
-		emitStencilAArch64(e, []rowRef{
+		emitStencilAArch64(&e, []rowRef{
 			{"x1", -16}, {"x1", -8}, {"x1", 0}, {"x1", 8}, {"x1", 16},
 			{"x5", 0}, {"x6", 0}, {"x7", 0}, {"x8", 0}, {"x9", 0}, {"x10", 0},
 		}, U)
 
 	case KindJ3D27:
-		var rows []rowRef
-		for _, b := range []string{"x1", "x2", "x5", "x6", "x7", "x8", "x9", "x10", "x11"} {
-			for _, off := range []int{-8, 0, 8} {
-				rows = append(rows, rowRef{b, off})
+		var rows [27]rowRef
+		for i, b := range [...]string{"x1", "x2", "x5", "x6", "x7", "x8", "x9", "x10", "x11"} {
+			for j, off := range [...]int{-8, 0, 8} {
+				rows[3*i+j] = rowRef{b, off}
 			}
 		}
-		emitStencilAArch64(e, rows, U)
+		emitStencilAArch64(&e, rows[:], U)
 
 	case KindGS2D5:
-		emitGSAArch64(e)
+		emitGSAArch64(&e)
 
 	default:
-		return "", fmt.Errorf("emitAArch64: unhandled kernel kind %d", k.Kind)
+		return e.buf, fmt.Errorf("emitAArch64: unhandled kernel kind %d", k.Kind)
 	}
 	e.close()
-	return e.sb.String(), nil
+	return e.buf, nil
 }
 
 type rowRef struct {
@@ -323,12 +352,12 @@ type rowRef struct {
 func (e *aarch64Emitter) fmla(acc, a, b int) {
 	switch e.mode {
 	case aSVE:
-		e.f("\tfmla %s, p0/m, %s, %s", e.vreg(acc), e.vreg(a), e.vreg(b))
+		e.ins("fmla").reg(e.vreg(acc)).reg("p0/m").reg(e.vreg(a)).reg(e.vreg(b)).end()
 	case aNEON:
-		e.f("\tfmla %s, %s, %s", e.vreg(acc), e.vreg(a), e.vreg(b))
+		e.op3("fmla", acc, a, b)
 	default:
 		// fmadd dd, dn, dm, da : dd = dn*dm + da
-		e.f("\tfmadd %s, %s, %s, %s", e.vreg(acc), e.vreg(a), e.vreg(b), e.vreg(acc))
+		e.ins("fmadd").reg(e.vreg(acc)).reg(e.vreg(a)).reg(e.vreg(b)).reg(e.vreg(acc)).end()
 	}
 }
 
@@ -372,23 +401,23 @@ func emitStencilAArch64(e *aarch64Emitter, rows []rowRef, U int) {
 // emitPiAArch64 generates the π-by-integration body.
 func emitPiAArch64(e *aarch64Emitter) {
 	if e.mode == aScalarIndexed || e.mode == aScalarPointer {
-		e.f("\tscvtf d1, x3")
-		e.f("\tfadd d1, d1, d13")
-		e.f("\tfmul d1, d1, d14")
+		e.line("\tscvtf d1, x3")
+		e.line("\tfadd d1, d1, d13")
+		e.line("\tfmul d1, d1, d14")
 		if e.p.fma {
-			e.f("\tfmadd d1, d1, d1, d12")
+			e.line("\tfmadd d1, d1, d1, d12")
 		} else {
-			e.f("\tfmul d1, d1, d1")
-			e.f("\tfadd d1, d1, d12")
+			e.line("\tfmul d1, d1, d1")
+			e.line("\tfadd d1, d1, d12")
 		}
-		e.f("\tfdiv d1, d11, d1")
-		e.f("\tfadd d0, d0, d1")
+		e.line("\tfdiv d1, d11, d1")
+		e.line("\tfadd d0, d0, d1")
 		if e.mode == aScalarPointer {
 			// π touches no arrays; index in x3 regardless.
-			e.f("\tadd x3, x3, #1")
-			e.f("\tcmp x3, x4")
-			e.f("\tb.ne .L0")
-			e.trim()
+			e.line("\tadd x3, x3, #1")
+			e.line("\tcmp x3, x4")
+			e.line("\tb.ne .L0")
+			e.closed = true
 		}
 		return
 	}
@@ -400,9 +429,9 @@ func emitPiAArch64(e *aarch64Emitter) {
 		e.op3("fadd", t, t, 12) // +1
 		if e.mode == aSVE {
 			// Reverse divide: t = 4.0 / t.
-			e.f("\tfdivr %s, p0/m, %s, %s", e.vreg(t), e.vreg(t), e.vreg(11))
+			e.ins("fdivr").reg(e.vreg(t)).reg("p0/m").reg(e.vreg(t)).reg(e.vreg(11)).end()
 		} else {
-			e.f("\tfdiv %s, %s, %s", e.vreg(t), e.vreg(11), e.vreg(t))
+			e.op3("fdiv", t, 11, t)
 		}
 		acc := u % e.p.accs
 		e.op3("fadd", acc, acc, t)
@@ -410,53 +439,48 @@ func emitPiAArch64(e *aarch64Emitter) {
 	}
 }
 
-// trim marks that the emitter already closed the loop (π scalar-pointer
-// special case emits its own induction); close() becomes a no-op via a
-// sentinel in used.
-func (e *aarch64Emitter) trim() { e.used["__closed"] = true }
-
 // emitGSAArch64 generates the Gauss-Seidel shapes (see emitGSX86 for the
 // three-variant rationale). Always pointer-addressed: the memory round
 // trip needs immediate offsets off the store base.
 func emitGSAArch64(e *aarch64Emitter) {
 	switch {
 	case e.p.gsMemRoundTrip:
-		e.f("\tldur d1, [x1, #-8]")
-		e.f("\tldr d2, [x1, #8]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tldr d2, [x5]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tldr d2, [x6]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tfmul d1, d1, d15")
-		e.f("\tstr d1, [x1]")
-		e.used["x1"] = true
-		e.used["x5"] = true
-		e.used["x6"] = true
+		e.line("\tldur d1, [x1, #-8]")
+		e.line("\tldr d2, [x1, #8]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tldr d2, [x5]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tldr d2, [x6]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tfmul d1, d1, d15")
+		e.line("\tstr d1, [x1]")
+		e.used.add("x1")
+		e.used.add("x5")
+		e.used.add("x6")
 	case e.p.gsFMA:
-		e.f("\tldr d1, [x5]")
-		e.f("\tldr d2, [x6]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tldr d2, [x1, #8]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tfmul d1, d1, d15")      // t = 0.25*sum3
-		e.f("\tfmadd d1, d0, d15, d1") // d1 = prev*0.25 + t
-		e.f("\tstr d1, [x1]")
-		e.f("\tfmov d0, d1")
-		e.used["x1"] = true
-		e.used["x5"] = true
-		e.used["x6"] = true
+		e.line("\tldr d1, [x5]")
+		e.line("\tldr d2, [x6]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tldr d2, [x1, #8]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tfmul d1, d1, d15")      // t = 0.25*sum3
+		e.line("\tfmadd d1, d0, d15, d1") // d1 = prev*0.25 + t
+		e.line("\tstr d1, [x1]")
+		e.line("\tfmov d0, d1")
+		e.used.add("x1")
+		e.used.add("x5")
+		e.used.add("x6")
 	default:
-		e.f("\tldr d1, [x5]")
-		e.f("\tldr d2, [x6]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tldr d2, [x1, #8]")
-		e.f("\tfadd d1, d1, d2")
-		e.f("\tfadd d1, d1, d0")
-		e.f("\tfmul d0, d1, d15")
-		e.f("\tstr d0, [x1]")
-		e.used["x1"] = true
-		e.used["x5"] = true
-		e.used["x6"] = true
+		e.line("\tldr d1, [x5]")
+		e.line("\tldr d2, [x6]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tldr d2, [x1, #8]")
+		e.line("\tfadd d1, d1, d2")
+		e.line("\tfadd d1, d1, d0")
+		e.line("\tfmul d0, d1, d15")
+		e.line("\tstr d0, [x1]")
+		e.used.add("x1")
+		e.used.add("x5")
+		e.used.add("x6")
 	}
 }

@@ -2,8 +2,7 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // x86Emitter generates AT&T-syntax loop bodies.
@@ -19,37 +18,60 @@ import (
 //
 // Constants are loaded outside the measured loop body, as compilers do.
 type x86Emitter struct {
-	sb    strings.Builder
+	asmWriter
 	p     genParams
 	bytes int // bytes per vector register access
-	used  map[string]bool
+	regs  *[32]string
 }
 
-func newX86Emitter(p genParams) *x86Emitter {
-	b := 8
+var (
+	x86XMM = regNames("%xmm", "")
+	x86YMM = regNames("%ymm", "")
+	x86ZMM = regNames("%zmm", "")
+)
+
+func newX86Emitter(buf []byte, p genParams) x86Emitter {
+	e := x86Emitter{asmWriter: asmWriter{buf: buf}, p: p, bytes: 8, regs: x86XMM}
 	if !p.scalar {
-		b = p.vecBits / 8
+		e.bytes = p.vecBits / 8
+		switch p.vecBits {
+		case 256:
+			e.regs = x86YMM
+		case 512:
+			e.regs = x86ZMM
+		}
 	}
-	return &x86Emitter{p: p, bytes: b, used: map[string]bool{}}
-}
-
-func (e *x86Emitter) f(format string, args ...interface{}) {
-	fmt.Fprintf(&e.sb, format, args...)
-	e.sb.WriteByte('\n')
+	return e
 }
 
 // vr names work register i at the current width.
-func (e *x86Emitter) vr(i int) string {
-	pfx := "xmm"
-	if !e.p.scalar {
-		switch e.p.vecBits {
-		case 256:
-			pfx = "ymm"
-		case 512:
-			pfx = "zmm"
-		}
-	}
-	return fmt.Sprintf("%%%s%d", pfx, i)
+func (e *x86Emitter) vr(i int) string { return e.regs[i] }
+
+// ins starts an instruction line; reg, imm and mem append its operands
+// and end finishes it.
+func (e *x86Emitter) ins(mn string) *x86Emitter {
+	e.begin(mn)
+	return e
+}
+
+// reg appends a register operand spelled with its "%" sigil.
+func (e *x86Emitter) reg(r string) *x86Emitter {
+	e.str(r)
+	return e
+}
+
+// base appends the register operand "%"+name.
+func (e *x86Emitter) base(name string) *x86Emitter {
+	e.sep()
+	e.buf = append(e.buf, '%')
+	e.buf = append(e.buf, name...)
+	return e
+}
+
+// imm appends the immediate "$n".
+func (e *x86Emitter) imm(n int) *x86Emitter {
+	e.num("$", n)
+	return e
 }
 
 // op returns the packed or scalar form of an arithmetic mnemonic.
@@ -67,41 +89,48 @@ func (e *x86Emitter) movOp() string {
 	return "vmovupd"
 }
 
-// mem renders an address for unroll lane u with an extra byte offset.
-func (e *x86Emitter) mem(base string, u int, extra int) string {
-	e.used[base] = true
-	disp := u*e.bytes + extra
+// mem appends the address of unroll lane u plus an extra byte offset:
+// disp(%base,%rax,8) when indexed, disp(%base) otherwise, with a zero
+// displacement left out.
+func (e *x86Emitter) mem(base string, u int, extra int) *x86Emitter {
+	e.used.add(base)
+	e.sep()
+	if disp := u*e.bytes + extra; disp != 0 {
+		e.buf = strconv.AppendInt(e.buf, int64(disp), 10)
+	}
+	e.buf = append(e.buf, "(%"...)
+	e.buf = append(e.buf, base...)
 	if e.p.indexed {
-		if disp == 0 {
-			return fmt.Sprintf("(%%%s,%%rax,8)", base)
-		}
-		return fmt.Sprintf("%d(%%%s,%%rax,8)", disp, base)
+		e.buf = append(e.buf, ",%rax,8"...)
 	}
-	if disp == 0 {
-		return fmt.Sprintf("(%%%s)", base)
-	}
-	return fmt.Sprintf("%d(%%%s)", disp, base)
+	e.buf = append(e.buf, ')')
+	return e
 }
 
 // load emits a plain load into a register.
 func (e *x86Emitter) load(base string, u, extra int, dst string) {
-	e.f("\t%s %s, %s", e.movOp(), e.mem(base, u, extra), dst)
+	e.ins(e.movOp()).mem(base, u, extra).reg(dst).end()
 }
 
 // store emits a store.
 func (e *x86Emitter) store(src, base string, u, extra int) {
-	e.f("\t%s %s, %s", e.movOp(), src, e.mem(base, u, extra))
+	e.ins(e.movOp()).reg(src).mem(base, u, extra).end()
+}
+
+// op3 emits "mn a, b, c".
+func (e *x86Emitter) op3(mn, a, b, c string) {
+	e.ins(mn).reg(a).reg(b).reg(c).end()
 }
 
 // arith2 emits "op src2, src1, dst" with src2 a memory ref when folding is
 // enabled, otherwise via a scratch load.
 func (e *x86Emitter) arith2Mem(op, base string, u, extra int, src1, dst, scratch string) {
 	if e.p.foldMem {
-		e.f("\t%s %s, %s, %s", op, e.mem(base, u, extra), src1, dst)
+		e.ins(op).mem(base, u, extra).reg(src1).reg(dst).end()
 		return
 	}
 	e.load(base, u, extra, scratch)
-	e.f("\t%s %s, %s, %s", op, scratch, src1, dst)
+	e.op3(op, scratch, src1, dst)
 }
 
 // close emits the induction update and backward branch.
@@ -113,41 +142,37 @@ func (e *x86Emitter) close(k *Kernel) {
 	elems := lanes * e.p.unroll
 	if e.p.indexed {
 		if elems == 1 {
-			e.f("\tincq %%rax")
+			e.line("\tincq %rax")
 		} else {
-			e.f("\taddq $%d, %%rax", elems)
+			e.ins("addq").imm(elems).reg("%rax").end()
 		}
-		e.f("\tcmpq %%rbx, %%rax")
+		e.line("\tcmpq %rbx, %rax")
 	} else {
-		bases := make([]string, 0, len(e.used))
-		for b := range e.used {
-			bases = append(bases, b)
-		}
-		sort.Strings(bases)
+		bases := e.used.sorted()
 		if len(bases) == 0 {
 			// No memory streams (π): plain counter loop.
-			e.f("\taddq $%d, %%rax", elems)
-			e.f("\tcmpq %%rbx, %%rax")
-			e.f("\tjne .L0")
+			e.ins("addq").imm(elems).reg("%rax").end()
+			e.line("\tcmpq %rbx, %rax")
+			e.line("\tjne .L0")
 			return
 		}
 		for _, b := range bases {
-			e.f("\taddq $%d, %%%s", elems*8, b)
+			e.ins("addq").imm(elems * 8).base(b).end()
 		}
 		cmpBase := "rsi"
-		if !e.used["rsi"] {
+		if !e.used.has("rsi") {
 			cmpBase = "rdi"
 		}
-		e.f("\tcmpq %%rbx, %%%s", cmpBase)
+		e.ins("cmpq").reg("%rbx").base(cmpBase).end()
 	}
-	e.f("\tjne .L0")
+	e.line("\tjne .L0")
 }
 
-func (e *x86Emitter) header() { e.f(".L0:") }
+func (e *x86Emitter) header() { e.line(".L0:") }
 
-// emitX86 dispatches on kernel kind.
-func emitX86(k *Kernel, p genParams) (string, error) {
-	e := newX86Emitter(p)
+// emitX86 appends the loop body of kernel k to buf.
+func emitX86(buf []byte, k *Kernel, p genParams) ([]byte, error) {
+	e := newX86Emitter(buf, p)
 	e.header()
 	U := p.unroll
 	switch k.Kind {
@@ -187,14 +212,14 @@ func emitX86(k *Kernel, p genParams) (string, error) {
 			e.load("rsi", u, 0, e.vr(u)) // b
 			if p.fma {
 				if p.foldMem {
-					e.f("\t%s %s, %s, %s", e.fmaOp("vfmadd231"), e.mem("rdx", u, 0), e.vr(15), e.vr(u))
+					e.ins(e.fmaOp("vfmadd231")).mem("rdx", u, 0).reg(e.vr(15)).reg(e.vr(u)).end()
 				} else {
 					e.load("rdx", u, 0, e.vr(u+U))
-					e.f("\t%s %s, %s, %s", e.fmaOp("vfmadd231"), e.vr(u+U), e.vr(15), e.vr(u))
+					e.op3(e.fmaOp("vfmadd231"), e.vr(u+U), e.vr(15), e.vr(u))
 				}
 			} else {
 				e.arith2Mem(e.op("mul"), "rdx", u, 0, e.vr(15), e.vr(u+U), e.vr(u+2*U))
-				e.f("\t%s %s, %s, %s", e.op("add"), e.vr(u+U), e.vr(u), e.vr(u))
+				e.op3(e.op("add"), e.vr(u+U), e.vr(u), e.vr(u))
 			}
 			e.store(e.vr(u), "rdi", u, 0)
 		}
@@ -206,14 +231,14 @@ func emitX86(k *Kernel, p genParams) (string, error) {
 			e.load("rdx", u, 0, e.vr(u+U)) // c
 			if p.fma {
 				if p.foldMem {
-					e.f("\t%s %s, %s, %s", e.fmaOp("vfmadd231"), e.mem("rcx", u, 0), e.vr(u+U), e.vr(u))
+					e.ins(e.fmaOp("vfmadd231")).mem("rcx", u, 0).reg(e.vr(u + U)).reg(e.vr(u)).end()
 				} else {
 					e.load("rcx", u, 0, e.vr(u+2*U))
-					e.f("\t%s %s, %s, %s", e.fmaOp("vfmadd231"), e.vr(u+2*U), e.vr(u+U), e.vr(u))
+					e.op3(e.fmaOp("vfmadd231"), e.vr(u+2*U), e.vr(u+U), e.vr(u))
 				}
 			} else {
 				e.arith2Mem(e.op("mul"), "rcx", u, 0, e.vr(u+U), e.vr(u+U), e.vr(u+2*U))
-				e.f("\t%s %s, %s, %s", e.op("add"), e.vr(u+U), e.vr(u), e.vr(u))
+				e.op3(e.op("add"), e.vr(u+U), e.vr(u), e.vr(u))
 			}
 			e.store(e.vr(u), "rdi", u, 0)
 		}
@@ -226,7 +251,7 @@ func emitX86(k *Kernel, p genParams) (string, error) {
 		}
 
 	case KindPi:
-		emitPiX86(e, k)
+		emitPiX86(&e, k)
 
 	case KindJ2D5:
 		for u := 0; u < U; u++ {
@@ -234,52 +259,38 @@ func emitX86(k *Kernel, p genParams) (string, error) {
 			e.arith2Mem(e.op("add"), "rsi", u, 8, e.vr(u), e.vr(u), e.vr(u+U))
 			e.arith2Mem(e.op("add"), "r8", u, 0, e.vr(u), e.vr(u), e.vr(u+U))
 			e.arith2Mem(e.op("add"), "r9", u, 0, e.vr(u), e.vr(u), e.vr(u+U))
-			e.f("\t%s %s, %s, %s", e.op("mul"), e.vr(15), e.vr(u), e.vr(u))
+			e.op3(e.op("mul"), e.vr(15), e.vr(u), e.vr(u))
 			e.store(e.vr(u), "rdi", u, 0)
 		}
 
 	case KindJ3D7:
-		rows := []struct {
-			base  string
-			extra int
-		}{
+		emitStencilX86(&e, []rowRef{
 			{"rsi", -8}, {"rsi", 8}, {"r8", 0}, {"r9", 0}, {"r10", 0}, {"r11", 0},
-		}
-		emitStencilX86(e, rows, U)
+		}, U)
 
 	case KindJ3D11:
-		rows := []struct {
-			base  string
-			extra int
-		}{
+		emitStencilX86(&e, []rowRef{
 			{"rsi", -16}, {"rsi", -8}, {"rsi", 0}, {"rsi", 8}, {"rsi", 16},
 			{"r8", 0}, {"r9", 0}, {"r12", 0}, {"r13", 0}, {"r10", 0}, {"r11", 0},
-		}
-		emitStencilX86(e, rows, U)
+		}, U)
 
 	case KindJ3D27:
-		var rows []struct {
-			base  string
-			extra int
-		}
-		for _, b := range []string{"rsi", "rdx", "rcx", "r8", "r9", "r10", "r11", "r12", "r13"} {
-			for _, off := range []int{-8, 0, 8} {
-				rows = append(rows, struct {
-					base  string
-					extra int
-				}{b, off})
+		var rows [27]rowRef
+		for i, b := range [...]string{"rsi", "rdx", "rcx", "r8", "r9", "r10", "r11", "r12", "r13"} {
+			for j, off := range [...]int{-8, 0, 8} {
+				rows[3*i+j] = rowRef{b, off}
 			}
 		}
-		emitStencilX86(e, rows, U)
+		emitStencilX86(&e, rows[:], U)
 
 	case KindGS2D5:
-		emitGSX86(e)
+		emitGSX86(&e)
 
 	default:
-		return "", fmt.Errorf("emitX86: unhandled kernel kind %d", k.Kind)
+		return buf, fmt.Errorf("emitX86: unhandled kernel kind %d", k.Kind)
 	}
 	e.close(k)
-	return e.sb.String(), nil
+	return e.buf, nil
 }
 
 // fmaOp renders an FMA mnemonic at the current width.
@@ -292,16 +303,13 @@ func (e *x86Emitter) fmaOp(base string) string {
 
 // emitStencilX86 generates a neighbor-sum stencil: load first point, add
 // the rest, scale, store.
-func emitStencilX86(e *x86Emitter, rows []struct {
-	base  string
-	extra int
-}, U int) {
+func emitStencilX86(e *x86Emitter, rows []rowRef, U int) {
 	for u := 0; u < U; u++ {
 		e.load(rows[0].base, u, rows[0].extra, e.vr(u))
 		for _, r := range rows[1:] {
 			e.arith2Mem(e.op("add"), r.base, u, r.extra, e.vr(u), e.vr(u), e.vr(u+U))
 		}
-		e.f("\t%s %s, %s, %s", e.op("mul"), e.vr(15), e.vr(u), e.vr(u))
+		e.op3(e.op("mul"), e.vr(15), e.vr(u), e.vr(u))
 		e.store(e.vr(u), "rdi", u, 0)
 	}
 }
@@ -310,33 +318,33 @@ func emitStencilX86(e *x86Emitter, rows []struct {
 // the loop index; vectorized variants (Ofast) keep an iota vector.
 func emitPiX86(e *x86Emitter, k *Kernel) {
 	if e.p.scalar {
-		e.f("\tvcvtsi2sdq %%rax, %%xmm7, %%xmm1")
-		e.f("\tvaddsd %%xmm13, %%xmm1, %%xmm1") // + 0.5
-		e.f("\tvmulsd %%xmm14, %%xmm1, %%xmm1") // * dx
+		e.line("\tvcvtsi2sdq %rax, %xmm7, %xmm1")
+		e.line("\tvaddsd %xmm13, %xmm1, %xmm1") // + 0.5
+		e.line("\tvmulsd %xmm14, %xmm1, %xmm1") // * dx
 		if e.p.fma {
-			e.f("\tvfmadd213sd %%xmm12, %%xmm1, %%xmm1") // x*x + 1
+			e.line("\tvfmadd213sd %xmm12, %xmm1, %xmm1") // x*x + 1
 		} else {
-			e.f("\tvmulsd %%xmm1, %%xmm1, %%xmm1")
-			e.f("\tvaddsd %%xmm12, %%xmm1, %%xmm1")
+			e.line("\tvmulsd %xmm1, %xmm1, %xmm1")
+			e.line("\tvaddsd %xmm12, %xmm1, %xmm1")
 		}
-		e.f("\tvdivsd %%xmm1, %%xmm11, %%xmm1") // 4.0 / t
-		e.f("\tvaddsd %%xmm1, %%xmm0, %%xmm0")
+		e.line("\tvdivsd %xmm1, %xmm11, %xmm1") // 4.0 / t
+		e.line("\tvaddsd %xmm1, %xmm0, %xmm0")
 		return
 	}
 	U := e.p.unroll
 	for u := 0; u < U; u++ {
 		t := e.vr(4 + u%4)
-		e.f("\t%s %s, %s, %s", e.op("mul"), e.vr(14), e.vr(9), t) // x = iota*dx
+		e.op3(e.op("mul"), e.vr(14), e.vr(9), t) // x = iota*dx
 		if e.p.fma {
-			e.f("\t%s %s, %s, %s", e.fmaOp("vfmadd213"), e.vr(12), t, t)
+			e.op3(e.fmaOp("vfmadd213"), e.vr(12), t, t)
 		} else {
-			e.f("\t%s %s, %s, %s", e.op("mul"), t, t, t)
-			e.f("\t%s %s, %s, %s", e.op("add"), e.vr(12), t, t)
+			e.op3(e.op("mul"), t, t, t)
+			e.op3(e.op("add"), e.vr(12), t, t)
 		}
-		e.f("\t%s %s, %s, %s", e.op("div"), t, e.vr(11), t)
+		e.op3(e.op("div"), t, e.vr(11), t)
 		acc := e.vr(u % e.p.accs)
-		e.f("\t%s %s, %s, %s", e.op("add"), t, acc, acc)
-		e.f("\t%s %s, %s, %s", e.op("add"), e.vr(10), e.vr(9), e.vr(9)) // iota += lanes
+		e.op3(e.op("add"), t, acc, acc)
+		e.op3(e.op("add"), e.vr(10), e.vr(9), e.vr(9)) // iota += lanes
 	}
 }
 
@@ -354,23 +362,23 @@ func emitGSX86(e *x86Emitter) {
 		e.load("r8", 0, 0, "%xmm1")
 		e.arith2Mem("vaddsd", "r9", 0, 0, "%xmm1", "%xmm1", "%xmm2")
 		e.arith2Mem("vaddsd", "rsi", 0, 8, "%xmm1", "%xmm1", "%xmm2")
-		e.f("\tvmulsd %%xmm15, %%xmm1, %%xmm1")      // t = 0.25*sum3
-		e.f("\tvfmadd231sd %%xmm15, %%xmm0, %%xmm1") // t += 0.25*prev
+		e.line("\tvmulsd %xmm15, %xmm1, %xmm1")      // t = 0.25*sum3
+		e.line("\tvfmadd231sd %xmm15, %xmm0, %xmm1") // t += 0.25*prev
 		e.store("%xmm1", "rsi", 0, 0)
-		e.f("\tvmovsd %%xmm1, %%xmm0")
+		e.line("\tvmovsd %xmm1, %xmm0")
 	case e.p.gsMemRoundTrip:
 		e.load("rsi", 0, -8, "%xmm1")
 		e.arith2Mem("vaddsd", "rsi", 0, 8, "%xmm1", "%xmm1", "%xmm2")
 		e.arith2Mem("vaddsd", "r8", 0, 0, "%xmm1", "%xmm1", "%xmm2")
 		e.arith2Mem("vaddsd", "r9", 0, 0, "%xmm1", "%xmm1", "%xmm2")
-		e.f("\tvmulsd %%xmm15, %%xmm1, %%xmm1")
+		e.line("\tvmulsd %xmm15, %xmm1, %xmm1")
 		e.store("%xmm1", "rsi", 0, 0)
 	default:
 		e.load("r8", 0, 0, "%xmm1")
 		e.arith2Mem("vaddsd", "r9", 0, 0, "%xmm1", "%xmm1", "%xmm2")
 		e.arith2Mem("vaddsd", "rsi", 0, 8, "%xmm1", "%xmm1", "%xmm2")
-		e.f("\tvaddsd %%xmm0, %%xmm1, %%xmm1")
-		e.f("\tvmulsd %%xmm15, %%xmm1, %%xmm0")
+		e.line("\tvaddsd %xmm0, %xmm1, %xmm1")
+		e.line("\tvmulsd %xmm15, %xmm1, %xmm0")
 		e.store("%xmm0", "rsi", 0, 0)
 	}
 }

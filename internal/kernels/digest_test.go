@@ -22,16 +22,11 @@ const (
 // emittedText returns the assembly text Generate parses for tb.
 func emittedText(t *testing.T, tb TestBlock) string {
 	t.Helper()
-	p := deriveParams(tb.Kernel, tb.Config)
-	var (
-		text string
-		err  error
-	)
+	emit := emitX86
 	if tb.Config.Arch == "neoversev2" {
-		text, err = emitAArch64(tb.Kernel, p)
-	} else {
-		text, err = emitX86(tb.Kernel, p)
+		emit = emitAArch64
 	}
+	text, err := emitText(emit, tb.Kernel, deriveParams(tb.Kernel, tb.Config))
 	if err != nil {
 		t.Fatalf("%s: %v", tb.Block.Name, err)
 	}

@@ -281,31 +281,37 @@ func Generate(k *Kernel, cfg Config) (*isa.Block, error) {
 		return nil, fmt.Errorf("kernels: nil kernel")
 	}
 	p := deriveParams(k, cfg)
-	name := fmt.Sprintf("%s-%s-%s-%s", k.Name, cfg.Compiler, cfg.Opt, cfg.Arch)
-	var (
-		text string
-		err  error
-	)
+	name := k.Name + "-" + string(cfg.Compiler) + "-" + cfg.Opt.String() + "-" + cfg.Arch
+	emit, dialect := emitX86, isa.DialectX86
 	switch cfg.Arch {
 	case "goldencove", "zen4":
-		text, err = emitX86(k, p)
 	case "neoversev2":
-		text, err = emitAArch64(k, p)
+		emit, dialect = emitAArch64, isa.DialectAArch64
 	default:
 		return nil, fmt.Errorf("kernels: unsupported arch %q", cfg.Arch)
 	}
+	text, err := emitText(emit, k, p)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: %w", name, err)
-	}
-	dialect := isa.DialectX86
-	if cfg.Arch == "neoversev2" {
-		dialect = isa.DialectAArch64
 	}
 	b, err := isa.ParseBlock(name, cfg.Arch, dialect, text)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: generated assembly does not parse: %w", name, err)
 	}
 	return b, nil
+}
+
+// emitText runs emit into a pooled buffer and copies the body out once,
+// as the source text the parser reads.
+func emitText(emit func([]byte, *Kernel, genParams) ([]byte, error), k *Kernel, p genParams) (string, error) {
+	bp := emitBufs.Get().(*[]byte)
+	defer emitBufs.Put(bp)
+	buf, err := emit((*bp)[:0], k, p)
+	*bp = buf
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
 }
 
 // ElemsPerIter returns how many scalar elements one generated loop

@@ -18,7 +18,7 @@ import (
 // This file defines the memoized entry points the experiment runners
 // share. Keys are built from *content*, not identity: a block is keyed by
 // its architecture, dialect, and rendered assembly text — not its name —
-// so the suite's duplicate code bodies (416 test blocks, 290 unique)
+// so the suite's duplicate code bodies (416 test blocks, 229 unique)
 // collapse onto single computations, and so do identical analyses issued
 // by different experiments (fig3, ECM, node-perf all analyze the same
 // Ofast variants).
@@ -31,9 +31,20 @@ import (
 // survive across processes; see persist.go for the tiering contract.
 
 // BlockKey returns the content key of a block: everything that determines
-// an analysis or simulation outcome, excluding the display name.
+// an analysis or simulation outcome, excluding the display name. It is
+// arch, NUL, the decimal dialect, NUL and the block's Text, built in one
+// allocation of exact size.
 func BlockKey(b *isa.Block) string {
-	return b.Arch + "\x00" + strconv.Itoa(int(b.Dialect)) + "\x00" + b.Text()
+	var num [20]byte
+	dialect := strconv.AppendInt(num[:0], int64(b.Dialect), 10)
+	var sb strings.Builder
+	sb.Grow(len(b.Arch) + len(dialect) + 2 + b.TextLen())
+	sb.WriteString(b.Arch)
+	sb.WriteByte(0)
+	sb.Write(dialect)
+	sb.WriteByte(0)
+	b.WriteText(&sb)
+	return sb.String()
 }
 
 // simConfigKey folds every outcome-affecting Config field into the key.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strconv"
 	"testing"
 
 	"incore/internal/core"
@@ -11,7 +12,7 @@ import (
 
 // TestMemoKeysByContentNotName verifies that two blocks with identical
 // bodies but different names share one cached analysis — the property
-// that collapses the suite's 416 test blocks onto its 290 unique bodies.
+// that collapses the suite's 416 test blocks onto its 229 unique bodies.
 func TestMemoKeysByContentNotName(t *testing.T) {
 	m := uarch.MustGet("goldencove")
 	k, err := kernels.ByName("striad")
@@ -102,5 +103,38 @@ func TestMemoSimulateMatchesDirect(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 1 {
 		t.Errorf("traced run must bypass the cache: %+v", st)
+	}
+}
+
+// TestBlockKeyBytesAndAllocs pins BlockKey to its spelled-out definition —
+// arch, NUL, decimal dialect, NUL, then each label line and each
+// tab-indented instruction — over the whole suite, and to one allocation.
+// Store keys embed BlockKey, so a changed byte would turn every stored
+// entry cold.
+func TestBlockKeyBytesAndAllocs(t *testing.T) {
+	full, err := kernels.FullSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range full {
+		b := tb.Block
+		want := b.Arch + "\x00" + strconv.Itoa(int(b.Dialect)) + "\x00"
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Label != "" {
+				want += in.Label + ":\n"
+			}
+			want += "\t" + in.String() + "\n"
+		}
+		if got := BlockKey(b); got != want {
+			t.Fatalf("%s: BlockKey = %q, want %q", b.Name, got, want)
+		}
+	}
+	b := full[len(full)-1].Block
+	if allocs := testing.AllocsPerRun(100, func() { _ = BlockKey(b) }); allocs != 1 {
+		t.Errorf("BlockKey allocated %v times, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.Text() }); allocs != 1 {
+		t.Errorf("Text allocated %v times, want 1", allocs)
 	}
 }
