@@ -289,9 +289,12 @@ func suite() map[string]func(b *testing.B) {
 		"KernelsFullSuite":                        fullSuiteBench,
 		"ParseBlock/goldencove/striad":            parseBench(striadGLC),
 		"ParseBlock/neoversev2/j3d27":             parseBench(j3d27V2),
-		"MemsimStoreStream/neoversev2":            memsimStoreBench("neoversev2"),
-		"MemsimStoreStream/goldencove":            memsimStoreBench("goldencove"),
-		"MemsimStoreStream/zen4":                  memsimStoreBench("zen4"),
+		"MemsimStoreStream/neoversev2":            memsimBench("neoversev2", false),
+		"MemsimStoreStream/goldencove":            memsimBench("goldencove", false),
+		"MemsimStoreStream/zen4":                  memsimBench("zen4", false),
+		"MemsimTriad/neoversev2":                  memsimBench("neoversev2", true),
+		"MemsimTriad/goldencove":                  memsimBench("goldencove", true),
+		"MemsimTriad/zen4":                        memsimBench("zen4", true),
 		"CacheInsert":                             cacheInsertBench(),
 		"SimRun/goldencove/striad":                simBench(striadGLC, "goldencove"),
 		"SimRun/neoversev2/j3d27":                 simBench(j3d27V2, "neoversev2"),
@@ -360,16 +363,22 @@ func storeDiskBench(an *core.Analyzer, blk *isa.Block, arch string) func(b *test
 	}
 }
 
-// memsimStoreBench is one warm store-stream run — 8 cores, 2048 lines per
-// core — on a reused memsim System: the caches reset in place and the
-// controller queues keep the buffers they grew in the warmup run.
-func memsimStoreBench(key string) func(b *testing.B) {
+// memsimBench is one warm memsim run — 8 cores, 2048 lines per core per
+// stream — on a reused System: a store stream, or a triad with NT stores
+// on x86 as bw measures it. The run resets in place, and the controller
+// queues and replay schedules keep the buffers they grew in the warmup.
+func memsimBench(key string, triad bool) func(b *testing.B) {
 	sys, err := memsim.NewSystem(memsim.MustConfigFor(key))
 	if err != nil {
 		panic(err)
 	}
 	run := func() error {
-		_, err := sys.RunStoreStream(8, 2048, false)
+		var err error
+		if triad {
+			_, err = sys.RunTriad(8, 2048, key != "neoversev2")
+		} else {
+			_, err = sys.RunStoreStream(8, 2048, false)
+		}
 		return err
 	}
 	if err := run(); err != nil {

@@ -77,27 +77,25 @@ type setState struct {
 // the two identify a line equally, and the address needs no division to
 // form or to hand back as a victim.
 //
-// A cache from NewCache is in LRU mode. Only System.reset puts a cache in
-// first-touch mode, for a run whose stream layout proves that no line is
-// accessed twice. There Lookup counts a miss without scanning, and Insert
-// evicts round robin: with no hits a set's age order is its insertion
-// order, so once the ways have filled 0..W-1 the oldest way is a cursor
-// that advances by one per eviction. The cursor lives in the set's oldest
-// field and the age links are left alone. Hits and Invalidate are valid
-// only in LRU mode.
+// On a stream that never repeats a line there are no hits, so a set's
+// age order is its insertion order: the ways fill 0..W-1, then each
+// eviction takes the next way, round robin. A replayed System run (see
+// replay.go) drives each layout class's L1 and L2 with such a stream.
 type Cache struct {
-	cfg        CacheConfig
-	ways       int
-	nsets      uint64
-	pow2       bool   // nsets is a power of two: the set index is a mask
-	full       uint64 // valid mask of a full set
-	firstTouch bool   // no line repeats: no scans, round-robin victims
+	ways  int
+	nsets uint64
+	pow2  bool   // nsets is a power of two: the set index is a mask
+	full  uint64 // valid mask of a full set
 
 	addrs []LineAddr // per line: set s, way w at s*ways+w
 	lines []wayState // per line, same index
 	sets  []setState
 
-	// Stats.
+	CacheStats
+}
+
+// CacheStats counts a cache's lookups and evictions.
+type CacheStats struct {
 	Hits, Misses   int64
 	Evictions      int64
 	DirtyEvictions int64
@@ -111,7 +109,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, fmt.Errorf("memsim: cache %+v: need 1..%d ways and a positive size and line size", cfg, maxWays)
 	}
 	c := &Cache{
-		cfg:   cfg,
 		ways:  cfg.Ways,
 		nsets: uint64(n),
 		pow2:  n&(n-1) == 0,
@@ -120,23 +117,17 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		lines: make([]wayState, n*cfg.Ways),
 		sets:  make([]setState, n),
 	}
-	c.reset(false)
+	c.reset()
 	return c, nil
 }
 
-// reset empties the cache in place, zeroes its stats and sets its mode.
-// In first-touch mode every set's victim cursor starts at way 0.
-func (c *Cache) reset(firstTouch bool) {
-	c.firstTouch = firstTouch
-	empty := setState{oldest: noWay, newest: noWay}
-	if firstTouch {
-		empty.oldest = 0
-	}
+// reset empties the cache in place and zeroes its stats.
+func (c *Cache) reset() {
 	for s := range c.sets {
-		c.sets[s] = empty
+		c.sets[s] = setState{oldest: noWay, newest: noWay}
 	}
 	clear(c.lines)
-	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
+	c.CacheStats = CacheStats{}
 }
 
 // setOf returns the set a line maps to.
@@ -190,12 +181,8 @@ func (c *Cache) pushNewest(s, w int) {
 }
 
 // Lookup probes the cache; on a hit it updates LRU state and, for writes,
-// the dirty bit. In first-touch mode it counts a miss without probing.
+// the dirty bit.
 func (c *Cache) Lookup(a LineAddr, write bool) bool {
-	if c.firstTouch {
-		c.Misses++
-		return false
-	}
 	s := c.setOf(a)
 	w := c.find(s, a)
 	if w < 0 {
@@ -225,18 +212,9 @@ func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evicte
 		w = bits.TrailingZeros64(free)
 		st.valid |= 1 << uint(w)
 	} else {
-		// Evict LRU: the age list's head, or in first-touch mode the
-		// round-robin cursor.
+		// Evict LRU: the age list's head.
 		w = int(st.oldest)
-		if c.firstTouch {
-			next := w + 1
-			if next == c.ways {
-				next = 0
-			}
-			st.oldest = uint8(next)
-		} else {
-			c.unlink(s, w)
-		}
+		c.unlink(s, w)
 		i := s*c.ways + w
 		victim = c.addrs[i]
 		evicted, evictedDirty = true, c.lines[i].dirty
@@ -248,26 +226,8 @@ func (c *Cache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evicte
 	i := s*c.ways + w
 	c.addrs[i] = a
 	c.lines[i].dirty = dirty
-	if !c.firstTouch {
-		c.pushNewest(s, w)
-	}
+	c.pushNewest(s, w)
 	return victim, evicted, evictedDirty
-}
-
-// Invalidate drops a line if present, returning whether it was dirty.
-// It is valid only in LRU mode.
-func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
-	s := c.setOf(a)
-	w := c.find(s, a)
-	if w < 0 {
-		return false, false
-	}
-	c.unlink(s, w)
-	c.sets[s].valid &^= 1 << uint(w)
-	i := s*c.ways + w
-	dirty = c.lines[i].dirty
-	c.lines[i].dirty = false
-	return true, dirty
 }
 
 // FlushDirty visits every dirty line, invokes fn, and marks it clean.
@@ -283,6 +243,3 @@ func (c *Cache) FlushDirty(fn func(LineAddr)) {
 		}
 	}
 }
-
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }

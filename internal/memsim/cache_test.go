@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// Invalidate drops a line if present, returning whether it was dirty.
+// Only tests invalidate: the simulator never does.
+func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
+	s := c.setOf(a)
+	w := c.find(s, a)
+	if w < 0 {
+		return false, false
+	}
+	c.unlink(s, w)
+	c.sets[s].valid &^= 1 << uint(w)
+	i := s*c.ways + w
+	dirty = c.lines[i].dirty
+	c.lines[i].dirty = false
+	return true, dirty
+}
+
 func testCache() *Cache {
 	c, err := NewCache(CacheConfig{SizeBytes: 4096, Ways: 4, LineBytes: 64})
 	if err != nil {
@@ -180,7 +196,7 @@ func TestCacheMatchesScanLRU(t *testing.T) {
 							t.Fatalf("op %d: FlushDirty visited %v, want %v", op, gotFlush, wantFlush)
 						}
 					default:
-						got.reset(false)
+						got.reset()
 						want = newRefCache(cfg)
 					}
 					if got.Hits != want.Hits || got.Misses != want.Misses ||
@@ -210,27 +226,75 @@ func testGeometries() []CacheConfig {
 	return geoms
 }
 
-// TestCacheFirstTouchMatchesLRU drives a first-touch cache and an LRU
-// cache with the same seeded sequences of distinct addresses, each a
+// rrCache is the round-robin model of a cache that never sees a line
+// twice: with no hits a set's age order is its insertion order, so its
+// ways fill 0..W-1 and then each eviction takes the next way.
+type rrCache struct {
+	addrs        []LineAddr
+	dirty        []bool
+	filled, next []int // per set
+	nsets, ways  int
+
+	CacheStats
+}
+
+func newRRCache(cfg CacheConfig) *rrCache {
+	n := cfg.Sets()
+	return &rrCache{
+		addrs: make([]LineAddr, n*cfg.Ways), dirty: make([]bool, n*cfg.Ways),
+		filled: make([]int, n), next: make([]int, n),
+		nsets: n, ways: cfg.Ways,
+	}
+}
+
+func (c *rrCache) Insert(a LineAddr, dirty bool) (victim LineAddr, evicted, evictedDirty bool) {
+	s := int(uint64(a) % uint64(c.nsets))
+	w := c.filled[s]
+	if w < c.ways {
+		c.filled[s]++
+	} else {
+		w = c.next[s]
+		c.next[s] = (w + 1) % c.ways
+		victim, evicted, evictedDirty = c.addrs[s*c.ways+w], true, c.dirty[s*c.ways+w]
+		c.Evictions++
+		if evictedDirty {
+			c.DirtyEvictions++
+		}
+	}
+	c.addrs[s*c.ways+w], c.dirty[s*c.ways+w] = a, dirty
+	return victim, evicted, evictedDirty
+}
+
+func (c *rrCache) FlushDirty(fn func(LineAddr)) {
+	for s := 0; s < c.nsets; s++ {
+		for w := 0; w < c.filled[s]; w++ {
+			if i := s*c.ways + w; c.dirty[i] {
+				fn(c.addrs[i])
+				c.dirty[i] = false
+			}
+		}
+	}
+}
+
+// TestCacheFirstTouchMatchesLRU drives the LRU cache and the round-robin
+// model with the same seeded sequences of distinct addresses, each a
 // Lookup miss then an Insert, mixed with flushes and in-place resets, and
-// requires identical victims, stats and flush order throughout.
+// requires identical victims, stats and flush order throughout. A
+// replayed System run depends on this: its private caches only ever see
+// such sequences.
 func TestCacheFirstTouchMatchesLRU(t *testing.T) {
 	for gi, cfg := range testGeometries() {
 		for seed := int64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("%dsets/%dways/seed%d", cfg.Sets(), cfg.Ways, seed)
 			t.Run(name, func(t *testing.T) {
-				ft, err := NewCache(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ft.reset(true)
+				rr := newRRCache(cfg)
 				lru, err := NewCache(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(seed*1000 + int64(gi)))
 				var a LineAddr
-				var ftFlush, lruFlush []LineAddr
+				var rrFlush, lruFlush []LineAddr
 				evictions := 0
 				for op := 0; op < 4000; op++ {
 					switch k := rng.Intn(1000); {
@@ -239,33 +303,31 @@ func TestCacheFirstTouchMatchesLRU(t *testing.T) {
 						// unevenly over the sets.
 						a += 1 + LineAddr(rng.Intn(2*cfg.Sets()))
 						w, d := rng.Intn(2) == 0, rng.Intn(2) == 0
-						if ft.Lookup(a, w) || lru.Lookup(a, w) {
+						if lru.Lookup(a, w) {
 							t.Fatalf("op %d: Lookup(%d) hit a line never inserted", op, a)
 						}
-						fv, fe, fd := ft.Insert(a, d)
+						rr.Misses++
+						rv, re, rd := rr.Insert(a, d)
 						lv, le, ld := lru.Insert(a, d)
-						if fv != lv || fe != le || fd != ld {
-							t.Fatalf("op %d: Insert(%d, %t) = (%d, %t, %t), LRU (%d, %t, %t)",
-								op, a, d, fv, fe, fd, lv, le, ld)
+						if rv != lv || re != le || rd != ld {
+							t.Fatalf("op %d: Insert(%d, %t) = (%d, %t, %t), round robin (%d, %t, %t)",
+								op, a, d, lv, le, ld, rv, re, rd)
 						} else if le {
 							evictions++
 						}
 					case k < 998:
-						ftFlush, lruFlush = ftFlush[:0], lruFlush[:0]
-						ft.FlushDirty(func(a LineAddr) { ftFlush = append(ftFlush, a) })
+						rrFlush, lruFlush = rrFlush[:0], lruFlush[:0]
+						rr.FlushDirty(func(a LineAddr) { rrFlush = append(rrFlush, a) })
 						lru.FlushDirty(func(a LineAddr) { lruFlush = append(lruFlush, a) })
-						if fmt.Sprint(ftFlush) != fmt.Sprint(lruFlush) {
-							t.Fatalf("op %d: FlushDirty visited %v, LRU %v", op, ftFlush, lruFlush)
+						if fmt.Sprint(rrFlush) != fmt.Sprint(lruFlush) {
+							t.Fatalf("op %d: FlushDirty visited %v, round robin %v", op, lruFlush, rrFlush)
 						}
 					default:
-						ft.reset(true)
-						lru.reset(false)
+						rr = newRRCache(cfg)
+						lru.reset()
 					}
-					if ft.Hits != lru.Hits || ft.Misses != lru.Misses ||
-						ft.Evictions != lru.Evictions || ft.DirtyEvictions != lru.DirtyEvictions {
-						t.Fatalf("op %d: stats (%d, %d, %d, %d), LRU (%d, %d, %d, %d)", op,
-							ft.Hits, ft.Misses, ft.Evictions, ft.DirtyEvictions,
-							lru.Hits, lru.Misses, lru.Evictions, lru.DirtyEvictions)
+					if rr.CacheStats != lru.CacheStats {
+						t.Fatalf("op %d: stats %+v, round robin %+v", op, lru.CacheStats, rr.CacheStats)
 					}
 				}
 				if evictions == 0 {

@@ -5,10 +5,11 @@ package memsim
 // every TrafficResult must match exactly: the cache and queue data
 // structures may change, the simulated events may not.
 //
-// Every golden case touches each line at most once, so it runs on the
-// caches' first-touch path (no lookup scans, round-robin victims).
-// TestGoldenFirstTouchMatchesLRU reruns each case forced onto the LRU
-// path and requires the same results and per-cache counters.
+// Every golden case touches each line at most once, so it is replayed:
+// each layout class's private caches run once and every core replays
+// their schedule (replay.go). TestGoldenFirstTouchMatchesLRU reruns each
+// case forced onto the LRU path and requires the same results and
+// per-cache counters.
 //
 // Regenerate (only when the simulator's *intended* semantics change):
 //
@@ -43,12 +44,11 @@ var goldenWorkloads = []struct {
 }
 
 // goldenRun is one golden case's outcome: its result, the counters of
-// every cache of the system, and whether the run took the first-touch
-// path.
+// every cache of the system, and whether the run was replayed.
 type goldenRun struct {
-	result     TrafficResult
-	counts     []cacheCounts
-	firstTouch bool
+	result   TrafficResult
+	counts   []cacheCounts
+	replayed bool
 }
 
 // goldenRuns runs every workload at 1 core, half the socket and the full
@@ -68,7 +68,7 @@ func goldenRuns(t *testing.T, forceLRU bool) map[string]goldenRun {
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", key, w.name, n, err)
 				}
-				got[fmt.Sprintf("%s/%s/%d", key, w.name, n)] = goldenRun{r, counters(s), s.l3[0].firstTouch}
+				got[fmt.Sprintf("%s/%s/%d", key, w.name, n)] = goldenRun{r, counters(s), s.replay}
 			}
 		}
 	}
@@ -76,22 +76,22 @@ func goldenRuns(t *testing.T, forceLRU bool) map[string]goldenRun {
 }
 
 // TestGoldenFirstTouchMatchesLRU runs every golden case on the default
-// path, which the layout check sends to first-touch mode, and again
-// forced onto the LRU path. Both must give the same TrafficResult and
-// the same per-cache counters.
+// path, which the layout check sends to the replay, and again forced
+// onto the LRU path, which simulates every cache. Both must give the
+// same TrafficResult and the same per-cache counters.
 func TestGoldenFirstTouchMatchesLRU(t *testing.T) {
 	ft, lru := goldenRuns(t, false), goldenRuns(t, true)
 	for name, f := range ft {
 		l := lru[name]
-		if !f.firstTouch || l.firstTouch {
-			t.Fatalf("%s: first-touch mode %t on the default path, %t forced LRU; want true, false",
-				name, f.firstTouch, l.firstTouch)
+		if !f.replayed || l.replayed {
+			t.Fatalf("%s: replayed %t on the default path, %t forced LRU; want true, false",
+				name, f.replayed, l.replayed)
 		}
 		if f.result != l.result {
-			t.Errorf("%s: first-touch %+v, LRU %+v", name, f.result, l.result)
+			t.Errorf("%s: replayed %+v, LRU %+v", name, f.result, l.result)
 		}
 		if !slices.Equal(f.counts, l.counts) {
-			t.Errorf("%s: first-touch counters %v, LRU %v", name, f.counts, l.counts)
+			t.Errorf("%s: replayed counters %v, LRU %v", name, f.counts, l.counts)
 		}
 	}
 }

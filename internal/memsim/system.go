@@ -162,6 +162,14 @@ type simCore struct {
 	ntResidAcc  float64
 	storedBytes int64
 	loadedBytes int64
+
+	// A replayed core takes its L1 and L2 behaviour from its layout
+	// class: class indexes System.classes, handoff is the class's
+	// schedule, and l3shift is the core's shift from the class's
+	// representative modulo the L3 set count.
+	class   int
+	handoff []uint32
+	l3shift uint32
 }
 
 // workStream is one array stream of a workload: a base address and
@@ -183,8 +191,16 @@ type System struct {
 	completed []int
 	// bases holds the current run's stream bases for the layout check.
 	bases []LineAddr
-	// forceLRU keeps every cache in LRU mode even when the layout check
-	// passes; only package tests set it.
+
+	// replay is set for a run whose layout check passed: its cores
+	// replay their classes' private-cache schedules and its L3 slices
+	// are fills (replay.go). classes and fills keep their buffers across
+	// runs.
+	replay  bool
+	classes []replayClass
+	fills   []l3Fill
+	// forceLRU simulates every cache even when the layout check passes;
+	// only package tests set it.
 	forceLRU bool
 }
 
@@ -206,6 +222,7 @@ func NewSystem(cfg Config) (*System, error) {
 		ctl.reset(cfg)
 		s.l3 = append(s.l3, l3)
 		s.ctrl = append(s.ctrl, ctl)
+		s.fills = append(s.fills, l3Fill{filled: make([]uint8, cfg.L3.Sets()), ways: uint8(cfg.L3.Ways)})
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1, err := NewCache(cfg.L1)
@@ -308,7 +325,6 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 	regionLines := LineAddr(1 << (30 - lineShift))
 	act := s.cores[:active]
 	for i, c := range act {
-		c.domain = s.domainOf(i, active)
 		c.strides = c.strides[:0]
 		for _, st := range streams {
 			c.strides = append(c.strides, workStream{
@@ -318,9 +334,21 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 			})
 		}
 	}
-	s.reset(!s.forceLRU && s.linesNeverRepeat(act, linesPerCore))
-	for _, c := range act {
+	return s.simulate(act, linesPerCore)
+}
+
+// simulate runs the active cores over their laid-out streams, linesPerCore
+// iterations each.
+func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, error) {
+	active := len(act)
+	s.reset()
+	for i, c := range act {
+		c.domain = s.domainOf(i, active)
 		c.done = false
+	}
+	s.replay = !s.forceLRU && s.linesNeverRepeat(act, linesPerCore)
+	if s.replay {
+		s.schedule(act, linesPerCore)
 	}
 
 	// Issue rate: CoreGBs of *stored* bytes per second translates into
@@ -362,18 +390,10 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 			// Trailing writebacks: dirty lines still in the caches
 			// drain through the controllers like any other traffic.
 			for _, c := range act {
-				ctl := s.ctrl[c.domain]
-				flush := func(a LineAddr) {
-					ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes})
-				}
-				c.l1.FlushDirty(flush)
-				c.l2.FlushDirty(flush)
+				s.writeback(c.domain, c.id, s.privateDirty(c))
 			}
-			for d, l3 := range s.l3 {
-				ctl := s.ctrl[d]
-				l3.FlushDirty(func(a LineAddr) {
-					ctl.enqueue(request{core: 0, bytes: s.cfg.LineBytes})
-				})
+			for d := range s.l3 {
+				s.writeback(d, 0, s.l3Dirty(d))
 			}
 			flushed = true
 		}
@@ -400,6 +420,9 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		}
 	}
 
+	if s.replay {
+		s.settleL3Stats(act)
+	}
 	for _, ctl := range s.ctrl {
 		res.MemReadBytes += ctl.ReadBytes
 		res.MemWriteBytes += ctl.WriteBytes
@@ -435,39 +458,61 @@ func (s *System) linesNeverRepeat(act []*simCore, linesPerCore int) bool {
 // issueIteration performs one iteration (one line per stream) for a core.
 func (s *System) issueIteration(c *simCore, active int) {
 	lb := int64(s.cfg.LineBytes)
-	for _, st := range c.strides {
+	access := int(c.cursor) * len(c.strides)
+	for j, st := range c.strides {
 		addr := st.base + LineAddr(c.cursor)
 		switch {
 		case st.write && st.nt:
 			s.ntStore(c, active)
 			c.storedBytes += lb
 		case st.write:
-			s.store(c, addr)
+			s.store(c, access+j, addr)
 			c.storedBytes += lb
 		default:
-			s.load(c, addr)
+			s.load(c, access+j, addr)
 			c.loadedBytes += lb
 		}
 	}
 	c.cursor++
 }
 
-// store handles a standard full-line store.
-func (s *System) store(c *simCore, a LineAddr) {
+// hit looks a line up in the core's L1, L2 and L3, filling L1 from a
+// lower level. A replayed run never looks up: no line repeats, so every
+// lookup would miss, and the misses are counted in bulk.
+func (s *System) hit(c *simCore, a LineAddr, write bool) bool {
+	if s.replay {
+		return false
+	}
+	if c.l1.Lookup(a, write) {
+		return true
+	}
+	if c.l2.Lookup(a, write) || s.l3[c.domain].Lookup(a, write) {
+		s.insertL1(c, a, write)
+		return true
+	}
+	return false
+}
+
+// allocate fills a missed line into the core's L1. In a replayed run the
+// class schedule says which line, if any, the private caches hand to L3
+// for this access.
+func (s *System) allocate(c *simCore, access int, a LineAddr, dirty bool) {
+	if !s.replay {
+		s.insertL1(c, a, dirty)
+		return
+	}
+	if h := c.handoff[access]; h != 0 && s.fills[c.domain].insert(h-1+c.l3shift) {
+		s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+	}
+}
+
+// store handles a standard full-line store of the core's access-th line.
+func (s *System) store(c *simCore, access int, a LineAddr) {
 	streaming := false
 	if s.cfg.Policy == PolicyAutoClaim {
 		streaming = c.detector.Observe(a)
 	}
-	if c.l1.Lookup(a, true) {
-		return
-	}
-	if c.l2.Lookup(a, true) {
-		s.insertL1(c, a, true)
-		return
-	}
-	l3 := s.l3[c.domain]
-	if l3.Lookup(a, true) {
-		s.insertL1(c, a, true)
+	if s.hit(c, a, true) {
 		return
 	}
 	ctl := s.ctrl[c.domain]
@@ -484,26 +529,17 @@ func (s *System) store(c *simCore, a LineAddr) {
 		ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
 		c.outstanding++
 	}
-	s.insertL1(c, a, true)
+	s.allocate(c, access, a, true)
 }
 
-// load handles a full-line read.
-func (s *System) load(c *simCore, a LineAddr) {
-	if c.l1.Lookup(a, false) {
+// load handles a full-line read of the core's access-th line.
+func (s *System) load(c *simCore, access int, a LineAddr) {
+	if s.hit(c, a, false) {
 		return
 	}
-	if c.l2.Lookup(a, false) {
-		s.insertL1(c, a, false)
-		return
-	}
-	if s.l3[c.domain].Lookup(a, false) {
-		s.insertL1(c, a, false)
-		return
-	}
-	ctl := s.ctrl[c.domain]
-	ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
+	s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
 	c.outstanding++
-	s.insertL1(c, a, false)
+	s.allocate(c, access, a, false)
 }
 
 // ntStore handles a non-temporal full-line store through write-combining
@@ -539,13 +575,12 @@ func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
 	}
 }
 
-// reset clears all state for a fresh run and puts every cache in
-// first-touch or LRU mode.
-func (s *System) reset(firstTouch bool) {
+// reset clears all state for a fresh run.
+func (s *System) reset() {
 	for i := range s.cores {
 		c := s.cores[i]
-		c.l1.reset(firstTouch)
-		c.l2.reset(firstTouch)
+		c.l1.reset()
+		c.l2.reset()
 		c.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
 		c.outstanding = 0
 		c.issueAcc = 0
@@ -556,18 +591,41 @@ func (s *System) reset(firstTouch bool) {
 		c.loadedBytes = 0
 	}
 	for d := range s.l3 {
-		s.l3[d].reset(firstTouch)
+		s.l3[d].reset()
+		s.fills[d].reset()
 		s.ctrl[d].reset(s.cfg)
 	}
 	clear(s.completed)
 	s.ticks = 0
 }
 
-// Utilization returns each domain controller's utilization EMA (tests).
-func (s *System) Utilization() []float64 {
-	out := make([]float64, len(s.ctrl))
-	for i, c := range s.ctrl {
-		out[i] = c.util
+// writeback queues n line writebacks on domain d's controller.
+func (s *System) writeback(d, core, n int) {
+	for ; n > 0; n-- {
+		s.ctrl[d].enqueue(request{core: core, bytes: s.cfg.LineBytes})
 	}
-	return out
+}
+
+// privateDirty marks the core's dirty L1 and L2 lines clean and returns
+// how many there were.
+func (s *System) privateDirty(c *simCore) int {
+	if s.replay {
+		return s.classes[c.class].dirty
+	}
+	n := 0
+	count := func(LineAddr) { n++ }
+	c.l1.FlushDirty(count)
+	c.l2.FlushDirty(count)
+	return n
+}
+
+// l3Dirty marks domain d's dirty L3 lines clean and returns how many
+// there were.
+func (s *System) l3Dirty(d int) int {
+	if s.replay {
+		return s.fills[d].lines
+	}
+	n := 0
+	s.l3[d].FlushDirty(func(LineAddr) { n++ })
+	return n
 }

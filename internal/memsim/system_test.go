@@ -244,8 +244,8 @@ func TestInPlaceUpdateTakesLRUPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cores[0].l1.firstTouch || s.l3[0].firstTouch {
-		t.Fatal("layout check chose first-touch mode for a workload that repeats lines")
+	if s.replay {
+		t.Fatal("layout check chose the replay for a workload that repeats lines")
 	}
 	if h := s.cores[0].l1.Hits; h == 0 {
 		t.Fatal("in-place update: no L1 hits")
@@ -263,6 +263,75 @@ func TestInPlaceUpdateTakesLRUPath(t *testing.T) {
 	}
 	if wantCounts := counters(lru); !slices.Equal(gotCounts, wantCounts) {
 		t.Errorf("counters %v, forced LRU %v", gotCounts, wantCounts)
+	}
+}
+
+// TestReplayLayoutClasses replays a triad whose four cores form three
+// layout classes, and requires the same result and per-cache counters as
+// the run forced onto the LRU path. Each core has its own region, shifted
+// per stream: core 1's streams all by 3 lines, which is not a multiple of
+// the L2 set count; core 2's by 0, 5 and 16 lines; core 3's all by 64,
+// which joins core 0's class. Core 0 has the highest region, so core 3
+// lies below its class representative.
+func TestReplayLayoutClasses(t *testing.T) {
+	shifts := [][3]LineAddr{{0, 0, 0}, {3, 3, 3}, {0, 5, 16}, {64, 64, 64}}
+	run := func(forceLRU bool) (*System, TrafficResult) {
+		s := sys(t, "neoversev2")
+		s.forceLRU = forceLRU
+		act := s.cores[:len(shifts)]
+		for i, c := range act {
+			region := LineAddr(len(act)-1-i) << 27
+			c.strides = []workStream{
+				{base: 1<<24 + region + shifts[i][0]},
+				{base: 2<<24 + region + shifts[i][1]},
+				{base: region + shifts[i][2], write: true},
+			}
+		}
+		r, err := s.simulate(act, testLines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, r
+	}
+	s, got := run(false)
+	if !s.replay {
+		t.Fatal("layout check rejected a layout that never repeats a line")
+	}
+	var classes []int
+	for _, c := range s.cores[:len(shifts)] {
+		classes = append(classes, c.class)
+	}
+	if want := []int{0, 1, 2, 0}; !slices.Equal(classes, want) {
+		t.Fatalf("layout classes %v, want %v", classes, want)
+	}
+	if s.l3[0].Evictions == 0 {
+		t.Fatal("no L3 evictions: the layout does not fill the L3")
+	}
+	lru, want := run(true)
+	if got != want {
+		t.Errorf("result %+v, forced LRU %+v", got, want)
+	}
+	if g, w := counters(s), counters(lru); !slices.Equal(g, w) {
+		t.Errorf("counters %v, forced LRU %v", g, w)
+	}
+}
+
+// TestWarmReplayAllocatesNothing reruns a replayed run on a reused
+// System: the class schedules, the L3 fill counts and the controller
+// rings keep their buffers, so a warm run allocates nothing.
+func TestWarmReplayAllocatesNothing(t *testing.T) {
+	s := sys(t, "goldencove")
+	run := func() {
+		if _, err := s.RunTriad(8, 2048, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if !s.replay {
+		t.Fatal("triad not replayed")
+	}
+	if n := testing.AllocsPerRun(3, run); n != 0 {
+		t.Errorf("warm replayed triad: %v allocs per run, want 0", n)
 	}
 }
 
