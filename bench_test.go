@@ -312,7 +312,10 @@ func BenchmarkSuiteGeneration(b *testing.B) {
 }
 
 func BenchmarkFreqGovernor(b *testing.B) {
-	g := freq.MustFor("goldencove")
+	g, err := freq.For("goldencove")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Curve(isa.ExtAVX512); err != nil {

@@ -30,14 +30,6 @@ type Result struct {
 	TheoreticalGBs float64
 }
 
-// Efficiency is measured/theoretical.
-func (r *Result) Efficiency() float64 {
-	if r.TheoreticalGBs == 0 {
-		return 0
-	}
-	return r.PeakGBs / r.TheoreticalGBs
-}
-
 // linesPerCore keeps the run fast while staying far above the scaled
 // cache capacity.
 const linesPerCore = 8192

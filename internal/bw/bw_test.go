@@ -28,7 +28,7 @@ func TestEfficiencyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eff[key] = res.Efficiency()
+		eff[key] = res.PeakGBs / res.TheoreticalGBs
 	}
 	if !(eff["zen4"] < eff["neoversev2"]) || !(eff["zen4"] < eff["goldencove"]) {
 		t.Errorf("Genoa must have the lowest BW efficiency: %+v", eff)

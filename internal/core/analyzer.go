@@ -222,16 +222,6 @@ func (a *Analyzer) AnalyzeArena(b *isa.Block, m *uarch.Model, sk *depgraph.Skele
 	return res, nil
 }
 
-// Predict is a convenience wrapper returning only the predicted cycles per
-// iteration.
-func (a *Analyzer) Predict(b *isa.Block, m *uarch.Model) (float64, error) {
-	r, err := a.Analyze(b, m)
-	if err != nil {
-		return 0, err
-	}
-	return r.Prediction, nil
-}
-
 // CyclesPerElement converts a per-iteration prediction into cycles per
 // scalar element given how many elements one block iteration processes.
 func CyclesPerElement(cyclesPerIter float64, elemsPerIter int) (float64, error) {

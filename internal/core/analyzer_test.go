@@ -128,18 +128,6 @@ func TestAnalyzeInvalidBlock(t *testing.T) {
 	}
 }
 
-func TestPredictConvenience(t *testing.T) {
-	m := uarch.MustGet("goldencove")
-	b, err := isa.ParseBlock("t", "goldencove", m.Dialect, "\tvaddpd %zmm1, %zmm2, %zmm3\n\tjne .L0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New().Predict(b, m)
-	if err != nil || p <= 0 {
-		t.Errorf("Predict = %f, %v", p, err)
-	}
-}
-
 func TestPortPressureSumsToWork(t *testing.T) {
 	res := analyze(t, "zen4", `
 	vaddpd %ymm1, %ymm2, %ymm3

@@ -40,7 +40,7 @@ type ResultArena struct {
 	shares   []float64
 	loads    []float64
 
-	// Distinct-mask aggregation for OptimalPortBound, plus an
+	// Distinct-mask aggregation for optimalBound, plus an
 	// epoch-stamped direct-index table for union dedup: seen[u] == epoch
 	// marks union u visited in the current call, so reuse never requires
 	// zeroing the table.

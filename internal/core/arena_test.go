@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"incore/internal/depgraph"
+	"incore/internal/isa"
 	"incore/internal/kernels"
 	"incore/internal/uarch"
 )
@@ -64,7 +65,7 @@ func TestAnalyzeCompiledMatchesAnalyze(t *testing.T) {
 func TestArenaResultInvalidatedByReuse(t *testing.T) {
 	an := New()
 	m := uarch.MustGet("zen4")
-	mk := func(name string) (*depgraph.Skeleton, []uarch.Desc, *Result) {
+	mk := func(name string) (*isa.Block, *depgraph.Skeleton, []uarch.Desc, *Result) {
 		k, err := kernels.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -85,18 +86,18 @@ func TestArenaResultInvalidatedByReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sk, descs, want
+		return b, sk, descs, want
 	}
-	sk1, d1, want1 := mk("striad")
-	sk2, d2, want2 := mk("sum")
+	b1, sk1, d1, want1 := mk("striad")
+	b2, sk2, d2, want2 := mk("sum")
 
 	ar := &ResultArena{}
-	r1, err := an.AnalyzeArena(sk1.Block(), m, sk1, d1, ar)
+	r1, err := an.AnalyzeArena(b1, m, sk1, d1, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1 := r1.Prediction
-	r2, err := an.AnalyzeArena(sk2.Block(), m, sk2, d2, ar)
+	r2, err := an.AnalyzeArena(b2, m, sk2, d2, ar)
 	if err != nil {
 		t.Fatal(err)
 	}

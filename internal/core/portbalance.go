@@ -14,9 +14,9 @@ type balanceJob struct {
 	Cycles float64
 }
 
-// OptimalPortBound computes the exact minimum achievable maximum port load
+// optimalBound computes the exact minimum achievable maximum port load
 // (in cycles) for a set of splittable µ-ops with port restrictions over a
-// machine with nPorts ports.
+// machine with nPorts ports, on this arena's balancer state.
 //
 // For splittable jobs under restricted assignment the optimum equals
 //
@@ -26,13 +26,6 @@ type balanceJob struct {
 // contained in S, and the maximizing S can be chosen as a union of job
 // candidate sets. The number of distinct candidate sets in a real machine
 // model is small, so enumerating all unions is cheap and exact.
-func OptimalPortBound(jobs []balanceJob, nPorts int) float64 {
-	s := arenaPool.Get().(*ResultArena)
-	defer arenaPool.Put(s)
-	return s.optimalBound(jobs, nPorts)
-}
-
-// optimalBound is OptimalPortBound on this arena's balancer state.
 func (s *ResultArena) optimalBound(jobs []balanceJob, nPorts int) float64 {
 	// Aggregate work per distinct mask, in job order. Real models carry
 	// ~10 distinct masks, so a linear scan beats hashing.
@@ -109,21 +102,11 @@ func (s *ResultArena) optimalBound(jobs []balanceJob, nPorts int) float64 {
 	return best
 }
 
-// HeuristicAssignment distributes µ-op cycles across ports with an
-// iterative proportional water-filling heuristic and returns the per-port
-// load vector. It is used for the per-port pressure *report*; the bound
-// itself comes from OptimalPortBound. nPorts caps the port index range.
-func HeuristicAssignment(jobs []balanceJob, nPorts int) []float64 {
-	s := arenaPool.Get().(*ResultArena)
-	defer arenaPool.Put(s)
-	loads := s.heuristicInto(jobs, nPorts)
-	out := make([]float64, len(loads))
-	copy(out, loads)
-	return out
-}
-
-// heuristicInto is HeuristicAssignment on this arena's balancer state; the
-// returned slice is s.loads and valid until the arena's next use.
+// heuristicInto distributes µ-op cycles across ports with an iterative
+// proportional water-filling heuristic and returns the per-port load
+// vector. It is used for the per-port pressure *report*; the bound itself
+// comes from optimalBound. nPorts caps the port index range. The returned
+// slice is s.loads and valid until the arena's next use.
 //
 // The splits live in one flat shares array (portSpan[j]..portSpan[j+1] is
 // job j's span over ports) instead of a jagged per-job matrix, and the
@@ -194,19 +177,12 @@ func (s *ResultArena) heuristicInto(jobs []balanceJob, nPorts int) []float64 {
 	return loads
 }
 
-// GreedyPortBound assigns each µ-op entirely to the currently
-// least-loaded candidate port in instruction order (no splitting, no
-// lookahead) and returns the resulting maximum port load. This mirrors
-// what a naive scheduler model (and the hardware's oldest-first pickers)
-// achieves and is exposed for the ablation study of the port-balancing
-// design choice (DESIGN.md #1).
-func GreedyPortBound(jobs []balanceJob, nPorts int) float64 {
-	s := arenaPool.Get().(*ResultArena)
-	defer arenaPool.Put(s)
-	return s.greedyBound(jobs, nPorts)
-}
-
-// greedyBound is GreedyPortBound on this arena's balancer state.
+// greedyBound assigns each µ-op entirely to the currently least-loaded
+// candidate port in instruction order (no splitting, no lookahead) and
+// returns the resulting maximum port load. This mirrors what a naive
+// scheduler model (and the hardware's oldest-first pickers) achieves;
+// Result.GreedyTPBound reports it for the ablation study of the
+// port-balancing design choice (DESIGN.md #1).
 func (s *ResultArena) greedyBound(jobs []balanceJob, nPorts int) float64 {
 	s.loads = grow(s.loads, nPorts)
 	loads := s.loads

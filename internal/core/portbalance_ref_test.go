@@ -153,7 +153,7 @@ func TestHeuristicBitIdenticalToReference(t *testing.T) {
 		// The heuristic reference iterates in job order (deterministic),
 		// so bit-identity must hold even for non-dyadic cycle counts.
 		jobs := randomJobs(rng, nPorts, false)
-		got := HeuristicAssignment(jobs, nPorts)
+		got := new(ResultArena).heuristicInto(jobs, nPorts)
 		want := referenceHeuristicAssignment(jobs, nPorts)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: length %d, want %d", trial, len(got), len(want))
@@ -178,7 +178,7 @@ func TestOptimalBitIdenticalToReference(t *testing.T) {
 	for trial := 0; trial < 1200; trial++ {
 		nPorts := 1 + rng.Intn(12)
 		jobs := randomJobs(rng, nPorts, true)
-		got := OptimalPortBound(jobs, nPorts)
+		got := new(ResultArena).optimalBound(jobs, nPorts)
 		want := referenceOptimalPortBound(jobs)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: bound %x differs from reference %x (jobs %+v)",
@@ -195,7 +195,7 @@ func TestOptimalCloseToReferenceNonDyadic(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		nPorts := 1 + rng.Intn(12)
 		jobs := randomJobs(rng, nPorts, false)
-		got := OptimalPortBound(jobs, nPorts)
+		got := new(ResultArena).optimalBound(jobs, nPorts)
 		want := referenceOptimalPortBound(jobs)
 		if diff := math.Abs(got - want); diff > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("trial %d: bound %g vs reference %g (diff %g)", trial, got, want, diff)
@@ -239,13 +239,13 @@ func TestOptimalFallbackUsesModelPortCount(t *testing.T) {
 	for m := uarch.PortMask(1); m <= 21; m++ {
 		jobs = append(jobs, balanceJob{Mask: m, Cycles: 1})
 	}
-	got := OptimalPortBound(jobs, 5)
+	got := new(ResultArena).optimalBound(jobs, 5)
 	want := referenceOptimalPortBound(jobs)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("fallback bound %x differs from reference %x", got, want)
 	}
 	// A 5-port heuristic must also agree with the historical 32-port cap.
-	a, b := HeuristicAssignment(jobs, 5), referenceHeuristicAssignment(jobs, 32)
+	a, b := new(ResultArena).heuristicInto(jobs, 5), referenceHeuristicAssignment(jobs, 32)
 	for p := range a {
 		if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
 			t.Fatalf("port %d: 5-port load differs from 32-port reference", p)

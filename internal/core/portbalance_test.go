@@ -15,7 +15,7 @@ func TestOptimalPortBoundSimple(t *testing.T) {
 		{Mask: 0b1, Cycles: 1},
 		{Mask: 0b1, Cycles: 2},
 	}
-	if got := OptimalPortBound(jobs, 2); got != 3 {
+	if got := new(ResultArena).optimalBound(jobs, 2); got != 3 {
 		t.Errorf("single-port bound = %f, want 3", got)
 	}
 	// Two jobs, two ports each: perfectly splittable.
@@ -23,7 +23,7 @@ func TestOptimalPortBoundSimple(t *testing.T) {
 		{Mask: 0b11, Cycles: 1},
 		{Mask: 0b11, Cycles: 1},
 	}
-	if got := OptimalPortBound(jobs, 2); got != 1 {
+	if got := new(ResultArena).optimalBound(jobs, 2); got != 1 {
 		t.Errorf("two-port bound = %f, want 1", got)
 	}
 }
@@ -35,13 +35,13 @@ func TestOptimalPortBoundRestrictedSubset(t *testing.T) {
 		{Mask: 0b01, Cycles: 2},
 		{Mask: 0b11, Cycles: 2},
 	}
-	if got := OptimalPortBound(jobs, 2); got != 2 {
+	if got := new(ResultArena).optimalBound(jobs, 2); got != 2 {
 		t.Errorf("restricted bound = %f, want 2", got)
 	}
 	// Add another port-0-only job: demand{0} = 4 -> bound 4? No:
 	// B moves entirely to port 1: loads 4 and 2 -> max 4.
 	jobs = append(jobs, balanceJob{Mask: 0b01, Cycles: 2})
-	if got := OptimalPortBound(jobs, 2); got != 4 {
+	if got := new(ResultArena).optimalBound(jobs, 2); got != 4 {
 		t.Errorf("restricted bound = %f, want 4", got)
 	}
 }
@@ -51,16 +51,16 @@ func TestOptimalPortBoundHalfSplit(t *testing.T) {
 	jobs := []balanceJob{
 		{Mask: 0b11, Cycles: 1}, {Mask: 0b11, Cycles: 1}, {Mask: 0b11, Cycles: 1},
 	}
-	if got := OptimalPortBound(jobs, 2); math.Abs(got-1.5) > 1e-12 {
+	if got := new(ResultArena).optimalBound(jobs, 2); math.Abs(got-1.5) > 1e-12 {
 		t.Errorf("bound = %f, want 1.5", got)
 	}
 }
 
 func TestOptimalPortBoundEmpty(t *testing.T) {
-	if OptimalPortBound(nil, 2) != 0 {
+	if new(ResultArena).optimalBound(nil, 2) != 0 {
 		t.Error("empty job set must have zero bound")
 	}
-	if OptimalPortBound([]balanceJob{{Mask: 0, Cycles: 5}}, 2) != 0 {
+	if new(ResultArena).optimalBound([]balanceJob{{Mask: 0, Cycles: 5}}, 2) != 0 {
 		t.Error("jobs with empty masks are ignored")
 	}
 }
@@ -103,7 +103,7 @@ func TestOptimalPortBoundAgainstSubsetFormula(t *testing.T) {
 			mask := uarch.PortMask(1 + rng.Intn((1<<nPorts)-1))
 			jobs[i] = balanceJob{Mask: mask, Cycles: float64(1+rng.Intn(8)) / 2}
 		}
-		got := OptimalPortBound(jobs, nPorts)
+		got := new(ResultArena).optimalBound(jobs, nPorts)
 		want := bruteForceBound(jobs, nPorts)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: got %f, want %f (jobs %+v)", trial, got, want, jobs)
@@ -124,8 +124,8 @@ func TestHeuristicNeverBeatsOptimal(t *testing.T) {
 				Cycles: float64(1+rng.Intn(6)) / 2,
 			}
 		}
-		opt := OptimalPortBound(jobs, 8)
-		loads := HeuristicAssignment(jobs, 8)
+		opt := new(ResultArena).optimalBound(jobs, 8)
+		loads := new(ResultArena).heuristicInto(jobs, 8)
 		maxLoad := 0.0
 		sumLoad := 0.0
 		for _, l := range loads {
@@ -157,7 +157,7 @@ func TestGreedyNeverBeatsOptimal(t *testing.T) {
 			mask := uarch.PortMask(1 + s%7)
 			jobs = append(jobs, balanceJob{Mask: mask, Cycles: 1 + float64(s%4)})
 		}
-		return GreedyPortBound(jobs, 3) >= OptimalPortBound(jobs, 3)-1e-9
+		return new(ResultArena).greedyBound(jobs, 3) >= new(ResultArena).optimalBound(jobs, 3)-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -171,8 +171,8 @@ func TestGreedyWorseOnAsymmetricMasks(t *testing.T) {
 		{Mask: 0b11, Cycles: 1}, // greedy puts this on port 0
 		{Mask: 0b01, Cycles: 1}, // now must stack on port 0
 	}
-	greedy := GreedyPortBound(jobs, 2)
-	opt := OptimalPortBound(jobs, 2)
+	greedy := new(ResultArena).greedyBound(jobs, 2)
+	opt := new(ResultArena).optimalBound(jobs, 2)
 	if !(greedy > opt) {
 		t.Errorf("expected greedy (%f) > optimal (%f) for asymmetric masks", greedy, opt)
 	}

@@ -585,14 +585,3 @@ func (g *Graph) materializePath(src, dst int, buf []int) []int {
 	}
 	return path
 }
-
-// CarriedEdges returns the loop-carried edges (for reporting and tests).
-func (g *Graph) CarriedEdges() []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Carried {
-			out = append(out, e)
-		}
-	}
-	return out
-}

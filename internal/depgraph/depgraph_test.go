@@ -269,14 +269,14 @@ func TestCarriedEdges(t *testing.T) {
 	vaddsd %xmm1, %xmm0, %xmm0
 	jne .L0
 `, DefaultOptions())
-	ce := g.CarriedEdges()
-	if len(ce) == 0 {
-		t.Fatal("expected carried edges")
-	}
-	for _, e := range ce {
-		if !e.Carried {
-			t.Error("CarriedEdges returned a non-carried edge")
+	carried := 0
+	for _, e := range g.Edges {
+		if e.Carried {
+			carried++
 		}
+	}
+	if carried == 0 {
+		t.Fatal("expected carried edges")
 	}
 }
 

@@ -110,9 +110,6 @@ func NewSkeletonScratch(b *isa.Block, opt Options, s *Scratch) (*Skeleton, error
 	return &s.skeleton, nil
 }
 
-// Block returns the block the skeleton was built from.
-func (sk *Skeleton) Block() *isa.Block { return sk.block }
-
 // ResolveDescs resolves every instruction's descriptor against one model —
 // the per-(block, model) half of graph construction that Instantiate
 // consumes. The returned slice is freshly allocated, treated as immutable,

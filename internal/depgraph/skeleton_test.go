@@ -60,7 +60,4 @@ func TestSkeletonSizeEstimatePositive(t *testing.T) {
 	if got := sk.SizeEstimate(); got < 128 {
 		t.Errorf("SizeEstimate() = %d; want a plausible positive footprint", got)
 	}
-	if sk.Block() != b {
-		t.Error("Block() must return the source block")
-	}
 }

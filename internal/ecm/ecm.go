@@ -131,15 +131,6 @@ func ForModel(cm *uarch.Model) (*Model, error) {
 	return m, nil
 }
 
-// MustFor panics on unknown keys.
-func MustFor(key string) *Model {
-	m, err := For(key)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Traffic describes per-cache-line data volumes of one kernel (64-byte
 // unit of work): bytes moved between adjacent levels when the working set
 // resides in the given level.
@@ -241,24 +232,6 @@ func (m *Model) Predict(tOL, tnOL float64, tr Traffic, level MemLevel) *Result {
 		r.NSat = int(math.Ceil(r.TECM / r.TL3Mem))
 	}
 	return r
-}
-
-// ScalingCurve predicts node-level performance (cache lines of work per
-// cycle) for 1..maxCores active cores: linear scaling until the shared
-// memory bandwidth ceiling 1/T_L3Mem is reached.
-func (r *Result) ScalingCurve(maxCores int) []float64 {
-	out := make([]float64, maxCores)
-	single := 1.0 / r.TECM
-	for n := 1; n <= maxCores; n++ {
-		perf := single * float64(n)
-		if r.Level == MEM && r.TL3Mem > 0 {
-			if ceiling := 1.0 / r.TL3Mem; perf > ceiling {
-				perf = ceiling
-			}
-		}
-		out[n-1] = perf
-	}
-	return out
 }
 
 // Report renders the prediction in the ECM literature's notation.

@@ -99,18 +99,6 @@ type Config struct {
 	MaxDelay time.Duration
 }
 
-// Stats counts what was injected, per kind plus a total of requests seen.
-type Stats struct {
-	Requests uint64 `json:"requests"`
-	Injected uint64 `json:"injected"`
-	Drops    uint64 `json:"drops"`
-	Delays   uint64 `json:"delays"`
-	Resets   uint64 `json:"resets"`
-	Truncats uint64 `json:"truncations"`
-	Corrupts uint64 `json:"corruptions"`
-	Errors   uint64 `json:"error5xx"`
-}
-
 // Transport is the injecting http.RoundTripper. Safe for concurrent use.
 type Transport struct {
 	inner http.RoundTripper
@@ -266,18 +254,4 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, nil
 	}
 	return resp, nil
-}
-
-// Stats returns the injection counts so far.
-func (t *Transport) Stats() Stats {
-	return Stats{
-		Requests: t.requests.Load(),
-		Injected: t.injected.Load(),
-		Drops:    t.perKind[KindDrop].Load(),
-		Delays:   t.perKind[KindDelay].Load(),
-		Resets:   t.perKind[KindReset].Load(),
-		Truncats: t.perKind[KindTruncate].Load(),
-		Corrupts: t.perKind[KindCorrupt].Load(),
-		Errors:   t.perKind[KindError5xx].Load(),
-	}
 }

@@ -10,6 +10,33 @@ import (
 	"time"
 )
 
+// Stats counts what a Transport injected, per kind plus a total of
+// requests seen.
+type Stats struct {
+	Requests uint64
+	Injected uint64
+	Drops    uint64
+	Delays   uint64
+	Resets   uint64
+	Truncats uint64
+	Corrupts uint64
+	Errors   uint64
+}
+
+// Stats returns the injection counts so far.
+func (t *Transport) Stats() Stats {
+	return Stats{
+		Requests: t.requests.Load(),
+		Injected: t.injected.Load(),
+		Drops:    t.perKind[KindDrop].Load(),
+		Delays:   t.perKind[KindDelay].Load(),
+		Resets:   t.perKind[KindReset].Load(),
+		Truncats: t.perKind[KindTruncate].Load(),
+		Corrupts: t.perKind[KindCorrupt].Load(),
+		Errors:   t.perKind[KindError5xx].Load(),
+	}
+}
+
 // newEchoServer returns a server answering every request with a fixed
 // body, plus a client whose transport injects per cfg.
 func newEchoServer(t *testing.T, body string, cfg Config) (*httptest.Server, *http.Client, *Transport) {

@@ -91,15 +91,6 @@ func ForModel(m *uarch.Model) (*Governor, error) {
 	return g, nil
 }
 
-// MustFor panics on unknown keys.
-func MustFor(key string) *Governor {
-	g, err := For(key)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Sustained returns the sustained all-active-core frequency in GHz for n
 // active cores running code of the given ISA class.
 func (g *Governor) Sustained(n int, ext isa.Ext) (float64, error) {
@@ -139,11 +130,4 @@ func (g *Governor) Curve(ext isa.Ext) ([]float64, error) {
 		out[n-1] = f
 	}
 	return out, nil
-}
-
-// PackagePower returns the package power draw at n active cores and
-// frequency f for the ISA class (for tests and the power ablation).
-func (g *Governor) PackagePower(n int, f float64, ext isa.Ext) float64 {
-	c := g.ActivityFactor[ext]
-	return g.UncoreWatts + float64(n)*(g.StaticWattsPerCore+c*f*f*f)
 }

@@ -7,6 +7,15 @@ import (
 	"incore/internal/isa"
 )
 
+func mustFor(t *testing.T, key string) *Governor {
+	t.Helper()
+	m, err := For(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestPaperEndpoints(t *testing.T) {
 	// The headline numbers of Fig. 2.
 	cases := []struct {
@@ -25,7 +34,7 @@ func TestPaperEndpoints(t *testing.T) {
 		{"neoversev2", isa.ExtScalar, 1, 3.4, 0.001},
 	}
 	for _, c := range cases {
-		g := MustFor(c.key)
+		g := mustFor(t, c.key)
 		f, err := g.Sustained(c.cores, c.ext)
 		if err != nil {
 			t.Fatalf("%s: %v", c.key, err)
@@ -37,7 +46,7 @@ func TestPaperEndpoints(t *testing.T) {
 }
 
 func TestSPRAVX512LicenseCap(t *testing.T) {
-	g := MustFor("goldencove")
+	g := mustFor(t, "goldencove")
 	f512, _ := g.Sustained(1, isa.ExtAVX512)
 	favx, _ := g.Sustained(1, isa.ExtAVX)
 	if !(f512 < favx) {
@@ -46,7 +55,7 @@ func TestSPRAVX512LicenseCap(t *testing.T) {
 }
 
 func TestGraceFlatAcrossSocket(t *testing.T) {
-	g := MustFor("neoversev2")
+	g := mustFor(t, "neoversev2")
 	curve, err := g.Curve(isa.ExtSVE)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +69,7 @@ func TestGraceFlatAcrossSocket(t *testing.T) {
 
 func TestMonotonicNonIncreasing(t *testing.T) {
 	for _, key := range []string{"goldencove", "zen4", "neoversev2"} {
-		g := MustFor(key)
+		g := mustFor(t, key)
 		for ext := range g.ActivityFactor {
 			curve, err := g.Curve(ext)
 			if err != nil {
@@ -77,14 +86,15 @@ func TestMonotonicNonIncreasing(t *testing.T) {
 
 func TestPowerBudgetRespected(t *testing.T) {
 	for _, key := range []string{"goldencove", "zen4"} {
-		g := MustFor(key)
+		g := mustFor(t, key)
 		for ext := range g.ActivityFactor {
 			for _, n := range []int{1, g.Cores / 2, g.Cores} {
 				f, err := g.Sustained(n, ext)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := g.PackagePower(n, f, ext)
+				// Package power at n cores and frequency f.
+				p := g.UncoreWatts + float64(n)*(g.StaticWattsPerCore+g.ActivityFactor[ext]*f*f*f)
 				if p > g.TDPWatts*1.001 && f > g.MinFreqGHz {
 					t.Errorf("%s/%s @%d cores: %.1f W exceeds TDP %.0f", key, ext, n, p, g.TDPWatts)
 				}
@@ -95,8 +105,8 @@ func TestPowerBudgetRespected(t *testing.T) {
 
 func TestGCSvsSPRAdvantage(t *testing.T) {
 	// Paper: 1.7x sustained-frequency advantage for AVX-512-heavy code.
-	gcs := MustFor("neoversev2")
-	spr := MustFor("goldencove")
+	gcs := mustFor(t, "neoversev2")
+	spr := mustFor(t, "goldencove")
 	fg, _ := gcs.Sustained(72, isa.ExtSVE)
 	fs, _ := spr.Sustained(52, isa.ExtAVX512)
 	ratio := fg / fs
@@ -109,7 +119,7 @@ func TestErrors(t *testing.T) {
 	if _, err := For("unknown"); err == nil {
 		t.Error("unknown arch must error")
 	}
-	g := MustFor("zen4")
+	g := mustFor(t, "zen4")
 	if _, err := g.Sustained(0, isa.ExtAVX); err == nil {
 		t.Error("zero cores must error")
 	}
@@ -123,7 +133,7 @@ func TestErrors(t *testing.T) {
 
 func TestSPRThrottleShape(t *testing.T) {
 	// AVX-512 stays at the license cap for small counts, then decays.
-	g := MustFor("goldencove")
+	g := mustFor(t, "goldencove")
 	f4, _ := g.Sustained(4, isa.ExtAVX512)
 	if f4 != 3.5 {
 		t.Errorf("SPR AVX-512 at 4 cores = %f, want license cap 3.5", f4)

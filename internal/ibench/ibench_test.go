@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"incore/internal/isa"
 	"incore/internal/sim"
 	"incore/internal/uarch"
 )
@@ -54,7 +55,8 @@ func TestBuildAllCombinations(t *testing.T) {
 				}
 				// Every instruction must resolve against the model.
 				for i := range b.Instrs {
-					if _, err := m.Lookup(&b.Instrs[i]); err != nil {
+					eff := isa.InstrEffects(&b.Instrs[i], m.Dialect)
+					if _, err := m.LookupEff(&b.Instrs[i], &eff); err != nil {
 						t.Errorf("%s: %v", m.Key, err)
 					}
 				}

@@ -10,8 +10,7 @@ package isa
 // starting at 0, so two interners fed the same key sequence agree — which
 // keeps anything derived from IDs deterministic.
 type RegInterner struct {
-	ids  map[RegKey]int32
-	keys []RegKey
+	ids map[RegKey]int32
 }
 
 // Intern returns the dense ID for k, assigning the next free one on first
@@ -23,26 +22,13 @@ func (ri *RegInterner) Intern(k RegKey) int32 {
 	if ri.ids == nil {
 		ri.ids = make(map[RegKey]int32, 16)
 	}
-	id := int32(len(ri.keys))
+	id := int32(len(ri.ids))
 	ri.ids[k] = id
-	ri.keys = append(ri.keys, k)
 	return id
 }
 
-// Lookup returns the ID previously assigned to k, or (-1, false).
-func (ri *RegInterner) Lookup(k RegKey) (int32, bool) {
-	id, ok := ri.ids[k]
-	if !ok {
-		return -1, false
-	}
-	return id, true
-}
-
-// Key returns the RegKey behind a dense ID.
-func (ri *RegInterner) Key(id int32) RegKey { return ri.keys[id] }
-
 // Len returns the number of interned registers (IDs are 0..Len()-1).
-func (ri *RegInterner) Len() int { return len(ri.keys) }
+func (ri *RegInterner) Len() int { return len(ri.ids) }
 
 // InternAll interns every key in ks and returns their IDs appended to dst
 // (avoiding an allocation when dst has capacity).
@@ -58,5 +44,4 @@ func (ri *RegInterner) InternAll(dst []int32, ks []RegKey) []int32 {
 // table. IDs restart at 0.
 func (ri *RegInterner) Reset() {
 	clear(ri.ids)
-	ri.keys = ri.keys[:0]
 }

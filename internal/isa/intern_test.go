@@ -22,23 +22,6 @@ func TestRegInternerDenseIDs(t *testing.T) {
 	if ri.Len() != 3 {
 		t.Errorf("Len = %d, want 3", ri.Len())
 	}
-	for id, want := range []RegKey{a, b, c} {
-		if got := ri.Key(int32(id)); got != want {
-			t.Errorf("Key(%d) = %v, want %v", id, got, want)
-		}
-	}
-}
-
-func TestRegInternerLookup(t *testing.T) {
-	var ri RegInterner
-	k := RegKey{Class: ClassGPR, ID: 7}
-	if id, ok := ri.Lookup(k); ok || id != -1 {
-		t.Errorf("Lookup on empty interner = (%d, %t), want (-1, false)", id, ok)
-	}
-	ri.Intern(k)
-	if id, ok := ri.Lookup(k); !ok || id != 0 {
-		t.Errorf("Lookup = (%d, %t), want (0, true)", id, ok)
-	}
 }
 
 func TestRegInternerDeterministic(t *testing.T) {

@@ -165,9 +165,6 @@ func NewRegOperand(r Register) Operand { return Operand{Kind: OpReg, Reg: r} }
 // NewImmOperand builds an immediate operand.
 func NewImmOperand(v int64) Operand { return Operand{Kind: OpImm, Imm: v} }
 
-// NewMemOperand builds a memory operand.
-func NewMemOperand(m MemOp) Operand { return Operand{Kind: OpMem, Mem: &m} }
-
 // NewLabelOperand builds a label operand.
 func NewLabelOperand(l string) Operand { return Operand{Kind: OpLabel, Label: l} }
 
@@ -270,17 +267,6 @@ func (in *Instruction) IsBranch() bool {
 		return true
 	}
 	return false
-}
-
-// MemOperands returns all memory operands of the instruction.
-func (in *Instruction) MemOperands() []*MemOp {
-	var out []*MemOp
-	for i := range in.Operands {
-		if in.Operands[i].Kind == OpMem {
-			out = append(out, in.Operands[i].Mem)
-		}
-	}
-	return out
 }
 
 // String formats the instruction roughly as source text.
@@ -387,27 +373,6 @@ type Block struct {
 // Len returns the number of instructions in the block.
 func (b *Block) Len() int { return len(b.Instrs) }
 
-// Clone returns a deep copy of the block (operand slices and memory
-// operands are duplicated so mutations do not alias).
-func (b *Block) Clone() *Block {
-	nb := &Block{Name: b.Name, Arch: b.Arch, Dialect: b.Dialect}
-	nb.Instrs = make([]Instruction, len(b.Instrs))
-	for i := range b.Instrs {
-		in := b.Instrs[i]
-		ops := make([]Operand, len(in.Operands))
-		copy(ops, in.Operands)
-		for j := range ops {
-			if ops[j].Kind == OpMem && ops[j].Mem != nil {
-				m := *ops[j].Mem
-				ops[j].Mem = &m
-			}
-		}
-		in.Operands = ops
-		nb.Instrs[i] = in
-	}
-	return nb
-}
-
 // Text renders the block as assembly source in its dialect: each label
 // on its own line ("label:"), each instruction as a tab, its String and a
 // newline. It allocates once, at exact size.
@@ -447,25 +412,28 @@ func (b *Block) WriteText(sb *strings.Builder) {
 }
 
 // Validate performs structural sanity checks and returns the first problem
-// found, or nil.
+// found as a *BlockError, or nil.
 func (b *Block) Validate() error {
+	fail := func(format string, args ...any) error {
+		return &BlockError{Name: b.Name, err: fmt.Errorf(format, args...), validation: true}
+	}
 	if len(b.Instrs) == 0 {
-		return fmt.Errorf("isa: block %q has no instructions", b.Name)
+		return fail("has no instructions")
 	}
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		if in.Mnemonic == "" {
-			return fmt.Errorf("isa: block %q instr %d has empty mnemonic", b.Name, i)
+			return fail("instr %d has empty mnemonic", i)
 		}
 		for j, op := range in.Operands {
 			switch op.Kind {
 			case OpReg:
 				if !op.Reg.Valid() {
-					return fmt.Errorf("isa: block %q instr %d (%s) operand %d: invalid register", b.Name, i, in.Mnemonic, j)
+					return fail("instr %d (%s) operand %d: invalid register", i, in.Mnemonic, j)
 				}
 			case OpMem:
 				if op.Mem == nil {
-					return fmt.Errorf("isa: block %q instr %d (%s) operand %d: nil memory operand", b.Name, i, in.Mnemonic, j)
+					return fail("instr %d (%s) operand %d: nil memory operand", i, in.Mnemonic, j)
 				}
 			}
 		}

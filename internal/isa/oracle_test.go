@@ -18,6 +18,9 @@ import (
 // import the kernel generator for their seeds.
 var OracleParseBlock = oracleParseBlock
 
+// newMemOperand builds a memory operand.
+func newMemOperand(m MemOp) Operand { return Operand{Kind: OpMem, Mem: &m} }
+
 // oracleParseBlock parses assembly source text in the given dialect into a Block.
 // Empty lines, comment lines (#, //, ;) and directives (leading '.') other
 // than labels are ignored. Labels attach to the following instruction.
@@ -172,7 +175,7 @@ func oracleParseX86Operand(p string) (Operand, error) {
 	default:
 		// Bare displacement or label.
 		if v, err := oracleParseInt(p); err == nil {
-			return NewMemOperand(MemOp{Disp: v}), nil
+			return newMemOperand(MemOp{Disp: v}), nil
 		}
 		return NewLabelOperand(p), nil
 	}
@@ -220,7 +223,7 @@ func oracleParseX86Mem(p string) (Operand, error) {
 		}
 		m.Scale = sc
 	}
-	return NewMemOperand(m), nil
+	return newMemOperand(m), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +341,7 @@ func oracleParseAArch64Mem(p string) (Operand, error) {
 			m.Index = r
 		}
 	}
-	return NewMemOperand(m), nil
+	return newMemOperand(m), nil
 }
 
 func oracleParseInt(s string) (int64, error) {

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,7 +27,7 @@ import (
 // element. Register names, labels and Raw are substrings of src.
 func ParseBlock(name, arch string, d Dialect, src string) (*Block, error) {
 	if !utf8.ValidString(src) {
-		return nil, fmt.Errorf("isa: %s: source is not valid UTF-8", name)
+		return nil, &BlockError{Name: name, err: errNotUTF8}
 	}
 	s := parsePool.Get().(*parseScratch)
 	defer s.release()
@@ -44,7 +45,7 @@ func ParseBlock(name, arch string, d Dialect, src string) (*Block, error) {
 			// assembler directive
 		default:
 			if err := s.parseInstr(line, d, pendingLabel); err != nil {
-				return nil, fmt.Errorf("isa: %s line %d: %w", name, lineNo, err)
+				return nil, &BlockError{Name: name, line: lineNo, err: err}
 			}
 			pendingLabel = ""
 		}
@@ -56,6 +57,32 @@ func ParseBlock(name, arch string, d Dialect, src string) (*Block, error) {
 	}
 	return b, nil
 }
+
+var errNotUTF8 = errors.New("source is not valid UTF-8")
+
+// BlockError is a parse or validation failure of the block named Name.
+// Its text names the block, so a copy with another Name reads exactly as
+// the same source fails under that name.
+type BlockError struct {
+	Name string
+	line int // 1-based source line a parse failed on, or 0
+	err  error
+	// validation marks Validate's failures, whose text quotes the name.
+	validation bool
+}
+
+func (e *BlockError) Error() string {
+	switch {
+	case e.validation:
+		return "isa: block " + strconv.Quote(e.Name) + " " + e.err.Error()
+	case e.line > 0:
+		return "isa: " + e.Name + " line " + strconv.Itoa(e.line) + ": " + e.err.Error()
+	default:
+		return "isa: " + e.Name + ": " + e.err.Error()
+	}
+}
+
+func (e *BlockError) Unwrap() error { return e.err }
 
 // parseScratch collects one block's instructions before ParseBlock copies
 // them into exactly sized slices. instrs[i].Operands stays nil here;

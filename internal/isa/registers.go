@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"strconv"
-	"strings"
-)
+import "strings"
 
 // Register ID spaces. GPRs use IDs 0..31, vector registers 0..31, predicate
 // registers 0..15. Flags and IP use ID 0 in their own class. x86 and
@@ -117,75 +114,6 @@ func ParseAArch64Register(name string) Register {
 		}
 	}
 	return Register{}
-}
-
-// GPR returns a 64-bit general-purpose register for the given dialect and
-// index; convenient for programmatic block construction.
-func GPR(d Dialect, id int) Register {
-	if d == DialectAArch64 {
-		return Register{Name: "x" + strconv.Itoa(id), Class: ClassGPR, ID: id, Width: 64}
-	}
-	for n, i := range x86GPRNames {
-		if i == id {
-			return Register{Name: n, Class: ClassGPR, ID: id, Width: 64}
-		}
-	}
-	return Register{}
-}
-
-// Vec returns a vector register of the given width for the dialect.
-func Vec(d Dialect, id, width int) Register {
-	if d == DialectAArch64 {
-		prefix := "v"
-		if width == 128 {
-			// On Neoverse V2 both NEON and SVE are 128 bit; callers pick
-			// SVE via VecSVE.
-			prefix = "v"
-		}
-		return Register{Name: prefix + strconv.Itoa(id), Class: ClassVec, ID: id, Width: width}
-	}
-	var prefix string
-	switch width {
-	case 128:
-		prefix = "xmm"
-	case 256:
-		prefix = "ymm"
-	case 512:
-		prefix = "zmm"
-	default:
-		prefix = "xmm"
-	}
-	return Register{Name: prefix + strconv.Itoa(id), Class: ClassVec, ID: id, Width: width}
-}
-
-// VecSVE returns an SVE z-register (AArch64 only).
-func VecSVE(id int) Register {
-	return Register{Name: "z" + strconv.Itoa(id), Class: ClassVec, ID: id, Width: 128}
-}
-
-// Pred returns a predicate/mask register for the dialect.
-func Pred(d Dialect, id int) Register {
-	if d == DialectAArch64 {
-		return Register{Name: "p" + strconv.Itoa(id), Class: ClassPred, ID: id, Width: 16}
-	}
-	return Register{Name: "k" + strconv.Itoa(id), Class: ClassPred, ID: id, Width: 64}
-}
-
-// ScalarFP returns a scalar double-precision FP register: xmmN on x86,
-// dN on AArch64. Scalar FP shares the vector register file on both.
-func ScalarFP(d Dialect, id int) Register {
-	if d == DialectAArch64 {
-		return Register{Name: "d" + strconv.Itoa(id), Class: ClassVec, ID: id, Width: 64}
-	}
-	return Register{Name: "xmm" + strconv.Itoa(id), Class: ClassVec, ID: id, Width: 128}
-}
-
-// FlagsReg returns the condition-flags register for the dialect.
-func FlagsReg(d Dialect) Register {
-	if d == DialectAArch64 {
-		return Register{Name: "nzcv", Class: ClassFlags, ID: 0, Width: 32}
-	}
-	return Register{Name: "rflags", Class: ClassFlags, ID: 0, Width: 64}
 }
 
 // IsZeroReg reports whether the register is an architectural zero register

@@ -117,42 +117,3 @@ func TestZeroRegister(t *testing.T) {
 		t.Error("rax must not be the zero register")
 	}
 }
-
-func TestConstructorHelpers(t *testing.T) {
-	if g := GPR(DialectAArch64, 7); g.Name != "x7" || g.ID != 7 {
-		t.Errorf("GPR aarch64: %+v", g)
-	}
-	if g := GPR(DialectX86, 0); g.Name != "rax" {
-		t.Errorf("GPR x86 id 0: %+v", g)
-	}
-	if v := Vec(DialectX86, 3, 512); v.Name != "zmm3" || v.Width != 512 {
-		t.Errorf("Vec 512: %+v", v)
-	}
-	if v := Vec(DialectX86, 3, 256); v.Name != "ymm3" {
-		t.Errorf("Vec 256: %+v", v)
-	}
-	if v := Vec(DialectAArch64, 4, 128); v.Name != "v4" {
-		t.Errorf("Vec aarch64: %+v", v)
-	}
-	if z := VecSVE(2); z.Name != "z2" || z.Class != ClassVec {
-		t.Errorf("VecSVE: %+v", z)
-	}
-	if p := Pred(DialectAArch64, 0); p.Name != "p0" {
-		t.Errorf("Pred aarch64: %+v", p)
-	}
-	if p := Pred(DialectX86, 1); p.Name != "k1" {
-		t.Errorf("Pred x86: %+v", p)
-	}
-	if s := ScalarFP(DialectAArch64, 9); s.Name != "d9" {
-		t.Errorf("ScalarFP aarch64: %+v", s)
-	}
-	if s := ScalarFP(DialectX86, 9); s.Name != "xmm9" {
-		t.Errorf("ScalarFP x86: %+v", s)
-	}
-	if f := FlagsReg(DialectAArch64); f.Class != ClassFlags {
-		t.Errorf("FlagsReg aarch64: %+v", f)
-	}
-	if f := FlagsReg(DialectX86); f.Class != ClassFlags {
-		t.Errorf("FlagsReg x86: %+v", f)
-	}
-}

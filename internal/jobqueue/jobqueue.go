@@ -256,9 +256,6 @@ func Open(o Options) (*Queue, error) {
 	return q, nil
 }
 
-// Dir returns the durable root ("" for a memory-only queue).
-func (q *Queue) Dir() string { return q.dir }
-
 // Start launches workers draining pending items through run. Call it
 // once, after Open; items loaded from disk resume immediately.
 func (q *Queue) Start(workers int, run Runner) {

@@ -79,9 +79,6 @@ func TestSuiteSizes(t *testing.T) {
 	if uniq != 229 {
 		t.Errorf("unique blocks = %d, want 229", uniq)
 	}
-	if s := SuiteSummary(full); !strings.Contains(s, "416") {
-		t.Errorf("summary missing count: %s", s)
-	}
 }
 
 // TestEveryBlockResolvesAgainstItsModel is the model-coverage integration
@@ -94,7 +91,8 @@ func TestEveryBlockResolvesAgainstItsModel(t *testing.T) {
 	for _, tb := range full {
 		m := uarch.MustGet(tb.Config.Arch)
 		for i := range tb.Block.Instrs {
-			if _, err := m.Lookup(&tb.Block.Instrs[i]); err != nil {
+			eff := isa.InstrEffects(&tb.Block.Instrs[i], m.Dialect)
+			if _, err := m.LookupEff(&tb.Block.Instrs[i], &eff); err != nil {
 				t.Errorf("%s: instr %d: %v", tb.Block.Name, i, err)
 			}
 		}
@@ -119,7 +117,7 @@ func TestLowerBoundProperty(t *testing.T) {
 			continue
 		}
 		m := uarch.MustGet(tb.Config.Arch)
-		pred, err := an.Predict(tb.Block, m)
+		res, err := an.Analyze(tb.Block, m)
 		if err != nil {
 			t.Fatalf("%s: %v", tb.Block.Name, err)
 		}
@@ -127,7 +125,7 @@ func TestLowerBoundProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tb.Block.Name, err)
 		}
-		if pred > meas.CyclesPerIter*1.02+0.05 {
+		if pred := res.Prediction; pred > meas.CyclesPerIter*1.02+0.05 {
 			t.Errorf("%s: prediction %.2f exceeds measurement %.2f",
 				tb.Block.Name, pred, meas.CyclesPerIter)
 		}

@@ -1,9 +1,7 @@
 package kernels
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 
 	"incore/internal/isa"
 )
@@ -72,22 +70,4 @@ func UniqueBlocks(blocks []TestBlock) int {
 		seen[tb.Block.Arch+"\n"+tb.Block.Text()] = true
 	}
 	return len(seen)
-}
-
-// SuiteSummary describes a suite for reports.
-func SuiteSummary(blocks []TestBlock) string {
-	perArch := map[string]int{}
-	for _, tb := range blocks {
-		perArch[tb.Config.Arch]++
-	}
-	keys := make([]string, 0, len(perArch))
-	for k := range perArch {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := fmt.Sprintf("%d test blocks (%d unique):", len(blocks), UniqueBlocks(blocks))
-	for _, k := range keys {
-		s += fmt.Sprintf(" %s=%d", k, perArch[k])
-	}
-	return s
 }

@@ -467,14 +467,14 @@ func TestStreamDetector(t *testing.T) {
 	if !d.Observe(4) {
 		t.Error("detector must engage after TrainLen consecutive lines")
 	}
-	if !d.Streaming() {
-		t.Error("Streaming() must report the engaged state")
+	if d.consecutive <= d.TrainLen {
+		t.Error("detector must stay engaged between observations")
 	}
 	// A jump resets it.
 	if d.Observe(100) {
 		t.Error("non-sequential write must reset the detector")
 	}
-	if d.Streaming() {
+	if d.consecutive > d.TrainLen {
 		t.Error("detector must be reset")
 	}
 }

@@ -148,12 +148,18 @@ func CompileProgram(b *isa.Block, m *uarch.Model) (*sim.Program, error) {
 // every listing. Cached blocks are shared and must be treated as
 // immutable; when the cached block was first parsed under a different
 // name, the returned block is a shallow copy carrying the requested name
-// over the shared instruction slice.
+// over the shared instruction slice. A cached parse error is renamed the
+// same way, so it reads as parsing under the requested name would word it.
 func ParseRequestBlock(name, arch string, d isa.Dialect, asm string) (*isa.Block, error) {
 	sum := sha256.Sum256([]byte(asm))
 	key := "block\x00" + arch + "\x00" + strconv.Itoa(int(d)) + "\x00" + hex.EncodeToString(sum[:])
 	b, err := Do(artifacts.c, key, blockSizeEstimate,
 		func() (*isa.Block, error) { return isa.ParseMarkedBlock(name, arch, d, asm) })
+	if be, ok := err.(*isa.BlockError); ok && be.Name != name {
+		renamed := *be
+		renamed.Name = name
+		return nil, &renamed
+	}
 	if err != nil {
 		return nil, err
 	}

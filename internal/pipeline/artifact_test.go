@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"incore/internal/core"
+	"incore/internal/isa"
 	"incore/internal/kernels"
 	"incore/internal/sim"
 	"incore/internal/uarch"
@@ -262,29 +263,37 @@ func TestAnalyzeInternalZeroAllocs(t *testing.T) {
 
 // TestArtifactErrorsCached pins that failed builds are cached like
 // successes (determinism over optimism, matching the memo tier) and do
-// not count as cached entries or bytes.
+// not count as cached entries or bytes, and that a cached parse error
+// names the block it was asked for, not the block that first failed.
 func TestArtifactErrorsCached(t *testing.T) {
 	m := uarch.MustGet("zen4")
-	asm := "\tmov $notanumber, %rax\n"
-	before := CompiledArtifacts().Stats()
-	var firstErr error
-	for i := 0; i < 3; i++ {
-		_, err := ParseRequestBlock("bad"+strconv.Itoa(i), m.Key, m.Dialect, asm)
-		if err == nil {
-			t.Fatal("hostile text parsed successfully")
+	for _, asm := range []string{
+		"\tmov $notanumber, %rax\n", // fails on a line
+		"# comment only\n",          // fails validation
+		"\tmov %rax, %rbx\xff\n",    // not UTF-8
+	} {
+		before := CompiledArtifacts().Stats()
+		for i := 0; i < 3; i++ {
+			name := "bad" + strconv.Itoa(i)
+			_, err := ParseRequestBlock(name, m.Key, m.Dialect, asm)
+			if err == nil {
+				t.Fatalf("%q parsed successfully", asm)
+			}
+			_, want := isa.ParseMarkedBlock(name, m.Key, m.Dialect, asm)
+			if err.Error() != want.Error() {
+				t.Errorf("%q as %s: cached error %q, want %q", asm, name, err, want)
+			}
 		}
-		if firstErr == nil {
-			firstErr = err
-		} else if err.Error() != firstErr.Error() {
-			t.Errorf("error changed across cached retries: %v vs %v", err, firstErr)
+		after := CompiledArtifacts().Stats()
+		if after.Compiles != before.Compiles+1 {
+			t.Errorf("%q: %d compiles for 3 requests, want 1", asm, after.Compiles-before.Compiles)
 		}
-	}
-	after := CompiledArtifacts().Stats()
-	if after.Blocks != before.Blocks {
-		t.Error("failed parses must not count as cached blocks")
-	}
-	if after.BytesEstimated != before.BytesEstimated {
-		t.Error("failed parses must not count bytes")
+		if after.Blocks != before.Blocks {
+			t.Error("failed parses must not count as cached blocks")
+		}
+		if after.BytesEstimated != before.BytesEstimated {
+			t.Error("failed parses must not count bytes")
+		}
 	}
 }
 

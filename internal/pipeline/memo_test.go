@@ -24,7 +24,10 @@ func TestMemoKeysByContentNotName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2 := b1.Clone()
+	b2, err := kernels.Generate(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b2.Name = b1.Name + "-alias"
 
 	c := NewCache()

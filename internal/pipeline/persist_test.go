@@ -136,7 +136,7 @@ func TestStoredDecodeFailureRecomputes(t *testing.T) {
 		t.Fatalf("stats after poisoned lookup = %+v; want 0 warm, 1 miss, 1 eviction", got)
 	}
 	// The poisoned entry was overwritten with a decodable one.
-	data, ok := st.Get(key)
+	data, ok := st.GetValidated(key, nil)
 	if !ok {
 		t.Fatal("entry missing after recompute")
 	}

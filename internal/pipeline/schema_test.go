@@ -37,7 +37,7 @@ func TestSchemaBumpSelfEvictsOldEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, ok := st0.Get(key)
+	payload, ok := st0.GetValidated(key, nil)
 	if !ok {
 		t.Fatal("cold analysis did not persist its result")
 	}
@@ -49,7 +49,7 @@ func TestSchemaBumpSelfEvictsOldEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	stOld.Put(key, payload)
-	if got, ok := stOld.Get(key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := stOld.GetValidated(key, nil); !ok || !bytes.Equal(got, payload) {
 		t.Fatal("old-schema store cannot read its own entry back")
 	}
 
@@ -84,14 +84,14 @@ func TestSchemaBumpSelfEvictsOldEntries(t *testing.T) {
 
 	// And the stale file really is gone from disk, not merely skipped:
 	// the old-schema handle now misses too.
-	if _, ok := stOld.Get(key); ok {
+	if _, ok := stOld.GetValidated(key, nil); ok {
 		// The old handle's memory tier may still hold it; a fresh
 		// old-schema handle over the same dir must not.
 		stOld2, err := store.Open(dir, store.Options{Schema: pr5StoreSchema})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := stOld2.Get(key); ok {
+		if _, ok := stOld2.GetValidated(key, nil); ok {
 			t.Fatal("old-schema entry still readable from disk after self-eviction")
 		}
 	}

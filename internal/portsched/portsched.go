@@ -22,9 +22,6 @@ type Port struct {
 // Reset clears the schedule.
 func (p *Port) Reset() { p.busy = p.busy[:0] }
 
-// BusySpans returns the number of busy intervals (for tests).
-func (p *Port) BusySpans() int { return len(p.busy) }
-
 // AppendTail appends the start and end times of every busy interval
 // ending after the given time to the two destination slices (schedule
 // order, i.e. ascending), with starts clamped up to the given time.
@@ -121,11 +118,6 @@ func (p *Port) Schedule(earliest, dur float64) float64 {
 // Group is a set of ports addressed by index.
 type Group struct {
 	Ports []Port
-}
-
-// NewGroup returns a group of n idle ports.
-func NewGroup(n int) *Group {
-	return &Group{Ports: make([]Port, n)}
 }
 
 // ResetTo clears the group and resizes it to n ports, reusing each

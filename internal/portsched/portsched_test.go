@@ -39,8 +39,8 @@ func TestMergeKeepsScheduleCompact(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Schedule(0, 1) // all contiguous
 	}
-	if p.BusySpans() != 1 {
-		t.Errorf("contiguous reservations should merge: %d spans", p.BusySpans())
+	if len(p.busy) != 1 {
+		t.Errorf("contiguous reservations should merge: %d spans", len(p.busy))
 	}
 }
 
@@ -123,7 +123,7 @@ func fits(booked [][2]float64, start, dur float64) bool {
 }
 
 func TestGroupScheduleBest(t *testing.T) {
-	g := NewGroup(3)
+	g := &Group{Ports: make([]Port, 3)}
 	g.Ports[0].Schedule(0, 10) // port 0 busy until 10
 	port, start := g.ScheduleBest([]int{0, 1, 2}, 0, 1)
 	if port == 0 || start != 0 {
@@ -132,7 +132,7 @@ func TestGroupScheduleBest(t *testing.T) {
 }
 
 func TestGroupScheduleOn(t *testing.T) {
-	g := NewGroup(2)
+	g := &Group{Ports: make([]Port, 2)}
 	if got := g.ScheduleOn(1, 3, 2); got != 3 {
 		t.Errorf("ScheduleOn = %f, want 3", got)
 	}
@@ -162,7 +162,7 @@ func TestQuickTotalOccupancy(t *testing.T) {
 }
 
 func TestGroupResetTo(t *testing.T) {
-	g := NewGroup(2)
+	g := &Group{Ports: make([]Port, 2)}
 	g.ScheduleOn(0, 0, 3)
 	g.ScheduleOn(1, 1, 2)
 	g.ResetTo(3)
@@ -170,14 +170,14 @@ func TestGroupResetTo(t *testing.T) {
 		t.Fatalf("ResetTo(3) left %d ports", len(g.Ports))
 	}
 	for i := range g.Ports {
-		if g.Ports[i].BusySpans() != 0 {
+		if len(g.Ports[i].busy) != 0 {
 			t.Errorf("port %d not cleared", i)
 		}
 	}
 	// Shrinking reuses the prefix.
 	g.ScheduleOn(2, 0, 1)
 	g.ResetTo(1)
-	if len(g.Ports) != 1 || g.Ports[0].BusySpans() != 0 {
+	if len(g.Ports) != 1 || len(g.Ports[0].busy) != 0 {
 		t.Error("ResetTo(1) did not clear/resize")
 	}
 }

@@ -348,24 +348,6 @@ func (c *Client) put1(e putEntry) error {
 	return nil
 }
 
-// Flush blocks until the write-behind queue has drained (best-effort,
-// bounded by timeout). Tests use it to make async PUTs observable.
-func (c *Client) Flush(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if len(c.putCh) == 0 {
-			// Queue empty; in-flight workers may still be writing — give
-			// them one settling pass.
-			time.Sleep(5 * time.Millisecond)
-			if len(c.putCh) == 0 {
-				return true
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return false
-}
-
 // Close stops the write-behind workers after draining queued entries.
 // Later Puts are dropped and counted; Get keeps working (a closing
 // server may still serve a last request). Idempotent.

@@ -99,9 +99,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 		t.Fatal("hit on an empty peer")
 	}
 	c.Put(key, payload)
-	if !c.Flush(2 * time.Second) {
-		t.Fatal("put queue never drained")
-	}
+	c.Close() // drains the write-behind queue; Get keeps working
 	got, ok := c.Get(key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip = %q, %v", got, ok)
@@ -308,7 +306,7 @@ func TestNeverCorrupt(t *testing.T) {
 			}
 		}
 		st := c.Stats()
-		t.Logf("rate %.1f: %d/150 verified hits, stats %+v, faults %+v", rate, hits, st, fi.Stats())
+		t.Logf("rate %.1f: %d/150 verified hits, stats %+v", rate, hits, st)
 		if rate < 1 && hits == 0 {
 			t.Errorf("rate %.1f: no lookup ever succeeded", rate)
 		}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"incore/internal/core"
 	"incore/internal/freq"
 	"incore/internal/isa"
 	"incore/internal/uarch"
@@ -27,7 +26,6 @@ import (
 type Ceiling struct {
 	Label     string
 	GFlops    float64
-	PerCore   bool
 	Sustained bool
 }
 
@@ -110,41 +108,6 @@ func widestExt(fp *uarch.FreqParams) (isa.Ext, error) {
 		return 0, fmt.Errorf("governor names no ISA extensions")
 	}
 	return best, nil
-}
-
-// MustFor panics on unknown keys.
-func MustFor(key string) *Model {
-	m, err := For(key)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// AddInCoreCeiling derives a kernel-specific ceiling from an in-core
-// analysis: the analyzer's cycle-per-iteration bound, the kernel's flops
-// per iteration, and the sustained frequency give the maximum achievable
-// GFlop/s for that loop body.
-func (m *Model) AddInCoreCeiling(label string, res *core.Result, flopsPerIter int, sustainedGHz float64) Ceiling {
-	perCore := float64(flopsPerIter) / res.Prediction * sustainedGHz
-	c := Ceiling{
-		Label:   fmt.Sprintf("in-core ceiling: %s", label),
-		GFlops:  perCore * float64(m.Core.CoresPerChip),
-		PerCore: false,
-	}
-	m.Ceilings = append(m.Ceilings, c)
-	return c
-}
-
-// Bound evaluates the Roofline at arithmetic intensity I (flops/byte)
-// against a given ceiling, returning the predicted GFlop/s and whether
-// the kernel is memory-bound.
-func (m *Model) Bound(intensity float64, ceiling Ceiling) (gflops float64, memBound bool) {
-	memRoof := intensity * m.BWGBs
-	if memRoof < ceiling.GFlops {
-		return memRoof, true
-	}
-	return ceiling.GFlops, false
 }
 
 // Knee returns the arithmetic intensity at which a ceiling meets the

@@ -4,11 +4,16 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"incore/internal/core"
-	"incore/internal/kernels"
-	"incore/internal/uarch"
 )
+
+func mustFor(t *testing.T, key string) *Model {
+	t.Helper()
+	m, err := For(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestForAllArchs(t *testing.T) {
 	for _, key := range []string{"goldencove", "zen4", "neoversev2"} {
@@ -32,77 +37,29 @@ func TestForAllArchs(t *testing.T) {
 func TestSPRSustainedDrop(t *testing.T) {
 	// SPR loses ~47% of its nominal peak to AVX-512 throttling; Grace
 	// loses nothing.
-	spr := MustFor("goldencove")
+	spr := mustFor(t, "goldencove")
 	drop := spr.Ceilings[1].GFlops / spr.Ceilings[0].GFlops
 	if drop > 0.60 || drop < 0.45 {
 		t.Errorf("SPR sustained/nominal = %.2f, want ~0.53", drop)
 	}
-	gcs := MustFor("neoversev2")
+	gcs := mustFor(t, "neoversev2")
 	if math.Abs(gcs.Ceilings[1].GFlops-gcs.Ceilings[0].GFlops) > 1 {
 		t.Error("Grace must sustain its nominal peak")
 	}
 }
 
-func TestBound(t *testing.T) {
-	m := MustFor("zen4")
-	c := m.Ceilings[1]
-	// Very low intensity: memory-bound.
-	g, memBound := m.Bound(0.01, c)
-	if !memBound {
-		t.Error("low intensity must be memory-bound")
-	}
-	if math.Abs(g-0.01*m.BWGBs) > 1e-9 {
-		t.Errorf("memory-bound perf = %f", g)
-	}
-	// Very high intensity: compute-bound at the ceiling.
-	g, memBound = m.Bound(1000, c)
-	if memBound || g != c.GFlops {
-		t.Errorf("high intensity must hit the ceiling: %f", g)
-	}
-}
-
 func TestKneeConsistency(t *testing.T) {
-	m := MustFor("goldencove")
+	m := mustFor(t, "goldencove")
 	c := m.Ceilings[1]
 	knee := m.Knee(c)
-	// At the knee both roofs agree.
-	gMem, _ := m.Bound(knee*0.999, c)
-	gCpu, _ := m.Bound(knee*1.001, c)
-	if math.Abs(gMem-gCpu) > 0.01*c.GFlops {
-		t.Errorf("roofs disagree at the knee: %f vs %f", gMem, gCpu)
-	}
-}
-
-func TestInCoreCeiling(t *testing.T) {
-	m := MustFor("goldencove")
-	um := uarch.MustGet("goldencove")
-	k, _ := kernels.ByName("striad")
-	cfg := kernels.Config{Arch: "goldencove", Compiler: kernels.GCC, Opt: kernels.O3}
-	b, err := kernels.Generate(k, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.New().Analyze(b, um)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elems := kernels.ElemsPerIter(k, cfg)
-	flopsPerIter := 2 * elems // one FMA per element
-	c := m.AddInCoreCeiling("striad", res, flopsPerIter, 2.0)
-	if c.GFlops <= 0 {
-		t.Error("in-core ceiling must be positive")
-	}
-	// A triad cannot beat the nominal peak.
-	if c.GFlops > m.Ceilings[0].GFlops {
-		t.Errorf("in-core ceiling %f above nominal %f", c.GFlops, m.Ceilings[0].GFlops)
-	}
-	if len(m.Ceilings) != 3 {
-		t.Error("ceiling not appended")
+	// At the knee the memory roof meets the ceiling.
+	if gMem := knee * m.BWGBs; math.Abs(gMem-c.GFlops) > 1e-9*c.GFlops {
+		t.Errorf("roofs disagree at the knee: %f vs %f", gMem, c.GFlops)
 	}
 }
 
 func TestRender(t *testing.T) {
-	m := MustFor("neoversev2")
+	m := mustFor(t, "neoversev2")
 	out := m.Render()
 	if !strings.Contains(out, "knee") || !strings.Contains(out, "GFlop/s") {
 		t.Errorf("render incomplete:\n%s", out)

@@ -319,10 +319,7 @@ func TestFaultRatesByteIdentical(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("baseline status = %d: %s", status, want)
 	}
-	if !rc0.Flush(5 * time.Second) {
-		t.Fatal("baseline write-behind never drained")
-	}
-	rc0.Close()
+	rc0.Close() // drains the write-behind queue
 	if peerStore.Stats().MemEntries == 0 {
 		t.Fatal("peer store empty after write-behind")
 	}
@@ -360,8 +357,8 @@ func TestFaultRatesByteIdentical(t *testing.T) {
 			}
 			cs := rc.Stats()
 			sst := st.Stats()
-			t.Logf("rate %v: client %+v, store remote_hits=%d remote_rejects=%d, faults %+v",
-				rate, cs, sst.RemoteHits, sst.RemoteRejects, fi.Stats())
+			t.Logf("rate %v: client %+v, store remote_hits=%d remote_rejects=%d",
+				rate, cs, sst.RemoteHits, sst.RemoteRejects)
 			if rate == 0 {
 				if cs.Errors != 0 || sst.RemoteHits == 0 {
 					t.Errorf("rate 0: want clean remote hits, got client %+v store %+v", cs, sst)

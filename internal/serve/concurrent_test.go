@@ -39,7 +39,11 @@ func TestConcurrentAnalyzeRequests(t *testing.T) {
 		want AnalyzeResponse
 	}
 	var cases []caseT
-	srv := New()
+	srv, err := NewWithOptions(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	for _, arch := range []string{"goldencove", "neoversev2", "zen4"} {
 		m := uarch.MustGet(arch)
 		for i := range kernels.Kernels {

@@ -18,7 +18,7 @@ type plain AnalyzeResponse
 // FuzzAnalyzeResponseJSON sends an arbitrary name with one of the seed
 // blocks through the /v1/analyze handler and requires the response bytes
 // to equal encoding/json's indented encoding of the same response;
-// AppendAnalyzeResponse must match it for the raw name and an arbitrary
+// appendResponse must match it for the raw name and an arbitrary
 // float too, and MarshalJSON must match the compact encoding.
 func FuzzAnalyzeResponseJSON(f *testing.F) {
 	type block struct{ arch, asm string }
@@ -93,8 +93,8 @@ func FuzzAnalyzeResponseJSON(f *testing.F) {
 		if err := enc.Encode(plain(raw)); err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendAnalyzeResponse(nil, &raw); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("AppendAnalyzeResponse differs from encoding/json\n got: %q\nwant: %q", got, want.Bytes())
+		if got := appendResponse(nil, &raw, raw.Report, true); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendResponse differs from encoding/json\n got: %q\nwant: %q", got, want.Bytes())
 		}
 
 		got, err := json.Marshal(resp)

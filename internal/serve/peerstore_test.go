@@ -51,11 +51,9 @@ func TestPeerStoreRoundTrip(t *testing.T) {
 		t.Fatal("hit on an empty peer")
 	}
 	c.Put(key, payload)
-	if !c.Flush(2 * time.Second) {
-		t.Fatal("write-behind queue never drained")
-	}
+	c.Close() // drains the write-behind queue; Get keeps working
 	// The PUT landed locally on the peer (PutLocal: no re-forwarding).
-	if got, ok := st.Get(key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := st.GetValidated(key, nil); !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("peer store after PUT = %q, %v", got, ok)
 	}
 	got, ok := c.Get(key)
@@ -143,10 +141,10 @@ func TestPeerStorePutRejectsDamage(t *testing.T) {
 			}
 		})
 	}
-	if _, ok := st.Get(key); ok {
+	if _, ok := st.GetValidated(key, nil); ok {
 		t.Fatal("a damaged PUT landed in the store")
 	}
-	if _, ok := st.Get("other"); ok {
+	if _, ok := st.GetValidated("other", nil); ok {
 		t.Fatal("a mis-addressed PUT landed in the store")
 	}
 	// A clean PUT still works after the hostile ones.
@@ -159,7 +157,7 @@ func TestPeerStorePutRejectsDamage(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("clean PUT status = %d, want 204", resp.StatusCode)
 	}
-	if got, ok := st.Get(key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := st.GetValidated(key, nil); !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("store after clean PUT = %q, %v", got, ok)
 	}
 }
@@ -248,7 +246,7 @@ func TestHealthzReportsRemoteTier(t *testing.T) {
 
 	ts := newTestServer(t)
 	// One remote-tier miss so the counters are non-trivial.
-	st.Get("never-stored")
+	st.GetValidated("never-stored", nil)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

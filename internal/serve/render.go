@@ -8,16 +8,6 @@ import (
 	"incore/internal/jsonstr"
 )
 
-// AppendAnalyzeResponse appends the bytes /v1/analyze writes for r: its
-// JSON encoding exactly as encoding/json's Encoder with SetIndent("",
-// "  ") produces it, trailing newline included. It is the one renderer
-// of the type; MarshalJSON is its compact form. bench/probes.go's
-// serve.encode probe still rebuilds the response and encodes it through
-// encoding/json; under ROADMAP item 1 it should call this instead.
-func AppendAnalyzeResponse(dst []byte, r *AnalyzeResponse) []byte {
-	return appendResponse(dst, r, r.Report, true)
-}
-
 // MarshalJSON renders r compactly through the same appender, so
 // /v1/batch items and job records (which go through encoding/json) come
 // out byte-identical to the reflective encoding they replace.
@@ -25,9 +15,13 @@ func (r AnalyzeResponse) MarshalJSON() ([]byte, error) {
 	return appendResponse(nil, &r, r.Report, false), nil
 }
 
-// appendResponse renders r with report in place of r.Report, so the
-// handler can escape a report rendered into a scratch buffer without
-// turning it into a string. Every float in a response is finite: the
+// appendResponse is the one renderer of AnalyzeResponse. With indent it
+// appends the bytes /v1/analyze writes for r: its JSON encoding exactly
+// as encoding/json's Encoder with SetIndent("", "  ") produces it,
+// trailing newline included; without, MarshalJSON's compact form. It
+// renders report in place of r.Report, so the handler can escape a
+// report rendered into a scratch buffer without turning it into a
+// string. Every float in a response is finite: the
 // bounds and the coverage fraction come from finite latencies, loads
 // and counts over a positive issue width.
 func appendResponse[S string | []byte](dst []byte, r *AnalyzeResponse, report S, indent bool) []byte {

@@ -296,22 +296,11 @@ type Server struct {
 	inline   map[[sha256.Size]byte]*uarch.Model
 }
 
-// New returns a server with OSACA-like analyzer defaults — the same
-// configuration cmd/osaca and the experiment runners use, so all three
-// share cache entries — default hostile-input limits, and a memory-only
-// job queue.
-func New() *Server {
-	s, err := NewWithOptions(Options{})
-	if err != nil {
-		// Unreachable: only opening a durable queue directory can fail,
-		// and the zero Options select a memory-only queue.
-		panic(err)
-	}
-	return s
-}
-
-// NewWithOptions is New with explicit limits and job-queue
-// configuration. The error is non-nil only when a durable JobsDir
+// NewWithOptions returns a server with OSACA-like analyzer defaults — the
+// same configuration cmd/osaca and the experiment runners use, so all
+// three share cache entries — and the given limits and job-queue
+// configuration (the zero Options: default hostile-input limits and a
+// memory-only queue). The error is non-nil only when a durable JobsDir
 // cannot be opened. Callers own the returned server's lifecycle: Close
 // stops the queue workers and checkpoints in-flight jobs.
 func NewWithOptions(opt Options) (*Server, error) {
@@ -341,9 +330,6 @@ func NewWithOptions(opt Options) (*Server, error) {
 // checkpoints every job so a later server over the same JobsDir resumes
 // where this one stopped. Idempotent.
 func (s *Server) Close() { s.jobs.Close() }
-
-// JobStats exposes the queue accounting (for /healthz and tests).
-func (s *Server) JobStats() jobqueue.Stats { return s.jobs.Stats() }
 
 // Handler returns the route table wrapped in the request-ID middleware.
 func (s *Server) Handler() http.Handler {

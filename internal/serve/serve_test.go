@@ -16,7 +16,10 @@ import (
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	api := New()
+	api, err := NewWithOptions(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(api.Close)
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)

@@ -197,12 +197,6 @@ func (p *Program) SizeEstimate() int {
 	return size
 }
 
-// Block returns the compiled block.
-func (p *Program) Block() *isa.Block { return p.block }
-
-// Model returns the machine model the program was compiled against.
-func (p *Program) Model() *uarch.Model { return p.model }
-
 func containsID(ids []int32, id int32) bool {
 	for _, v := range ids {
 		if v == id {

@@ -15,7 +15,6 @@ type TraceRecorder struct {
 	// MaxEvents bounds memory use; 0 means DefaultMaxTraceEvents.
 	MaxEvents int
 	events    []traceEvent
-	truncated bool
 }
 
 // DefaultMaxTraceEvents bounds recorded events.
@@ -39,7 +38,6 @@ func (tr *TraceRecorder) Hook(nStatic int) func(dyn int, instr string, fetch, di
 	}
 	return func(dyn int, instr string, fetch, dispatch, start, ready, retire float64) {
 		if len(tr.events) >= tr.MaxEvents {
-			tr.truncated = true
 			return
 		}
 		dur := retire - start
@@ -66,9 +64,6 @@ func (tr *TraceRecorder) Hook(nStatic int) func(dyn int, instr string, fetch, di
 
 // Len returns the number of recorded events.
 func (tr *TraceRecorder) Len() int { return len(tr.events) }
-
-// Truncated reports whether the event cap was hit.
-func (tr *TraceRecorder) Truncated() bool { return tr.truncated }
 
 // WriteJSON emits the Chrome trace-event array.
 func (tr *TraceRecorder) WriteJSON(w io.Writer) error {

@@ -167,30 +167,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d right=%.0f%% within+10%%=%.0f%% within+20%%=%.0f%% far-left=%d mean|RPE|=%.0f%% meanRight=%.0f%% median=%+.2f",
 		s.N, 100*s.RightFrac, 100*s.Within10, 100*s.Within20, s.FarLeft, 100*s.MeanAbs, 100*s.MeanRight, s.Median)
 }
-
-// Mean returns the arithmetic mean.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range v {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(v)))
-}

@@ -126,24 +126,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean broken")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %f", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with nonpositive input must be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-}
-
 func TestMedian(t *testing.T) {
 	s := Summarize([]float64{5, 1, 3})
 	if s.Median != 3 {

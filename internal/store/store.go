@@ -232,19 +232,14 @@ func (s *Store) path(key string) (string, string) {
 	return h, filepath.Join(s.dir, h[:2], h+".json")
 }
 
-// Get returns the payload stored for key, consulting the memory tier
-// first and falling back to disk. Damaged or schema-stale disk entries
-// are deleted and reported as misses.
-func (s *Store) Get(key string) ([]byte, bool) {
-	return s.GetValidated(key, nil)
-}
-
-// GetValidated is Get with a caller-supplied payload check: a payload
-// validate rejects is treated exactly like a corrupted entry — dropped
-// from both tiers, counted as an eviction and a miss — so Warm() counts
-// only lookups that truly spared the caller a recomputation, and a
-// payload-level decode drift can never report a 100%-warm run that in
-// fact recomputed everything.
+// GetValidated returns the payload stored for key, consulting the memory
+// tier first and falling back to disk. Damaged or schema-stale disk
+// entries are deleted and reported as misses. A non-nil validate checks
+// the payload: one it rejects is treated exactly like a corrupted entry
+// — dropped from both tiers, counted as an eviction and a miss — so
+// Warm() counts only lookups that truly spared the caller a
+// recomputation, and a payload-level decode drift can never report a
+// 100%-warm run that in fact recomputed everything.
 func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, bool) {
 	h, p := s.path(key)
 	if payload, ok := s.mem.get(h); ok {

@@ -11,6 +11,9 @@ import (
 	"testing"
 )
 
+// Get is GetValidated without a payload check.
+func (s *Store) Get(key string) ([]byte, bool) { return s.GetValidated(key, nil) }
+
 func open(t *testing.T, dir string, o Options) *Store {
 	t.Helper()
 	s, err := Open(dir, o)

@@ -37,7 +37,7 @@ func TestExtendedCoverageX86(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s parse %q: %v", key, src, err)
 			}
-			d, err := m.Lookup(&b.Instrs[0])
+			d, err := lookup(m, &b.Instrs[0])
 			if err != nil {
 				t.Errorf("%s: %v", key, err)
 				continue
@@ -71,7 +71,7 @@ func TestExtendedCoverageAArch64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := m.Lookup(&b.Instrs[0]); err != nil {
+		if _, err := lookup(m, &b.Instrs[0]); err != nil {
 			t.Errorf("%v", err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestVectorIntUsesVPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := m.Lookup(&b.Instrs[0])
+	d, err := lookup(m, &b.Instrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestVectorIntUsesVPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := m.Lookup(&b2.Instrs[0])
+	d2, err := lookup(m, &b2.Instrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestZen4SinglePrecision512DoublePumps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := m.Lookup(&b.Instrs[0])
+	d, err := lookup(m, &b.Instrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

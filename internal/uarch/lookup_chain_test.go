@@ -37,7 +37,7 @@ func TestLookupChainAcrossModels(t *testing.T) {
 			m := MustGet(tc.model)
 			in := parse1(t, m, tc.src)
 
-			d := m.LookupDegraded(in)
+			d := lookupDegraded(m, in)
 			if d.Match != tc.want {
 				t.Fatalf("LookupDegraded(%q).Match = %s, want %s", in.Mnemonic, d.Match, tc.want)
 			}
@@ -45,7 +45,7 @@ func TestLookupChainAcrossModels(t *testing.T) {
 
 			// Strict lookup must agree on everything but existence:
 			// matched kinds return the same descriptor, unknown errors.
-			ds, err := m.Lookup(in)
+			ds, err := lookup(m, in)
 			if tc.want == MatchUnknown {
 				if err == nil {
 					t.Fatalf("strict Lookup(%q) succeeded, want ErrNoEntry", in.Mnemonic)
@@ -72,7 +72,7 @@ func TestLookupChainAcrossModels(t *testing.T) {
 			}
 
 			// Determinism: repeated lookups are bit-identical.
-			if d2 := m.LookupDegraded(in); !reflect.DeepEqual(d, d2) {
+			if d2 := lookupDegraded(m, in); !reflect.DeepEqual(d, d2) {
 				t.Fatalf("repeated LookupDegraded(%q) differs:\n%+v\n%+v", in.Mnemonic, d, d2)
 			}
 		})
@@ -117,7 +117,7 @@ func TestUnknownPolicyDefaultsAndOverride(t *testing.T) {
 		} else {
 			in = parse1(t, m, "\ttotallymadeup v0.2d, v1.2d\n")
 		}
-		d := m.LookupDegraded(in)
+		d := lookupDegraded(m, in)
 		if d.Match != MatchUnknown {
 			t.Fatalf("%s: match = %s, want unknown", key, d.Match)
 		}
@@ -190,7 +190,7 @@ func TestMachineFileUnknownSectionRoundTrip(t *testing.T) {
 func TestUnknownMemoryChargesPipeline(t *testing.T) {
 	m := MustGet("goldencove")
 	in := parse1(t, m, "\tmadeupload (%rsi), %xmm7\n")
-	d := m.LookupDegraded(in)
+	d := lookupDegraded(m, in)
 	if d.Match != MatchUnknown {
 		t.Fatalf("match = %s, want unknown", d.Match)
 	}

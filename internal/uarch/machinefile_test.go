@@ -58,11 +58,11 @@ func TestMachineFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d1, err := orig.Lookup(&b.Instrs[0])
+		d1, err := lookup(orig, &b.Instrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := loaded.Lookup(&b.Instrs[0])
+		d2, err := lookup(loaded, &b.Instrs[0])
 		if err != nil {
 			t.Fatalf("%s: reloaded lookup: %v", orig.Key, err)
 		}

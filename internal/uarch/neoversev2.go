@@ -143,7 +143,7 @@ func NewNeoverseV2() *Model {
 		{Mnemonic: "ret", Lat: 0, Uops: []Uop{{Ports: branch, Cycles: 1, Kind: UopBranch}}},
 
 		// --- loads ------------------------------------------------------------
-		// Entry latencies are load-to-use inclusive; Lookup does not add
+		// Entry latencies are load-to-use inclusive; LookupEff does not add
 		// Model.LoadLat for AArch64 forms.
 		{Mnemonic: "ldr", Lat: 4, Uops: ld1},
 		{Mnemonic: "ldur", Lat: 4, Uops: ld1},

@@ -202,7 +202,7 @@ type Model struct {
 	// from one base share them (see Deriver).
 	index map[entryKey]*Entry
 	// portIdx precompiles mask→ascending-indices for every mask of the
-	// entries' µ-ops, and memPortIdx for the masks Lookup synthesizes
+	// entries' µ-ops, and memPortIdx for the masks LookupEff synthesizes
 	// (memory µ-ops, the unknown-instruction descriptor), so hot paths
 	// resolve candidate ports without allocating.
 	portIdx    map[PortMask][]int
@@ -414,7 +414,7 @@ func (m *Model) CacheKey() string {
 }
 
 // PortIndices returns the ascending port indices of mask from the model's
-// precompiled tables, computing (and allocating) only for masks no Lookup
+// precompiled tables, computing (and allocating) only for masks no LookupEff
 // of this model ever emits. The returned slice is shared and must not be
 // mutated.
 func (m *Model) PortIndices(mask PortMask) []int {
@@ -554,16 +554,10 @@ func (e *ErrNoEntry) Error() string {
 	return fmt.Sprintf("uarch: model %s: no entry for %s (%s, width %d)", e.Model, e.Mnemonic, e.Sig, e.Width)
 }
 
-// Lookup resolves an instruction against the model, folding x86 memory
-// operands into extra load/store µ-ops, and returns its Desc.
-func (m *Model) Lookup(in *isa.Instruction) (Desc, error) {
-	eff := isa.InstrEffects(in, m.Dialect)
-	return m.LookupEff(in, &eff)
-}
-
-// LookupEff is Lookup for callers that already computed the instruction's
-// architectural effects (depgraph builds them anyway); it avoids deriving
-// them a second time. eff must describe in under this model's dialect.
+// LookupEff resolves an instruction against the model, folding x86
+// memory operands into extra load/store µ-ops, and returns its Desc. eff
+// is the instruction's architectural effects (isa.InstrEffects; depgraph
+// builds them anyway), which must describe in under this model's dialect.
 func (m *Model) LookupEff(in *isa.Instruction, eff *isa.Effects) (Desc, error) {
 	d, ok := m.lookupEff(in, eff, false)
 	if !ok {
@@ -572,19 +566,12 @@ func (m *Model) LookupEff(in *isa.Instruction, eff *isa.Effects) (Desc, error) {
 	return d, nil
 }
 
-// LookupDegraded resolves an instruction like Lookup, but never fails:
-// mnemonics outside the table receive the model's synthesized
+// LookupEffDegraded resolves an instruction like LookupEff, but never
+// fails: mnemonics outside the table receive the model's synthesized
 // unknown-instruction descriptor (Desc.Match == MatchUnknown) instead of
 // an error, so one unmodeled instruction degrades the analysis of its
 // block rather than rejecting it. The synthesized descriptor is
 // deterministic for a given model content.
-func (m *Model) LookupDegraded(in *isa.Instruction) Desc {
-	eff := isa.InstrEffects(in, m.Dialect)
-	return m.LookupEffDegraded(in, &eff)
-}
-
-// LookupEffDegraded is LookupDegraded for callers that already computed
-// the instruction's architectural effects.
 func (m *Model) LookupEffDegraded(in *isa.Instruction, eff *isa.Effects) Desc {
 	d, _ := m.lookupEff(in, eff, true)
 	return d
@@ -729,16 +716,6 @@ func (m *Model) find(mn, sig string, width int) (e *Entry, exact bool) {
 func isGather(in *isa.Instruction) bool {
 	for _, op := range in.Operands {
 		if op.Kind == isa.OpMem && op.Mem.Index.Valid() && op.Mem.Index.Class == isa.ClassVec {
-			return true
-		}
-	}
-	return false
-}
-
-// HasEntry reports whether the model can describe the mnemonic at all.
-func (m *Model) HasEntry(mn string) bool {
-	for k := range m.index {
-		if k.mnemonic == mn {
 			return true
 		}
 	}

@@ -8,6 +8,18 @@ import (
 	"incore/internal/isa"
 )
 
+// lookup and lookupDegraded resolve in against m the way depgraph does,
+// deriving the instruction's effects first.
+func lookup(m *Model, in *isa.Instruction) (Desc, error) {
+	eff := isa.InstrEffects(in, m.Dialect)
+	return m.LookupEff(in, &eff)
+}
+
+func lookupDegraded(m *Model, in *isa.Instruction) Desc {
+	eff := isa.InstrEffects(in, m.Dialect)
+	return m.LookupEffDegraded(in, &eff)
+}
+
 func TestPortMaskBasics(t *testing.T) {
 	var m PortMask = 0b1011
 	if !m.Has(0) || !m.Has(1) || m.Has(2) || !m.Has(3) {
@@ -121,7 +133,7 @@ func TestLookupExactAndFallback(t *testing.T) {
 	m := MustGet("goldencove")
 	// Width-specific entry: 512-bit add on ports 0/5.
 	in := parse1(t, m, "\tvaddpd %zmm1, %zmm2, %zmm3\n")
-	d, err := m.Lookup(in)
+	d, err := lookup(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +145,7 @@ func TestLookupExactAndFallback(t *testing.T) {
 	}
 	// Fallback to width-any entry for 256-bit.
 	in256 := parse1(t, m, "\tvaddpd %ymm1, %ymm2, %ymm3\n")
-	d256, err := m.Lookup(in256)
+	d256, err := lookup(m, in256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +157,7 @@ func TestLookupExactAndFallback(t *testing.T) {
 func TestLookupUnknownMnemonic(t *testing.T) {
 	m := MustGet("zen4")
 	in := &isa.Instruction{Mnemonic: "frobnicate"}
-	if _, err := m.Lookup(in); err == nil {
+	if _, err := lookup(m, in); err == nil {
 		t.Error("unknown mnemonic must error")
 	} else if _, ok := err.(*ErrNoEntry); !ok {
 		t.Errorf("want *ErrNoEntry, got %T", err)
@@ -155,7 +167,7 @@ func TestLookupUnknownMnemonic(t *testing.T) {
 func TestLoadFoldingX86(t *testing.T) {
 	m := MustGet("goldencove")
 	in := parse1(t, m, "\tvaddpd (%rsi,%rax,8), %zmm1, %zmm0\n")
-	d, err := m.Lookup(in)
+	d, err := lookup(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +198,7 @@ func TestLoadFoldingX86(t *testing.T) {
 func TestNarrowLoadUsesAllLoadPorts(t *testing.T) {
 	m := MustGet("goldencove")
 	in := parse1(t, m, "\tvmovsd (%rsi), %xmm0\n")
-	d, err := m.Lookup(in)
+	d, err := lookup(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +212,7 @@ func TestNarrowLoadUsesAllLoadPorts(t *testing.T) {
 func TestStoreFoldingSplitsWideStores(t *testing.T) {
 	m := MustGet("goldencove") // StoreWidthBits 256
 	in := parse1(t, m, "\tvmovupd %zmm0, (%rdi)\n")
-	d, err := m.Lookup(in)
+	d, err := lookup(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +239,7 @@ func TestStoreFoldingSplitsWideStores(t *testing.T) {
 func TestZen4DoublePumping(t *testing.T) {
 	m := MustGet("zen4")
 	in512 := parse1(t, m, "\tvfmadd231pd %zmm1, %zmm2, %zmm3\n")
-	d512, err := m.Lookup(in512)
+	d512, err := lookup(m, in512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +247,7 @@ func TestZen4DoublePumping(t *testing.T) {
 		t.Errorf("zen4 512-bit FMA must be 2 µ-ops, got %d", len(d512.Uops))
 	}
 	in256 := parse1(t, m, "\tvfmadd231pd %ymm1, %ymm2, %ymm3\n")
-	d256, err := m.Lookup(in256)
+	d256, err := lookup(m, in256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +260,7 @@ func TestGatherDiscrimination(t *testing.T) {
 	m := MustGet("neoversev2")
 	// Contiguous SVE load.
 	cont := parse1(t, m, "\tld1d { z0.d }, p0/z, [x1, x3, lsl #3]\n")
-	dc, err := m.Lookup(cont)
+	dc, err := lookup(m, cont)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +269,7 @@ func TestGatherDiscrimination(t *testing.T) {
 	}
 	// Gather form (vector index).
 	gat := parse1(t, m, "\tld1d { z0.d }, p0/z, [x1, z1.d]\n")
-	dg, err := m.Lookup(gat)
+	dg, err := lookup(m, gat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +284,7 @@ func TestGatherDiscrimination(t *testing.T) {
 func TestAArch64LoadLatencyInclusive(t *testing.T) {
 	m := MustGet("neoversev2")
 	in := parse1(t, m, "\tldr q0, [x1, x3]\n")
-	d, err := m.Lookup(in)
+	d, err := lookup(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +320,7 @@ func TestTableIIIThroughputFromEntries(t *testing.T) {
 	check := func(key, src string, wantElemsPerCy float64, lanes int) {
 		m := MustGet(key)
 		in := parse1(t, m, src)
-		d, err := m.Lookup(in)
+		d, err := lookup(m, in)
 		if err != nil {
 			t.Fatalf("%s %s: %v", key, src, err)
 		}
@@ -337,7 +349,7 @@ func TestTableIIILatencies(t *testing.T) {
 	check := func(key, src string, want int) {
 		m := MustGet(key)
 		in := parse1(t, m, src)
-		d, err := m.Lookup(in)
+		d, err := lookup(m, in)
 		if err != nil {
 			t.Fatalf("%s %s: %v", key, src, err)
 		}
@@ -398,16 +410,6 @@ func TestUopKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
 		}
-	}
-}
-
-func TestHasEntry(t *testing.T) {
-	m := MustGet("goldencove")
-	if !m.HasEntry("vaddpd") {
-		t.Error("goldencove must know vaddpd")
-	}
-	if m.HasEntry("fmla") {
-		t.Error("goldencove must not know fmla")
 	}
 }
 
