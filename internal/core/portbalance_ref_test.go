@@ -116,10 +116,10 @@ func referenceHeuristicAssignment(jobs []balanceJob, nPorts int) []float64 {
 
 // randomJobs draws a job set over nPorts ports. With dyadicOnly, cycle
 // counts are small dyadic fractions like the machine models use — sums
-// of those are exact, which matters because the *reference*
-// OptimalPortBound accumulates demand in random map-iteration order and
-// is only bit-deterministic when addition cannot round. Without it,
-// awkward values (1/3) are mixed in.
+// of those are exact, which matters because referenceOptimalPortBound
+// accumulates demand in random map-iteration order and is only
+// bit-deterministic when addition cannot round. Without it, awkward
+// values (1/3) are mixed in.
 func randomJobs(rng *rand.Rand, nPorts int, dyadicOnly bool) []balanceJob {
 	nJobs := rng.Intn(24)
 	jobs := make([]balanceJob, nJobs)

@@ -8,7 +8,7 @@ import (
 	"incore/internal/isa"
 )
 
-// Table-driven coverage of the whole Lookup → LookupEff resolution chain
+// Table-driven coverage of the whole LookupEff resolution chain
 // across all three built-in models: exact (mnemonic, signature, width)
 // hits, the folded signature/width fallback chain, and the synthesized
 // unknown-instruction path that strict lookup rejects and degraded
@@ -39,7 +39,7 @@ func TestLookupChainAcrossModels(t *testing.T) {
 
 			d := lookupDegraded(m, in)
 			if d.Match != tc.want {
-				t.Fatalf("LookupDegraded(%q).Match = %s, want %s", in.Mnemonic, d.Match, tc.want)
+				t.Fatalf("lookupDegraded(%q).Match = %s, want %s", in.Mnemonic, d.Match, tc.want)
 			}
 			assertDescValid(t, m, &d)
 
@@ -48,10 +48,10 @@ func TestLookupChainAcrossModels(t *testing.T) {
 			ds, err := lookup(m, in)
 			if tc.want == MatchUnknown {
 				if err == nil {
-					t.Fatalf("strict Lookup(%q) succeeded, want ErrNoEntry", in.Mnemonic)
+					t.Fatalf("strict lookup(%q) succeeded, want ErrNoEntry", in.Mnemonic)
 				}
 				if _, ok := err.(*ErrNoEntry); !ok {
-					t.Fatalf("strict Lookup(%q) error = %T, want *ErrNoEntry", in.Mnemonic, err)
+					t.Fatalf("strict lookup(%q) error = %T, want *ErrNoEntry", in.Mnemonic, err)
 				}
 				if d.Entry != nil {
 					t.Fatalf("unknown descriptor points at a table entry")
@@ -61,7 +61,7 @@ func TestLookupChainAcrossModels(t *testing.T) {
 				}
 			} else {
 				if err != nil {
-					t.Fatalf("strict Lookup(%q): %v", in.Mnemonic, err)
+					t.Fatalf("strict lookup(%q): %v", in.Mnemonic, err)
 				}
 				if !reflect.DeepEqual(d, ds) {
 					t.Fatalf("strict and degraded descriptors disagree on a table hit:\n%+v\n%+v", ds, d)
@@ -73,7 +73,7 @@ func TestLookupChainAcrossModels(t *testing.T) {
 
 			// Determinism: repeated lookups are bit-identical.
 			if d2 := lookupDegraded(m, in); !reflect.DeepEqual(d, d2) {
-				t.Fatalf("repeated LookupDegraded(%q) differs:\n%+v\n%+v", in.Mnemonic, d, d2)
+				t.Fatalf("repeated lookupDegraded(%q) differs:\n%+v\n%+v", in.Mnemonic, d, d2)
 			}
 		})
 	}
