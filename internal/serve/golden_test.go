@@ -17,7 +17,7 @@ import (
 	"incore/internal/kernels"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite "+responseGoldenPath+" from this build")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from this build")
 
 // responseGoldenPath pins the exact response bytes of /v1/analyze and
 // /v1/batch, one sha256 per response, so any change to how a response
