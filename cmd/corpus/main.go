@@ -48,6 +48,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: corpus -arch <model> [-min-coverage F] <file.s> ...")
 		os.Exit(2)
 	}
+	// -arch has a default: only an explicit -arch can contradict -machine.
+	explicitArch := ""
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "arch" {
+			explicitArch = *arch
+		}
+	})
 	if *machineDir != "" {
 		if _, err := uarch.LoadDir(*machineDir); err != nil {
 			fatal(err)
@@ -56,7 +63,7 @@ func main() {
 	var m *uarch.Model
 	var err error
 	if *machineFile != "" {
-		m, err = uarch.LoadFile(*machineFile)
+		m, err = uarch.ReadFile(*machineFile, explicitArch)
 	} else {
 		m, err = uarch.Get(*arch)
 	}

@@ -29,8 +29,13 @@ func main() {
 	dumpAsm := flag.Bool("dump-asm", false, "print the generated benchmark loops instead of running them")
 	flag.Parse()
 
-	archSet := false
-	flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
+	// -arch has a default: only an explicit -arch can contradict -machine.
+	explicitArch := ""
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "arch" {
+			explicitArch = *arch
+		}
+	})
 	if *machineDir != "" {
 		if _, err := uarch.LoadDir(*machineDir); err != nil {
 			fatal(err)
@@ -39,17 +44,7 @@ func main() {
 	var m *uarch.Model
 	var err error
 	if *machineFile != "" {
-		f, ferr := os.Open(*machineFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		m, err = uarch.ReadJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil && archSet && *arch != m.Key {
-			err = fmt.Errorf("-arch %q does not match machine file key %q", *arch, m.Key)
-		}
+		m, err = uarch.ReadFile(*machineFile, explicitArch)
 	} else {
 		m, err = uarch.Get(*arch)
 	}

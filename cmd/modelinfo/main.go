@@ -30,8 +30,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 	"strings"
@@ -92,16 +94,9 @@ func main() {
 
 	var m *uarch.Model
 	if *machineFile != "" {
-		f, err := os.Open(*machineFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
-			os.Exit(1)
-		}
-		m, err = uarch.ReadJSON(f)
-		f.Close()
-		if err == nil && *arch != "" && *arch != m.Key {
-			err = fmt.Errorf("-arch %q does not match machine file key %q", *arch, m.Key)
-		}
+		var err error
+		// -arch defaults to "", so any non-empty value is explicit.
+		m, err = uarch.ReadFile(*machineFile, *arch)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
 			os.Exit(1)
@@ -210,12 +205,7 @@ var smokeBlocks = map[isa.Dialect]string{
 // write→read round trip that must preserve the fingerprint, and one
 // smoke analysis.
 func checkFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	m, err := uarch.ReadJSON(f)
-	f.Close()
+	m, err := uarch.ReadFile(path, "")
 	if err != nil {
 		return err
 	}
@@ -249,21 +239,16 @@ func checkFile(path string) error {
 
 // loadModelArg resolves one -diff argument: a machine-file path if the
 // file exists, a registered model key otherwise. Files go through
-// ReadJSON (not LoadFile) so diffing never mutates the registry.
+// ReadFile (not LoadFile) so diffing never mutates the registry.
 func loadModelArg(arg string) (*uarch.Model, error) {
-	f, err := os.Open(arg)
-	if err != nil {
+	m, err := uarch.ReadFile(arg, "")
+	if errors.Is(err, fs.ErrNotExist) {
 		if m, gerr := uarch.Get(arg); gerr == nil {
 			return m, nil
 		}
 		return nil, fmt.Errorf("%s: not a readable machine file (%v) or registered key", arg, err)
 	}
-	defer f.Close()
-	m, err := uarch.ReadJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", arg, err)
-	}
-	return m, nil
+	return m, err
 }
 
 // wireMap renders a model's canonical machine-file form as a generic

@@ -72,8 +72,13 @@ func main() {
 		fatal(err)
 	}
 
-	archSet := false
-	flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
+	// -arch has a default: only an explicit -arch can contradict -machine.
+	explicitArch := ""
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "arch" {
+			explicitArch = *arch
+		}
+	})
 	if *machineDir != "" {
 		if _, err := uarch.LoadDir(*machineDir); err != nil {
 			fatal(err)
@@ -81,23 +86,7 @@ func main() {
 	}
 	var m *uarch.Model
 	if *machineFile != "" {
-		// Used directly, not registered: a machine file may share a
-		// built-in's key (the exported-then-edited workflow) and still
-		// gets its own fingerprinted cache identity.
-		f, ferr := os.Open(*machineFile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		m, err = uarch.ReadJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		// -arch defaults to goldencove, so only an explicit -arch can
-		// contradict the machine file; mirror the serve endpoint's
-		// mismatch rejection instead of silently preferring the file.
-		if err == nil && archSet && *arch != m.Key {
-			err = fmt.Errorf("-arch %q does not match machine file key %q", *arch, m.Key)
-		}
+		m, err = uarch.ReadFile(*machineFile, explicitArch)
 	} else {
 		m, err = uarch.Get(*arch)
 	}

@@ -183,21 +183,21 @@ type JobView struct {
 type Stats struct {
 	// Jobs is the retained record count; Depth is the number of items
 	// still awaiting a worker across all jobs (the queue backlog).
-	Jobs  int `json:"jobs"`
-	Depth int `json:"depth"`
+	Jobs  int `json:"jobs" help:"Retained job records."`
+	Depth int `json:"depth" help:"Job items awaiting a worker."`
 	// Per-state job counts.
-	Pending   int `json:"pending"`
-	Running   int `json:"running"`
-	Completed int `json:"completed"`
-	Cancelled int `json:"cancelled"`
+	Pending   int `json:"pending" help:"Jobs in state pending."`
+	Running   int `json:"running" help:"Jobs in state running."`
+	Completed int `json:"completed" help:"Jobs in state completed."`
+	Cancelled int `json:"cancelled" help:"Jobs in state cancelled."`
 	// Evicted counts records self-evicted on load (stale stamp, damaged
 	// file, ID mismatch); PersistErrors counts surrendered checkpoints —
 	// writes that failed even after PersistRetried extra attempts (the
 	// queue stays usable; a failed write costs durability, not
 	// correctness).
-	Evicted        uint64 `json:"evicted"`
-	PersistErrors  uint64 `json:"persist_errors"`
-	PersistRetried uint64 `json:"persist_retried,omitempty"`
+	Evicted        uint64 `json:"evicted" help:"Job records self-evicted on load."`
+	PersistErrors  uint64 `json:"persist_errors" help:"Surrendered job checkpoints."`
+	PersistRetried uint64 `json:"persist_retried,omitempty" help:"Retried job checkpoint writes."`
 	// LastPersistError and LastPersistAt pin the most recent surrendered
 	// checkpoint — message and wall-clock time (RFC 3339) — so /healthz
 	// shows not just that durability degraded but when and why. Empty

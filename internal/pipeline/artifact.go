@@ -69,18 +69,18 @@ type Artifacts struct{ c *Cache }
 // build; Hits+Attaches together are schedule-independent.
 type ArtifactStats struct {
 	// Per-kind successful-build counts (cached entries, errors excluded).
-	Programs  int64 `json:"programs"`
-	Blocks    int64 `json:"blocks"`
-	Skeletons int64 `json:"skeletons"`
-	Descs     int64 `json:"descs"`
-	MCA       int64 `json:"mca"`
+	Programs  int64 `json:"programs" help:"Cached simulator programs."`
+	Blocks    int64 `json:"blocks" help:"Cached parsed blocks."`
+	Skeletons int64 `json:"skeletons" help:"Cached dependence skeletons."`
+	Descs     int64 `json:"descs" help:"Cached descriptor tables."`
+	MCA       int64 `json:"mca" help:"Cached mca schedules."`
 
-	Compiles uint64 `json:"compiles"`
-	Hits     uint64 `json:"hits"`
-	Attaches uint64 `json:"attaches"`
+	Compiles uint64 `json:"compiles" help:"Artifact compilations."`
+	Hits     uint64 `json:"hits" help:"Artifact cache hits."`
+	Attaches uint64 `json:"attaches" help:"Waiters attached to in-flight compilations."`
 	// BytesEstimated roughly approximates retained artifact bytes; see
 	// the SizeEstimate methods for what "estimate" means here.
-	BytesEstimated int64 `json:"bytes_estimated"`
+	BytesEstimated int64 `json:"bytes_estimated" help:"Estimated retained artifact bytes."`
 }
 
 // Stats returns the current accounting. Entry counts and bytes are

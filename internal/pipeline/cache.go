@@ -88,9 +88,9 @@ func Do[T any](c *Cache, key string, size func(T) int, fn func() (T, error)) (T,
 // and singleflight attaches together) — so the totals for a fixed
 // workload are identical at any worker count.
 type Stats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits" help:"Memo cache hits."`
+	Misses  uint64 `json:"misses" help:"Memo cache misses."`
+	Entries int    `json:"entries" help:"Memo cache population."`
 }
 
 // Stats returns the current accounting.

@@ -5,10 +5,9 @@ import (
 	"sync"
 )
 
-// Graph is a job graph: named jobs with explicit dependencies, executed
-// on a Pool with at most Workers() jobs running at once. Results are
-// retrieved by job id, so consumers control output order independently of
-// execution order.
+// Graph is a set of named, independent jobs executed on a Pool with at
+// most Workers() jobs running at once. Results are retrieved by job id,
+// so consumers control output order independently of execution order.
 type Graph struct {
 	pool  *Pool
 	nodes map[string]*gnode
@@ -17,12 +16,9 @@ type Graph struct {
 }
 
 type gnode struct {
-	id   string
-	fn   func() (any, error)
-	deps []string
-	done chan struct{}
-	val  any
-	err  error
+	fn  func() (any, error)
+	val any
+	err error
 }
 
 // NewGraph returns an empty graph scheduled on pool p (nil: Default()).
@@ -33,66 +29,24 @@ func NewGraph(p *Pool) *Graph {
 	return &Graph{pool: p, nodes: map[string]*gnode{}}
 }
 
-// Add registers job id with its dependencies. Dependencies may be added
-// in any order but must all exist by the time Run is called.
-func (g *Graph) Add(id string, fn func() (any, error), deps ...string) error {
+// Add registers job id.
+func (g *Graph) Add(id string, fn func() (any, error)) error {
 	if _, dup := g.nodes[id]; dup {
 		return fmt.Errorf("pipeline: duplicate job %q", id)
 	}
-	g.nodes[id] = &gnode{id: id, fn: fn, deps: deps, done: make(chan struct{})}
+	g.nodes[id] = &gnode{fn: fn}
 	g.order = append(g.order, id)
 	return nil
 }
 
-// validate checks that every dependency exists and the graph is acyclic.
-func (g *Graph) validate() error {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := map[string]int{}
-	var visit func(id string) error
-	visit = func(id string) error {
-		n, ok := g.nodes[id]
-		if !ok {
-			return fmt.Errorf("pipeline: unknown dependency %q", id)
-		}
-		switch color[id] {
-		case grey:
-			return fmt.Errorf("pipeline: dependency cycle through %q", id)
-		case black:
-			return nil
-		}
-		color[id] = grey
-		for _, d := range n.deps {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		color[id] = black
-		return nil
-	}
-	for _, id := range g.order {
-		if err := visit(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run executes the whole graph and blocks until every job finished or was
-// skipped. A job whose dependency failed is skipped and inherits the
-// dependency's error. Run returns the error of the earliest-added failing
-// job, or nil. Run may be called once.
+// Run executes every job and blocks until all finished. Run returns the
+// error of the earliest-added failing job, or nil. Run may be called
+// once.
 func (g *Graph) Run() error {
 	if g.ran {
 		return fmt.Errorf("pipeline: graph already ran")
 	}
 	g.ran = true
-	if err := g.validate(); err != nil {
-		return err
-	}
 	// Draw from the pool's shared semaphore so graph jobs and any Map
 	// calls they make compete for the same -j slots. (Map inside a job
 	// is fine — it never blocks on the semaphore; a nested Graph.Run on
@@ -104,20 +58,7 @@ func (g *Graph) Run() error {
 		n := g.nodes[id]
 		wg.Add(1)
 		go func(n *gnode) {
-			defer func() {
-				close(n.done)
-				wg.Done()
-			}()
-			for _, d := range n.deps {
-				dn := g.nodes[d]
-				<-dn.done
-				if dn.err != nil {
-					n.err = fmt.Errorf("pipeline: %s: dependency %s: %w", n.id, d, dn.err)
-					return
-				}
-			}
-			// Acquire a worker slot only once runnable, so blocked jobs
-			// never starve the pool.
+			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			n.val, n.err = n.fn()

@@ -131,82 +131,36 @@ func TestCacheReset(t *testing.T) {
 	}
 }
 
-func TestGraphRespectsDependencies(t *testing.T) {
-	g := NewGraph(NewPool(8))
-	var mu sync.Mutex
-	var log []string
-	step := func(id string) func() (any, error) {
-		return func() (any, error) {
-			mu.Lock()
-			log = append(log, id)
-			mu.Unlock()
-			return id + "-done", nil
-		}
-	}
-	mustAdd := func(id string, deps ...string) {
-		t.Helper()
-		if err := g.Add(id, step(id), deps...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAdd("fetch")
-	mustAdd("analyze", "fetch")
-	mustAdd("simulate", "fetch")
-	mustAdd("report", "analyze", "simulate")
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, id := range log {
-		pos[id] = i
-	}
-	if !(pos["fetch"] < pos["analyze"] && pos["fetch"] < pos["simulate"] && pos["analyze"] < pos["report"] && pos["simulate"] < pos["report"]) {
-		t.Errorf("dependency order violated: %v", log)
-	}
-	v, err := g.Result("report")
-	if err != nil || v != "report-done" {
-		t.Errorf("Result(report) = %v, %v", v, err)
-	}
-}
-
+// TestGraphFailurePropagates: every job runs, each keeps its own result,
+// and Run reports the earliest-added failing job's error even when a
+// later-added job fails too.
 func TestGraphFailurePropagates(t *testing.T) {
 	g := NewGraph(NewPool(4))
-	boom := errors.New("boom")
+	boom, bang := errors.New("boom"), errors.New("bang")
+	g.Add("ok", func() (any, error) { return "ok-done", nil })
 	g.Add("a", func() (any, error) { return nil, boom })
-	ran := false
-	g.Add("b", func() (any, error) { ran = true; return nil, nil }, "a")
+	g.Add("b", func() (any, error) { return nil, bang })
 	if err := g.Run(); !errors.Is(err, boom) {
 		t.Errorf("Run err = %v, want boom", err)
 	}
-	if ran {
-		t.Error("dependent of a failed job must be skipped")
+	if v, err := g.Result("ok"); err != nil || v != "ok-done" {
+		t.Errorf("Result(ok) = %v, %v", v, err)
 	}
-	if _, err := g.Result("b"); !errors.Is(err, boom) {
-		t.Errorf("Result(b) err = %v, want wrapped boom", err)
+	if _, err := g.Result("b"); !errors.Is(err, bang) {
+		t.Errorf("Result(b) err = %v, want bang", err)
 	}
 }
 
-func TestGraphRejectsCycleAndUnknownDep(t *testing.T) {
+func TestGraphRejectsDuplicateAndRerun(t *testing.T) {
 	g := NewGraph(NewPool(1))
-	g.Add("a", func() (any, error) { return nil, nil }, "b")
-	g.Add("b", func() (any, error) { return nil, nil }, "a")
-	if err := g.Run(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle not detected: %v", err)
-	}
-	g2 := NewGraph(NewPool(1))
-	g2.Add("a", func() (any, error) { return nil, nil }, "ghost")
-	if err := g2.Run(); err == nil || !strings.Contains(err.Error(), "unknown dependency") {
-		t.Errorf("unknown dep not detected: %v", err)
-	}
-	g3 := NewGraph(NewPool(1))
-	g3.Add("a", func() (any, error) { return nil, nil })
-	if err := g3.Add("a", func() (any, error) { return nil, nil }); err == nil {
+	g.Add("a", func() (any, error) { return nil, nil })
+	if err := g.Add("a", func() (any, error) { return nil, nil }); err == nil {
 		t.Error("duplicate id not rejected")
 	}
-	if err := g3.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g3.Run(); err == nil {
+	if err := g.Run(); err == nil {
 		t.Error("second Run not rejected")
 	}
 }

@@ -98,29 +98,29 @@ type Stats struct {
 	// Gets counts lookups reaching this client; Hits were fetched and
 	// verified, Misses are healthy peer 404s, Errors are lookups that
 	// exhausted retries (network, 5xx, or verification failures).
-	Gets   uint64 `json:"gets"`
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Errors uint64 `json:"errors"`
+	Gets   uint64 `json:"gets" help:"Remote peer lookups."`
+	Hits   uint64 `json:"hits" help:"Remote peer hits."`
+	Misses uint64 `json:"misses" help:"Remote peer healthy misses."`
+	Errors uint64 `json:"errors" help:"Remote lookups that exhausted retries."`
 	// VerifyFailures counts fetched entries discarded by the
 	// verification chain (subset of attempts; a lookup may retry past
 	// one and still hit).
-	VerifyFailures uint64 `json:"verify_failures"`
+	VerifyFailures uint64 `json:"verify_failures" help:"Remote entries discarded by verification."`
 	// Retries counts extra GET attempts beyond the first.
-	Retries uint64 `json:"retries"`
+	Retries uint64 `json:"retries" help:"Extra remote GET attempts."`
 	// ShortCircuits counts operations answered locally because the
 	// breaker was open.
-	ShortCircuits uint64 `json:"short_circuits"`
+	ShortCircuits uint64 `json:"short_circuits" help:"Operations answered locally by the open breaker."`
 	// Puts counts write-behind successes; PutErrors failed attempts;
 	// PutsDropped entries discarded because the queue was full or the
 	// breaker open.
-	Puts        uint64 `json:"puts"`
-	PutErrors   uint64 `json:"put_errors"`
-	PutsDropped uint64 `json:"puts_dropped"`
+	Puts        uint64 `json:"puts" help:"Write-behind successes."`
+	PutErrors   uint64 `json:"put_errors" help:"Write-behind failures."`
+	PutsDropped uint64 `json:"puts_dropped" help:"Write-behind entries dropped."`
 	// Breaker is the current state; BreakerTrips counts closed→open and
 	// half-open→open transitions.
-	Breaker      BreakerState `json:"breaker"`
-	BreakerTrips uint64       `json:"breaker_trips"`
+	Breaker      BreakerState `json:"breaker" help:"Circuit-breaker state (1 on the active state)."`
+	BreakerTrips uint64       `json:"breaker_trips" help:"Breaker transitions to open."`
 }
 
 // Client is a fault-tolerant peer store client. It satisfies

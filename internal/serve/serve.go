@@ -197,7 +197,7 @@ type ModelList struct {
 // wall-clock).
 type HealthResponse struct {
 	Status string         `json:"status"`
-	Models int            `json:"models"`
+	Models int            `json:"models" help:"Registered machine models."`
 	Cache  pipeline.Stats `json:"cache"`
 	Store  *store.Stats   `json:"store,omitempty"`
 	// Remote reports the peer-store tier when one is attached: hit,
@@ -662,6 +662,11 @@ func (s *Server) handleExportModel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.health())
+}
+
+// health snapshots the accounting /healthz and /metrics both render.
+func (s *Server) health() HealthResponse {
 	resp := HealthResponse{
 		Status:   "ok",
 		Models:   len(uarch.Keys()),
@@ -678,7 +683,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Remote = &rs
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {

@@ -82,28 +82,28 @@ type Options struct {
 // Stats is a point-in-time accounting snapshot of one store.
 type Stats struct {
 	// MemHits were served from the in-memory LRU tier.
-	MemHits uint64 `json:"mem_hits"`
+	MemHits uint64 `json:"mem_hits" help:"Store in-memory tier hits."`
 	// DiskHits were read, verified, and promoted from the disk tier.
-	DiskHits uint64 `json:"disk_hits"`
+	DiskHits uint64 `json:"disk_hits" help:"Store disk tier hits."`
 	// RemoteHits were fetched from the remote peer tier, verified, and
 	// promoted into both local tiers.
-	RemoteHits uint64 `json:"remote_hits"`
+	RemoteHits uint64 `json:"remote_hits" help:"Store remote tier hits."`
 	// RemoteRejects counts remote payloads the caller's validator
 	// refused after the transport-level verification passed (payload
 	// drift without a schema bump); rejected payloads are treated as
 	// misses and never populate the local tiers.
-	RemoteRejects uint64 `json:"remote_rejects"`
+	RemoteRejects uint64 `json:"remote_rejects" help:"Remote payloads refused by validation."`
 	// Misses found no usable entry in any tier (cold lookups).
-	Misses uint64 `json:"misses"`
+	Misses uint64 `json:"misses" help:"Store cold lookups."`
 	// Evictions counts disk entries deleted on read because they were
 	// stale (schema mismatch) or damaged (truncated, corrupted,
 	// key-collided).
-	Evictions uint64 `json:"evictions"`
+	Evictions uint64 `json:"evictions" help:"Stale or damaged disk entries evicted."`
 	// PutErrors counts failed writes (the store stays usable; a failed
 	// put only costs a future cold lookup).
-	PutErrors uint64 `json:"put_errors"`
+	PutErrors uint64 `json:"put_errors" help:"Failed store writes."`
 	// MemEntries is the current in-memory LRU population.
-	MemEntries int `json:"mem_entries"`
+	MemEntries int `json:"mem_entries" help:"Store in-memory tier population."`
 }
 
 // Warm returns the lookups served without recomputation.

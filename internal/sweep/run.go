@@ -123,19 +123,19 @@ type Stats struct {
 	// Sweeps counts completed sweep runs; Variants the models they
 	// generated; SharedSignature the variants that reused another
 	// variant's port signature (and therefore its compiled artifacts).
-	Sweeps          uint64 `json:"sweeps"`
-	Variants        uint64 `json:"variants"`
-	SharedSignature uint64 `json:"shared_signature"`
+	Sweeps          uint64 `json:"sweeps" help:"Completed sweep runs."`
+	Variants        uint64 `json:"variants" help:"Sweep variants generated."`
+	SharedSignature uint64 `json:"shared_signature" help:"Variants reusing another variant's port signature."`
 	// CellsWarm / CellsCold count result cells by provenance: a cold
 	// cell missed the memo and store under its variant's key.
 	// CellsAnalyzed counts the analyses that actually ran: variants
 	// sharing a port signature share one per block content, so a cold
 	// node-only sweep analyzes each block once.
-	CellsWarm     uint64 `json:"cells_warm"`
-	CellsCold     uint64 `json:"cells_cold"`
-	CellsAnalyzed uint64 `json:"cells_analyzed"`
+	CellsWarm     uint64 `json:"cells_warm" help:"Sweep result cells served from cache tiers."`
+	CellsCold     uint64 `json:"cells_cold" help:"Sweep result cells that missed the memo and store under their variant's key."`
+	CellsAnalyzed uint64 `json:"cells_analyzed" help:"Sweep cell analyses run (one per port signature and block content)."`
 	// RejectedTooLarge counts sweeps refused by a variant cap.
-	RejectedTooLarge uint64 `json:"rejected_too_large"`
+	RejectedTooLarge uint64 `json:"rejected_too_large" help:"Sweeps refused by the variant cap."`
 }
 
 var stats struct {

@@ -111,10 +111,11 @@ func Register(m *Model) (created bool, err error) {
 	return true, nil
 }
 
-// LoadFile reads a JSON machine file and registers the model, returning
-// it. The key inside the file decides the registry slot; loading a file
-// whose key is taken by different content fails (see Register).
-func LoadFile(path string) (*Model, error) {
+// ReadFile reads a JSON machine file without registering it, so the
+// file may share a registered key (an exported-then-edited built-in)
+// and still get its own fingerprinted CacheKey. A non-empty arch is the
+// key the caller asked for explicitly; a file with any other key fails.
+func ReadFile(path, arch string) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: %w", err)
@@ -123,6 +124,20 @@ func LoadFile(path string) (*Model, error) {
 	m, err := ReadJSON(f)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: %s: %w", path, err)
+	}
+	if arch != "" && arch != m.Key {
+		return nil, fmt.Errorf("uarch: %s: -arch %q does not match machine file key %q", path, arch, m.Key)
+	}
+	return m, nil
+}
+
+// LoadFile reads a JSON machine file and registers the model, returning
+// it. The key inside the file decides the registry slot; loading a file
+// whose key is taken by different content fails (see Register).
+func LoadFile(path string) (*Model, error) {
+	m, err := ReadFile(path, "")
+	if err != nil {
+		return nil, err
 	}
 	created, err := Register(m)
 	if err != nil {

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -183,6 +184,52 @@ func TestLoadFileAndLoadDir(t *testing.T) {
 		t.Error("LoadDir must surface registration conflicts")
 	} else if !strings.Contains(err.Error(), "conflict.json") {
 		t.Errorf("conflict error should name the file: %v", err)
+	}
+}
+
+// TestReadFileEditedExport: an exported-then-edited built-in (an extra
+// store-data port) reads as a model of its own under a fingerprinted
+// cache key, the registry's entry for that key stays the built-in, and
+// only an explicitly requested arch that differs from the file's key
+// is refused.
+func TestReadFileEditedExport(t *testing.T) {
+	builtin := MustGet("zen4")
+	var buf bytes.Buffer
+	if err := builtin.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire["ports"] = append(wire["ports"].([]any), "SD2")
+	wire["store_data_ports"] = append(wire["store_data_ports"].([]any), "SD2")
+	raw, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "zen4-edited.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, arch := range []string{"", "zen4"} {
+		m, err := ReadFile(path, arch)
+		if err != nil {
+			t.Fatalf("ReadFile(%q): %v", arch, err)
+		}
+		if !strings.HasPrefix(m.CacheKey(), "zen4@") {
+			t.Errorf("edited export CacheKey = %q, want zen4@<fingerprint>", m.CacheKey())
+		}
+	}
+	if got := MustGet("zen4"); got != builtin || got.CacheKey() != "zen4" {
+		t.Errorf("registry zen4 = %s after ReadFile, want the built-in", got.CacheKey())
+	}
+	if _, err := ReadFile(path, "goldencove"); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("ReadFile with a mismatching arch: err = %v, want one naming %s", err, path)
+	}
+	if _, err := LoadFile(path); err == nil {
+		t.Error("LoadFile registered an edited export over the built-in zen4")
 	}
 }
 
