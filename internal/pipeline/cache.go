@@ -128,8 +128,8 @@ func ReportTiers(w io.Writer, prog string, workers int) {
 		prog, workers, st.Hits, st.Misses, st.Entries)
 	if ps := persistent; ps != nil {
 		s := ps.Stats()
-		fmt.Fprintf(w, "%s: store %d warm / %d cold (mem %d, disk %d, evictions %d)\n",
-			prog, s.Warm(), s.Misses, s.MemHits, s.DiskHits, s.Evictions)
+		fmt.Fprintf(w, "%s: store %d warm / %d cold (disk %d, evictions %d, put errors %d)\n",
+			prog, s.Warm(), s.Misses, s.DiskHits, s.Evictions, s.PutErrors)
 	}
 	cs := artifacts.Stats()
 	fmt.Fprintf(w, "%s: compiled %d programs / %d skeletons / %d mca, %d hits + %d attaches / %d compiles (~%d KiB)\n",

@@ -12,7 +12,7 @@ import (
 // every memoized entry point in memo.go:
 //
 //	memo cache (per process, singleflight)
-//	  → store   (per machine: sharded in-memory LRU over on-disk entries)
+//	  → store   (per machine: on-disk entries, optionally a remote peer)
 //	    → compute
 //
 // The memo cache keeps singleflight semantics and pointer sharing within

@@ -1,6 +1,11 @@
 package pipeline
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"incore/internal/core"
@@ -43,26 +48,39 @@ func genBlock(t *testing.T, arch, kernel string) (*uarch.Model, *core.Analyzer, 
 // TestAnalyzeSurvivesProcesses is the contract the warm-cache CI job
 // enforces end to end: a second process over the same cache directory
 // serves every analysis from the store (zero cold lookups) and renders
-// the same report bytes.
+// the same report bytes. Each process analyzes the block twice, and the
+// store still sees one lookup per process: the memo answers the repeat,
+// which is why the store keeps no payload in memory.
 func TestAnalyzeSurvivesProcesses(t *testing.T) {
 	dir := t.TempDir()
 	m, an, tb := genBlock(t, "goldencove", "striad")
 
-	st1 := withFreshTiers(t, dir)
-	cold, err := Analyze(an, tb.Block, m)
-	if err != nil {
-		t.Fatal(err)
+	// process analyzes the block twice under fresh tiers over dir and
+	// checks that both calls return the memo's one result.
+	process := func() (*core.Result, store.Stats) {
+		t.Helper()
+		st := withFreshTiers(t, dir)
+		first, err := Analyze(an, tb.Block, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Analyze(an, tb.Block, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != first {
+			t.Fatal("repeated Analyze in one process was not answered by the memo")
+		}
+		return first, st.Stats()
 	}
-	if got := st1.Stats(); got.Misses != 1 || got.Warm() != 0 {
+
+	cold, got := process()
+	if got.Misses != 1 || got.Warm() != 0 {
 		t.Fatalf("cold run store stats = %+v; want 1 miss, 0 warm", got)
 	}
 
-	st2 := withFreshTiers(t, dir)
-	warm, err := Analyze(an, tb.Block, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st2.Stats(); got.Misses != 0 || got.DiskHits != 1 {
+	warm, got := process()
+	if got.Misses != 0 || got.DiskHits != 1 || got.Warm() != 1 {
 		t.Fatalf("warm run store stats = %+v; want 0 misses, 1 disk hit", got)
 	}
 	if warm.Report() != cold.Report() {
@@ -166,5 +184,28 @@ func TestNoStoreIsPureMemo(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Error("memo tier must share the identical result pointer")
+	}
+}
+
+// TestReportTiersShowsPutErrors: a store that cannot write counts the
+// failure without returning it, so the stderr store line must show it.
+// A regular file in place of every shard directory makes each write
+// fail.
+func TestReportTiersShowsPutErrors(t *testing.T) {
+	dir := t.TempDir()
+	m, an, tb := genBlock(t, "goldencove", "striad")
+	withFreshTiers(t, dir)
+	for i := 0; i < 256; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Analyze(an, tb.Block, m); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	ReportTiers(&buf, "test", 1)
+	if want := "test: store 0 warm / 1 cold (disk 0, evictions 0, put errors 1)\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("ReportTiers wrote\n%s\nwant the line %q", buf.String(), want)
 	}
 }

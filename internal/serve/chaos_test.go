@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -320,8 +321,8 @@ func TestFaultRatesByteIdentical(t *testing.T) {
 		t.Fatalf("baseline status = %d: %s", status, want)
 	}
 	rc0.Close() // drains the write-behind queue
-	if peerStore.Stats().MemEntries == 0 {
-		t.Fatal("peer store empty after write-behind")
+	if entries, err := filepath.Glob(filepath.Join(peerStore.Dir(), "*", "*.json")); err != nil || len(entries) == 0 {
+		t.Fatalf("peer store holds no entry on disk after write-behind (err=%v)", err)
 	}
 
 	for _, rate := range []float64{0, 0.3, 1.0} {

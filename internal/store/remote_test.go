@@ -45,9 +45,9 @@ func (f *fakeRemote) counts() (gets, puts int) {
 	return f.gets, f.puts
 }
 
-// TestRemoteHitPopulatesLocalTiers: a miss in both local tiers that the
-// peer answers is promoted to memory and disk, counted as a remote hit
-// (warm), and never consulted remotely again.
+// TestRemoteHitPopulatesLocalTiers: a disk miss that the peer answers is
+// written to disk, counted as a remote hit (warm), and never consulted
+// remotely again.
 func TestRemoteHitPopulatesLocalTiers(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Schema: 1})
@@ -63,15 +63,18 @@ func TestRemoteHitPopulatesLocalTiers(t *testing.T) {
 	if st.RemoteHits != 1 || st.Misses != 0 || st.Warm() != 1 {
 		t.Fatalf("stats = %+v; want 1 remote hit, 0 misses", st)
 	}
-	// Promoted: second lookup is a mem hit, no further remote traffic.
+	// Written to disk: the second lookup is a disk hit, with no further
+	// remote traffic.
 	if _, ok := s.Get("k"); !ok {
 		t.Fatal("promoted entry missed")
+	}
+	if st := s.Stats(); st.DiskHits != 1 || st.RemoteHits != 1 {
+		t.Fatalf("stats after second lookup = %+v; want 1 disk hit, 1 remote hit", st)
 	}
 	if gets, _ := r.counts(); gets != 1 {
 		t.Fatalf("remote consulted %d times; want 1", gets)
 	}
-	// Promoted to disk too: a fresh store (empty memory) without the
-	// remote serves it from disk.
+	// A fresh store without the remote serves it from disk too.
 	s2 := open(t, dir, Options{Schema: 1})
 	if _, ok := s2.Get("k"); !ok {
 		t.Fatal("remote hit was not persisted to disk")
@@ -117,7 +120,7 @@ func TestPutPropagatesToRemote(t *testing.T) {
 }
 
 // TestRemoteRejectedPayloadIsMiss: a peer payload the caller's validator
-// refuses must be a cold miss that never contaminates the local tiers.
+// refuses must be a cold miss that never reaches the disk tier.
 func TestRemoteRejectedPayloadIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Schema: 1})
@@ -133,8 +136,7 @@ func TestRemoteRejectedPayloadIsMiss(t *testing.T) {
 	if st.RemoteRejects != 1 || st.Misses != 1 || st.Warm() != 0 {
 		t.Fatalf("stats = %+v; want 1 remote reject counted as a miss", st)
 	}
-	// Not promoted anywhere: with the remote detached, the entry is
-	// gone at both local tiers.
+	// Not written locally: with the remote detached, the entry is gone.
 	s.SetRemote(nil)
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("rejected payload was promoted locally")

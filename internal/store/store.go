@@ -1,9 +1,7 @@
 // Package store is the persistent, content-addressed result store that
 // lets analyzer, simulator, and write-allocate-curve results survive
-// across processes. It composes up to three tiers:
+// across processes. It composes up to two tiers:
 //
-//   - a sharded in-memory LRU (lru.go) absorbing repeated reads within a
-//     process without touching the filesystem,
 //   - an on-disk layer, one file per entry, addressed by the SHA-256 of
 //     the entry's content key and sharded into 256 prefix directories so
 //     no single directory grows unboundedly, and
@@ -17,7 +15,10 @@
 // Keys are the same content keys the pipeline memo cache uses
 // (core.Analyzer.Fingerprint plus model key plus block text, and
 // friends): everything that determines the result, nothing that doesn't.
-// Payloads are opaque bytes; callers bring their own encoding.
+// Payloads are opaque bytes; callers bring their own encoding. The store
+// keeps no payload in memory: the pipeline memo above it answers every
+// repeated lookup within a process, so the store sees each key looked
+// up at most once per process.
 //
 // Every disk entry carries a schema-version stamp. An entry whose stamp
 // differs from the open store's schema — or that is truncated, corrupted,
@@ -73,25 +74,19 @@ type Options struct {
 	// with any other value self-evict on read. Bump it whenever the
 	// encoding of any stored payload changes shape or meaning.
 	Schema int
-	// MemEntries caps the in-memory LRU tier (0 selects 4096).
-	MemEntries int
-	// Shards sets the LRU shard count (0 selects 16).
-	Shards int
 }
 
 // Stats is a point-in-time accounting snapshot of one store.
 type Stats struct {
-	// MemHits were served from the in-memory LRU tier.
-	MemHits uint64 `json:"mem_hits" help:"Store in-memory tier hits."`
-	// DiskHits were read, verified, and promoted from the disk tier.
+	// DiskHits were read and verified from the disk tier.
 	DiskHits uint64 `json:"disk_hits" help:"Store disk tier hits."`
 	// RemoteHits were fetched from the remote peer tier, verified, and
-	// promoted into both local tiers.
+	// written to the disk tier.
 	RemoteHits uint64 `json:"remote_hits" help:"Store remote tier hits."`
 	// RemoteRejects counts remote payloads the caller's validator
 	// refused after the transport-level verification passed (payload
 	// drift without a schema bump); rejected payloads are treated as
-	// misses and never populate the local tiers.
+	// misses and never reach the disk tier.
 	RemoteRejects uint64 `json:"remote_rejects" help:"Remote payloads refused by validation."`
 	// Misses found no usable entry in any tier (cold lookups).
 	Misses uint64 `json:"misses" help:"Store cold lookups."`
@@ -102,33 +97,28 @@ type Stats struct {
 	// PutErrors counts failed writes (the store stays usable; a failed
 	// put only costs a future cold lookup).
 	PutErrors uint64 `json:"put_errors" help:"Failed store writes."`
-	// MemEntries is the current in-memory LRU population.
-	MemEntries int `json:"mem_entries" help:"Store in-memory tier population."`
 }
 
 // Warm returns the lookups served without recomputation.
-func (s Stats) Warm() uint64 { return s.MemHits + s.DiskHits + s.RemoteHits }
+func (s Stats) Warm() uint64 { return s.DiskHits + s.RemoteHits }
 
-// Sub returns the accounting accumulated since prev was snapshotted:
-// every counter as a delta, MemEntries as the current population. The
-// serve tier uses it to attribute warm/cold lookups to one request
-// window in its access log (approximate under concurrent traffic —
-// deltas from overlapping requests interleave — but exact for the
-// serialized CI resume gate).
+// Sub returns the accounting accumulated since prev was snapshotted,
+// every counter as a delta. The serve tier uses it to attribute
+// warm/cold lookups to one request window in its access log
+// (approximate under concurrent traffic — deltas from overlapping
+// requests interleave — but exact for the serialized CI resume gate).
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		MemHits:       s.MemHits - prev.MemHits,
 		DiskHits:      s.DiskHits - prev.DiskHits,
 		RemoteHits:    s.RemoteHits - prev.RemoteHits,
 		RemoteRejects: s.RemoteRejects - prev.RemoteRejects,
 		Misses:        s.Misses - prev.Misses,
 		Evictions:     s.Evictions - prev.Evictions,
 		PutErrors:     s.PutErrors - prev.PutErrors,
-		MemEntries:    s.MemEntries,
 	}
 }
 
-// Remote is an optional third tier under the disk tier: a peer replica's
+// Remote is an optional second tier under the disk tier: a peer replica's
 // store reached over the network (internal/remotestore). The contract is
 // strictly best-effort — Get must degrade to a miss on any failure and
 // must verify fetched content before surfacing it, Put must never block
@@ -139,20 +129,16 @@ type Remote interface {
 	Put(key string, payload []byte)
 }
 
-// Store is a persistent result store of up to three tiers: in-memory
-// LRU over on-disk entries, optionally backed by a remote peer. It is
-// safe for concurrent use; payloads returned by Get are shared and must
-// not be mutated.
+// Store is a persistent result store: on-disk entries, optionally backed
+// by a remote peer. It is safe for concurrent use.
 type Store struct {
 	dir    string
 	schema int
-	mem    *lru
 	remote Remote
 	// head is the prefix every entry of this schema starts with, up to
 	// and excluding the key token.
 	head []byte
 
-	memHits       atomic.Uint64
 	diskHits      atomic.Uint64
 	remoteHits    atomic.Uint64
 	remoteRejects atomic.Uint64
@@ -170,19 +156,10 @@ func Open(dir string, o Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	capacity := o.MemEntries
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	shards := o.Shards
-	if shards <= 0 {
-		shards = 16
-	}
 	removeStaleTemps(dir)
 	return &Store{
 		dir:    dir,
 		schema: o.Schema,
-		mem:    newLRU(capacity, shards),
 		head:   fmt.Appendf(nil, `{"v":%d,"schema":%d,"key":`, envelopeVersion, o.Schema),
 	}, nil
 }
@@ -226,33 +203,24 @@ func (s *Store) SetRemote(r Remote) { s.remote = r }
 func (s *Store) Remote() Remote { return s.remote }
 
 // path maps a content key to its entry file: dir/<hh>/<sha256 hex>.json.
-func (s *Store) path(key string) (string, string) {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return h, filepath.Join(s.dir, h[:2], h+".json")
+func (s *Store) path(key string) string { return s.hashPath(hashOf(key)) }
+
+// hashPath maps an entry address (the hex SHA-256 of its content key) to
+// its file.
+func (s *Store) hashPath(hash string) string {
+	return filepath.Join(s.dir, hash[:2], hash+".json")
 }
 
-// GetValidated returns the payload stored for key, consulting the memory
-// tier first and falling back to disk. Damaged or schema-stale disk
+// GetValidated returns the payload stored for key, reading the disk tier
+// and falling back to the remote peer. Damaged or schema-stale disk
 // entries are deleted and reported as misses. A non-nil validate checks
 // the payload: one it rejects is treated exactly like a corrupted entry
-// — dropped from both tiers, counted as an eviction and a miss — so
-// Warm() counts only lookups that truly spared the caller a
-// recomputation, and a payload-level decode drift can never report a
-// 100%-warm run that in fact recomputed everything.
+// — deleted, counted as an eviction and a miss — so Warm() counts only
+// lookups that truly spared the caller a recomputation, and a
+// payload-level decode drift can never report a 100%-warm run that in
+// fact recomputed everything.
 func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, bool) {
-	h, p := s.path(key)
-	if payload, ok := s.mem.get(h); ok {
-		if validate != nil && validate(payload) != nil {
-			s.mem.remove(h)
-			os.Remove(p)
-			s.evictions.Add(1)
-			s.misses.Add(1)
-			return nil, false
-		}
-		s.memHits.Add(1)
-		return payload, true
-	}
+	p := s.path(key)
 	if data, err := os.ReadFile(p); err == nil {
 		payload, ok := s.cutEntry(data, key)
 		if !ok || (validate != nil && validate(payload) != nil) {
@@ -261,7 +229,6 @@ func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, b
 			// A damaged disk entry falls through to the remote tier: the
 			// peer may hold an intact copy of exactly this entry.
 		} else {
-			s.mem.put(h, payload)
 			s.diskHits.Add(1)
 			return payload, true
 		}
@@ -276,10 +243,9 @@ func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, b
 			if validate != nil && validate(payload) != nil {
 				s.remoteRejects.Add(1)
 			} else {
-				// Promote into both local tiers so the next lookup never
-				// leaves the process. The disk write is local-only: the
-				// peer already holds this entry.
-				s.mem.put(h, payload)
+				// Write the entry to disk so the next process reads it
+				// locally. The write is local-only: the peer already holds
+				// this entry.
 				s.writeDisk(key, p, payload)
 				s.remoteHits.Add(1)
 				return payload, true
@@ -290,18 +256,18 @@ func (s *Store) GetValidated(key string, validate func([]byte) error) ([]byte, b
 	return nil, false
 }
 
-// Put stores payload under key in the local tiers and, when a remote
-// peer is attached, hands it to the peer's write-behind queue (async
-// best-effort: remote latency or death never reaches this caller). Disk
-// writes are atomic (temp file + rename), so concurrent writers and
-// readers of one entry never observe a partial file; write failures are
-// counted, not returned — a store that cannot persist degrades to a
-// per-process cache.
+// Put stores payload under key on disk and, when a remote peer is
+// attached, hands it to the peer's write-behind queue (async best-effort:
+// remote latency or death never reaches this caller). Disk writes are
+// atomic (temp file + rename), so concurrent writers and readers of one
+// entry never observe a partial file; write failures are counted, not
+// returned — a store that cannot persist leaves the process memo as the
+// only cache.
 //
 // A key must be valid UTF-8. Put refuses any other key: it counts a put
-// error and writes nothing to any tier, because the envelope could only
-// hold the key with U+FFFD in place of its invalid bytes, an entry no
-// read of the original key could match.
+// error and writes nothing, because the envelope could only hold the key
+// with U+FFFD in place of its invalid bytes, an entry no read of the
+// original key could match.
 func (s *Store) Put(key string, payload []byte) {
 	if s.putLocal(key, payload) {
 		if r := s.remote; r != nil {
@@ -316,15 +282,13 @@ func (s *Store) PutLocal(key string, payload []byte) {
 	s.putLocal(key, payload)
 }
 
-// putLocal writes the local tiers and reports whether key was accepted.
+// putLocal writes the disk tier and reports whether key was accepted.
 func (s *Store) putLocal(key string, payload []byte) bool {
 	if !utf8.ValidString(key) {
 		s.putErrors.Add(1)
 		return false
 	}
-	h, p := s.path(key)
-	s.mem.put(h, payload)
-	s.writeDisk(key, p, payload)
+	s.writeDisk(key, s.path(key), payload)
 	return true
 }
 
@@ -385,12 +349,12 @@ func (s *Store) writeDisk(key, path string, payload []byte) {
 // GetByHash reads one disk entry by its address (the hex SHA-256 of its
 // content key) and returns the verbatim key alongside the payload. It is
 // the peer-protocol read path — a peer asks for an address, not a key —
-// and deliberately skips the memory and remote tiers and the hit/miss
+// and deliberately skips the remote tier and the hit/miss
 // accounting: peer replication must not inflate this replica's warm
 // counts or recurse into its own peer. Damaged entries self-evict
 // exactly as in GetValidated.
 func (s *Store) GetByHash(hash string) (key string, payload []byte, ok bool) {
-	p := filepath.Join(s.dir, hash[:2], hash+".json")
+	p := s.hashPath(hash)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		return "", nil, false
@@ -447,13 +411,11 @@ func writeAtomic(path string, data []byte) error {
 // Stats returns the current accounting.
 func (s *Store) Stats() Stats {
 	return Stats{
-		MemHits:       s.memHits.Load(),
 		DiskHits:      s.diskHits.Load(),
 		RemoteHits:    s.remoteHits.Load(),
 		RemoteRejects: s.remoteRejects.Load(),
 		Misses:        s.misses.Load(),
 		Evictions:     s.evictions.Load(),
 		PutErrors:     s.putErrors.Load(),
-		MemEntries:    s.mem.len(),
 	}
 }

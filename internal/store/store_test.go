@@ -44,8 +44,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("Get = %q, %v; want %q, true", got, ok, payload)
 	}
 	st := s.Stats()
-	if st.MemHits != 1 || st.Misses != 1 || st.PutErrors != 0 {
-		t.Fatalf("stats = %+v; want 1 mem hit, 1 miss", st)
+	if st.DiskHits != 1 || st.Misses != 1 || st.PutErrors != 0 {
+		t.Fatalf("stats = %+v; want 1 disk hit, 1 miss", st)
+	}
+	if _, err := os.Stat(entryPath(dir, key)); err != nil {
+		t.Fatalf("Put wrote no entry file: %v", err)
 	}
 }
 
@@ -54,23 +57,24 @@ func TestDiskHitAcrossProcesses(t *testing.T) {
 	s1 := open(t, dir, Options{Schema: 7})
 	s1.Put("k", []byte("42"))
 
-	// A fresh Store over the same directory models a new process: the
-	// memory tier is empty, so the hit must come from disk.
+	// A fresh Store over the same directory models a new process, which
+	// reads the entry the first process wrote.
 	s2 := open(t, dir, Options{Schema: 7})
 	got, ok := s2.Get("k")
 	if !ok || string(got) != "42" {
 		t.Fatalf("Get = %q, %v; want 42, true", got, ok)
 	}
 	st := s2.Stats()
-	if st.DiskHits != 1 || st.MemHits != 0 {
+	if st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("stats = %+v; want exactly 1 disk hit", st)
 	}
-	// The read promoted the entry into memory.
-	if _, ok := s2.Get("k"); !ok {
-		t.Fatal("second Get missed")
+	// The store keeps nothing in memory: a second read is a second disk
+	// hit.
+	if got, ok := s2.Get("k"); !ok || string(got) != "42" {
+		t.Fatalf("second Get = %q, %v; want 42, true", got, ok)
 	}
-	if st := s2.Stats(); st.MemHits != 1 {
-		t.Fatalf("stats after promotion = %+v; want 1 mem hit", st)
+	if st := s2.Stats(); st.DiskHits != 2 || st.Misses != 0 {
+		t.Fatalf("stats after second read = %+v; want 2 disk hits", st)
 	}
 }
 
@@ -195,11 +199,16 @@ func TestPutRefusesInvalidUTF8Key(t *testing.T) {
 	key := "analyze\x00blk\xff\xfe"
 	s.Put(key, []byte("x"))
 	s.PutLocal(key, []byte("y"))
-	if st := s.Stats(); st.PutErrors != 2 || st.MemEntries != 0 {
-		t.Fatalf("stats = %+v; want 2 put errors, empty LRU", st)
+	if st := s.Stats(); st.PutErrors != 2 {
+		t.Fatalf("stats = %+v; want 2 put errors", st)
 	}
 	if _, err := os.Stat(entryPath(dir, key)); !os.IsNotExist(err) {
 		t.Fatalf("entry written for an invalid key (err=%v)", err)
+	}
+	// Nothing else was written either: the store holds no shard
+	// directory, no entry and no temp file.
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Fatalf("store directory holds %d names after refused puts (err=%v)", len(names), err)
 	}
 	if _, n := rem.counts(); n != 0 {
 		t.Fatalf("invalid key forwarded to the remote tier %d times", n)
@@ -213,22 +222,25 @@ func TestPutRefusesInvalidUTF8Key(t *testing.T) {
 func TestGetValidatedRejectionIsMissAtBothTiers(t *testing.T) {
 	reject := func([]byte) error { return fmt.Errorf("undecodable") }
 
-	// Rejection at the memory tier: the entry was just Put, so it is
-	// resident in the LRU.
+	// Rejection right after Put, on the handle that wrote the entry:
+	// the file is deleted, and a later read finds nothing.
 	dir := t.TempDir()
 	s := open(t, dir, Options{Schema: 1})
 	s.Put("k", []byte("x"))
 	if _, ok := s.GetValidated("k", reject); ok {
-		t.Fatal("rejected payload served as a hit from memory")
+		t.Fatal("rejected payload served as a hit right after Put")
 	}
-	if st := s.Stats(); st.Warm() != 0 || st.Misses != 1 || st.Evictions != 1 || st.MemEntries != 0 {
-		t.Fatalf("stats after mem-tier rejection = %+v; want 0 warm, 1 miss, 1 eviction, empty LRU", st)
+	if st := s.Stats(); st.Warm() != 0 || st.Misses != 1 || st.Evictions != 1 {
+		t.Fatalf("stats after rejection = %+v; want 0 warm, 1 miss, 1 eviction", st)
 	}
 	if _, err := os.Stat(entryPath(dir, "k")); !os.IsNotExist(err) {
 		t.Fatalf("rejected entry file still present (err=%v)", err)
 	}
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("rejected entry served by a later Get")
+	}
 
-	// Rejection at the disk tier: a fresh Store has an empty LRU.
+	// Rejection on a fresh Store over an entry an earlier process wrote.
 	dir2 := t.TempDir()
 	open(t, dir2, Options{Schema: 1}).Put("k", []byte("x"))
 	s2 := open(t, dir2, Options{Schema: 1})
@@ -251,35 +263,9 @@ func TestGetValidatedRejectionIsMissAtBothTiers(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	// One shard of capacity 2 makes eviction order observable.
-	s := open(t, dir, Options{Schema: 1, MemEntries: 2, Shards: 1})
-	s.Put("a", []byte("A"))
-	s.Put("b", []byte("B"))
-	s.Get("a") // a is now most recently used
-	s.Put("c", []byte("C"))
-	if got := s.Stats().MemEntries; got != 2 {
-		t.Fatalf("MemEntries = %d; want 2", got)
-	}
-	base := s.Stats()
-	// b was evicted from memory but must still be served from disk.
-	if _, ok := s.Get("b"); !ok {
-		t.Fatal("evicted entry lost from disk tier")
-	}
-	if st := s.Stats(); st.DiskHits != base.DiskHits+1 {
-		t.Fatalf("Get(b) not served from disk: %+v", st)
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := s.Get(k); !ok {
-			t.Fatalf("Get(%q) missed", k)
-		}
-	}
-}
-
 func TestConcurrentReadersWriters(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{Schema: 1, MemEntries: 32})
+	s := open(t, dir, Options{Schema: 1})
 	const keys = 64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -297,8 +283,10 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.PutErrors != 0 {
-		t.Fatalf("put errors under concurrency: %+v", st)
+	// Every read that hit found the disk entry a writer had renamed into
+	// place; none missed, since each goroutine reads only after its put.
+	if st := s.Stats(); st.PutErrors != 0 || st.Misses != 0 || st.DiskHits != 8*keys {
+		t.Fatalf("stats under concurrency = %+v; want %d disk hits, no miss or put error", st, 8*keys)
 	}
 	// Every key must be durable and correct after the dust settles.
 	s2 := open(t, dir, Options{Schema: 1})
