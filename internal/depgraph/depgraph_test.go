@@ -221,26 +221,59 @@ func TestIntraIterationMemDep(t *testing.T) {
 	}
 }
 
+// TestAccumulatorEdgeDetection pins, per mnemonic, whether a
+// one-instruction self-accumulating loop's carried RAW edge is flagged
+// ViaAccumulator (it reaches stored results through LCD.ViaAccumulator).
+// vfnmsub231pd, fadda and madd read their own destination but are not
+// accumulator edges. Mnemonics no model lists resolve degraded.
 func TestAccumulatorEdgeDetection(t *testing.T) {
+	degraded := DefaultOptions()
+	degraded.DegradeUnknown = true
+	for _, c := range []struct {
+		arch, src string
+		want      bool
+	}{
+		{"goldencove", "vfmadd231pd %zmm1, %zmm2, %zmm0", true},
+		{"goldencove", "vfmsub231pd %zmm1, %zmm2, %zmm0", true},
+		{"goldencove", "vfnmadd231pd %zmm1, %zmm2, %zmm0", true},
+		{"goldencove", "vfnmsub231pd %zmm1, %zmm2, %zmm0", false},
+		{"neoversev2", "fmla v0.2d, v1.2d, v2.2d", true},
+		{"neoversev2", "fmls v0.2d, v1.2d, v2.2d", true},
+		{"neoversev2", "fmadd d0, d1, d2, d0", true},
+		{"neoversev2", "fnmsub d0, d1, d2, d0", true},
+		{"neoversev2", "fadda d0, p0, d0, z1.d", false},
+		{"neoversev2", "madd x0, x1, x2, x0", false},
+	} {
+		br := "jne"
+		if c.arch == "neoversev2" {
+			br = "b.ne"
+		}
+		g := mustGraph(t, c.arch, "\t"+c.src+"\n\t"+br+" .L0\n", degraded)
+		var carried, acc bool
+		for _, e := range g.Edges {
+			if e.Kind == EdgeRAW && e.Carried && e.From == 0 && e.To == 0 {
+				carried, acc = true, e.ViaAccumulator
+			}
+		}
+		if !carried {
+			t.Errorf("%s: no carried self edge", c.src)
+			continue
+		}
+		if acc != c.want {
+			t.Errorf("%s: carried edge ViaAccumulator = %v, want %v", c.src, acc, c.want)
+		}
+		if lcd := g.LoopCarried(-1, nil); lcd.ViaAccumulator != c.want {
+			t.Errorf("%s: LCD.ViaAccumulator = %v, want %v", c.src, lcd.ViaAccumulator, c.want)
+		}
+	}
+
 	g := mustGraph(t, "neoversev2", `
 	fmla v0.2d, v1.2d, v2.2d
 	b.ne .L0
 `, DefaultOptions())
-	var acc bool
-	for _, e := range g.Edges {
-		if e.Kind == EdgeRAW && e.Carried && e.ViaAccumulator {
-			acc = true
-		}
-	}
-	if !acc {
-		t.Error("fmla self-accumulation must be flagged ViaAccumulator")
-	}
 	lcd := g.LoopCarried(-1, nil)
 	if lcd.Cycles != 4 {
 		t.Errorf("fmla chain LCD = %.1f, want 4", lcd.Cycles)
-	}
-	if !lcd.ViaAccumulator {
-		t.Error("LCD must be flagged as accumulator-carried")
 	}
 	// With accumulator-forwarding override the chain shrinks.
 	fwd := g.LoopCarried(2, nil)

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"incore/internal/isa"
+	"incore/internal/uarch"
+)
 
 // TestClassifyFPTable pins the current classification of every mnemonic
 // family the models and kernels emit, including the clause-precedence
@@ -26,7 +32,9 @@ func TestClassifyFPTable(t *testing.T) {
 		{"fmsub", FPFMA},
 		{"fnmadd", FPFMA},
 		{"fnmsub", FPFMA},
-		{"fadda", FPFMA}, // SVE ordered reduction: FMA class, not add
+		{"fadda", FPFMA},         // SVE ordered reduction: FMA class, not add
+		{"vfnmsub231pd", FPNone}, // negated multiply-subtract: no FP class
+		{"madd", FPNone},         // integer multiply-add
 
 		// Divides and square roots, before any add/mul spelling applies.
 		{"vdivpd", FPDiv},
@@ -106,5 +114,42 @@ func TestCompileCachesClassification(t *testing.T) {
 	}
 	if !p.instrs[2].divScaled {
 		t.Error("scalar divide not marked for early-exit scaling")
+	}
+
+	// vfnmsub231pd (no model lists it; the test model borrows
+	// vfmadd231pd's timing) and madd are FMA-category for their effects
+	// but carry neither an FP class nor an accumulator.
+	base := mustModel(t, "goldencove")
+	withNMS, err := uarch.NewDeriver(base).Derive(func(m *uarch.Model) error {
+		for _, e := range base.Entries {
+			if e.Mnemonic == "vfmadd231pd" {
+				e.Mnemonic = "vfnmsub231pd"
+				m.Entries = append(slices.Clip(m.Entries), e)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		m   *uarch.Model
+		src string
+	}{
+		{withNMS, "\tvfnmsub231pd %zmm1, %zmm2, %zmm3\n\tjne .L0\n"},
+		{mustModel(t, "neoversev2"), "\tmadd x0, x1, x2, x0\n\tb.ne .L0\n"},
+	} {
+		b, err := isa.ParseBlock("t", c.m.Key, c.m.Dialect, c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(b, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pi := &p.instrs[0]; pi.fpClass != FPNone || pi.isFMA || pi.accID != -1 {
+			t.Errorf("%s: fpClass %v, isFMA %v, accID %d; want FPNone, false, -1",
+				b.Instrs[0].Mnemonic, pi.fpClass, pi.isFMA, pi.accID)
+		}
 	}
 }
