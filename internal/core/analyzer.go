@@ -205,7 +205,7 @@ func (a *Analyzer) AnalyzeArena(b *isa.Block, m *uarch.Model, sk *depgraph.Skele
 	res.IssueBound = float64(res.TotalUops) / float64(m.IssueWidth)
 	res.CriticalPath, res.CPPath = g.CriticalPath(ar.cpPath)
 	ar.cpPath = res.CPPath
-	res.LCD = g.LoopCarried(-1, ar.lcdPath)
+	res.LCD = g.LoopCarried(ar.lcdPath)
 	if res.LCD.Path != nil {
 		ar.lcdPath = res.LCD.Path
 	}

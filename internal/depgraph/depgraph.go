@@ -10,7 +10,6 @@ package depgraph
 
 import (
 	"fmt"
-	"strings"
 
 	"incore/internal/isa"
 	"incore/internal/uarch"
@@ -92,9 +91,9 @@ type Options struct {
 }
 
 // DefaultOptions matches the analyzer's assumptions (ideal renaming,
-// memory-carried detection within one cache line).
+// memory-carried detection within isa.MemCarriedWindow).
 func DefaultOptions() Options {
-	return Options{MemCarriedWindow: 64}
+	return Options{MemCarriedWindow: isa.MemCarriedWindow}
 }
 
 // regAccess locates one register read or write: instruction idx in
@@ -177,38 +176,6 @@ type Graph struct {
 	scr *Scratch
 }
 
-// accumulatorKey returns the register a fused multiply-add reads as its
-// accumulator, if the instruction is an FMA.
-func accumulatorKey(in *isa.Instruction, d isa.Dialect) (isa.RegKey, bool) {
-	m := in.Mnemonic
-	isFMA := strings.HasPrefix(m, "vfma") || strings.HasPrefix(m, "vfnma") ||
-		strings.HasPrefix(m, "vfms") || m == "fmla" || m == "fmls" ||
-		m == "fmadd" || m == "fmsub" || m == "fnmadd" || m == "fnmsub"
-	if !isFMA || len(in.Operands) == 0 {
-		return isa.RegKey{}, false
-	}
-	if d == isa.DialectX86 {
-		// AT&T: destination (and accumulator for the 231 form) is last.
-		op := in.Operands[len(in.Operands)-1]
-		if op.Kind == isa.OpReg {
-			return op.Reg.Key(), true
-		}
-		return isa.RegKey{}, false
-	}
-	// AArch64: fmla vd, vn, vm accumulates into vd (operand 0);
-	// fmadd rd, rn, rm, ra accumulates ra (operand 3).
-	if m == "fmadd" || m == "fmsub" || m == "fnmadd" || m == "fnmsub" {
-		if len(in.Operands) >= 4 && in.Operands[3].Kind == isa.OpReg {
-			return in.Operands[3].Reg.Key(), true
-		}
-		return isa.RegKey{}, false
-	}
-	if in.Operands[0].Kind == isa.OpReg {
-		return in.Operands[0].Reg.Key(), true
-	}
-	return isa.RegKey{}, false
-}
-
 // buildStructure appends the model-independent edge structure of one block
 // to s.skel and returns it: register RAW edges (plus WAW/WAR under
 // IncludeFalseDeps) in the order the two-iteration walk discovers them,
@@ -254,7 +221,7 @@ func buildStructure(b *isa.Block, effs []isa.Effects, opt Options, s *Scratch) [
 			return
 		}
 		consumer := &b.Instrs[to.idx]
-		acc, isAcc := accumulatorKey(consumer, b.Dialect)
+		acc, isAcc := isa.FMAAccumulator(consumer, b.Dialect)
 		s.skel = append(s.skel, skelEdge{
 			from: int32(from.idx), to: int32(to.idx), kind: EdgeRAW, carried: carried,
 			reg: key, viaAcc: isAcc && acc == key,
@@ -304,7 +271,9 @@ func buildStructure(b *isa.Block, effs []isa.Effects, opt Options, s *Scratch) [
 		}
 	}
 	s.skel = dedupeStructure(s.skel, s)
-	buildMemStructure(effs, opt, s)
+	isa.StoreLoadDeps(effs, opt.MemCarriedWindow, func(st, ld int, carried bool) {
+		s.skel = append(s.skel, skelEdge{from: int32(st), to: int32(ld), kind: EdgeMem, carried: carried})
+	})
 	return s.skel
 }
 
@@ -340,57 +309,6 @@ func chainLat(d *uarch.Desc) float64 {
 		return float64(d.Lat)
 	}
 	return float64(d.TotalLat)
-}
-
-// buildMemStructure appends store→load RAW dependencies over the same
-// address stream (same base and index registers) to s.skel. Direction
-// matters for a loop whose index advances monotonically: with store
-// displacement S and load displacement L, a later iteration's load
-// re-reads a stored location only if S - L > 0 (the store runs ahead of
-// the load in address space); equal displacements alias within one
-// iteration when the store precedes the load in program order.
-func buildMemStructure(effs []isa.Effects, opt Options, s *Scratch) {
-	if opt.MemCarriedWindow == 0 {
-		return
-	}
-	sameStream := func(a, b *isa.MemOp) bool {
-		if !a.Base.Valid() || !b.Base.Valid() {
-			return false
-		}
-		if a.Base.Key() != b.Base.Key() {
-			return false
-		}
-		ai, bi := a.Index.Valid(), b.Index.Valid()
-		if ai != bi {
-			return false
-		}
-		if ai && a.Index.Key() != b.Index.Key() {
-			return false
-		}
-		return true
-	}
-	for si := range effs {
-		for _, st := range effs[si].StoreOps {
-			for li := range effs {
-				for _, ld := range effs[li].LoadOps {
-					if !sameStream(st, ld) {
-						continue
-					}
-					delta := st.Disp - ld.Disp
-					switch {
-					case delta == 0 && si < li:
-						s.skel = append(s.skel, skelEdge{
-							from: int32(si), to: int32(li), kind: EdgeMem,
-						})
-					case delta > 0 && delta <= opt.MemCarriedWindow:
-						s.skel = append(s.skel, skelEdge{
-							from: int32(si), to: int32(li), kind: EdgeMem, carried: true,
-						})
-					}
-				}
-			}
-		}
-	}
 }
 
 // fillEdges materializes structural edges into dst with each kind's
@@ -489,12 +407,10 @@ type LCDResult struct {
 // LoopCarried computes the longest loop-carried dependency cycle,
 // i.e. the steady-state minimum initiation interval due to dataflow.
 //
-// AccLatOverride, when non-negative, replaces the latency of RAW
-// accumulator edges (used to model accumulator forwarding); pass -1 for
-// table latencies. The winning cycle's path is written into buf's backing
-// array (buf[:0]) and is only valid until the buffer is reused; a nil buf
-// allocates a path safe to retain.
-func (g *Graph) LoopCarried(accLatOverride float64, buf []int) LCDResult {
+// The winning cycle's path is written into buf's backing array (buf[:0])
+// and is only valid until the buffer is reused; a nil buf allocates a
+// path safe to retain.
+func (g *Graph) LoopCarried(buf []int) LCDResult {
 	// First pass finds the dominant carried edge by cycle latency alone;
 	// the (allocating) path is materialized only for the winner.
 	best := LCDResult{}
@@ -506,15 +422,11 @@ func (g *Graph) LoopCarried(accLatOverride float64, buf []int) LCDResult {
 		}
 		// Longest path from e.To to e.From using intra-iteration edges,
 		// then close the cycle with e.
-		lat := g.longestPathBetween(e.To, e.From, accLatOverride)
+		lat := g.longestPathBetween(e.To, e.From)
 		if lat < 0 {
 			continue // e.From not reachable from e.To
 		}
-		closeLat := e.Lat
-		if accLatOverride >= 0 && e.Kind == EdgeRAW && e.ViaAccumulator {
-			closeLat = accLatOverride
-		}
-		total := lat + closeLat
+		total := lat + e.Lat
 		if total > best.Cycles {
 			best = LCDResult{Cycles: total, ViaAccumulator: e.Kind == EdgeRAW && e.ViaAccumulator}
 			bestEdge = ei
@@ -522,7 +434,7 @@ func (g *Graph) LoopCarried(accLatOverride float64, buf []int) LCDResult {
 	}
 	if bestEdge >= 0 {
 		e := &g.Edges[bestEdge]
-		g.longestPathBetween(e.To, e.From, accLatOverride)
+		g.longestPathBetween(e.To, e.From)
 		best.Path = g.materializePath(e.To, e.From, buf)
 	}
 	return best
@@ -533,7 +445,7 @@ func (g *Graph) LoopCarried(accLatOverride float64, buf []int) LCDResult {
 // latencies (edge latency = producer latency). Returns -1 when dst is
 // unreachable; a zero-length path (src == dst) has latency 0. The
 // predecessor chain is left in the scratch for materializePath.
-func (g *Graph) longestPathBetween(src, dst int, accLatOverride float64) float64 {
+func (g *Graph) longestPathBetween(src, dst int) float64 {
 	n := len(g.Nodes)
 	s := g.scr
 	const unreach = -1.0
@@ -554,11 +466,7 @@ func (g *Graph) longestPathBetween(src, dst int, accLatOverride float64) float64
 			if e.Carried || e.To <= i {
 				continue
 			}
-			lat := e.Lat
-			if accLatOverride >= 0 && e.Kind == EdgeRAW && e.ViaAccumulator {
-				lat = accLatOverride
-			}
-			if d := dist[i] + lat; d > dist[e.To] {
+			if d := dist[i] + e.Lat; d > dist[e.To] {
 				dist[e.To] = d
 				prev[e.To] = i
 			}

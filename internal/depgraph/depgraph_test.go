@@ -74,7 +74,7 @@ func TestLoopCarriedAccumulator(t *testing.T) {
 	cmp x3, x4
 	b.ne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1, nil)
+	lcd := g.LoopCarried(nil)
 	if lcd.Cycles != 2 {
 		t.Errorf("sum LCD = %.1f, want 2 (fadd latency)", lcd.Cycles)
 	}
@@ -97,7 +97,7 @@ func TestLoopCarriedChainGS(t *testing.T) {
 	cmp x1, x4
 	b.ne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1, nil)
+	lcd := g.LoopCarried(nil)
 	if lcd.Cycles != 5 {
 		t.Errorf("GS LCD = %.1f, want 5 (fadd 2 + fmul 3)", lcd.Cycles)
 	}
@@ -109,7 +109,7 @@ func TestIndexChainIsCarried(t *testing.T) {
 	cmpq %rbx, %rax
 	jne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1, nil)
+	lcd := g.LoopCarried(nil)
 	if lcd.Cycles != 1 {
 		t.Errorf("index LCD = %.1f, want 1", lcd.Cycles)
 	}
@@ -176,7 +176,7 @@ func TestMemCarriedDirection(t *testing.T) {
 	if !carried {
 		t.Error("expected carried memory edge for the GS round trip")
 	}
-	lcd := g.LoopCarried(-1, nil)
+	lcd := g.LoopCarried(nil)
 	// fwd total (LoadLat+2 = 9) + fmul (4) = 13.
 	if lcd.Cycles < 12 || lcd.Cycles > 14 {
 		t.Errorf("GS memory LCD = %.1f, want ~13", lcd.Cycles)
@@ -262,7 +262,7 @@ func TestAccumulatorEdgeDetection(t *testing.T) {
 		if acc != c.want {
 			t.Errorf("%s: carried edge ViaAccumulator = %v, want %v", c.src, acc, c.want)
 		}
-		if lcd := g.LoopCarried(-1, nil); lcd.ViaAccumulator != c.want {
+		if lcd := g.LoopCarried(nil); lcd.ViaAccumulator != c.want {
 			t.Errorf("%s: LCD.ViaAccumulator = %v, want %v", c.src, lcd.ViaAccumulator, c.want)
 		}
 	}
@@ -271,14 +271,8 @@ func TestAccumulatorEdgeDetection(t *testing.T) {
 	fmla v0.2d, v1.2d, v2.2d
 	b.ne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1, nil)
-	if lcd.Cycles != 4 {
+	if lcd := g.LoopCarried(nil); lcd.Cycles != 4 {
 		t.Errorf("fmla chain LCD = %.1f, want 4", lcd.Cycles)
-	}
-	// With accumulator-forwarding override the chain shrinks.
-	fwd := g.LoopCarried(2, nil)
-	if fwd.Cycles != 2 {
-		t.Errorf("forwarded fmla chain = %.1f, want 2", fwd.Cycles)
 	}
 }
 
@@ -291,7 +285,7 @@ func TestChainLatPipelinesFoldedLoads(t *testing.T) {
 	cmpq %rbx, %rax
 	jne .L0
 `, DefaultOptions())
-	lcd := g.LoopCarried(-1, nil)
+	lcd := g.LoopCarried(nil)
 	if lcd.Cycles != 2 {
 		t.Errorf("folded-load sum LCD = %.1f, want 2 (vaddsd latency only)", lcd.Cycles)
 	}

@@ -1,6 +1,9 @@
 package isa
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Effects lists the architectural reads and writes of one instruction.
 // Memory dependence is tracked at the level of "reads memory"/"writes
@@ -156,6 +159,194 @@ func categorizeAArch64(m string) semCat {
 		return catStore
 	}
 	return catALU
+}
+
+// Instruction facts. The analytical model (depgraph, uarch, mca) and the
+// simulator read the facts below instead of keeping their own copies, so
+// they differ only in their timing models.
+
+// FPClass is the coarse class of a floating-point operation, as the
+// simulator's forwarding network distinguishes them.
+type FPClass int
+
+// FP operation classes.
+const (
+	FPNone FPClass = iota
+	FPAdd
+	FPMul
+	FPFMA
+	FPDiv
+)
+
+// accOperand locates the accumulator operand of a fused multiply-add.
+type accOperand int8
+
+const (
+	accNone   accOperand = iota // no accumulator edge
+	accDest                     // the destination: last in AT&T, operand 0 in AArch64
+	accAddend                   // AArch64 fmadd rd, rn, rm, ra: ra, operand 3
+)
+
+// fmaFamily is the fused multiply-add table: whether mn is FP class FMA
+// and where its accumulator sits. categorize* files every row below, and
+// madd/msub too, under catFMA for their register effects.
+func fmaFamily(mn string) (fp bool, acc accOperand) {
+	switch {
+	case strings.HasPrefix(mn, "vfma"), strings.HasPrefix(mn, "vfnma"),
+		strings.HasPrefix(mn, "vfms"), mn == "fmla", mn == "fmls":
+		return true, accDest
+	case mn == "fmadd", mn == "fmsub", mn == "fnmadd", mn == "fnmsub":
+		return true, accAddend
+	case mn == "fadda":
+		// SVE strictly-ordered reduction: FMA class, but its running
+		// sum is no accumulator edge.
+		return true, accNone
+	case strings.HasPrefix(mn, "vfnms"):
+		// Negated multiply-subtract: neither FP class nor accumulator.
+		// Making it an FMA would change LCD.ViaAccumulator in stored
+		// results, which takes a result-schema bump.
+		return false, accNone
+	}
+	return false, accNone // madd/msub: integer multiply-add
+}
+
+// ClassifyFP returns the FP class of a mnemonic.
+//
+// The clauses are ordered: FMA before add/mul (vfmadd contains "add"),
+// div before add (vdivpd would otherwise fall through), and the x86
+// scalar/packed "add*pd|sd" clause binds tighter than its "HasPrefix(add)"
+// spelling suggests; TestMnemonicFacts pins the precedence.
+func ClassifyFP(mn string) FPClass {
+	if fp, _ := fmaFamily(mn); fp {
+		return FPFMA
+	}
+	switch {
+	case strings.Contains(mn, "div"):
+		return FPDiv
+	case strings.HasPrefix(mn, "vadd") || strings.HasPrefix(mn, "vsub") ||
+		strings.HasPrefix(mn, "add") && strings.HasSuffix(mn, "d") && (strings.Contains(mn, "pd") || strings.Contains(mn, "sd")) ||
+		mn == "fadd" || mn == "fsub" || mn == "faddp":
+		return FPAdd
+	case strings.HasPrefix(mn, "vmul") || mn == "fmul" ||
+		(strings.HasPrefix(mn, "mul") && (strings.Contains(mn, "pd") || strings.Contains(mn, "sd"))):
+		return FPMul
+	case strings.Contains(mn, "sqrt"):
+		return FPDiv
+	}
+	return FPNone
+}
+
+// FMAAccumulator returns the register a fused multiply-add reads as its
+// accumulator, if in is one under dialect d.
+func FMAAccumulator(in *Instruction, d Dialect) (RegKey, bool) {
+	_, acc := fmaFamily(in.Mnemonic)
+	ops := in.Operands
+	i := 0 // AArch64 fmla vd, vn, vm accumulates into vd
+	switch {
+	case acc == accNone || len(ops) == 0:
+		return RegKey{}, false
+	case d == DialectX86:
+		i = len(ops) - 1 // AT&T: the 231 form accumulates into its destination
+	case acc == accAddend:
+		i = 3
+	}
+	if i >= len(ops) || ops[i].Kind != OpReg {
+		return RegKey{}, false
+	}
+	return ops[i].Reg.Key(), true
+}
+
+// VecWidth returns the width in bits of the widest vector register the
+// instruction names, or 0 when it names none.
+func (in *Instruction) VecWidth() int {
+	w := 0
+	for _, op := range in.Operands {
+		if op.Kind == OpReg && op.Reg.Class == ClassVec && op.Reg.Width > w {
+			w = op.Reg.Width
+		}
+	}
+	return w
+}
+
+// ScalarDiv reports whether in is a scalar divide: a "div" mnemonic on no
+// register wider than 64 bits, or a scalar-double ("sd") form.
+func ScalarDiv(in *Instruction) bool {
+	mn := in.Mnemonic
+	return strings.Contains(mn, "div") && (in.VecWidth() <= 64 || strings.HasSuffix(mn, "sd"))
+}
+
+// AddrRegs appends to dst the registers e's memory operands read to form
+// addresses, loads before stores and each base before its index, skipping
+// registers already in dst. Zero registers are left out, and so are vector
+// indices: a gather's index is data.
+func (e *Effects) AddrRegs(dst []RegKey) []RegKey {
+	add := func(k RegKey) {
+		if !slices.Contains(dst, k) {
+			dst = append(dst, k)
+		}
+	}
+	for _, ops := range [2][]*MemOp{e.LoadOps, e.StoreOps} {
+		for _, mo := range ops {
+			if mo.Base.Valid() && !IsZeroReg(mo.Base) {
+				add(mo.Base.Key())
+			}
+			if mo.Index.Valid() && !IsZeroReg(mo.Index) && mo.Index.Class != ClassVec {
+				add(mo.Index.Key())
+			}
+		}
+	}
+	return dst
+}
+
+// MemCarriedWindow is the default byte window of StoreLoadDeps: one
+// cache line.
+const MemCarriedWindow = 64
+
+// StoreLoadDeps calls fn for every store→load pair of a loop body that
+// may alias, stores outer and loads inner, each in program order (effs
+// holds one entry per instruction). A store and a load alias only on the
+// same address stream: the same base register, and the same index
+// register or none on both. With Δ = store displacement − load
+// displacement:
+//   - Δ = 0 with the store first in program order is the same location
+//     in one iteration (carried false);
+//   - 0 < Δ ≤ window is a location a later iteration's load re-reads,
+//     for a loop whose addresses advance (carried true).
+//
+// A window of 0 turns the relation off.
+func StoreLoadDeps(effs []Effects, window int64, fn func(store, load int, carried bool)) {
+	if window == 0 {
+		return
+	}
+	for si := range effs {
+		for _, st := range effs[si].StoreOps {
+			for li := range effs {
+				for _, ld := range effs[li].LoadOps {
+					if !sameStream(st, ld) {
+						continue
+					}
+					switch delta := st.Disp - ld.Disp; {
+					case delta == 0 && si < li:
+						fn(si, li, false)
+					case delta > 0 && delta <= window:
+						fn(si, li, true)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameStream reports whether a and b share a base register and either
+// share an index register or have none.
+func sameStream(a, b *MemOp) bool {
+	if !a.Base.Valid() || !b.Base.Valid() || a.Base.Key() != b.Base.Key() {
+		return false
+	}
+	if a.Index.Valid() != b.Index.Valid() {
+		return false
+	}
+	return !a.Index.Valid() || a.Index.Key() == b.Index.Key()
 }
 
 // flagWritersX86 lists x86 mnemonic prefixes that set RFLAGS.

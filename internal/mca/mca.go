@@ -24,6 +24,7 @@ package mca
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"incore/internal/isa"
@@ -112,15 +113,6 @@ func grow[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-func containsID(ids []int32, id int32) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
 // rrNext returns the rotation counter for mask and advances it.
 func (s *scratch) rrNext(mask uarch.PortMask) int {
 	for i, m := range s.rrMasks {
@@ -159,7 +151,7 @@ func Compile(b *isa.Block, m *uarch.Model, p Params) (*Compiled, error) {
 	}
 	c := &Compiled{model: m, params: p, static: make([]sInstr, len(b.Instrs))}
 	var interner isa.RegInterner
-	var addrIDs []int32
+	var addrRegs []isa.RegKey
 	static := c.static
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
@@ -182,28 +174,18 @@ func Compile(b *isa.Block, m *uarch.Model, p Params) (*Compiled, error) {
 		default:
 			lat = float64(d.TotalLat)
 		}
-		if p.VecLatBias > 0 && isVecFP(in) {
+		if p.VecLatBias > 0 && in.VecWidth() >= 128 {
 			lat += float64(p.VecLatBias)
 		}
-		addrIDs = addrIDs[:0]
-		for _, ops := range [][]*isa.MemOp{eff.LoadOps, eff.StoreOps} {
-			for _, mo := range ops {
-				if mo.Base.Valid() {
-					addrIDs = append(addrIDs, interner.Intern(mo.Base.Key()))
-				}
-				if mo.Index.Valid() && mo.Index.Class != isa.ClassVec {
-					addrIDs = append(addrIDs, interner.Intern(mo.Index.Key()))
-				}
-			}
-		}
+		addrRegs = eff.AddrRegs(addrRegs[:0])
 		si := &static[i]
 		si.desc = d
 		si.lat = lat
 		si.writeIDs = interner.InternAll(si.writeIDs[:0], eff.Writes)
 		si.dataIDs = si.dataIDs[:0]
 		for _, r := range eff.Reads {
-			if id := interner.Intern(r); !containsID(addrIDs, id) {
-				si.dataIDs = append(si.dataIDs, id)
+			if !slices.Contains(addrRegs, r) {
+				si.dataIDs = append(si.dataIDs, interner.Intern(r))
 			}
 		}
 	}
@@ -335,13 +317,4 @@ func Predict(b *isa.Block, m *uarch.Model, p Params) (*Result, error) {
 // PredictDefault runs Predict with the per-architecture default parameters.
 func PredictDefault(b *isa.Block, m *uarch.Model) (*Result, error) {
 	return Predict(b, m, ParamsFor(m.Key))
-}
-
-func isVecFP(in *isa.Instruction) bool {
-	for _, op := range in.Operands {
-		if op.Kind == isa.OpReg && op.Reg.Class == isa.ClassVec && op.Reg.Width >= 128 {
-			return true
-		}
-	}
-	return false
 }

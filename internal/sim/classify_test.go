@@ -12,78 +12,78 @@ import (
 // family the models and kernels emit, including the clause-precedence
 // cases: FMA wins over add/mul spellings, div wins over the x86
 // "add*pd/sd" clause, and the x86 scalar/packed suffix rules only fire
-// for pd/sd forms. ClassifyFP now runs once per static instruction at
+// for pd/sd forms. isa.ClassifyFP now runs once per static instruction at
 // compile time, so a silent reordering of its clauses would otherwise
 // only surface as a timing drift deep inside the forwarding model.
 func TestClassifyFPTable(t *testing.T) {
 	cases := []struct {
 		mn   string
-		want FPClass
+		want isa.FPClass
 	}{
 		// FMA family, both dialects; vfm* prefixes contain "add"/"sub"
 		// but must classify as FMA (clause order).
-		{"vfmadd231pd", FPFMA},
-		{"vfmadd213sd", FPFMA},
-		{"vfmsub132pd", FPFMA},
-		{"vfnmadd231pd", FPFMA},
-		{"fmla", FPFMA},
-		{"fmls", FPFMA},
-		{"fmadd", FPFMA},
-		{"fmsub", FPFMA},
-		{"fnmadd", FPFMA},
-		{"fnmsub", FPFMA},
-		{"fadda", FPFMA},         // SVE ordered reduction: FMA class, not add
-		{"vfnmsub231pd", FPNone}, // negated multiply-subtract: no FP class
-		{"madd", FPNone},         // integer multiply-add
+		{"vfmadd231pd", isa.FPFMA},
+		{"vfmadd213sd", isa.FPFMA},
+		{"vfmsub132pd", isa.FPFMA},
+		{"vfnmadd231pd", isa.FPFMA},
+		{"fmla", isa.FPFMA},
+		{"fmls", isa.FPFMA},
+		{"fmadd", isa.FPFMA},
+		{"fmsub", isa.FPFMA},
+		{"fnmadd", isa.FPFMA},
+		{"fnmsub", isa.FPFMA},
+		{"fadda", isa.FPFMA},         // SVE ordered reduction: FMA class, not add
+		{"vfnmsub231pd", isa.FPNone}, // negated multiply-subtract: no FP class
+		{"madd", isa.FPNone},         // integer multiply-add
 
 		// Divides and square roots, before any add/mul spelling applies.
-		{"vdivpd", FPDiv},
-		{"vdivsd", FPDiv},
-		{"divpd", FPDiv},
-		{"fdiv", FPDiv},
-		{"fdivr", FPDiv},
-		{"vsqrtpd", FPDiv},
-		{"fsqrt", FPDiv},
+		{"vdivpd", isa.FPDiv},
+		{"vdivsd", isa.FPDiv},
+		{"divpd", isa.FPDiv},
+		{"fdiv", isa.FPDiv},
+		{"fdivr", isa.FPDiv},
+		{"vsqrtpd", isa.FPDiv},
+		{"fsqrt", isa.FPDiv},
 
 		// x86 adds: the multi-clause precedence cases. "add*" only
 		// classifies FP-add for packed/scalar-double forms ending in d.
-		{"vaddpd", FPAdd},
-		{"vaddsd", FPAdd},
-		{"vsubpd", FPAdd},
-		{"addpd", FPAdd},
-		{"addsd", FPAdd},
-		{"addsubpd", FPAdd}, // prefix add + pd + trailing d
-		{"addps", FPNone},   // single precision: no trailing d
-		{"addss", FPNone},
-		{"add", FPNone},  // integer add
-		{"addq", FPNone}, // integer add, q suffix
-		{"paddd", FPNone},
+		{"vaddpd", isa.FPAdd},
+		{"vaddsd", isa.FPAdd},
+		{"vsubpd", isa.FPAdd},
+		{"addpd", isa.FPAdd},
+		{"addsd", isa.FPAdd},
+		{"addsubpd", isa.FPAdd}, // prefix add + pd + trailing d
+		{"addps", isa.FPNone},   // single precision: no trailing d
+		{"addss", isa.FPNone},
+		{"add", isa.FPNone},  // integer add
+		{"addq", isa.FPNone}, // integer add, q suffix
+		{"paddd", isa.FPNone},
 
 		// AArch64 adds.
-		{"fadd", FPAdd},
-		{"fsub", FPAdd},
-		{"faddp", FPAdd},
+		{"fadd", isa.FPAdd},
+		{"fsub", isa.FPAdd},
+		{"faddp", isa.FPAdd},
 
 		// Multiplies.
-		{"vmulpd", FPMul},
-		{"vmulsd", FPMul},
-		{"mulpd", FPMul},
-		{"mulsd", FPMul},
-		{"fmul", FPMul},
-		{"mulq", FPNone}, // integer: no pd/sd
-		{"imulq", FPNone},
+		{"vmulpd", isa.FPMul},
+		{"vmulsd", isa.FPMul},
+		{"mulpd", isa.FPMul},
+		{"mulsd", isa.FPMul},
+		{"fmul", isa.FPMul},
+		{"mulq", isa.FPNone}, // integer: no pd/sd
+		{"imulq", isa.FPNone},
 
 		// Non-FP traffic.
-		{"movq", FPNone},
-		{"vmovupd", FPNone},
-		{"ldr", FPNone},
-		{"str", FPNone},
-		{"cmpq", FPNone},
-		{"jne", FPNone},
-		{"subs", FPNone},
+		{"movq", isa.FPNone},
+		{"vmovupd", isa.FPNone},
+		{"ldr", isa.FPNone},
+		{"str", isa.FPNone},
+		{"cmpq", isa.FPNone},
+		{"jne", isa.FPNone},
+		{"subs", isa.FPNone},
 	}
 	for _, c := range cases {
-		if got := ClassifyFP(c.mn); got != c.want {
+		if got := isa.ClassifyFP(c.mn); got != c.want {
 			t.Errorf("ClassifyFP(%q) = %v, want %v", c.mn, got, c.want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestCompileCachesClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []FPClass{FPFMA, FPAdd, FPDiv, FPNone, FPNone}
+	want := []isa.FPClass{isa.FPFMA, isa.FPAdd, isa.FPDiv, isa.FPNone, isa.FPNone}
 	for i, cls := range want {
 		if p.instrs[i].fpClass != cls {
 			t.Errorf("instr %d compiled fpClass = %v, want %v", i, p.instrs[i].fpClass, cls)
@@ -147,8 +147,8 @@ func TestCompileCachesClassification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pi := &p.instrs[0]; pi.fpClass != FPNone || pi.isFMA || pi.accID != -1 {
-			t.Errorf("%s: fpClass %v, isFMA %v, accID %d; want FPNone, false, -1",
+		if pi := &p.instrs[0]; pi.fpClass != isa.FPNone || pi.isFMA || pi.accID != -1 {
+			t.Errorf("%s: fpClass %v, isFMA %v, accID %d; want isa.FPNone, false, -1",
 				b.Instrs[0].Mnemonic, pi.fpClass, pi.isFMA, pi.accID)
 		}
 	}

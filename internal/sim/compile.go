@@ -2,8 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"incore/internal/isa"
@@ -33,7 +32,7 @@ type Program struct {
 	uops   []pUop
 
 	// loadDeps groups memory dependencies by consuming load index,
-	// preserving FindMemDeps order within each group.
+	// preserving isa.StoreLoadDeps order within each group.
 	loadDeps [][]memDep
 
 	// slotsPerIter is the number of µ-op dispatch slots one iteration
@@ -77,7 +76,7 @@ type pInstr struct {
 	hasLoadStage              bool
 	isFMA                     bool
 	divScaled                 bool // scalar divide: early-exit factor applies
-	fpClass                   FPClass
+	fpClass                   isa.FPClass
 
 	accID int32 // FMA accumulator register ID, -1 if none
 
@@ -105,15 +104,16 @@ func Compile(b *isa.Block, m *uarch.Model) (*Program, error) {
 		instrs:  make([]pInstr, n),
 	}
 	var interner isa.RegInterner
-	effs := make([]InstrEffectsView, n)
+	var addrRegs []isa.RegKey
+	effs := make([]isa.Effects, n)
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
-		eff := isa.InstrEffects(in, m.Dialect)
-		d, err := m.LookupEff(in, &eff)
+		effs[i] = isa.InstrEffects(in, m.Dialect)
+		eff := &effs[i]
+		d, err := m.LookupEff(in, eff)
 		if err != nil {
 			return nil, fmt.Errorf("sim: block %s instr %d (%s): %w", b.Name, i, in.Mnemonic, err)
 		}
-		effs[i] = InstrEffectsView{LoadOps: eff.LoadOps, StoreOps: eff.StoreOps}
 
 		pi := &p.instrs[i]
 		pi.lat = float64(d.Lat)
@@ -123,18 +123,20 @@ func Compile(b *isa.Block, m *uarch.Model) (*Program, error) {
 		pi.isLoad, pi.isStore, pi.isBranch = d.IsLoad, d.IsStore, d.IsBranch
 		pi.hasLoadStage = d.LoadLat > 0
 
-		mn := in.Mnemonic
-		pi.fpClass = ClassifyFP(mn)
-		isVecOp := vecWidthOfInstr(in) > 64 && !strings.HasSuffix(mn, "sd")
-		pi.divScaled = strings.Contains(mn, "div") && !isVecOp
+		pi.fpClass = isa.ClassifyFP(in.Mnemonic)
+		pi.divScaled = isa.ScalarDiv(in)
 
 		pi.accID = -1
-		if accKey, isFMA := fmaAccumulator(in, m.Dialect); isFMA {
+		if accKey, isFMA := isa.FMAAccumulator(in, m.Dialect); isFMA {
 			pi.isFMA = true
 			pi.accID = interner.Intern(accKey)
 		}
 
-		pi.addrIDs = compileAddrIDs(&interner, &eff)
+		// Address readiness is a max over producers, so the order of
+		// addrIDs cannot change results; sorting makes it canonical.
+		addrRegs = eff.AddrRegs(addrRegs[:0])
+		pi.addrIDs = interner.InternAll(nil, addrRegs)
+		slices.Sort(pi.addrIDs)
 		for _, r := range eff.Reads {
 			id := interner.Intern(r)
 			pi.readIDs = append(pi.readIDs, id)
@@ -170,11 +172,10 @@ func Compile(b *isa.Block, m *uarch.Model) (*Program, error) {
 	}
 	p.nRegs = interner.Len()
 
-	deps := FindMemDeps(effs)
 	p.loadDeps = make([][]memDep, n)
-	for _, md := range deps {
-		p.loadDeps[md.load] = append(p.loadDeps[md.load], md)
-	}
+	isa.StoreLoadDeps(effs, isa.MemCarriedWindow, func(st, ld int, carried bool) {
+		p.loadDeps[ld] = append(p.loadDeps[ld], memDep{store: st, load: ld, carried: carried})
+	})
 	return p, nil
 }
 
@@ -206,79 +207,6 @@ func containsID(ids []int32, id int32) bool {
 	return false
 }
 
-// compileAddrIDs interns the pure address-generation registers of one
-// instruction and returns them as a sorted dense-ID slice — the
-// replacement for the per-instruction map[isa.RegKey]bool the engine used
-// to iterate (address readiness is a max over producers, so order cannot
-// change results; sorting just makes the representation canonical).
-func compileAddrIDs(ri *isa.RegInterner, eff *isa.Effects) []int32 {
-	var ids []int32
-	add := func(mo *isa.MemOp) {
-		if mo.Base.Valid() && !isa.IsZeroReg(mo.Base) {
-			ids = appendUniqueID(ids, ri.Intern(mo.Base.Key()))
-		}
-		// Vector indices (gathers) carry data dependencies, not plain
-		// address dependencies; keep them in the data set.
-		if mo.Index.Valid() && !isa.IsZeroReg(mo.Index) && mo.Index.Class != isa.ClassVec {
-			ids = appendUniqueID(ids, ri.Intern(mo.Index.Key()))
-		}
-	}
-	for _, mo := range eff.LoadOps {
-		add(mo)
-	}
-	for _, mo := range eff.StoreOps {
-		add(mo)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func appendUniqueID(ids []int32, id int32) []int32 {
-	if containsID(ids, id) {
-		return ids
-	}
-	return append(ids, id)
-}
-
-func vecWidthOfInstr(in *isa.Instruction) int {
-	w := 0
-	for _, op := range in.Operands {
-		if op.Kind == isa.OpReg && op.Reg.Class == isa.ClassVec && op.Reg.Width > w {
-			w = op.Reg.Width
-		}
-	}
-	return w
-}
-
-// fmaAccumulator mirrors depgraph's accumulator detection (kept local to
-// avoid a dependency knot).
-func fmaAccumulator(in *isa.Instruction, d isa.Dialect) (isa.RegKey, bool) {
-	mn := in.Mnemonic
-	isFMA := strings.HasPrefix(mn, "vfma") || strings.HasPrefix(mn, "vfnma") ||
-		strings.HasPrefix(mn, "vfms") || mn == "fmla" || mn == "fmls" ||
-		mn == "fmadd" || mn == "fmsub" || mn == "fnmadd" || mn == "fnmsub"
-	if !isFMA || len(in.Operands) == 0 {
-		return isa.RegKey{}, false
-	}
-	if d == isa.DialectX86 {
-		op := in.Operands[len(in.Operands)-1]
-		if op.Kind == isa.OpReg {
-			return op.Reg.Key(), true
-		}
-		return isa.RegKey{}, false
-	}
-	if mn == "fmadd" || mn == "fmsub" || mn == "fnmadd" || mn == "fnmsub" {
-		if len(in.Operands) >= 4 && in.Operands[3].Kind == isa.OpReg {
-			return in.Operands[3].Reg.Key(), true
-		}
-		return isa.RegKey{}, false
-	}
-	if in.Operands[0].Kind == isa.OpReg {
-		return in.Operands[0].Reg.Key(), true
-	}
-	return isa.RegKey{}, false
-}
-
 // instrName returns the cached source spelling of static instruction si
 // (trace callbacks only; built on first use).
 func (p *Program) instrName(si int) string {
@@ -296,55 +224,4 @@ func (p *Program) instrName(si int) string {
 type memDep struct {
 	store, load int
 	carried     bool
-}
-
-// InstrEffectsView is the per-instruction effect summary used for memory
-// dependency detection.
-type InstrEffectsView struct {
-	LoadOps  []*isa.MemOp
-	StoreOps []*isa.MemOp
-}
-
-// FindMemDeps locates store→load RAW pairs over the same address stream.
-// Direction matters for a loop whose index advances monotonically: with
-// store displacement S and load displacement L off the same base/index
-// registers, the load re-reads a previously stored location only if
-// S - L > 0 (the store runs ahead of the load in address space). Equal
-// displacements alias within the same iteration when the store precedes
-// the load in program order.
-func FindMemDeps(effs []InstrEffectsView) []memDep {
-	var deps []memDep
-	const window = 64
-	for si := range effs {
-		for _, st := range effs[si].StoreOps {
-			for li := range effs {
-				for _, ld := range effs[li].LoadOps {
-					if !sameAddrStream(st, ld) {
-						continue
-					}
-					delta := st.Disp - ld.Disp
-					switch {
-					case delta == 0 && si < li:
-						deps = append(deps, memDep{store: si, load: li, carried: false})
-					case delta > 0 && delta <= window:
-						deps = append(deps, memDep{store: si, load: li, carried: true})
-					}
-				}
-			}
-		}
-	}
-	return deps
-}
-
-func sameAddrStream(a, b *isa.MemOp) bool {
-	if !a.Base.Valid() || !b.Base.Valid() || a.Base.Key() != b.Base.Key() {
-		return false
-	}
-	if a.Index.Valid() != b.Index.Valid() {
-		return false
-	}
-	if a.Index.Valid() && a.Index.Key() != b.Index.Key() {
-		return false
-	}
-	return true
 }

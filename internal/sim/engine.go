@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 
+	"incore/internal/isa"
 	"incore/internal/portsched"
 	"incore/internal/uarch"
 )
@@ -472,7 +473,7 @@ func (s *simState) readyFor(p *Program, cfg *Config, pd int, cur *pInstr, id int
 			t = ft
 		}
 	}
-	if cfg.CrossOpForwardSave > 0 && ps.fpClass != FPNone && cur.fpClass != FPNone &&
+	if cfg.CrossOpForwardSave > 0 && ps.fpClass != isa.FPNone && cur.fpClass != isa.FPNone &&
 		ps.fpClass != cur.fpClass {
 		if ft := t - float64(cfg.CrossOpForwardSave); ft > s.started[pd&s.imask] {
 			t = ft

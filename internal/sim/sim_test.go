@@ -283,15 +283,15 @@ func TestTraceCallback(t *testing.T) {
 }
 
 func TestClassifyFP(t *testing.T) {
-	cases := map[string]FPClass{
-		"vaddpd": FPAdd, "fadd": FPAdd, "vaddsd": FPAdd,
-		"vmulpd": FPMul, "fmul": FPMul,
-		"vfmadd231pd": FPFMA, "fmla": FPFMA, "fmadd": FPFMA,
-		"vdivsd": FPDiv, "fdiv": FPDiv, "vsqrtpd": FPDiv,
-		"movq": FPNone, "cmp": FPNone, "ldr": FPNone,
+	cases := map[string]isa.FPClass{
+		"vaddpd": isa.FPAdd, "fadd": isa.FPAdd, "vaddsd": isa.FPAdd,
+		"vmulpd": isa.FPMul, "fmul": isa.FPMul,
+		"vfmadd231pd": isa.FPFMA, "fmla": isa.FPFMA, "fmadd": isa.FPFMA,
+		"vdivsd": isa.FPDiv, "fdiv": isa.FPDiv, "vsqrtpd": isa.FPDiv,
+		"movq": isa.FPNone, "cmp": isa.FPNone, "ldr": isa.FPNone,
 	}
 	for mn, want := range cases {
-		if got := ClassifyFP(mn); got != want {
+		if got := isa.ClassifyFP(mn); got != want {
 			t.Errorf("ClassifyFP(%q) = %v, want %v", mn, got, want)
 		}
 	}

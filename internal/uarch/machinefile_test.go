@@ -12,7 +12,10 @@ import (
 // TestMachineFileRoundTrip exports every built-in model and reloads it,
 // checking that lookups behave identically.
 func TestMachineFileRoundTrip(t *testing.T) {
-	for _, orig := range All() {
+	// The built-ins only: All() also holds whatever models other tests
+	// registered, which depends on test order.
+	for _, key := range []string{"goldencove", "neoversev2", "zen4"} {
+		orig := MustGet(key)
 		var buf bytes.Buffer
 		if err := orig.WriteJSON(&buf); err != nil {
 			t.Fatalf("%s: write: %v", orig.Key, err)

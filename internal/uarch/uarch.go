@@ -462,18 +462,6 @@ func OperandSig(in *isa.Instruction) string {
 	return sb.String()
 }
 
-// vecWidthOf returns the maximum vector register width used by an
-// instruction, or 0 when it uses none.
-func vecWidthOf(in *isa.Instruction) int {
-	w := 0
-	for _, op := range in.Operands {
-		if op.Kind == isa.OpReg && op.Reg.Class == isa.ClassVec && op.Reg.Width > w {
-			w = op.Reg.Width
-		}
-	}
-	return w
-}
-
 // MatchKind classifies how a Desc was resolved against the model's
 // tables; coverage accounting (core.Result.Coverage) aggregates it.
 type MatchKind int
@@ -561,7 +549,7 @@ func (e *ErrNoEntry) Error() string {
 func (m *Model) LookupEff(in *isa.Instruction, eff *isa.Effects) (Desc, error) {
 	d, ok := m.lookupEff(in, eff, false)
 	if !ok {
-		return Desc{}, &ErrNoEntry{Model: m.Key, Mnemonic: in.Mnemonic, Sig: OperandSig(in), Width: vecWidthOf(in)}
+		return Desc{}, &ErrNoEntry{Model: m.Key, Mnemonic: in.Mnemonic, Sig: OperandSig(in), Width: in.VecWidth()}
 	}
 	return d, nil
 }
@@ -582,7 +570,7 @@ func (m *Model) LookupEffDegraded(in *isa.Instruction, eff *isa.Effects) Desc {
 // always succeeds; otherwise a miss reports ok == false.
 func (m *Model) lookupEff(in *isa.Instruction, eff *isa.Effects, degrade bool) (Desc, bool) {
 	sig := OperandSig(in)
-	width := vecWidthOf(in)
+	width := in.VecWidth()
 	e, exact := m.find(in.Mnemonic, sig, width)
 	match := MatchExact
 	switch {
