@@ -312,7 +312,7 @@ func BenchmarkSuiteGeneration(b *testing.B) {
 }
 
 func BenchmarkFreqGovernor(b *testing.B) {
-	g, err := freq.For("goldencove")
+	g, err := freq.ForModel(uarch.MustGet("goldencove"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,7 +37,7 @@ import (
 func main() {
 	arch := flag.String("arch", "goldencove", "machine model: "+strings.Join(uarch.Keys(), ", "))
 	machineFile := flag.String("machine", "", "analyze against this JSON machine file instead of a registered model")
-	machineDir := flag.String("machine-dir", "", "register every *.json machine file in this directory before resolving -arch")
+	machineDir := flag.String("machine-dir", "", "load every *.json machine file in this directory, for this run only, before resolving -arch")
 	minCoverage := flag.Float64("min-coverage", 0, "fail (exit 1) when aggregate covered fraction falls below this floor in [0,1]")
 	format := flag.String("format", "text", "output format: text or json")
 	cacheDir := flag.String("cache-dir", "", "persistent result store directory (warm runs skip recomputation)")
@@ -49,24 +49,9 @@ func main() {
 		os.Exit(2)
 	}
 	// -arch has a default: only an explicit -arch can contradict -machine.
-	explicitArch := ""
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "arch" {
-			explicitArch = *arch
-		}
-	})
-	if *machineDir != "" {
-		if _, err := uarch.LoadDir(*machineDir); err != nil {
-			fatal(err)
-		}
-	}
-	var m *uarch.Model
-	var err error
-	if *machineFile != "" {
-		m, err = uarch.ReadFile(*machineFile, explicitArch)
-	} else {
-		m, err = uarch.Get(*arch)
-	}
+	archSet := false
+	flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
+	m, err := uarch.Resolve(*machineDir, *machineFile, *arch, archSet)
 	if err != nil {
 		fatal(err)
 	}

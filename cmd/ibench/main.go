@@ -24,30 +24,15 @@ import (
 func main() {
 	arch := flag.String("arch", "zen4", "machine model: "+strings.Join(uarch.Keys(), ", "))
 	machineFile := flag.String("machine", "", "benchmark this JSON machine file instead of a registered model")
-	machineDir := flag.String("machine-dir", "", "register every *.json machine file in this directory before resolving -arch")
+	machineDir := flag.String("machine-dir", "", "load every *.json machine file in this directory, for this run only, before resolving -arch")
 	instr := flag.String("instr", "", "instruction class (empty: all): gather, vecadd, vecmul, vecfma, vecdiv, scalaradd, scalarmul, scalarfma, scalardiv")
 	dumpAsm := flag.Bool("dump-asm", false, "print the generated benchmark loops instead of running them")
 	flag.Parse()
 
 	// -arch has a default: only an explicit -arch can contradict -machine.
-	explicitArch := ""
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "arch" {
-			explicitArch = *arch
-		}
-	})
-	if *machineDir != "" {
-		if _, err := uarch.LoadDir(*machineDir); err != nil {
-			fatal(err)
-		}
-	}
-	var m *uarch.Model
-	var err error
-	if *machineFile != "" {
-		m, err = uarch.ReadFile(*machineFile, explicitArch)
-	} else {
-		m, err = uarch.Get(*arch)
-	}
+	archSet := false
+	flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
+	m, err := uarch.Resolve(*machineDir, *machineFile, *arch, archSet)
 	if err != nil {
 		fatal(err)
 	}

@@ -46,7 +46,7 @@ import (
 func main() {
 	arch := flag.String("arch", "", "machine model key (empty: list all)")
 	machineFile := flag.String("machine", "", "inspect this JSON machine file instead of a registered model")
-	machineDir := flag.String("machine-dir", "", "register every *.json machine file in this directory before resolving -arch")
+	machineDir := flag.String("machine-dir", "", "load every *.json machine file in this directory, for this run only, before resolving -arch")
 	keys := flag.Bool("keys", false, "print the registered model keys, one per line")
 	check := flag.Bool("check", false, "validate the machine files named as arguments (load + smoke analysis)")
 	diff := flag.Bool("diff", false, "compare the two machine files (or registered keys) named as arguments")
@@ -55,8 +55,9 @@ func main() {
 	export := flag.String("export", "", "write the model as a JSON machine file to this path")
 	flag.Parse()
 
+	models := uarch.NewRegistry()
 	if *machineDir != "" {
-		if _, err := uarch.LoadDir(*machineDir); err != nil {
+		if _, err := models.LoadDir(*machineDir); err != nil {
 			fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
 			os.Exit(1)
 		}
@@ -79,14 +80,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "modelinfo: -diff needs exactly two machine files or keys")
 			os.Exit(2)
 		}
-		if err := diffModels(flag.Arg(0), flag.Arg(1)); err != nil {
+		if err := diffModels(models, flag.Arg(0), flag.Arg(1)); err != nil {
 			fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *keys {
-		for _, k := range uarch.Keys() {
+		for _, k := range models.Keys() {
 			fmt.Println(k)
 		}
 		return
@@ -102,14 +103,14 @@ func main() {
 			os.Exit(1)
 		}
 	} else if *arch == "" {
-		for _, rm := range uarch.All() {
+		for _, rm := range models.All() {
 			fmt.Printf("%-12s %s (%s), %d ports, %d entries\n",
 				rm.Key, rm.Name, rm.CPU, len(rm.Ports), len(rm.Entries))
 		}
 		return
 	} else {
 		var err error
-		m, err = uarch.Get(*arch)
+		m, err = models.Get(*arch)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
 			os.Exit(1)
@@ -238,12 +239,12 @@ func checkFile(path string) error {
 }
 
 // loadModelArg resolves one -diff argument: a machine-file path if the
-// file exists, a registered model key otherwise. Files go through
+// file exists, a key registered in models otherwise. Files go through
 // ReadFile (not LoadFile) so diffing never mutates the registry.
-func loadModelArg(arg string) (*uarch.Model, error) {
+func loadModelArg(models *uarch.Registry, arg string) (*uarch.Model, error) {
 	m, err := uarch.ReadFile(arg, "")
 	if errors.Is(err, fs.ErrNotExist) {
-		if m, gerr := uarch.Get(arg); gerr == nil {
+		if m, gerr := models.Get(arg); gerr == nil {
 			return m, nil
 		}
 		return nil, fmt.Errorf("%s: not a readable machine file (%v) or registered key", arg, err)
@@ -269,12 +270,12 @@ func wireMap(m *uarch.Model) (map[string]json.RawMessage, error) {
 // wire forms, an instruction-table summary, and the two identity
 // verdicts: fingerprint (result-cache sharing) and port signature
 // (compiled-artifact sharing).
-func diffModels(aArg, bArg string) error {
-	a, err := loadModelArg(aArg)
+func diffModels(models *uarch.Registry, aArg, bArg string) error {
+	a, err := loadModelArg(models, aArg)
 	if err != nil {
 		return err
 	}
-	b, err := loadModelArg(bArg)
+	b, err := loadModelArg(models, bArg)
 	if err != nil {
 		return err
 	}

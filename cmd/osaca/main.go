@@ -42,7 +42,7 @@ import (
 func main() {
 	arch := flag.String("arch", "goldencove", "machine model: "+strings.Join(uarch.Keys(), ", "))
 	machineFile := flag.String("machine", "", "analyze against this JSON machine file instead of a registered model")
-	machineDir := flag.String("machine-dir", "", "register every *.json machine file in this directory before resolving -arch")
+	machineDir := flag.String("machine-dir", "", "load every *.json machine file in this directory, for this run only, before resolving -arch")
 	compare := flag.Bool("compare", false, "also run the LLVM-MCA-style baseline")
 	simulate := flag.Bool("sim", false, "also run the core simulator (simulated measurement)")
 	ecmLevel := flag.String("ecm", "", "ECM prediction for a working set in L1|L2|L3|MEM")
@@ -73,23 +73,9 @@ func main() {
 	}
 
 	// -arch has a default: only an explicit -arch can contradict -machine.
-	explicitArch := ""
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "arch" {
-			explicitArch = *arch
-		}
-	})
-	if *machineDir != "" {
-		if _, err := uarch.LoadDir(*machineDir); err != nil {
-			fatal(err)
-		}
-	}
-	var m *uarch.Model
-	if *machineFile != "" {
-		m, err = uarch.ReadFile(*machineFile, explicitArch)
-	} else {
-		m, err = uarch.Get(*arch)
-	}
+	archSet := false
+	flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
+	m, err := uarch.Resolve(*machineDir, *machineFile, *arch, archSet)
 	if err != nil {
 		fatal(err)
 	}

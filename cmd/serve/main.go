@@ -110,18 +110,19 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = off)")
 	flag.Parse()
 
+	models := uarch.NewRegistry()
 	if *machineDir != "" {
-		models, err := uarch.LoadDir(*machineDir)
+		loaded, err := models.LoadDir(*machineDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 			os.Exit(1)
 		}
-		for _, m := range models {
+		for _, m := range loaded {
 			log.Printf("serve: registered %s (%s)", m.Key, m.Fingerprint()[:12])
 		}
 	}
 	for _, path := range machineFiles {
-		m, err := uarch.LoadFile(path)
+		m, err := models.LoadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 			os.Exit(1)
@@ -184,6 +185,7 @@ func main() {
 		JobsDir:          *jobsDir,
 		JobWorkers:       *jobWorkers,
 		AccessLog:        log.Default(),
+		Models:           models,
 	})
 	if err != nil {
 		stopProfiles()

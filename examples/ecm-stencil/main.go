@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		em, err := ecm.For(arch)
+		em, err := ecm.ForModel(m)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func main() {
 
 	fmt.Println("Roofline context (sustained vector ceilings):")
 	for _, arch := range []string{"neoversev2", "goldencove", "zen4"} {
-		rl, err := roofline.For(arch)
+		rl, err := roofline.ForModel(uarch.MustGet(arch))
 		if err != nil {
 			log.Fatal(err)
 		}

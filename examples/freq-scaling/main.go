@@ -18,6 +18,7 @@ import (
 	"incore/internal/freq"
 	"incore/internal/isa"
 	"incore/internal/nodes"
+	"incore/internal/uarch"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := freq.For(s.key)
+		g, err := freq.ForModel(uarch.MustGet(s.key))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -98,21 +98,10 @@ type Model struct {
 	FreqGHz float64
 }
 
-// For returns the ECM machine model for a registered microarchitecture
-// key. The transfer-chain calibration comes from the machine model's
-// node-level section (uarch.NodeParams), so runtime-registered machine
-// files get node-level predictions exactly like the built-ins.
-func For(key string) (*Model, error) {
-	cm, err := uarch.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return ForModel(cm)
-}
-
-// ForModel builds the ECM model from a machine model directly — for
-// models loaded from a file and not (or not registrably) registered,
-// e.g. what-if variants sharing a built-in key.
+// ForModel builds the ECM model of a machine model. The transfer-chain
+// calibration comes from the model's node-level section
+// (uarch.NodeParams), so machine files get node-level predictions
+// exactly like the built-ins.
 func ForModel(cm *uarch.Model) (*Model, error) {
 	np := cm.Node
 	if np == nil || np.ECM == nil {

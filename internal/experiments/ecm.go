@@ -46,7 +46,7 @@ func RunECM() (*ECMStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		em, err := ecm.For(arch)
+		em, err := ecm.ForModel(m)
 		if err != nil {
 			return nil, err
 		}

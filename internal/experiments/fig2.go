@@ -7,6 +7,7 @@ import (
 	"incore/internal/freq"
 	"incore/internal/isa"
 	"incore/internal/pipeline"
+	"incore/internal/uarch"
 )
 
 // Fig2Series is one frequency-vs-cores curve.
@@ -40,7 +41,7 @@ func RunFig2() (*Fig2, error) {
 	}
 	series, err := pipeline.MapN(pipeline.Default(), len(specs), func(i int) (Fig2Series, error) {
 		s := specs[i]
-		g, err := freq.For(s.arch)
+		g, err := freq.ForModel(uarch.MustGet(s.arch))
 		if err != nil {
 			return Fig2Series{}, err
 		}

@@ -57,11 +57,11 @@ func RunNodePerf() (*NodePerf, error) {
 		if err != nil {
 			return NodePerfCell{}, err
 		}
-		g, err := freq.For(arch)
+		g, err := freq.ForModel(m)
 		if err != nil {
 			return NodePerfCell{}, err
 		}
-		em, err := ecm.For(arch)
+		em, err := ecm.ForModel(m)
 		if err != nil {
 			return NodePerfCell{}, err
 		}

@@ -50,7 +50,7 @@ func RunTable1() (*Table1, error) {
 		row.TheoreticalPeakTFs = n.TheoreticalPeakTFs()
 		row.TheoreticalBWGBs = n.TheoreticalBandwidthGBs()
 
-		g, err := freq.For(n.Key)
+		g, err := freq.ForModel(uarch.MustGet(n.Key))
 		if err != nil {
 			return row, err
 		}

@@ -47,21 +47,10 @@ type Governor struct {
 	MinFreqGHz float64
 }
 
-// For returns the calibrated governor for a registered microarchitecture
-// key. The calibration comes from the machine model's node-level section
-// (uarch.NodeParams.Freq), so runtime-registered machine files get
-// frequency curves exactly like the built-ins.
-func For(key string) (*Governor, error) {
-	m, err := uarch.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return ForModel(m)
-}
-
-// ForModel builds the governor from a machine model directly — for
-// models loaded from a file and not (or not registrably) registered,
-// e.g. what-if variants sharing a built-in key.
+// ForModel builds the calibrated governor of a machine model. The
+// calibration comes from the model's node-level section
+// (uarch.NodeParams.Freq), so machine files get frequency curves
+// exactly like the built-ins.
 func ForModel(m *uarch.Model) (*Governor, error) {
 	if m.Node == nil || m.Node.Freq == nil {
 		return nil, fmt.Errorf("freq: model %q carries no node-level governor parameters (machine-file \"node.freq\" section)", m.Key)

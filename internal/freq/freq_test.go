@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"incore/internal/isa"
+	"incore/internal/uarch"
 )
 
 func mustFor(t *testing.T, key string) *Governor {
 	t.Helper()
-	m, err := For(key)
+	m, err := ForModel(uarch.MustGet(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +117,6 @@ func TestGCSvsSPRAdvantage(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := For("unknown"); err == nil {
-		t.Error("unknown arch must error")
-	}
 	g := mustFor(t, "zen4")
 	if _, err := g.Sustained(0, isa.ExtAVX); err == nil {
 		t.Error("zero cores must error")

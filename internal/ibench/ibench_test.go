@@ -37,7 +37,8 @@ func TestAllKindsHaveNames(t *testing.T) {
 }
 
 func TestBuildAllCombinations(t *testing.T) {
-	for _, m := range uarch.All() {
+	for _, key := range uarch.Keys() {
+		m := uarch.MustGet(key)
 		for _, k := range AllKinds() {
 			for _, lat := range []bool{false, true} {
 				b, err := Build(m, k, lat)
@@ -79,7 +80,8 @@ func TestLanes(t *testing.T) {
 func TestMeasureLatencyVsThroughputConsistency(t *testing.T) {
 	// For every class: measured chain latency >= 1/ipc (a dependent
 	// chain can never be faster than the pipelined rate).
-	for _, m := range uarch.All() {
+	for _, key := range uarch.Keys() {
+		m := uarch.MustGet(key)
 		cfg := sim.DefaultConfig(m)
 		for _, k := range AllKinds() {
 			r, err := Measure(m, k, cfg)

@@ -82,7 +82,7 @@ func TestProgramCacheInvalidation(t *testing.T) {
 	if err := w.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uarch.Register(w); err != nil {
+	if _, err := uarch.NewRegistry().Register(w); err != nil {
 		t.Fatal(err)
 	}
 	pReg, err := CompileProgram(tb.Block, w)

@@ -37,22 +37,10 @@ type Model struct {
 	Ceilings []Ceiling
 }
 
-// For builds the node Roofline for a registered microarchitecture key,
-// using the sustained frequency of the widest vector ISA for the
-// "realistic" ceiling. The calibration comes from the machine model's
-// node-level section, so runtime-registered machine files get rooflines
-// exactly like the built-ins.
-func For(key string) (*Model, error) {
-	cm, err := uarch.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return ForModel(cm)
-}
-
-// ForModel builds the Roofline from a machine model directly — for
-// models loaded from a file and not (or not registrably) registered,
-// e.g. what-if variants sharing a built-in key.
+// ForModel builds the node Roofline of a machine model, using the
+// sustained frequency of the widest vector ISA for the "realistic"
+// ceiling. The calibration comes from the model's node-level section,
+// so machine files get rooflines exactly like the built-ins.
 func ForModel(cm *uarch.Model) (*Model, error) {
 	np := cm.Node
 	if np == nil || np.MemBWGBs <= 0 || np.FlopsPerCycle <= 0 {

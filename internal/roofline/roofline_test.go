@@ -4,11 +4,13 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"incore/internal/uarch"
 )
 
 func mustFor(t *testing.T, key string) *Model {
 	t.Helper()
-	m, err := For(key)
+	m, err := ForModel(uarch.MustGet(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +19,7 @@ func mustFor(t *testing.T, key string) *Model {
 
 func TestForAllArchs(t *testing.T) {
 	for _, key := range []string{"goldencove", "zen4", "neoversev2"} {
-		m, err := For(key)
+		m, err := ForModel(uarch.MustGet(key))
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
@@ -28,9 +30,6 @@ func TestForAllArchs(t *testing.T) {
 		if m.Ceilings[1].GFlops > m.Ceilings[0].GFlops {
 			t.Errorf("%s: sustained ceiling above nominal", key)
 		}
-	}
-	if _, err := For("unknown"); err == nil {
-		t.Error("unknown arch must error")
 	}
 }
 

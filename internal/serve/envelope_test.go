@@ -3,22 +3,25 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"incore/internal/uarch"
 )
 
 // TestErrorEnvelopeTable pins the full code⇄status contract with live
 // requests: every machine code is produced by a real handler path and
 // must arrive with exactly its documented HTTP status, inside the
 // unified envelope, carrying a request ID. analysis_timeout is pinned
-// by TestAnalysisDeadlineReturns503 (it needs a pathological block) and
-// registry_full would need 1024 registrations, so its mapping is pinned
-// statically below.
+// by TestAnalysisDeadlineReturns503 (it needs a pathological block), so
+// its mapping is pinned statically below.
 func TestErrorEnvelopeTable(t *testing.T) {
 	// The body cap must admit a full machine file (the conflict case
 	// posts one) while staying cheap to overflow with a plain string.
-	ts := newServerWith(t, Options{MaxBodyBytes: 4 << 20, MaxBlockInstrs: 4, JobWorkers: -1, MaxJobs: 1, MaxSweepVariants: 4})
+	models := uarch.NewRegistry()
+	ts := newServerWith(t, Options{MaxBodyBytes: 4 << 20, MaxBlockInstrs: 4, JobWorkers: -1, MaxJobs: 1, MaxSweepVariants: 4, Models: models})
 
 	do := func(method, path, body string) (*http.Response, []byte) {
 		t.Helper()
@@ -50,6 +53,12 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	if err := conflict.Reindex(); err != nil {
 		t.Fatal(err)
 	}
+	// Fill the server's registry to its cap so one more key is refused.
+	for i := len(models.Keys()); i < maxRegisteredModels; i++ {
+		if _, err := models.Register(tinyMachine(fmt.Sprintf("envelope-fill-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cases := []struct {
 		name         string
@@ -66,6 +75,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"oversized body", "POST", "/v1/analyze", `{"arch":"zen4","asm":"` + strings.Repeat("A", 4<<20) + `"}`, 413, CodeBodyTooLarge},
 		{"oversized block", "POST", "/v1/analyze", `{"arch":"zen4","asm":"` + strings.Repeat(`\taddq $1, %rax\n`, 5) + `"}`, 413, CodeBlockTooLarge},
 		{"model conflict", "POST", "/v1/models", string(machineJSON(t, conflict)), 409, CodeModelConflict},
+		{"registry full", "POST", "/v1/models", string(machineJSON(t, tinyMachine("envelope-one-too-many"))), 507, CodeRegistryFull},
 		{"oversized sweep", "POST", "/v1/sweep", `{"arch":"zen4","axes":[{"param":"tdp_watts","values":[1,2,3,4,5]}]}`, 413, CodeSweepTooLarge},
 		{"bad sweep param", "POST", "/v1/sweep", `{"arch":"zen4","axes":[{"param":"magic","values":[1]}]}`, 400, CodeInvalidRequest},
 		{"unknown job", "GET", "/v1/jobs/feed", "", 404, CodeJobNotFound},
@@ -98,6 +108,12 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			}
 		})
 	}
+	// A full registry still answers re-registrations of the keys it holds.
+	for _, body := range []string{string(wire), string(machineJSON(t, tinyMachine(fmt.Sprintf("envelope-fill-%d", maxRegisteredModels-1))))} {
+		if resp, got := do("POST", "/v1/models", body); resp.StatusCode != http.StatusOK {
+			t.Errorf("re-registration on a full registry = %d %s, want 200", resp.StatusCode, got)
+		}
+	}
 
 	// Codes no cheap live request against this server can produce keep
 	// their pinned statuses via classify — the same mapping writeError
@@ -110,7 +126,6 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		code   ErrorCode
 	}{
 		{apiErrorf(CodeAnalysisTimeout, http.StatusServiceUnavailable, "x"), 503, CodeAnalysisTimeout},
-		{apiErrorf(CodeRegistryFull, http.StatusInsufficientStorage, "x"), 507, CodeRegistryFull},
 		{apiErrorf(CodeStoreEntryNotFound, http.StatusNotFound, "x"), 404, CodeStoreEntryNotFound},
 		{apiErrorf(CodeInternal, http.StatusInternalServerError, "x"), 500, CodeInternal},
 	} {

@@ -115,8 +115,8 @@ func goldenRequests(t *testing.T) map[string]goldenRequest {
 			batches[arch+"/"+label] = append(batches[arch+"/"+label], body)
 		}
 	}
-	// The failing item's message must not depend on which models other
-	// tests registered, so it fails parsing rather than naming an arch.
+	// The failing item fails parsing rather than naming an unknown arch,
+	// whose message would list the registry's keys.
 	bad := json.RawMessage(`{"arch":"goldencove","asm":"not assembly ((((","name":"broken"}`)
 	for key, items := range batches {
 		items = append(items, bad)

@@ -43,6 +43,25 @@ func customModel(t *testing.T, key string) *uarch.Model {
 	return m
 }
 
+// tinyMachine is a minimal valid x86 model under key: cheap to
+// register in bulk.
+func tinyMachine(key string) *uarch.Model {
+	m := &uarch.Model{
+		Key: key, Name: "Tiny " + key, CPU: "testbed", Vendor: "test",
+		Ports:      []string{"p0", "ld", "sa", "sd"},
+		IssueWidth: 1, DecodeWidth: 1, RetireWidth: 1,
+		ROBSize: 8, SchedSize: 4,
+		LoadLat: 4, LoadWidthBits: 64, StoreWidthBits: 64,
+		VecWidth: 128, CoresPerChip: 1, BaseFreqGHz: 1, MaxFreqGHz: 1,
+		FPVectorUnits: 1, IntUnits: 1,
+	}
+	m.LoadPorts = m.PortsByName("ld")
+	m.StoreAGUPorts = m.PortsByName("sa")
+	m.StoreDataPorts = m.PortsByName("sd")
+	m.Entries = []uarch.Entry{{Mnemonic: "addq", Lat: 1, Uops: []uarch.Uop{{Ports: m.PortsByName("p0"), Cycles: 1}}}}
+	return m
+}
+
 func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
@@ -297,8 +316,20 @@ func TestConcurrentModelRegistration(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if _, err := uarch.Get("serve-conc-shared"); err != nil {
-		t.Errorf("shared key not registered: %v", err)
+	resp, err := http.Get(ts.URL + "/v1/models/serve-conc-shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shared key not registered: status %d, body %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, shared) && !bytes.Equal(got, conflict) {
+		t.Error("the shared key exports neither of the two posted machine files")
 	}
 }
 

@@ -222,8 +222,8 @@ type HealthResponse struct {
 const maxInlineModels = 128
 
 // maxRegisteredModels bounds how many models POST /v1/models will grow
-// the process-global registry to. Registrations are permanent for the
-// process lifetime (a key, once taken, must keep meaning one scenario),
+// the server's registry to. Registrations are permanent for the
+// server's lifetime (a key, once taken, must keep meaning one scenario),
 // so unlike the inline cache they cannot be evicted — the endpoint
 // refuses new keys beyond the cap instead of letting an unauthenticated
 // client grow the registry without bound. Inline "machine" objects are
@@ -263,6 +263,10 @@ type Options struct {
 	// AccessLog, when non-nil, receives one line per request: method,
 	// path, status, duration, request ID, and the store warm/cold delta.
 	AccessLog *log.Logger
+	// Models is the registry requests resolve "arch" keys in and
+	// POST /v1/models registers into; nil selects uarch.NewRegistry(),
+	// the three built-ins.
+	Models *uarch.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -277,6 +281,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSweepVariants == 0 {
 		o.MaxSweepVariants = DefaultMaxSweepVariants
+	}
+	if o.Models == nil {
+		o.Models = uarch.NewRegistry()
 	}
 	return o
 }
@@ -385,7 +392,7 @@ func (s *Server) resolveModel(req *AnalyzeRequest) (*uarch.Model, error) {
 		if req.Arch == "" {
 			return nil, apiErrorf(CodeInvalidRequest, http.StatusBadRequest, "missing arch")
 		}
-		m, err := uarch.Get(req.Arch)
+		m, err := s.opt.Models.Get(req.Arch)
 		if err != nil {
 			// 400, not 404: the resource here is the analysis, and it
 			// failed because the request named a model that does not
@@ -581,7 +588,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	arch := q.Get("arch")
 	infos := make([]ModelInfo, 0)
-	for _, m := range uarch.All() {
+	for _, m := range s.opt.Models.All() {
 		if arch != "" && arch != m.Key && arch != dialectName(m) {
 			continue
 		}
@@ -624,8 +631,8 @@ func (s *Server) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 	// the bound is a resource guard, not an exact quota): only refuse
 	// keys that would grow the registry — re-registrations of known
 	// keys still resolve below so idempotent posts keep working.
-	if len(uarch.Keys()) >= maxRegisteredModels {
-		if _, err := uarch.Get(m.Key); err != nil {
+	if len(s.opt.Models.Keys()) >= maxRegisteredModels {
+		if _, err := s.opt.Models.Get(m.Key); err != nil {
 			writeError(w, r, apiErrorf(CodeRegistryFull, http.StatusInsufficientStorage,
 				"model registry is full (%d models); re-register an existing key or use an inline \"machine\" object", maxRegisteredModels))
 			return
@@ -633,7 +640,7 @@ func (s *Server) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 	}
 	// Register decides created-vs-idempotent-vs-conflict under one lock,
 	// so concurrent registrations of a key see one consistent outcome.
-	created, err := uarch.Register(m)
+	created, err := s.opt.Models.Register(m)
 	if err != nil {
 		writeError(w, r, wrapAPIError(CodeModelConflict, http.StatusConflict, err))
 		return
@@ -651,7 +658,7 @@ func (s *Server) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 // the round-trip counterpart of POST /v1/models and cmd/modelinfo
 // -export; re-registering the exported bytes is a no-op.
 func (s *Server) handleExportModel(w http.ResponseWriter, r *http.Request) {
-	m, err := uarch.Get(r.PathValue("key"))
+	m, err := s.opt.Models.Get(r.PathValue("key"))
 	if err != nil {
 		writeError(w, r, wrapAPIError(CodeModelNotFound, http.StatusNotFound, err))
 		return
@@ -669,7 +676,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) health() HealthResponse {
 	resp := HealthResponse{
 		Status:   "ok",
-		Models:   len(uarch.Keys()),
+		Models:   len(s.opt.Models.Keys()),
 		Cache:    pipeline.Shared().Stats(),
 		Jobs:     s.jobs.Stats(),
 		Compiled: pipeline.CompiledArtifacts().Stats(),

@@ -12,8 +12,6 @@ import (
 // TestMachineFileRoundTrip exports every built-in model and reloads it,
 // checking that lookups behave identically.
 func TestMachineFileRoundTrip(t *testing.T) {
-	// The built-ins only: All() also holds whatever models other tests
-	// registered, which depends on test order.
 	for _, key := range []string{"goldencove", "neoversev2", "zen4"} {
 		orig := MustGet(key)
 		var buf bytes.Buffer

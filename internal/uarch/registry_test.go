@@ -48,20 +48,29 @@ func roundTrip(t *testing.T, m *Model) *Model {
 }
 
 func TestRegisterGetAndCacheKey(t *testing.T) {
+	r := NewRegistry()
 	m := tinyModel("tiny-register")
-	created, err := Register(m)
+	created, err := r.Register(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !created {
 		t.Error("first registration must report created")
 	}
-	got, err := Get("tiny-register")
+	got, err := r.Get("tiny-register")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != m {
 		t.Error("Get must return the registered model")
+	}
+	// A registration belongs to its registry: neither the package-level
+	// built-ins nor a second registry see it.
+	if _, err := Get("tiny-register"); err == nil {
+		t.Error("uarch.Get sees a model registered into a registry value")
+	}
+	if _, err := NewRegistry().Get("tiny-register"); err == nil {
+		t.Error("a second NewRegistry sees a model registered into the first")
 	}
 	// A runtime model's cache identity carries its fingerprint.
 	wantCK := "tiny-register@" + m.Fingerprint()
@@ -70,20 +79,20 @@ func TestRegisterGetAndCacheKey(t *testing.T) {
 	}
 	// Re-registering identical content (same or equal model) is a
 	// created=false no-op.
-	if created, err := Register(m); err != nil || created {
+	if created, err := r.Register(m); err != nil || created {
 		t.Errorf("idempotent re-register: created=%t err=%v", created, err)
 	}
-	if created, err := Register(tinyModel("tiny-register")); err != nil || created {
+	if created, err := r.Register(tinyModel("tiny-register")); err != nil || created {
 		t.Errorf("re-register of equal content: created=%t err=%v", created, err)
 	}
 	// Different content under a taken key must be rejected.
 	variant := tinyModel("tiny-register")
 	variant.ROBSize = 32
-	if _, err := Register(variant); err == nil {
+	if _, err := r.Register(variant); err == nil {
 		t.Error("conflicting content under a taken key must be rejected")
 	}
 	// The registry still resolves to the original.
-	if got2, _ := Get("tiny-register"); got2 != m {
+	if got2, _ := r.Get("tiny-register"); got2 != m {
 		t.Error("rejected registration must not replace the model")
 	}
 }
@@ -94,7 +103,7 @@ func TestRegisterCannotShadowBuiltin(t *testing.T) {
 	if err := variant.Reindex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Register(variant); err == nil {
+	if _, err := NewRegistry().Register(variant); err == nil {
 		t.Fatal("a mutated model must not register under a built-in key")
 	}
 	if got := MustGet("zen4"); got.CacheKey() != "zen4" {
@@ -150,40 +159,43 @@ func TestLoadFileAndLoadDir(t *testing.T) {
 	write("b.json", tinyModel("tiny-file-b"))
 	write("ignored.txt", tinyModel("tiny-file-c"))
 
-	m, err := LoadFile(path)
+	r := NewRegistry()
+	m, err := r.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MustGet("tiny-file-a"); got != m {
+	if got, _ := r.Get("tiny-file-a"); got != m {
 		t.Error("LoadFile must register the model")
 	}
-	models, err := LoadDir(dir)
+	models, err := r.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(models) != 2 {
 		t.Fatalf("LoadDir loaded %d models, want 2 (*.json only)", len(models))
 	}
-	if _, err := Get("tiny-file-b"); err != nil {
+	if _, err := r.Get("tiny-file-b"); err != nil {
 		t.Errorf("tiny-file-b not registered: %v", err)
 	}
-	if _, err := Get("tiny-file-c"); err == nil {
+	if _, err := r.Get("tiny-file-c"); err == nil {
 		t.Error("non-.json files must be ignored")
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := r.LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file must error")
 	}
-	if _, err := LoadDir(filepath.Join(dir, "missing")); err == nil {
+	if _, err := r.LoadDir(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing dir must error")
 	}
 	// A directory carrying a conflicting variant of a loaded key fails.
 	conflict := tinyModel("tiny-file-a")
 	conflict.ROBSize = 64
 	write("conflict.json", conflict)
-	if _, err := LoadDir(dir); err == nil {
+	if _, err := r.LoadDir(dir); err == nil {
 		t.Error("LoadDir must surface registration conflicts")
 	} else if !strings.Contains(err.Error(), "conflict.json") {
 		t.Errorf("conflict error should name the file: %v", err)
+	} else if n := strings.Count(err.Error(), "uarch:"); n != 1 {
+		t.Errorf("conflict error carries the package prefix %d times, want once: %v", n, err)
 	}
 }
 
@@ -228,7 +240,7 @@ func TestReadFileEditedExport(t *testing.T) {
 	if _, err := ReadFile(path, "goldencove"); err == nil || !strings.Contains(err.Error(), path) {
 		t.Errorf("ReadFile with a mismatching arch: err = %v, want one naming %s", err, path)
 	}
-	if _, err := LoadFile(path); err == nil {
+	if _, err := NewRegistry().LoadFile(path); err == nil {
 		t.Error("LoadFile registered an edited export over the built-in zen4")
 	}
 }
@@ -238,6 +250,7 @@ func TestReadFileEditedExport(t *testing.T) {
 // interleaved with lookups and enumerations — and must be race-clean
 // (CI runs this under -race).
 func TestConcurrentRegisterGet(t *testing.T) {
+	r := NewRegistry()
 	const workers = 8
 	const iters = 50
 	var wg sync.WaitGroup
@@ -249,27 +262,27 @@ func TestConcurrentRegisterGet(t *testing.T) {
 				switch i % 4 {
 				case 0:
 					// Distinct key per (worker, iter): must register.
-					if created, err := Register(tinyModel(fmt.Sprintf("tiny-conc-%d-%d", w, i))); err != nil || !created {
+					if created, err := r.Register(tinyModel(fmt.Sprintf("tiny-conc-%d-%d", w, i))); err != nil || !created {
 						t.Errorf("register: created=%t err=%v", created, err)
 					}
 				case 1:
 					// Shared key, identical content: every racer wins.
-					if _, err := Register(tinyModel("tiny-conc-shared")); err != nil {
+					if _, err := r.Register(tinyModel("tiny-conc-shared")); err != nil {
 						t.Errorf("shared register: %v", err)
 					}
 				case 2:
-					if _, err := Get("zen4"); err != nil {
+					if _, err := r.Get("zen4"); err != nil {
 						t.Errorf("get: %v", err)
 					}
-					_ = Keys()
+					_ = r.Keys()
 				case 3:
 					// Conflicting content on a contended key: whichever
 					// racer lands first wins, everyone else gets the
 					// collision error; no outcome may corrupt the map.
 					m := tinyModel("tiny-conc-contended")
 					m.ROBSize = 16 + w
-					_, _ = Register(m)
-					if _, err := Get("tiny-conc-contended"); err != nil {
+					_, _ = r.Register(m)
+					if _, err := r.Get("tiny-conc-contended"); err != nil {
 						t.Errorf("contended key vanished: %v", err)
 					}
 				}
@@ -277,8 +290,8 @@ func TestConcurrentRegisterGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := MustGet("tiny-conc-shared"); got.Key != "tiny-conc-shared" {
-		t.Error("shared key lost")
+	if got, err := r.Get("tiny-conc-shared"); err != nil || got.Key != "tiny-conc-shared" {
+		t.Errorf("shared key lost: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -54,8 +55,8 @@ func TestPortMaskCountQuick(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	// The registry is mutable (other tests may have registered models),
-	// but the three compiled-in microarchitectures are always present.
+	// The package-level views hold exactly the compiled-in models, and a
+	// fresh registry starts with the same instances.
 	for _, k := range []string{"goldencove", "neoversev2", "zen4"} {
 		m, err := Get(k)
 		if err != nil {
@@ -69,18 +70,22 @@ func TestRegistry(t *testing.T) {
 		t.Error("unknown key must error")
 	}
 	keys := Keys()
-	if len(keys) < 3 || len(All()) != len(keys) {
-		t.Errorf("inconsistent registry views: %d keys, %d models", len(keys), len(All()))
+	if got := fmt.Sprint(keys); got != "[goldencove neoversev2 zen4]" {
+		t.Errorf("Keys() = %s, want the three built-ins in order", got)
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Errorf("Keys() not sorted: %v", keys)
+	all := NewRegistry().All()
+	if len(all) != len(keys) {
+		t.Fatalf("inconsistent registry views: %d keys, %d models", len(keys), len(all))
+	}
+	for i, m := range all {
+		if m.Key != keys[i] || m != MustGet(m.Key) {
+			t.Errorf("NewRegistry().All()[%d] = %s, want the built-in %s", i, m.Key, keys[i])
 		}
 	}
 }
 
 func TestAllModelsValidate(t *testing.T) {
-	for _, m := range All() {
+	for _, m := range NewRegistry().All() {
 		if err := m.Validate(); err != nil {
 			t.Errorf("model %s invalid: %v", m.Key, err)
 		}

@@ -66,6 +66,8 @@ func TestMachineFlags(t *testing.T) {
 		out, err = run(tool.name, append([]string{"-machine-dir", clash, "-arch", "zen4"}, tool.args(asm)...)...)
 		if err == nil || !strings.Contains(out, "already registered with different content") {
 			t.Errorf("%s -machine-dir with an edited zen4: err %v, want a key collision\n%s", tool.name, err, out)
+		} else if n := strings.Count(out, "uarch:"); n != 1 {
+			t.Errorf("%s: the collision error carries the uarch: prefix %d times, want once\n%s", tool.name, n, out)
 		}
 	}
 	out, err := run("modelinfo", "-machine-dir", dir, "-keys")

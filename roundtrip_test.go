@@ -80,7 +80,7 @@ func TestRoundTrippedModelsPredictNodeLevelIdentically(t *testing.T) {
 		loaded := reload(t, orig)
 
 		// ECM: identical bandwidths, overlap flags, and rendered report.
-		emWant, err := ecm.For(key)
+		emWant, err := ecm.ForModel(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestRoundTrippedModelsPredictNodeLevelIdentically(t *testing.T) {
 
 		// Frequency governor: identical sustained curve for every ISA
 		// class the model names.
-		gWant, err := freq.For(key)
+		gWant, err := freq.ForModel(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestRoundTrippedModelsPredictNodeLevelIdentically(t *testing.T) {
 		}
 
 		// Roofline: byte-identical render.
-		rlWant, err := roofline.For(key)
+		rlWant, err := roofline.ForModel(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
