@@ -289,12 +289,15 @@ func suite() map[string]func(b *testing.B) {
 		"KernelsFullSuite":                        fullSuiteBench,
 		"ParseBlock/goldencove/striad":            parseBench(striadGLC),
 		"ParseBlock/neoversev2/j3d27":             parseBench(j3d27V2),
-		"MemsimStoreStream/neoversev2":            memsimBench("neoversev2", false),
-		"MemsimStoreStream/goldencove":            memsimBench("goldencove", false),
-		"MemsimStoreStream/zen4":                  memsimBench("zen4", false),
-		"MemsimTriad/neoversev2":                  memsimBench("neoversev2", true),
-		"MemsimTriad/goldencove":                  memsimBench("goldencove", true),
-		"MemsimTriad/zen4":                        memsimBench("zen4", true),
+		"MemsimStoreStream/neoversev2":            memsimBench("neoversev2", 8, false),
+		"MemsimStoreStream/goldencove":            memsimBench("goldencove", 8, false),
+		"MemsimStoreStream/zen4":                  memsimBench("zen4", 8, false),
+		"MemsimStoreStreamFull/neoversev2":        memsimBench("neoversev2", 0, false),
+		"MemsimStoreStreamFull/goldencove":        memsimBench("goldencove", 0, false),
+		"MemsimStoreStreamFull/zen4":              memsimBench("zen4", 0, false),
+		"MemsimTriad/neoversev2":                  memsimBench("neoversev2", 8, true),
+		"MemsimTriad/goldencove":                  memsimBench("goldencove", 8, true),
+		"MemsimTriad/zen4":                        memsimBench("zen4", 8, true),
 		"CacheInsert":                             cacheInsertBench(),
 		"SimRun/goldencove/striad":                simBench(striadGLC, "goldencove"),
 		"SimRun/neoversev2/j3d27":                 simBench(j3d27V2, "neoversev2"),
@@ -355,21 +358,26 @@ func storeDiskBench(an *core.Analyzer, blk *isa.Block, arch string) func(b *test
 	}
 }
 
-// memsimBench is one warm memsim run — 8 cores, 2048 lines per core per
-// stream — on a reused System: a store stream, or a triad with NT stores
-// on x86 as bw measures it. The run resets in place, and the controller
-// queues and replay schedules keep the buffers they grew in the warmup.
-func memsimBench(key string, triad bool) func(b *testing.B) {
-	sys, err := memsim.NewSystem(memsim.MustConfigFor(key))
+// memsimBench is one warm memsim run — 2048 lines per core per stream on
+// the given number of cores, or the full socket for 0 — on a reused
+// System: a store stream, or a triad with NT stores on x86 as bw measures
+// it. The run resets in place, and the controller queues, replay
+// schedules and core groups keep the buffers they grew in the warmup.
+func memsimBench(key string, cores int, triad bool) func(b *testing.B) {
+	cfg := memsim.MustConfigFor(key)
+	sys, err := memsim.NewSystem(cfg)
 	if err != nil {
 		panic(err)
+	}
+	if cores == 0 {
+		cores = cfg.Cores
 	}
 	run := func() error {
 		var err error
 		if triad {
-			_, err = sys.RunTriad(8, 2048, key != "neoversev2")
+			_, err = sys.RunTriad(cores, 2048, key != "neoversev2")
 		} else {
-			_, err = sys.RunStoreStream(8, 2048, false)
+			_, err = sys.RunStoreStream(cores, 2048, false)
 		}
 		return err
 	}

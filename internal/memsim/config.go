@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"fmt"
+	"slices"
 
 	"incore/internal/nodes"
 )
@@ -95,19 +96,6 @@ func DefaultCounts(cores int) []int {
 		}
 	}
 	out = append(out, cores)
-	seen := map[int]bool{}
-	var uniq []int
-	for _, n := range out {
-		if !seen[n] {
-			seen[n] = true
-			uniq = append(uniq, n)
-		}
-	}
-	// Insertion sort (tiny slice).
-	for i := 1; i < len(uniq); i++ {
-		for j := i; j > 0 && uniq[j] < uniq[j-1]; j-- {
-			uniq[j], uniq[j-1] = uniq[j-1], uniq[j]
-		}
-	}
-	return uniq
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -36,20 +36,22 @@ func (k WAPolicyKind) String() string {
 // trigger for automatic cache-line claim on Neoverse cores).
 type streamDetector struct {
 	lastLine    LineAddr
-	consecutive int
+	consecutive int32
 	// TrainLen is the number of consecutive lines required before the
 	// detector engages.
-	TrainLen int
+	TrainLen int32
 }
 
 // Observe feeds one written line address and reports whether the detector
-// is (now) in streaming mode.
+// is (now) in streaming mode. The streak stops counting one past TrainLen,
+// where the answer no longer changes, so two detectors that answer alike
+// compare equal.
 func (d *streamDetector) Observe(a LineAddr) bool {
 	if d.TrainLen <= 0 {
 		d.TrainLen = 8
 	}
 	if d.consecutive > 0 && a == d.lastLine+1 {
-		d.consecutive++
+		d.consecutive = min(d.consecutive+1, d.TrainLen+1)
 	} else {
 		d.consecutive = 1
 	}

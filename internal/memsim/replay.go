@@ -49,6 +49,10 @@ func (f *l3Fill) reset() {
 	f.lines, f.evictions = 0, 0
 }
 
+// full reports whether every set has filled its ways: from then on every
+// insert evicts, whatever its set.
+func (f *l3Fill) full() bool { return f.lines == len(f.filled)*int(f.ways) }
+
 // insert fills a dirty line into set s, which may be up to one set count
 // past the last set, and reports whether it evicted one.
 func (f *l3Fill) insert(s uint32) bool {

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -19,7 +20,7 @@ type Config struct {
 
 	L1, L2 CacheConfig // per core
 	L3     CacheConfig // per domain slice
-	// LineBytes is the cache-line size.
+	// LineBytes is the cache-line size, a power of two.
 	LineBytes int
 
 	// DomainGBs is each memory controller's sustained capacity.
@@ -58,10 +59,45 @@ const (
 	PlacementCompact
 )
 
-type request struct {
-	core   int
-	bytes  int
-	isRead bool
+// run is a stretch of a controller queue: members first..first+n-1 of a
+// domain each queue per one-line requests, bit i of reads set for a read,
+// and head of them are served. Nothing reads a write's core, so a run of
+// writes is n lines with per 1.
+type run struct {
+	reads               uint64
+	first, n, per, head int32
+}
+
+// ring is a FIFO of runs whose power-of-two buffer outlives a run of the
+// simulator; pushed numbers the runs it has taken since, from 1.
+type ring struct {
+	buf        []run
+	head, size int
+	pushed     int64
+}
+
+// push appends r, extending the newest run when r continues it: writes
+// onto writes, or the next members with the same requests.
+func (q *ring) push(r run) {
+	if r.reads == 0 {
+		r.first, r.n, r.per = 0, r.n*r.per, 1
+	}
+	if q.size > 0 {
+		t := &q.buf[(q.head+q.size-1)&(len(q.buf)-1)]
+		if t.reads == r.reads && t.per == r.per && (r.reads == 0 || t.first+t.n == r.first) {
+			t.n += r.n
+			return
+		}
+	}
+	if q.size == len(q.buf) {
+		grown := make([]run, max(2*len(q.buf), 64))
+		n := copy(grown, q.buf[q.head:])
+		copy(grown[n:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = r
+	q.size++
+	q.pushed++
 }
 
 type controller struct {
@@ -75,36 +111,6 @@ type controller struct {
 	ReadBytes, WriteBytes int64
 }
 
-// ring is a growable FIFO of requests. Its capacity is a power of two,
-// and it keeps its buffer across runs, so a warm system queues without
-// allocating.
-type ring struct {
-	buf        []request
-	head, size int
-}
-
-func (q *ring) push(r request) {
-	if q.size == len(q.buf) {
-		grown := make([]request, max(2*len(q.buf), 64))
-		n := copy(grown, q.buf[q.head:])
-		copy(grown[n:], q.buf[:q.head])
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.size)&(len(q.buf)-1)] = r
-	q.size++
-}
-
-// front returns the oldest request; the ring must not be empty.
-func (q *ring) front() request { return q.buf[q.head] }
-
-// pop removes and returns the oldest request; the ring must not be empty.
-func (q *ring) pop() request {
-	r := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.size--
-	return r
-}
-
 // reset returns the controller to its initial state, keeping the queue's
 // buffer.
 func (c *controller) reset(cfg Config) {
@@ -115,53 +121,87 @@ func (c *controller) reset(cfg Config) {
 	}
 }
 
-func (c *controller) enqueue(r request) {
-	c.queue.push(r)
-	c.queuedBytes += int64(r.bytes)
-}
-
-// serve advances one tick, returning per-core completed read counts.
-func (c *controller) serve(completed []int) {
+// serve advances one tick: it serves lines from the queue front while the
+// byte budget lasts and credits the reads to dm's members. LineBytes is a
+// power of two, so the budget less k lines is exact, as k subtractions
+// of one line are: the lines the budget covers are counted at once.
+func (c *controller) serve(lb int64, dm *domain) {
 	c.budget += c.bytesPerTick
-	served := 0.0
-	for c.queue.size > 0 && c.budget >= float64(c.queue.front().bytes) {
-		r := c.queue.pop()
-		c.queuedBytes -= int64(r.bytes)
-		c.budget -= float64(r.bytes)
-		served += float64(r.bytes)
-		if r.isRead {
-			c.ReadBytes += int64(r.bytes)
-			completed[r.core]++
-		} else {
-			c.WriteBytes += int64(r.bytes)
+	var served, reads int64
+	if c.queue.size > 0 {
+		// budget >= 0, so this is floor(budget / lb).
+		for avail := int64(c.budget) >> bits.TrailingZeros64(uint64(lb)); c.queue.size > 0 && served < avail; {
+			r := &c.queue.buf[c.queue.head]
+			k := int32(min(int64(r.n*r.per-r.head), avail-served))
+			reads += r.take(k, dm)
+			if served += int64(k); r.head == r.n*r.per {
+				c.queue.head = (c.queue.head + 1) & (len(c.queue.buf) - 1)
+				c.queue.size--
+			}
 		}
+		c.queuedBytes -= served * lb
+		c.budget -= float64(served * lb)
+		c.ReadBytes += reads * lb
+		c.WriteBytes += (served - reads) * lb
 	}
 	if c.budget > c.bytesPerTick {
 		// Idle capacity does not bank beyond one tick.
 		c.budget = c.bytesPerTick
 	}
 	const alpha = 0.02
-	c.util = (1-alpha)*c.util + alpha*math.Min(1, served/c.bytesPerTick)
+	if served == 0 {
+		// util >= 0, so adding the zero served term changes nothing.
+		c.util *= 1 - alpha
+	} else {
+		c.util = (1-alpha)*c.util + alpha*math.Min(1, float64(served*lb)/c.bytesPerTick)
+	}
+}
+
+// take serves the run's next k requests, credits their reads to dm's
+// members and returns how many there were.
+func (r *run) take(k int32, dm *domain) int64 {
+	h, e := r.head, r.head+k
+	r.head = e
+	if r.reads == 0 {
+		return 0
+	}
+	a, b, oa, ob := r.first+h/r.per, r.first+e/r.per, h%r.per, e%r.per
+	if a == b {
+		return dm.credit(a, a+1, r.reads&span(oa, ob))
+	}
+	n := int64(0)
+	if oa > 0 {
+		n = dm.credit(a, a+1, r.reads&span(oa, r.per))
+		a++
+	}
+	return n + dm.credit(a, b, r.reads) + dm.credit(b, b+1, r.reads&span(0, ob))
+}
+
+// span returns the mask of bits a..b-1.
+func span(a, b int32) uint64 {
+	if a >= b {
+		return 0
+	}
+	return ^uint64(0) >> uint(64-b) &^ (1<<uint(a) - 1)
+}
+
+// coreState is the part of a core that changes from tick to tick.
+type coreState struct {
+	issueAcc    float64
+	ntResidAcc  float64
+	cursor      int64
+	detector    streamDetector
+	outstanding int32
+	done        bool
 }
 
 type simCore struct {
-	id       int
-	domain   int
-	l1, l2   *Cache
-	detector streamDetector
+	domain int
+	// member is the core's index among its domain's active cores.
+	member int32
+	l1, l2 *Cache
 
-	outstanding int
-	issueAcc    float64
-
-	// Workload cursor.
-	next, end LineAddr
-	strides   []workStream
-	cursor    int64
-	done      bool
-
-	ntResidAcc  float64
-	storedBytes int64
-	loadedBytes int64
+	strides []workStream
 
 	// A replayed core takes its L1 and L2 behaviour from its layout
 	// class: class indexes System.classes, handoff is the class's
@@ -170,6 +210,8 @@ type simCore struct {
 	class   int
 	handoff []uint32
 	l3shift uint32
+
+	st *coreState // the state the core issues on
 }
 
 // workStream is one array stream of a workload: a base address and
@@ -180,17 +222,129 @@ type workStream struct {
 	nt    bool
 }
 
+// group is the state of a run of a domain's members, kept at its first
+// member; hi is one past its last, and reads numbers the queue run with
+// its newest reads. The issue rate of ticks from since on is still to be
+// added (settle).
+type group struct {
+	coreState
+	since, reads int64
+	hi           int32
+}
+
+// domain is one NUMA domain's share of a run: its active cores in index
+// order and their groups. starts marks each group's first member and one
+// past the last member, awake the groups the next tick visits.
+type domain struct {
+	members       []*simCore
+	groups        []group
+	starts, awake []uint64
+	notDone       int
+	mlp           int32
+}
+
+// credit takes the reads in mask off the outstanding counts of members
+// lo..hi-1, split off into groups of their own, wakes those now below the
+// MLP limit, and returns how many reads that is.
+func (dm *domain) credit(lo, hi int32, mask uint64) int64 {
+	n := int32(bits.OnesCount64(mask))
+	if n == 0 || lo == hi {
+		return 0
+	}
+	g := dm.split(lo)
+	dm.split(hi)
+	for ; g < hi; g = dm.groups[g].hi {
+		if st := &dm.groups[g]; !st.done {
+			if st.outstanding -= n; st.outstanding < dm.mlp {
+				set(dm.awake, g)
+			}
+		}
+	}
+	return int64(n * (hi - lo))
+}
+
+// split makes member m the first of a group unless its group is done, and
+// returns the first member of m's group.
+func (dm *domain) split(m int32) int32 {
+	if has(dm.starts, m) {
+		return m
+	}
+	o := prev(dm.starts, m)
+	if dm.groups[o].done {
+		return o
+	}
+	set(dm.starts, m)
+	dm.groups[m] = dm.groups[o]
+	dm.groups[o].hi = m
+	if has(dm.awake, o) {
+		set(dm.awake, m)
+	}
+	return m
+}
+
+// zeroed returns s resized to n zero elements, reusing its buffer.
+func zeroed[T any](s []T, n int32) []T {
+	s = slices.Grow(s[:0], int(n))[:n]
+	clear(s)
+	return s
+}
+
+// has, set and unset read and write bit i of a bitmap; next and prev
+// find the nearest set bit at or above i (len(b)*64 for none) and at or
+// below i.
+func has(b []uint64, i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+func set(b []uint64, i int32)      { b[i>>6] |= 1 << uint(i&63) }
+func unset(b []uint64, i int32)    { b[i>>6] &^= 1 << uint(i&63) }
+
+func next(b []uint64, i int32) int32 {
+	for w, x := int(i>>6), uint64(0); w < len(b); w++ {
+		if x = b[w]; w == int(i>>6) {
+			x &^= 1<<uint(i&63) - 1
+		}
+		if x != 0 {
+			return int32(w*64 + bits.TrailingZeros64(x))
+		}
+	}
+	return int32(len(b) * 64)
+}
+
+func prev(b []uint64, i int32) int32 {
+	for w, x := int(i>>6), uint64(0); ; w-- {
+		if x = b[w]; w == int(i>>6) {
+			x &= 2<<uint(i&63) - 1
+		}
+		if x != 0 {
+			return int32(w*64 + 63 - bits.LeadingZeros64(x))
+		}
+	}
+}
+
+// tally is one member's issue step: its requests and L3 fills, and
+// whether shared state told it apart (alone): a SpecI2M accumulator that
+// may move, a fill into a slice with room, or more requests than a run
+// holds.
+type tally struct {
+	reads uint64
+	per   int32
+	fills int64
+	alone bool
+}
+
 // System is a multi-core memory-hierarchy simulator.
 type System struct {
 	cfg   Config
 	cores []*simCore
 	l3    []*Cache
 	ctrl  []*controller
+	doms  []domain
 	ticks int64
-	// completed counts each core's reads served in the current tick.
-	completed []int
 	// bases holds the current run's stream bases for the layout check.
 	bases []LineAddr
+	// tally, spare and reads are one member's issue step, the state it
+	// issues on when it leaves its group, and its newest reads' run.
+	tally tally
+	spare coreState
+	reads int64
 
 	// replay is set for a run whose layout check passed: its cores
 	// replay their classes' private-cache schedules and its L3 slices
@@ -199,9 +353,13 @@ type System struct {
 	replay  bool
 	classes []replayClass
 	fills   []l3Fill
-	// forceLRU simulates every cache even when the layout check passes;
-	// only package tests set it.
-	forceLRU bool
+	// forceLRU simulates every cache even when the layout check passes,
+	// and forceSingle keeps groups at one member; only package tests set
+	// them. grouped is set when groups may hold more than one member.
+	forceLRU, forceSingle, grouped bool
+	// issues counts the members the last run issued one at a time, and
+	// memberTicks the ticks its members were not done in.
+	issues, memberTicks int64
 }
 
 // NewSystem builds a system from a config.
@@ -212,7 +370,10 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
-	s := &System{cfg: cfg, completed: make([]int, cfg.Cores)}
+	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		return nil, fmt.Errorf("memsim: bad config: line size %d is not a power of two", cfg.LineBytes)
+	}
+	s := &System{cfg: cfg, doms: make([]domain, cfg.Domains)}
 	for d := 0; d < cfg.Domains; d++ {
 		l3, err := NewCache(cfg.L3)
 		if err != nil {
@@ -233,9 +394,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s L2: %w", cfg.Key, err)
 		}
-		c := &simCore{id: i, l1: l1, l2: l2}
-		c.detector.TrainLen = cfg.DetectorTrainLen
-		s.cores = append(s.cores, c)
+		s.cores = append(s.cores, &simCore{l1: l1, l2: l2})
 	}
 	return s, nil
 }
@@ -338,26 +497,42 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 }
 
 // simulate runs the active cores over their laid-out streams, linesPerCore
-// iterations each.
+// iterations each. The tick loop steps groups: runs of a domain's members,
+// in index order, of one layout class and one state (DESIGN.md, memsim).
+// A run that simulates every cache keeps each group at one member.
 func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, error) {
 	active := len(act)
 	s.reset()
 	for i, c := range act {
 		c.domain = s.domainOf(i, active)
-		c.done = false
+		dm := &s.doms[c.domain]
+		c.member = int32(len(dm.members))
+		dm.members = append(dm.members, c)
 	}
 	s.replay = !s.forceLRU && s.linesNeverRepeat(act, linesPerCore)
 	if s.replay {
 		s.schedule(act, linesPerCore)
 	}
+	s.grouped = s.replay && !s.forceSingle
+	start := coreState{detector: streamDetector{TrainLen: int32(s.cfg.DetectorTrainLen)}}
+	for d := range s.doms {
+		dm := &s.doms[d]
+		n := int32(len(dm.members))
+		dm.groups, dm.starts, dm.awake = zeroed(dm.groups, n), zeroed(dm.starts, n/64+1), zeroed(dm.awake, n/64+1)
+		dm.notDone, dm.mlp = int(n), int32(s.cfg.MLP)
+		set(dm.starts, n)
+		for m := n - 1; m >= 0; m-- {
+			if m == 0 || !s.grouped || dm.members[m-1].class != dm.members[m].class {
+				dm.groups[m] = group{coreState: start, hi: next(dm.starts, m+1)}
+				set(dm.starts, m)
+				set(dm.awake, m)
+			}
+		}
+	}
 
 	// Issue rate: CoreGBs of *stored* bytes per second translates into
 	// iterations/tick; each iteration touches len(streams) lines.
-	linesPerTickStored := s.cfg.CoreGBs * TickSeconds * 1e9 / float64(s.cfg.LineBytes)
-
-	completed := s.completed
-	var res TrafficResult
-	res.ActiveCores = active
+	rate := s.cfg.CoreGBs * TickSeconds * 1e9 / float64(s.cfg.LineBytes)
 
 	maxTicks := int64(200_000_000)
 	flushed := false
@@ -366,73 +541,214 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 			return TrafficResult{}, fmt.Errorf("memsim: %s: run did not converge within %d ticks", s.cfg.Key, maxTicks)
 		}
 		allDone := true
-		for _, c := range act {
-			if c.done {
-				continue
-			}
-			allDone = false
-			c.issueAcc += linesPerTickStored
-			for c.issueAcc >= 1 && !c.done {
-				if c.outstanding >= s.cfg.MLP {
-					break
-				}
-				if s.ctrl[c.domain].queuedBytes > s.cfg.QueueCapBytes {
-					break
-				}
-				s.issueIteration(c, active)
-				c.issueAcc--
-				if c.cursor >= int64(linesPerCore) {
-					c.done = true
-				}
+		for d := range s.doms {
+			if !s.issue(d, tick, rate, active, linesPerCore) {
+				allDone = false
 			}
 		}
 		if allDone && !flushed {
 			// Trailing writebacks: dirty lines still in the caches
 			// drain through the controllers like any other traffic.
 			for _, c := range act {
-				s.writeback(c.domain, c.id, s.privateDirty(c))
+				s.writeback(c.domain, s.privateDirty(c))
 			}
 			for d := range s.l3 {
-				s.writeback(d, 0, s.l3Dirty(d))
+				s.writeback(d, s.l3Dirty(d))
 			}
 			flushed = true
 		}
-		for _, ctl := range s.ctrl {
-			ctl.serve(completed)
-		}
-		for i, c := range act {
-			if completed[i] > 0 {
-				c.outstanding -= completed[i]
-				completed[i] = 0
+		empty := true
+		for d := range s.doms {
+			s.ctrl[d].serve(int64(s.cfg.LineBytes), &s.doms[d])
+			if s.ctrl[d].queue.size > 0 {
+				empty = false
 			}
 		}
-		if allDone && flushed {
-			empty := true
-			for _, ctl := range s.ctrl {
-				if ctl.queue.size > 0 {
-					empty = false
-				}
-			}
-			if empty {
-				s.ticks = tick
-				break
-			}
+		if allDone && flushed && empty {
+			s.ticks = tick
+			break
 		}
 	}
 
 	if s.replay {
 		s.settleL3Stats(act)
 	}
+	res := TrafficResult{ActiveCores: active, Ticks: s.ticks}
 	for _, ctl := range s.ctrl {
 		res.MemReadBytes += ctl.ReadBytes
 		res.MemWriteBytes += ctl.WriteBytes
 	}
+	// Every core ran all its iterations, one line per stream each.
+	lines := int64(linesPerCore * s.cfg.LineBytes)
 	for _, c := range act {
-		res.StoredBytes += c.storedBytes
-		res.LoadedBytes += c.loadedBytes
+		for _, st := range c.strides {
+			if st.write {
+				res.StoredBytes += lines
+			} else {
+				res.LoadedBytes += lines
+			}
+		}
 	}
-	res.Ticks = s.ticks
 	return res, nil
+}
+
+// issue runs one tick's issue step for domain d and reports whether every
+// member was already done. It visits the awake groups in member order
+// until the queue is over its cap, after which no member issues.
+func (s *System) issue(d int, t int64, rate float64, active, lines int) bool {
+	dm, ctl := &s.doms[d], s.ctrl[d]
+	if dm.notDone == 0 {
+		return true
+	}
+	for lo := next(dm.awake, 0); lo < int32(len(dm.members)) && ctl.queuedBytes <= s.cfg.QueueCapBytes; {
+		g := &dm.groups[lo]
+		hi := g.hi
+		settle(g, t, rate)
+		switch {
+		case g.outstanding >= dm.mlp:
+			unset(dm.awake, lo)
+		case g.issueAcc+rate < 1:
+			g.issueAcc += rate
+			g.since++
+		default:
+			s.issueGroup(d, lo, t, rate, active, lines)
+		}
+		s.merge(dm, lo, t, rate)
+		lo = next(dm.awake, hi)
+	}
+	return false
+}
+
+// settle adds the issue rate of the ticks before t that the group slept
+// through, blocked on MLP.
+func settle(g *group, t int64, rate float64) {
+	for ; !g.done && g.since < t; g.since++ {
+		g.issueAcc += rate
+	}
+}
+
+// merge joins the group at lo, visited in tick t, to the one before it
+// when they end the tick in equal states with any reads in one queue run:
+// reads in different runs would split them again.
+func (s *System) merge(dm *domain, lo int32, t int64, rate float64) {
+	if !s.grouped || lo == 0 {
+		return
+	}
+	p := prev(dm.starts, lo-1)
+	a, b := &dm.groups[p], &dm.groups[lo]
+	if a.cursor != b.cursor || b.outstanding > 0 && a.reads != b.reads || dm.members[p].class != dm.members[lo].class {
+		return
+	}
+	settle(a, t+1, rate) // a sleeping group sleeps through this tick too
+	settle(b, t+1, rate)
+	if a.coreState == b.coreState {
+		a.hi = b.hi
+		unset(dm.starts, lo)
+		if has(dm.awake, lo) {
+			set(dm.awake, p)
+			unset(dm.awake, lo)
+		}
+	}
+}
+
+// issueGroup issues the members of domain d's group at lo in tick t. A
+// member issues from the group's state at the tick's start, and the
+// members after it that would issue exactly as it did copy it at once;
+// one that ends in another state than the member before starts a group.
+func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, lines int) {
+	dm, ctl := &s.doms[d], s.ctrl[d]
+	g := &dm.groups[lo]
+	hi, start, cur, reads := g.hi, g.coreState, lo, g.reads
+	g.since = t + 1
+	for m := lo; m < hi; {
+		st := &g.coreState
+		if m > lo {
+			s.spare = start
+			st = &s.spare
+		}
+		s.reads = reads
+		n := int32(s.issueMember(dm.members[m], st, rate, active, lines, int64(hi-m-1)))
+		if tl := &s.tally; n > 0 && tl.per > 0 {
+			s.fills[d].evictions += int64(n) * tl.fills
+			ctl.queuedBytes += int64(n*tl.per) * int64(s.cfg.LineBytes)
+			ctl.queue.push(run{first: m + 1, n: n, reads: tl.reads, per: tl.per})
+		}
+		if st.done {
+			dm.notDone -= int(1 + n)
+			s.memberTicks += int64(1+n) * (t + 1)
+		}
+		if c := &dm.groups[cur]; m == lo {
+			g.reads = s.reads
+		} else if c.coreState != *st || c.reads != s.reads {
+			c.hi, cur = m, m
+			set(dm.starts, m)
+			dm.groups[m] = group{coreState: *st, since: t + 1, reads: s.reads, hi: hi}
+			if !st.done && st.outstanding < dm.mlp {
+				set(dm.awake, m)
+			}
+		}
+		m += 1 + n
+	}
+	if g.done || g.outstanding >= dm.mlp {
+		unset(dm.awake, lo)
+	}
+}
+
+// issueMember runs one tick's issue step for core c on state st and
+// queues its requests. It returns how many of up to limit members after
+// c would issue exactly as c did from st: the same requests and state, the
+// queue under its cap at each of their iterations.
+func (s *System) issueMember(c *simCore, st *coreState, rate float64, active, lines int, limit int64) int64 {
+	s.issues++
+	ctl, t, lb := s.ctrl[c.domain], &s.tally, int64(s.cfg.LineBytes)
+	*t = tally{}
+	c.st = st
+	capped, last := false, int64(0)
+	for st.issueAcc += rate; st.issueAcc >= 1 && !st.done && int(st.outstanding) < s.cfg.MLP; {
+		if last = ctl.queuedBytes + int64(t.per)*lb; last > s.cfg.QueueCapBytes {
+			capped = true
+			break
+		}
+		s.issueIteration(c, active)
+		if st.issueAcc--; st.cursor >= int64(lines) {
+			*st = coreState{cursor: st.cursor, done: true}
+		}
+	}
+	if t.per > 0 {
+		s.queueTally(c)
+	}
+	switch bytes := int64(t.per) * lb; {
+	case limit == 0 || t.alone || capped && bytes > 0:
+		return 0
+	case bytes == 0:
+		return limit
+	default: // the next members' last cap checks see last+bytes, +2 bytes, ...
+		return min(limit, (s.cfg.QueueCapBytes-last)/bytes)
+	}
+}
+
+// queueTally queues the requests in the tally as core c's.
+func (s *System) queueTally(c *simCore) {
+	t, ctl := &s.tally, s.ctrl[c.domain]
+	ctl.queuedBytes += int64(t.per) * int64(s.cfg.LineBytes)
+	ctl.queue.push(run{first: c.member, n: 1, reads: t.reads, per: t.per})
+	if t.reads != 0 {
+		s.reads = ctl.queue.pushed
+	}
+}
+
+// enqueue records one line request of core c in the tally.
+func (s *System) enqueue(c *simCore, read bool) {
+	t := &s.tally
+	if t.per == 64 { // more requests than one run holds
+		s.queueTally(c)
+		t.reads, t.per, t.alone = 0, 0, true
+	}
+	if read {
+		t.reads |= 1 << uint(t.per)
+		c.st.outstanding++
+	}
+	t.per++
 }
 
 // linesNeverRepeat reports whether a run of linesPerCore lines per stream
@@ -457,23 +773,19 @@ func (s *System) linesNeverRepeat(act []*simCore, linesPerCore int) bool {
 
 // issueIteration performs one iteration (one line per stream) for a core.
 func (s *System) issueIteration(c *simCore, active int) {
-	lb := int64(s.cfg.LineBytes)
-	access := int(c.cursor) * len(c.strides)
+	access := int(c.st.cursor) * len(c.strides)
 	for j, st := range c.strides {
-		addr := st.base + LineAddr(c.cursor)
+		addr := st.base + LineAddr(c.st.cursor)
 		switch {
 		case st.write && st.nt:
 			s.ntStore(c, active)
-			c.storedBytes += lb
 		case st.write:
 			s.store(c, access+j, addr)
-			c.storedBytes += lb
 		default:
 			s.load(c, access+j, addr)
-			c.loadedBytes += lb
 		}
 	}
-	c.cursor++
+	c.st.cursor++
 }
 
 // hit looks a line up in the core's L1, L2 and L3, filling L1 from a
@@ -501,8 +813,15 @@ func (s *System) allocate(c *simCore, access int, a LineAddr, dirty bool) {
 		s.insertL1(c, a, dirty)
 		return
 	}
-	if h := c.handoff[access]; h != 0 && s.fills[c.domain].insert(h-1+c.l3shift) {
-		s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+	if h := c.handoff[access]; h != 0 {
+		f := &s.fills[c.domain]
+		// Members share one class schedule, but their lines land in
+		// different sets: until every set is full, their fills differ.
+		s.tally.alone = s.tally.alone || !f.full()
+		s.tally.fills++
+		if f.insert(h - 1 + c.l3shift) {
+			s.enqueue(c, false)
+		}
 	}
 }
 
@@ -510,7 +829,9 @@ func (s *System) allocate(c *simCore, access int, a LineAddr, dirty bool) {
 func (s *System) store(c *simCore, access int, a LineAddr) {
 	streaming := false
 	if s.cfg.Policy == PolicyAutoClaim {
-		streaming = c.detector.Observe(a)
+		// The detector sees addresses relative to the core's region, so
+		// the members of a layout class observe the same lines.
+		streaming = c.st.detector.Observe(a - c.strides[0].base)
 	}
 	if s.hit(c, a, true) {
 		return
@@ -521,13 +842,12 @@ func (s *System) store(c *simCore, access int, a LineAddr) {
 	case PolicyAutoClaim:
 		needRead = !streaming
 	case PolicySpecI2M:
-		if ctl.i2m.Convert(ctl.util) {
-			needRead = false
-		}
+		// The accumulator may move, and it answers each member in turn.
+		s.tally.alone = s.tally.alone || ctl.util >= ctl.i2m.Threshold
+		needRead = !ctl.i2m.Convert(ctl.util)
 	}
 	if needRead {
-		ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
-		c.outstanding++
+		s.enqueue(c, true)
 	}
 	s.allocate(c, access, a, true)
 }
@@ -537,22 +857,19 @@ func (s *System) load(c *simCore, access int, a LineAddr) {
 	if s.hit(c, a, false) {
 		return
 	}
-	s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
-	c.outstanding++
+	s.enqueue(c, true)
 	s.allocate(c, access, a, false)
 }
 
 // ntStore handles a non-temporal full-line store through write-combining
 // buffers: the line bypasses the cache hierarchy entirely.
 func (s *System) ntStore(c *simCore, active int) {
-	ctl := s.ctrl[c.domain]
-	ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+	s.enqueue(c, false)
 	if s.cfg.NTResidualRFO > 0 && active > s.cfg.NTResidualMinCores {
-		c.ntResidAcc += s.cfg.NTResidualRFO
-		if c.ntResidAcc >= 1 {
-			c.ntResidAcc--
-			ctl.enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: true})
-			c.outstanding++
+		c.st.ntResidAcc += s.cfg.NTResidualRFO
+		if c.st.ntResidAcc >= 1 {
+			c.st.ntResidAcc--
+			s.enqueue(c, true)
 		}
 	}
 }
@@ -571,38 +888,30 @@ func (s *System) insertL1(c *simCore, a LineAddr, dirty bool) {
 		return
 	}
 	if _, e3, d3 := s.l3[c.domain].Insert(v2, true); e3 && d3 {
-		s.ctrl[c.domain].enqueue(request{core: c.id, bytes: s.cfg.LineBytes, isRead: false})
+		s.enqueue(c, false)
 	}
 }
 
 // reset clears all state for a fresh run.
 func (s *System) reset() {
-	for i := range s.cores {
-		c := s.cores[i]
+	for _, c := range s.cores {
 		c.l1.reset()
 		c.l2.reset()
-		c.detector = streamDetector{TrainLen: s.cfg.DetectorTrainLen}
-		c.outstanding = 0
-		c.issueAcc = 0
-		c.cursor = 0
-		c.done = true
-		c.ntResidAcc = 0
-		c.storedBytes = 0
-		c.loadedBytes = 0
 	}
 	for d := range s.l3 {
 		s.l3[d].reset()
 		s.fills[d].reset()
 		s.ctrl[d].reset(s.cfg)
+		s.doms[d].members = s.doms[d].members[:0]
 	}
-	clear(s.completed)
-	s.ticks = 0
+	s.ticks, s.issues, s.memberTicks = 0, 0, 0
 }
 
 // writeback queues n line writebacks on domain d's controller.
-func (s *System) writeback(d, core, n int) {
-	for ; n > 0; n-- {
-		s.ctrl[d].enqueue(request{core: core, bytes: s.cfg.LineBytes})
+func (s *System) writeback(d, n int) {
+	if n > 0 {
+		s.ctrl[d].queue.push(run{n: int32(n), per: 1})
+		s.ctrl[d].queuedBytes += int64(n * s.cfg.LineBytes)
 	}
 }
 

@@ -34,16 +34,7 @@ func (p *Port) Reset() { p.busy = p.busy[:0] }
 // after the first necessarily start beyond `after`, since the list is
 // sorted and non-overlapping, so the clamp can only touch the first.)
 func (p *Port) AppendTail(starts, ends []float64, after float64) ([]float64, []float64) {
-	lo, hi := 0, len(p.busy)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.busy[mid].End > after {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	for _, iv := range p.busy[lo:] {
+	for _, iv := range p.busy[p.firstEndAfter(after):] {
 		s := iv.Start
 		if s < after {
 			s = after
@@ -57,18 +48,8 @@ func (p *Port) AppendTail(starts, ends []float64, after float64) ([]float64, []f
 // EarliestSlot returns the earliest start time t >= earliest at which a
 // µ-op of duration dur fits, along with the insertion position.
 func (p *Port) EarliestSlot(earliest, dur float64) (float64, int) {
-	// Binary search: first interval with End > earliest.
-	lo, hi := 0, len(p.busy)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.busy[mid].End > earliest {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
 	t := earliest
-	i := lo
+	i := p.firstEndAfter(earliest)
 	for i < len(p.busy) {
 		if t+dur <= p.busy[i].Start {
 			return t, i
@@ -79,6 +60,32 @@ func (p *Port) EarliestSlot(earliest, dur float64) (float64, int) {
 		i++
 	}
 	return t, i
+}
+
+// firstEndAfter returns the index of the first busy interval that ends
+// after t, or len(busy) for none. Requests almost always land at the
+// schedule's tail, so it gallops back from the end by doubling steps,
+// then bisects the last step.
+func (p *Port) firstEndAfter(t float64) int {
+	lo, hi := 0, len(p.busy)
+	// Every interval from hi on ends after t.
+	for step := 1; hi > 0; step *= 2 {
+		i := max(hi-step, 0)
+		if p.busy[i].End <= t {
+			lo = i + 1
+			break
+		}
+		hi = i
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.busy[mid].End > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Reserve books [t, t+dur) at insertion position pos (as returned by

@@ -208,3 +208,30 @@ func TestPortAppendTail(t *testing.T) {
 		t.Errorf("append-to-dst tail = %v/%v", s3, e3)
 	}
 }
+
+// TestFirstEndAfterMatchesBisection checks the galloping search against
+// plain bisection over random sorted schedules, including the empty
+// schedule and times before every end, on an end, and after every end.
+func TestFirstEndAfterMatchesBisection(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		var p Port
+		at := 0.0
+		for n := rng.Intn(70); len(p.busy) < n; {
+			at += float64(rng.Intn(4))
+			end := at + 1 + float64(rng.Intn(3))
+			p.busy = append(p.busy, Interval{Start: at, End: end})
+			at = end
+		}
+		times := []float64{-1, 0, at, at + 1, rng.Float64() * (at + 2)}
+		if len(p.busy) > 0 {
+			times = append(times, p.busy[rng.Intn(len(p.busy))].End)
+		}
+		for _, x := range times {
+			want := sort.Search(len(p.busy), func(i int) bool { return p.busy[i].End > x })
+			if got := p.firstEndAfter(x); got != want {
+				t.Fatalf("%d intervals, t=%v: firstEndAfter = %d, bisection %d", len(p.busy), x, got, want)
+			}
+		}
+	}
+}

@@ -108,6 +108,11 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			}
 		})
 	}
+	// On a full registry the unknown-arch message lists a bounded number
+	// of the keys.
+	if _, body := do("POST", "/v1/analyze", `{"arch":"m99","asm":"\tnop\n"}`); len(body) >= 1<<10 {
+		t.Errorf("unknown-arch body on a full registry is %d bytes, want under 1 KiB: %.300s", len(body), body)
+	}
 	// A full registry still answers re-registrations of the keys it holds.
 	for _, body := range []string{string(wire), string(machineJSON(t, tinyMachine(fmt.Sprintf("envelope-fill-%d", maxRegisteredModels-1))))} {
 		if resp, got := do("POST", "/v1/models", body); resp.StatusCode != http.StatusOK {

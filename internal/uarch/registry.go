@@ -92,8 +92,12 @@ func MustGet(key string) *Model {
 // Keys returns the compiled-in model keys in sorted order.
 func Keys() []string { return builtins().Keys() }
 
+// maxListedKeys bounds how many keys an unknown-key error lists, so that
+// a registry of many models keeps the error short.
+const maxListedKeys = 16
+
 // Get returns the model registered under key, or an error listing the
-// available keys.
+// first maxListedKeys available keys and how many more there are.
 func (r *Registry) Get(key string) (*Model, error) {
 	r.mu.RLock()
 	m, ok := r.models[key]
@@ -101,7 +105,11 @@ func (r *Registry) Get(key string) (*Model, error) {
 	if ok {
 		return m, nil
 	}
-	return nil, fmt.Errorf("uarch: unknown microarchitecture %q (available: %v)", key, r.Keys())
+	keys, more := r.Keys(), ""
+	if len(keys) > maxListedKeys {
+		keys, more = keys[:maxListedKeys], fmt.Sprintf(" … and %d more", len(keys)-maxListedKeys)
+	}
+	return nil, fmt.Errorf("uarch: unknown microarchitecture %q (available: %v%s)", key, keys, more)
 }
 
 // Register adds a model to the registry under its key. The model is
@@ -157,13 +165,21 @@ func ReadFile(path, arch string) (*Model, error) {
 	defer f.Close()
 	m, err := ReadJSON(f)
 	if err != nil {
-		return nil, fmt.Errorf("uarch: %s: %w", path, err)
+		return nil, fmt.Errorf("uarch: %s: %w", path, unprefixed{err})
 	}
 	if arch != "" && arch != m.Key {
 		return nil, fmt.Errorf("uarch: %s: -arch %q does not match machine file key %q", path, arch, m.Key)
 	}
 	return m, nil
 }
+
+// unprefixed is an error whose text drops the package prefix, for a
+// wrapper that puts the prefix before its own context; it unwraps to the
+// error.
+type unprefixed struct{ error }
+
+func (u unprefixed) Error() string { return strings.TrimPrefix(u.error.Error(), "uarch: ") }
+func (u unprefixed) Unwrap() error { return u.error }
 
 // Resolve picks the model a CLI run works on. With a machine file it
 // reads that file unregistered; otherwise it looks arch up. Either way

@@ -3,7 +3,9 @@ package uarch
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -242,6 +244,48 @@ func TestReadFileEditedExport(t *testing.T) {
 	}
 	if _, err := NewRegistry().LoadFile(path); err == nil {
 		t.Error("LoadFile registered an edited export over the built-in zen4")
+	}
+}
+
+// TestUnknownKeyListsBoundedKeys: an unknown key lists every key of a
+// small registry, and the first maxListedKeys sorted keys of a large
+// one, then how many more there are.
+func TestUnknownKeyListsBoundedKeys(t *testing.T) {
+	r := NewRegistry()
+	_, err := r.Get("m99")
+	if want := fmt.Sprintf("uarch: unknown microarchitecture \"m99\" (available: %v)", Keys()); err == nil || err.Error() != want {
+		t.Errorf("built-ins only: err = %v, want %q", err, want)
+	}
+	for i := len(r.Keys()); i < maxListedKeys+4; i++ {
+		if _, err := r.Register(tinyModel(fmt.Sprintf("t%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = r.Get("m99")
+	want := fmt.Sprintf("uarch: unknown microarchitecture \"m99\" (available: %v … and 4 more)", r.Keys()[:maxListedKeys])
+	if err == nil || err.Error() != want {
+		t.Errorf("%d keys: err = %v, want %q", len(r.Keys()), err, want)
+	}
+}
+
+// TestReadFileTruncated: a truncated machine file fails with the JSON
+// error, naming the file once under a single package prefix, and the
+// decoder's error stays reachable through the chain.
+func TestReadFileTruncated(t *testing.T) {
+	var buf bytes.Buffer
+	if err := MustGet("zen4").WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path, "")
+	if want := "uarch: " + path + ": machine file: unexpected EOF"; err == nil || err.Error() != want {
+		t.Fatalf("ReadFile of a truncated file: err = %v, want %q", err, want)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("ReadFile error %v does not wrap io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -44,6 +44,14 @@ func TestMachineFlags(t *testing.T) {
 	rekeyed := writeZen4Variant(t, dir, "sd2.json", func(m *uarch.Model) { m.Key = "zen4-sd2" })
 	clash := filepath.Join(data, "clash")
 	writeZen4Variant(t, clash, "z.json", func(m *uarch.Model) { m.Name = "Zen 4 edited" })
+	whole, err := os.ReadFile(rekeyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(data, "truncated.json")
+	if err := os.WriteFile(truncated, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	run := func(tool string, args ...string) (string, error) {
 		cmd := exec.Command(filepath.Join(bin, tool), args...)
@@ -68,6 +76,12 @@ func TestMachineFlags(t *testing.T) {
 			t.Errorf("%s -machine-dir with an edited zen4: err %v, want a key collision\n%s", tool.name, err, out)
 		} else if n := strings.Count(out, "uarch:"); n != 1 {
 			t.Errorf("%s: the collision error carries the uarch: prefix %d times, want once\n%s", tool.name, n, out)
+		}
+		out, err = run(tool.name, append([]string{"-machine", truncated}, tool.args(asm)...)...)
+		if err == nil || !strings.Contains(out, "unexpected EOF") {
+			t.Errorf("%s -machine with a truncated file: err %v, want an unexpected EOF\n%s", tool.name, err, out)
+		} else if n := strings.Count(out, "uarch:"); n != 1 {
+			t.Errorf("%s: the truncated-file error carries the uarch: prefix %d times, want once\n%s", tool.name, n, out)
 		}
 	}
 	out, err := run("modelinfo", "-machine-dir", dir, "-keys")
