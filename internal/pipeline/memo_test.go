@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strconv"
 	"testing"
 
@@ -139,5 +142,38 @@ func TestBlockKeyBytesAndAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = b.Text() }); allocs != 1 {
 		t.Errorf("Text allocated %v times, want 1", allocs)
+	}
+}
+
+// cellDigest is the sha256 over json.Marshal(CellOf(res)), one line per
+// block, of all 416 suite blocks each analyzed under its own model.
+const cellDigest = "5c5b1cab6889a3fe4dc70bc0a91f52e00e9785aaf281191589aa2d2aca836ace"
+
+// TestCellOfDigest pins the bytes of persisted sweep cells: a change to
+// CellOf, to the analysis it projects, or to the Cell encoding moves the
+// digest, and would leave every stored sweepcell entry stale.
+func TestCellOfDigest(t *testing.T) {
+	full, err := kernels.FullSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 416 {
+		t.Fatalf("suite has %d blocks, want 416", len(full))
+	}
+	an := core.New()
+	h := sha256.New()
+	for _, tb := range full {
+		res, err := an.Analyze(tb.Block, uarch.MustGet(tb.Block.Arch))
+		if err != nil {
+			t.Fatalf("%s: %v", tb.Block.Name, err)
+		}
+		data, err := json.Marshal(CellOf(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(data, '\n'))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != cellDigest {
+		t.Errorf("sha256 over the suite's cells = %s, want %s", got, cellDigest)
 	}
 }

@@ -128,3 +128,23 @@ func TestPortSignatureRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinIdentitiesPinned pins each built-in's full fingerprint and
+// port signature. Every variant's cache key and every stored sweep cell
+// derive from them, so a refactor of the built-ins (or of the encodings
+// they hash) that moves either value turns existing stores cold.
+func TestBuiltinIdentitiesPinned(t *testing.T) {
+	for _, tc := range []struct{ key, fingerprint, portSig string }{
+		{"goldencove", "7ec5050b372e86dc662dd5eee6427c9762775de4f590cb25fcc46c0f9fe882aa", "01071fa59ff2219ce0547b881a0941aad2cd416dae52bc0875c4c116359e67be"},
+		{"neoversev2", "42c33cb8a6d87a5909d9d93583100e369d2f014923d0e55fa6c1c606bf844990", "243f31f6e07a2bb47bcfa0b24ebe8124ebe6562bda9e16cd99fe24e48291d0c4"},
+		{"zen4", "06da6c3b7354f9da41adf9c6b72e5a28a909785c72701aa76096cb49c3227f39", "d52237e52ac7df0ef610bba5ec628e0b4894a21e26d81c443fcfa33e36f56c6d"},
+	} {
+		m := MustGet(tc.key)
+		if got := m.Fingerprint(); got != tc.fingerprint {
+			t.Errorf("%s: Fingerprint() = %s, want %s", tc.key, got, tc.fingerprint)
+		}
+		if got := m.PortSignature(); got != tc.portSig {
+			t.Errorf("%s: PortSignature() = %s, want %s", tc.key, got, tc.portSig)
+		}
+	}
+}
