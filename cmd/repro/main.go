@@ -3,11 +3,15 @@
 //
 // Usage:
 //
-//	repro [-exp all|table1|table2|table3|fig2|fig3|fig4|ecm|nodeperf] [-j N] [-format text|json] [-cache-dir DIR]
+//	repro [-exp all|NAME] [-j N] [-format text|json] [-cache-dir DIR]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // Flags:
 //
+//	-exp all|NAME
+//	    Run one experiment of internal/experiments.All by name (-h lists
+//	    them), or all of them in their canonical order, each under a
+//	    header line.
 //	-j N
 //	    Run experiment jobs on N pipeline workers (default 1, the serial
 //	    reference path; 0 selects GOMAXPROCS). Output is byte-identical
@@ -43,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"incore/internal/experiments"
@@ -55,17 +60,12 @@ import (
 // main both call it so profiles survive error exits too.
 var stopProfiles = func() {}
 
-type renderer interface{ Render() string }
-
-func render(r renderer, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, table3, fig2, fig3, fig4, ecm, nodeperf")
+	names := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		names[i] = e.Name
+	}
+	exp := flag.String("exp", "all", "experiment to run: all, "+strings.Join(names, ", "))
 	workers := flag.Int("j", 1, "pipeline workers (0 = GOMAXPROCS)")
 	format := flag.String("format", "text", "output format: text or json")
 	cacheDir := flag.String("cache-dir", "", "persistent result store directory (empty = process-local cache only)")
@@ -87,70 +87,27 @@ func main() {
 		}
 	}
 
-	runners := map[string]func() (string, error){
-		"table1": func() (string, error) {
-			t, err := experiments.RunTable1()
-			return render(t, err)
-		},
-		"table2": func() (string, error) {
-			t, err := experiments.RunTable2()
-			return render(t, err)
-		},
-		"table3": func() (string, error) {
-			t, err := experiments.RunTable3()
-			return render(t, err)
-		},
-		"fig2": func() (string, error) {
-			f, err := experiments.RunFig2()
-			return render(f, err)
-		},
-		"fig3": func() (string, error) {
-			f, err := experiments.RunFig3()
-			return render(f, err)
-		},
-		"fig4": func() (string, error) {
-			f, err := experiments.RunFig4()
-			return render(f, err)
-		},
-		"ecm": func() (string, error) {
-			s, err := experiments.RunECM()
-			return render(s, err)
-		},
-		"nodeperf": func() (string, error) {
-			s, err := experiments.RunNodePerf()
-			return render(s, err)
-		},
-	}
-	order := []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "ecm", "nodeperf"}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = order
-	} else if _, ok := runners[*exp]; !ok {
-		fail(2, "repro: unknown experiment %q (want one of %v)\n", *exp, order)
+	run := experiments.All
+	if *exp != "all" {
+		i := slices.Index(names, *exp)
+		if i < 0 {
+			fail(2, "repro: unknown experiment %q (want one of %v)\n", *exp, names)
+		}
+		run = run[i : i+1]
 	}
 
 	// Submit every requested experiment as one job graph of independent
 	// jobs and render in the canonical order regardless of completion
 	// order.
 	g := pipeline.NewGraph(pipeline.Default())
-	for _, name := range names {
-		fn := runners[name]
-		if err := g.Add(name, func() (any, error) { return fn() }); err != nil {
+	for _, e := range run {
+		if err := g.Add(e.Name, func() (any, error) { return e.Run() }); err != nil {
 			fail(1, "repro: %v\n", err)
 		}
 	}
 	runErr := g.Run()
 
 	if *format == "json" {
-		outputs := make([]string, len(names))
-		for i, name := range names {
-			v, err := g.Result(name)
-			if err != nil {
-				fail(1, "repro: %s: %v\n", name, err)
-			}
-			outputs[i] = v.(string)
-		}
 		type expOut struct {
 			Name   string `json:"name"`
 			Output string `json:"output"`
@@ -161,8 +118,12 @@ func main() {
 			Cache       pipeline.Stats `json:"cache"`
 			Store       *store.Stats   `json:"store,omitempty"`
 		}{Parallelism: nw}
-		for i, name := range names {
-			doc.Experiments = append(doc.Experiments, expOut{Name: name, Output: outputs[i]})
+		for _, e := range run {
+			v, err := g.Result(e.Name)
+			if err != nil {
+				fail(1, "repro: %s: %v\n", e.Name, err)
+			}
+			doc.Experiments = append(doc.Experiments, expOut{Name: e.Name, Output: v.(string)})
 		}
 		doc.Cache = pipeline.Shared().Stats()
 		if st := pipeline.PersistentStore(); st != nil {
@@ -177,14 +138,14 @@ func main() {
 
 	// Text mode streams completed artifacts in canonical order up to the
 	// first failure, which is reported under its experiment's name.
-	for _, name := range names {
-		v, err := g.Result(name)
+	for _, e := range run {
+		v, err := g.Result(e.Name)
 		if err != nil {
-			fail(1, "repro: %s: %v\n", name, err)
+			fail(1, "repro: %s: %v\n", e.Name, err)
 		}
 		var sb strings.Builder
 		if *exp == "all" {
-			fmt.Fprintf(&sb, "================ %s ================\n", name)
+			sb.WriteString(experiments.Header(e.Name))
 		}
 		sb.WriteString(v.(string))
 		sb.WriteByte('\n')

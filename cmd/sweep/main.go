@@ -74,14 +74,9 @@ func main() {
 	case *machine != "" && *arch != "":
 		fail("-arch and -machine are mutually exclusive")
 	case *machine != "":
-		f, err := os.Open(*machine)
+		base, err = uarch.ReadFile(*machine, "")
 		if err != nil {
 			fail("%v", err)
-		}
-		base, err = uarch.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			fail("%s: %v", *machine, err)
 		}
 	case *arch != "":
 		base, err = uarch.Get(*arch)

@@ -190,16 +190,6 @@ func (f FileResult) Failures() int {
 // Ingester turns source listings into analyzed blocks against one model.
 type Ingester struct {
 	Model *uarch.Model
-	// An is the analyzer; nil means core.New() (degraded mode, the
-	// right default for real-world input).
-	An *core.Analyzer
-}
-
-func (ig *Ingester) analyzer() *core.Analyzer {
-	if ig.An != nil {
-		return ig.An
-	}
-	return core.New()
 }
 
 // IngestSource ingests one listing already in memory. Marker pairs take
@@ -208,7 +198,7 @@ func (ig *Ingester) analyzer() *core.Analyzer {
 func (ig *Ingester) IngestSource(name, src string) FileResult {
 	res := FileResult{Path: name}
 	m := ig.Model
-	an := ig.analyzer()
+	an := core.New() // degraded mode: the right default for real-world input
 
 	marked, err := isa.ExtractMarkedRegion(src)
 	if err != nil {

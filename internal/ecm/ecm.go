@@ -162,13 +162,10 @@ func (r *Result) CyclesPerIt(elemsPerIter int) float64 {
 	return r.TECM * float64(elemsPerIter) / 8
 }
 
-// InCoreInputs extracts T_OL and T_nOL from an in-core analysis: T_nOL is
-// the maximum pressure on load/store ports, T_OL the maximum pressure on
-// all other ports, both scaled to one cache line of work.
-func InCoreInputs(res *core.Result, elemsPerIter int) (tOL, tnOL float64, err error) {
-	if elemsPerIter <= 0 {
-		return 0, 0, fmt.Errorf("ecm: elemsPerIter must be positive")
-	}
+// InCoreSplit splits an in-core analysis into T_OL and T_nOL per loop
+// iteration: T_nOL is the maximum pressure on the model's load/store
+// ports, T_OL the maximum pressure on all other ports.
+func InCoreSplit(res *core.Result) (tOL, tnOL float64) {
 	m := res.Model
 	memMask := m.LoadPorts | m.StoreAGUPorts | m.StoreDataPorts | m.WideLoadPorts
 	for p, load := range res.PortPressure {
@@ -179,7 +176,16 @@ func InCoreInputs(res *core.Result, elemsPerIter int) (tOL, tnOL float64, err er
 		}
 	}
 	// LCD-bound kernels: the dependency chain is core time.
-	tOL = math.Max(tOL, res.LCD.Cycles)
+	return math.Max(tOL, res.LCD.Cycles), tnOL
+}
+
+// InCoreInputs returns InCoreSplit's T_OL and T_nOL scaled to one cache
+// line of work.
+func InCoreInputs(res *core.Result, elemsPerIter int) (tOL, tnOL float64, err error) {
+	if elemsPerIter <= 0 {
+		return 0, 0, fmt.Errorf("ecm: elemsPerIter must be positive")
+	}
+	tOL, tnOL = InCoreSplit(res)
 	scale := 8.0 / float64(elemsPerIter)
 	return tOL * scale, tnOL * scale, nil
 }

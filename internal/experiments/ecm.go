@@ -95,7 +95,8 @@ func (s *ECMStudy) Render() string {
 	var sb strings.Builder
 	sb.WriteString("E7 (paper future work) — ECM node-level predictions [cy per cache line]\n")
 	sb.WriteString("in-core inputs from the OSACA-style analyzer; memory term includes each\n")
-	sb.WriteString("machine's write-allocate behaviour (GCS claims, SPR SpecI2M, Genoa full WA)\n\n")
+	fmt.Fprintf(&sb, "machine's write-allocate behaviour (%s claims, %s SpecI2M, %s full WA)\n\n",
+		chipLabel("neoversev2"), chipLabel("goldencove"), chipLabel("zen4"))
 	head := []string{"kernel", "level"}
 	for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
 		head = append(head, chipLabel(a), "n_sat")

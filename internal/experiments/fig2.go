@@ -30,14 +30,13 @@ type Fig2 struct {
 // curve).
 func RunFig2() (*Fig2, error) {
 	specs := []struct {
-		arch  string
-		label string
-		ext   isa.Ext
+		arch, suffix string
+		ext          isa.Ext
 	}{
-		{"neoversev2", "GCS", isa.ExtSVE},
-		{"goldencove", "SPR AVX-512", isa.ExtAVX512},
-		{"goldencove", "SPR AVX/SSE", isa.ExtAVX},
-		{"zen4", "Genoa", isa.ExtAVX512},
+		{"neoversev2", "", isa.ExtSVE},
+		{"goldencove", " AVX-512", isa.ExtAVX512},
+		{"goldencove", " AVX/SSE", isa.ExtAVX},
+		{"zen4", "", isa.ExtAVX512},
 	}
 	series, err := pipeline.MapN(pipeline.Default(), len(specs), func(i int) (Fig2Series, error) {
 		s := specs[i]
@@ -49,7 +48,7 @@ func RunFig2() (*Fig2, error) {
 		if err != nil {
 			return Fig2Series{}, err
 		}
-		return Fig2Series{Arch: s.arch, Label: s.label, Ext: s.ext, FreqGHz: curve}, nil
+		return Fig2Series{Arch: s.arch, Label: chipLabel(s.arch) + s.suffix, Ext: s.ext, FreqGHz: curve}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -93,8 +92,8 @@ func (f *Fig2) Render() string {
 		fmt.Fprintf(&sb, "%-12s full-socket sustained: %.2f GHz (%.0f%% of single-core max %.2f GHz)\n",
 			s.Label, s.At(n), 100*s.At(n)/s.At(1), s.At(1))
 	}
-	gcs := f.Series[0].At(72)
-	spr := f.Series[1].At(52)
-	fmt.Fprintf(&sb, "GCS vs SPR AVX-512 sustained-frequency advantage: %.1fx (paper: 1.7x)\n", gcs/spr)
+	gcs, spr := &f.Series[0], &f.Series[1]
+	fmt.Fprintf(&sb, "%s vs %s sustained-frequency advantage: %.1fx (paper: 1.7x)\n",
+		gcs.Label, spr.Label, gcs.At(72)/spr.At(52))
 	return sb.String()
 }

@@ -31,17 +31,21 @@ type Fig4 struct {
 // RunFig4 runs the five curves of the paper's Fig. 4.
 func RunFig4() (*Fig4, error) {
 	specs := []struct {
-		arch, label string
-		nt          bool
+		arch string
+		nt   bool
 	}{
-		{"neoversev2", "GCS", false},
-		{"goldencove", "SPR", false},
-		{"goldencove", "SPR NT stores", true},
-		{"zen4", "Genoa", false},
-		{"zen4", "Genoa NT stores", true},
+		{"neoversev2", false},
+		{"goldencove", false},
+		{"goldencove", true},
+		{"zen4", false},
+		{"zen4", true},
 	}
 	series, err := pipeline.MapN(pipeline.Default(), len(specs), func(i int) (Fig4Series, error) {
 		s := specs[i]
+		label := chipLabel(s.arch)
+		if s.nt {
+			label += " NT stores"
+		}
 		n, err := nodes.Get(s.arch)
 		if err != nil {
 			return Fig4Series{}, err
@@ -49,12 +53,12 @@ func RunFig4() (*Fig4, error) {
 		counts := memsim.DefaultCounts(n.Cores)
 		ratios, err := pipeline.WACurve(s.arch, s.nt, counts)
 		if err != nil {
-			return Fig4Series{}, fmt.Errorf("fig4: %s: %w", s.label, err)
+			return Fig4Series{}, fmt.Errorf("fig4: %s: %w", label, err)
 		}
 		sorted := append([]int(nil), counts...)
 		sort.Ints(sorted)
 		return Fig4Series{
-			Arch: s.arch, Label: s.label, NT: s.nt, Ratio: ratios, Counts: sorted,
+			Arch: s.arch, Label: label, NT: s.nt, Ratio: ratios, Counts: sorted,
 		}, nil
 	})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 
 	"incore/internal/bw"
 	"incore/internal/freq"
-	"incore/internal/isa"
 	"incore/internal/nodes"
 	"incore/internal/pipeline"
 	"incore/internal/uarch"
@@ -50,11 +49,15 @@ func RunTable1() (*Table1, error) {
 		row.TheoreticalPeakTFs = n.TheoreticalPeakTFs()
 		row.TheoreticalBWGBs = n.TheoreticalBandwidthGBs()
 
-		g, err := freq.ForModel(uarch.MustGet(n.Key))
+		m := uarch.MustGet(n.Key)
+		g, err := freq.ForModel(m)
 		if err != nil {
 			return row, err
 		}
-		ext := widestExt(n.Key)
+		ext, err := m.Node.Freq.WidestExt()
+		if err != nil {
+			return row, fmt.Errorf("table1: model %q: %w", m.Key, err)
+		}
 		f, err := g.Sustained(n.Cores, ext)
 		if err != nil {
 			return row, err
@@ -73,17 +76,6 @@ func RunTable1() (*Table1, error) {
 		return nil, err
 	}
 	return &Table1{Rows: rows}, nil
-}
-
-// widestExt resolves the widest vector extension from the machine
-// model's node-level section (machine files name it explicitly).
-func widestExt(key string) isa.Ext {
-	if m, err := uarch.Get(key); err == nil && m.Node != nil && m.Node.Freq != nil {
-		if ext, err := isa.ParseExt(m.Node.Freq.WidestVectorExt); err == nil {
-			return ext
-		}
-	}
-	return isa.ExtAVX512
 }
 
 // Render draws the table in the paper's layout (systems as columns).

@@ -6,10 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"incore/internal/store"
 )
 
 // The durable layer: one file per job, <dir>/<id>.json, written
-// atomically (same-directory temp file + rename, like store entries) so
+// atomically through store.WriteAtomic, like store entries, so
 // a reader — including a restarted process — never observes a partial
 // record. Records are wrapped in a version- and schema-stamped envelope;
 // anything that fails the stamp, the ID cross-check, or decoding
@@ -64,7 +66,7 @@ func (q *Queue) persistLocked(j *job) {
 	}
 	path := filepath.Join(q.dir, j.ID+".json")
 	for attempt := 0; ; attempt++ {
-		err = writeAtomic(path, data)
+		err = store.WriteAtomic(path, data)
 		if err == nil {
 			return
 		}
@@ -172,29 +174,4 @@ func validItemState(s ItemState) bool {
 		return true
 	}
 	return false
-}
-
-// writeAtomic writes data to path via a same-directory temp file and
-// rename (the same discipline as store.writeAtomic).
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"incore/internal/core"
+	"incore/internal/ecm"
 	"incore/internal/ibench"
 	"incore/internal/isa"
 	"incore/internal/mca"
@@ -123,12 +124,11 @@ type Cell struct {
 	// resolved through the degraded unknown-descriptor path.
 	TotalUops int `json:"total_uops"`
 	Unknown   int `json:"unknown,omitempty"`
-	// TOLIt / TnOLIt are the per-iteration ECM in-core inputs: the
-	// maximum port pressure off (with the LCD folded in) and on the
-	// model's memory ports, in cycles per iteration. Scaling by
-	// 8/elemsPerIter yields ecm.InCoreInputs' cache-line units. They are
-	// stored because the split depends on the analyzing model's port
-	// masks, which the cell (unlike a full result) no longer carries.
+	// TOLIt / TnOLIt are ecm.InCoreSplit's per-iteration ECM in-core
+	// inputs; scaling by 8/elemsPerIter yields ecm.InCoreInputs'
+	// cache-line units. They are stored because the split depends on the
+	// analyzing model's port masks, which the cell (unlike a full result)
+	// no longer carries.
 	TOLIt  float64 `json:"t_ol_it"`
 	TnOLIt float64 `json:"t_nol_it"`
 }
@@ -145,16 +145,7 @@ func CellOf(res *core.Result) Cell {
 		TotalUops:    res.TotalUops,
 		Unknown:      res.Coverage.Unknown,
 	}
-	m := res.Model
-	memMask := m.LoadPorts | m.StoreAGUPorts | m.StoreDataPorts | m.WideLoadPorts
-	for p, load := range res.PortPressure {
-		if memMask.Has(p) {
-			c.TnOLIt = max(c.TnOLIt, load)
-		} else {
-			c.TOLIt = max(c.TOLIt, load)
-		}
-	}
-	c.TOLIt = max(c.TOLIt, res.LCD.Cycles)
+	c.TOLIt, c.TnOLIt = ecm.InCoreSplit(res)
 	return c
 }
 

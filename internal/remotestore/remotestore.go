@@ -41,6 +41,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"incore/internal/store"
 )
 
 // Defaults; see Options.
@@ -214,7 +216,7 @@ func (c *Client) Get(key string) ([]byte, bool) {
 		c.shortCircuits.Add(1)
 		return nil, false
 	}
-	hash := KeyHash(key)
+	hash := store.KeyHash(key)
 	for attempt := 0; ; attempt++ {
 		payload, found, retryable := c.get1(hash, key)
 		if found {
@@ -331,7 +333,7 @@ func (c *Client) put1(e putEntry) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+"/v1/store/"+KeyHash(e.key), bytes.NewReader(body))
+		c.base+"/v1/store/"+store.KeyHash(e.key), bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"incore/internal/faultinject"
+	"incore/internal/store"
 )
 
 // fakePeer is a minimal in-memory /v1/store peer: GET serves stored wire
@@ -61,7 +62,7 @@ func (p *fakePeer) plant(t *testing.T, schema int, key string, payload []byte) {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
-	p.entries[KeyHash(key)] = body
+	p.entries[store.KeyHash(key)] = body
 	p.mu.Unlock()
 }
 
@@ -180,7 +181,7 @@ func TestVerifyRejectsDamage(t *testing.T) {
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
 			peer.mu.Lock()
-			peer.entries[KeyHash(key)] = body
+			peer.entries[store.KeyHash(key)] = body
 			peer.mu.Unlock()
 			if got, ok := c.Get(key); ok {
 				t.Fatalf("damaged entry surfaced: %q", got)
@@ -339,7 +340,7 @@ func TestPutQueueOverflowDrops(t *testing.T) {
 }
 
 func TestValidHash(t *testing.T) {
-	if !ValidHash(KeyHash("anything")) {
+	if !ValidHash(store.KeyHash("anything")) {
 		t.Fatal("KeyHash output rejected")
 	}
 	for _, bad := range []string{"", "abc", strings.Repeat("g", 64), strings.Repeat("A", 64),

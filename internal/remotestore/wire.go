@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"incore/internal/store"
 )
 
 // The peer wire format. Entries travel as a self-verifying envelope: the
@@ -26,13 +28,6 @@ type wireEntry struct {
 	// Sum is the hex SHA-256 of Payload — the verify-on-fetch hash.
 	Sum     string `json:"sum"`
 	Payload []byte `json:"payload"`
-}
-
-// KeyHash returns the hex SHA-256 of a content key — the address both
-// the on-disk store layout and the peer protocol use for the entry.
-func KeyHash(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
 }
 
 // ValidHash reports whether h is a well-formed entry address (64 lowercase
@@ -77,7 +72,7 @@ func DecodeVerify(data []byte, wantHash string, schema int) (key string, payload
 	if e.Schema != schema {
 		return "", nil, fmt.Errorf("remotestore: schema %d, want %d", e.Schema, schema)
 	}
-	if KeyHash(e.Key) != wantHash {
+	if store.KeyHash(e.Key) != wantHash {
 		return "", nil, fmt.Errorf("remotestore: entry key does not hash to %s", wantHash)
 	}
 	sum := sha256.Sum256(e.Payload)

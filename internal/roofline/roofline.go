@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"incore/internal/freq"
-	"incore/internal/isa"
 	"incore/internal/uarch"
 )
 
@@ -50,7 +49,7 @@ func ForModel(cm *uarch.Model) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext, err := widestExt(np.Freq)
+	ext, err := np.Freq.WidestExt()
 	if err != nil {
 		return nil, fmt.Errorf("roofline: model %q: %w", cm.Key, err)
 	}
@@ -70,32 +69,6 @@ func ForModel(cm *uarch.Model) (*Model, error) {
 		{Label: fmt.Sprintf("sustained peak (%.2f GHz under vector load)", fSust), GFlops: sustained, Sustained: true},
 	}
 	return m, nil
-}
-
-// widestExt resolves the ISA class the sustained ceiling is evaluated
-// at: the machine file's widest_vector_ext when named, else the widest
-// (by vector width, then name for determinism) extension the governor
-// carries an activity factor for — so machine files that skip the
-// optional field still get a roofline.
-func widestExt(fp *uarch.FreqParams) (isa.Ext, error) {
-	if fp.WidestVectorExt != "" {
-		return isa.ParseExt(fp.WidestVectorExt)
-	}
-	best, bestName := isa.Ext(0), ""
-	for name := range fp.ActivityFactor {
-		ext, err := isa.ParseExt(name)
-		if err != nil {
-			return 0, err
-		}
-		if bestName == "" || ext.VectorBits() > best.VectorBits() ||
-			(ext.VectorBits() == best.VectorBits() && name < bestName) {
-			best, bestName = ext, name
-		}
-	}
-	if bestName == "" {
-		return 0, fmt.Errorf("governor names no ISA extensions")
-	}
-	return best, nil
 }
 
 // Knee returns the arithmetic intensity at which a ceiling meets the

@@ -116,12 +116,12 @@ func TestPeerStorePutRejectsDamage(t *testing.T) {
 	at := bytes.Index(corrupted, []byte(`"payload":"`)) + len(`"payload":"`)
 	corrupted[at] ^= 0x01
 
-	hash := remotestore.KeyHash(key)
+	hash := store.KeyHash(key)
 	cases := map[string]struct {
 		hash string
 		body []byte
 	}{
-		"wrong address":     {remotestore.KeyHash("other"), good},
+		"wrong address":     {store.KeyHash("other"), good},
 		"corrupted payload": {hash, corrupted},
 		"truncated":         {hash, good[:len(good)/2]},
 		"garbage":           {hash, []byte("not an envelope")},

@@ -203,7 +203,7 @@ func (s *Store) SetRemote(r Remote) { s.remote = r }
 func (s *Store) Remote() Remote { return s.remote }
 
 // path maps a content key to its entry file: dir/<hh>/<sha256 hex>.json.
-func (s *Store) path(key string) string { return s.hashPath(hashOf(key)) }
+func (s *Store) path(key string) string { return s.hashPath(KeyHash(key)) }
 
 // hashPath maps an entry address (the hex SHA-256 of its content key) to
 // its file.
@@ -341,7 +341,7 @@ func (s *Store) writeDisk(key, path string, payload []byte) {
 		s.putErrors.Add(1)
 		return
 	}
-	if err := writeAtomic(path, data); err != nil {
+	if err := WriteAtomic(path, data); err != nil {
 		s.putErrors.Add(1)
 	}
 }
@@ -367,7 +367,7 @@ func (s *Store) GetByHash(hash string) (key string, payload []byte, ok bool) {
 			payload, ok = s.cutEntry(data, key)
 		}
 	}
-	if !ok || hashOf(key) != hash {
+	if !ok || KeyHash(key) != hash {
 		os.Remove(p)
 		s.evictions.Add(1)
 		return "", nil, false
@@ -375,14 +375,17 @@ func (s *Store) GetByHash(hash string) (key string, payload []byte, ok bool) {
 	return key, payload, true
 }
 
-func hashOf(key string) string {
+// KeyHash returns the hex SHA-256 of a content key: the address of its
+// entry both in the on-disk layout and in the peer protocol.
+func KeyHash(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])
 }
 
-// writeAtomic writes data to path via a same-directory temp file and
-// rename, creating the shard directory on demand.
-func writeAtomic(path string, data []byte) error {
+// WriteAtomic writes data to path via a same-directory ".tmp-*" temp
+// file and rename, creating the directory on demand, so a reader never
+// sees a torn file under path.
+func WriteAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

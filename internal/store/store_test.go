@@ -155,7 +155,7 @@ func TestCorruptedEntryEvicts(t *testing.T) {
 			evicted("Get")
 
 			damage()
-			if _, _, ok := s.GetByHash(hashOf("k")); ok {
+			if _, _, ok := s.GetByHash(KeyHash("k")); ok {
 				t.Fatal("damaged entry served by GetByHash")
 			}
 			if st := s.Stats(); st.Evictions != 2 {
@@ -178,7 +178,7 @@ func TestIntactEntryReadsBack(t *testing.T) {
 		if got, ok := s.Get(key); !ok || string(got) != string(payload) {
 			t.Fatalf("Get(%q) = %q, %v; want %q", payload, got, ok, payload)
 		}
-		k, got, ok := s.GetByHash(hashOf(key))
+		k, got, ok := s.GetByHash(KeyHash(key))
 		if !ok || k != key || string(got) != string(payload) {
 			t.Fatalf("GetByHash = %q, %q, %v; want %q, %q", k, got, ok, key, payload)
 		}

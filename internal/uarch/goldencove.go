@@ -15,10 +15,12 @@ import (
 //   - load ports 2/3 carry 512-bit accesses, port 11 handles accesses up
 //     to 256 bits.
 func NewGoldenCove() *Model {
+	// Table I facts (names, cores, frequencies, TDP) are read from nodes.
+	tbl := nodes.MustGet("goldencove")
 	m := &Model{
 		Key:     "goldencove",
-		Name:    "Golden Cove",
-		CPU:     "Intel Xeon Platinum 8470",
+		Name:    tbl.Uarch,
+		CPU:     tbl.Name,
 		Vendor:  "Intel",
 		Dialect: isa.DialectX86,
 		Ports:   []string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"},
@@ -36,9 +38,9 @@ func NewGoldenCove() *Model {
 		StoreWidthBits: 256,
 
 		VecWidth:      512,
-		CoresPerChip:  52,
-		BaseFreqGHz:   2.0,
-		MaxFreqGHz:    3.8,
+		CoresPerChip:  tbl.Cores,
+		BaseFreqGHz:   tbl.BaseFreqGHz,
+		MaxFreqGHz:    tbl.MaxFreqGHz,
 		FPVectorUnits: 3,
 		IntUnits:      5,
 	}
@@ -47,7 +49,6 @@ func NewGoldenCove() *Model {
 	// bandwidth and vendor-counted flops derive from the Table I system
 	// description; the ECM transfer chain and the frequency governor
 	// carry the values the ecm/freq packages used to hardcode.
-	tbl := nodes.MustGet("goldencove")
 	m.Node = &NodeParams{
 		MemBWGBs:      tbl.TheoreticalBandwidthGBs() * tbl.StreamEfficiency,
 		FlopsPerCycle: tbl.FlopsPerCycle(),
@@ -57,7 +58,7 @@ func NewGoldenCove() *Model {
 		// license caps at 3.5 GHz and decays to 2.0 GHz at 52 cores;
 		// SSE/AVX decay to 3.0 GHz (Fig. 2).
 		Freq: &FreqParams{
-			TDPWatts: 350, UncoreWatts: 90, StaticWattsPerCore: 0.5,
+			TDPWatts: tbl.TDPWatts, UncoreWatts: 90, StaticWattsPerCore: 0.5,
 			MinFreqGHz: 0.8,
 			ActivityFactor: map[string]float64{
 				"scalar": 0.155, "sse": 0.1667, "avx": 0.1667,

@@ -13,10 +13,11 @@ import (
 // SVE vector length is 128 bits, so NEON and SVE forms have identical
 // element throughput.
 func NewNeoverseV2() *Model {
+	tbl := nodes.MustGet("neoversev2")
 	m := &Model{
 		Key:     "neoversev2",
-		Name:    "Neoverse V2",
-		CPU:     "Nvidia Grace CPU Superchip",
+		Name:    tbl.Uarch,
+		CPU:     tbl.Name,
 		Vendor:  "Nvidia/Arm",
 		Dialect: isa.DialectAArch64,
 		Ports: []string{
@@ -41,16 +42,15 @@ func NewNeoverseV2() *Model {
 		StoreWidthBits: 128,
 
 		VecWidth:      128,
-		CoresPerChip:  72,
-		BaseFreqGHz:   3.4,
-		MaxFreqGHz:    3.4,
+		CoresPerChip:  tbl.Cores,
+		BaseFreqGHz:   tbl.BaseFreqGHz,
+		MaxFreqGHz:    tbl.MaxFreqGHz,
 		FPVectorUnits: 4,
 		IntUnits:      6,
 	}
 
 	// Node-level calibration (machine-file "node" section); see the
 	// Golden Cove definition for provenance.
-	tbl := nodes.MustGet("neoversev2")
 	m.Node = &NodeParams{
 		MemBWGBs:      tbl.TheoreticalBandwidthGBs() * tbl.StreamEfficiency,
 		FlopsPerCycle: tbl.FlopsPerCycle(),
@@ -64,7 +64,7 @@ func NewNeoverseV2() *Model {
 		// chip sustains its 3.4 GHz base for any ISA mix on all 72
 		// cores — the power budget never binds.
 		Freq: &FreqParams{
-			TDPWatts: 250, UncoreWatts: 50, StaticWattsPerCore: 0.2,
+			TDPWatts: tbl.TDPWatts, UncoreWatts: 50, StaticWattsPerCore: 0.2,
 			MinFreqGHz: 1.0,
 			ActivityFactor: map[string]float64{
 				"scalar": 0.06, "neon": 0.06, "sve": 0.06,

@@ -427,3 +427,34 @@ func TestPortsByNamePanicsOnUnknown(t *testing.T) {
 	}()
 	m.PortsByName("NOPE")
 }
+
+// TestWidestExt covers the one widest-ISA resolver Roofline and Table I
+// share: the named extension when given, else the widest activity-factor
+// class with ties broken by name, and an error when neither exists.
+func TestWidestExt(t *testing.T) {
+	for _, tc := range []struct {
+		key   string
+		clear bool
+		want  isa.Ext
+	}{
+		{"goldencove", false, isa.ExtAVX512},
+		{"neoversev2", false, isa.ExtSVE},
+		{"zen4", false, isa.ExtAVX512},
+		{"goldencove", true, isa.ExtAVX512},
+		{"neoversev2", true, isa.ExtNEON}, // neon and sve are both 128 bits
+	} {
+		fp := *MustGet(tc.key).Node.Freq
+		if tc.clear {
+			fp.WidestVectorExt = ""
+		}
+		if got, err := fp.WidestExt(); err != nil || got != tc.want {
+			t.Errorf("%s (named %q): WidestExt() = %v, %v; want %v", tc.key, fp.WidestVectorExt, got, err, tc.want)
+		}
+	}
+	if _, err := (&FreqParams{}).WidestExt(); err == nil {
+		t.Error("a governor with no extensions resolved a widest one")
+	}
+	if _, err := (&FreqParams{WidestVectorExt: "avx1024"}).WidestExt(); err == nil {
+		t.Error("an unknown widest_vector_ext resolved")
+	}
+}

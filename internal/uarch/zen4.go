@@ -12,10 +12,11 @@ import (
 // Native datapath is 256 bits; AVX-512 instructions are double-pumped into
 // two 256-bit µ-ops (paper Sec. II).
 func NewZen4() *Model {
+	tbl := nodes.MustGet("zen4")
 	m := &Model{
 		Key:     "zen4",
-		Name:    "Zen 4",
-		CPU:     "AMD EPYC 9684X",
+		Name:    tbl.Uarch,
+		CPU:     tbl.Name,
 		Vendor:  "AMD",
 		Dialect: isa.DialectX86,
 		Ports: []string{
@@ -39,16 +40,15 @@ func NewZen4() *Model {
 		StoreWidthBits: 256,
 
 		VecWidth:      256,
-		CoresPerChip:  96,
-		BaseFreqGHz:   2.55,
-		MaxFreqGHz:    3.7,
+		CoresPerChip:  tbl.Cores,
+		BaseFreqGHz:   tbl.BaseFreqGHz,
+		MaxFreqGHz:    tbl.MaxFreqGHz,
 		FPVectorUnits: 4,
 		IntUnits:      4,
 	}
 
 	// Node-level calibration (machine-file "node" section); see the
 	// Golden Cove definition for provenance.
-	tbl := nodes.MustGet("zen4")
 	m.Node = &NodeParams{
 		MemBWGBs:      tbl.TheoreticalBandwidthGBs() * tbl.StreamEfficiency,
 		FlopsPerCycle: tbl.FlopsPerCycle(),
@@ -60,7 +60,7 @@ func NewZen4() *Model {
 		// EPYC 9684X: 3.7 GHz boost, identical behaviour across ISA
 		// extensions, decaying to 3.1 GHz at 96 cores (84% of turbo).
 		Freq: &FreqParams{
-			TDPWatts: 400, UncoreWatts: 100, StaticWattsPerCore: 0.3,
+			TDPWatts: tbl.TDPWatts, UncoreWatts: 100, StaticWattsPerCore: 0.3,
 			MinFreqGHz: 0.8,
 			ActivityFactor: map[string]float64{
 				"scalar": 0.0948, "sse": 0.0948, "avx": 0.0948,

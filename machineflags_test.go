@@ -2,6 +2,7 @@ package incore_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,10 +27,12 @@ var machineTools = []struct {
 // TestMachineFlags drives the built CLIs: a -machine-dir model resolves
 // by its key in every tool, -machine honours only an explicit -arch, and
 // a -machine-dir file that reuses a built-in key with other content is
-// refused with one error prefix.
+// refused with one error prefix. sweep, which takes -machine but no
+// -machine-dir, sweeps an edited built-in under its fingerprinted cache
+// key and reports a truncated file with the same single prefix.
 func TestMachineFlags(t *testing.T) {
 	bin := t.TempDir()
-	var pkgs []string
+	pkgs := []string{"./cmd/sweep"}
 	for _, tool := range machineTools {
 		pkgs = append(pkgs, "./cmd/"+tool.name)
 	}
@@ -87,6 +90,28 @@ func TestMachineFlags(t *testing.T) {
 	out, err := run("modelinfo", "-machine-dir", dir, "-keys")
 	if err != nil || !strings.Contains("\n"+out, "\nzen4-sd2\n") {
 		t.Errorf("modelinfo -machine-dir -keys: err %v, want zen4-sd2 listed\n%s", err, out)
+	}
+
+	edited := filepath.Join(clash, "z.json")
+	cmd := exec.Command(filepath.Join(bin, "sweep"), "-machine", edited, "-axis", "tdp_watts=300,400", "-format", "json")
+	stdout, err := cmd.Output()
+	var res struct {
+		BaseCacheKey string `json:"base_cache_key"`
+	}
+	if err != nil {
+		t.Errorf("sweep -machine with an edited zen4: %v", err)
+	} else if err := json.Unmarshal(stdout, &res); err != nil || !strings.HasPrefix(res.BaseCacheKey, "zen4@") {
+		t.Errorf("sweep -machine with an edited zen4: base_cache_key %q (%v), want zen4@…", res.BaseCacheKey, err)
+	}
+	out, err = run("sweep", "-machine", truncated, "-axis", "tdp_watts=300,400")
+	if err == nil || !strings.Contains(out, "sweep: uarch: "+truncated+": machine file: unexpected EOF") {
+		t.Errorf("sweep -machine with a truncated file: err %v, want a one-prefix unexpected EOF\n%s", err, out)
+	} else if n := strings.Count(out, "uarch:"); n != 1 {
+		t.Errorf("sweep: the truncated-file error carries the uarch: prefix %d times, want once\n%s", n, out)
+	}
+	out, err = run("sweep", "-machine", rekeyed, "-arch", "zen4", "-axis", "tdp_watts=300,400")
+	if err == nil || !strings.Contains(out, "mutually exclusive") {
+		t.Errorf("sweep -machine with -arch: err %v, want \"mutually exclusive\"\n%s", err, out)
 	}
 }
 
