@@ -375,7 +375,7 @@ func memsimBench(key string, cores int, triad bool) func(b *testing.B) {
 	run := func() error {
 		var err error
 		if triad {
-			_, err = sys.RunTriad(cores, 2048, key != "neoversev2")
+			_, err = sys.RunTriad(cores, 2048, cfg.Policy != memsim.PolicyAutoClaim)
 		} else {
 			_, err = sys.RunStoreStream(cores, 2048, false)
 		}

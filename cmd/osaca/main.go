@@ -157,45 +157,20 @@ func runECM(b *isa.Block, m *uarch.Model, res *core.Result, levelName string, nt
 	if err != nil {
 		return err
 	}
-	elems := elemsPerIter(b, m)
+	elems := ecm.ElemsPerIter(b)
 	tOL, tnOL, err := ecm.InCoreInputs(res, elems)
 	if err != nil {
 		return err
 	}
-	wa := ecm.WAFactorFor(m.Key, true)
+	wa := ecm.WAFactorFor(m.Key)
 	if nt {
 		wa = 1.0
 	}
-	tr := ecm.TrafficForBlock(b, m.Dialect, wa)
+	tr := ecm.TrafficForBlock(b, wa)
 	r := em.Predict(tOL, tnOL, tr, level)
 	fmt.Print(r.Report())
 	fmt.Printf("  = %.2f cy/it at %d elements/iteration\n", r.CyclesPerIt(elems), elems)
 	return nil
-}
-
-// elemsPerIter estimates double-precision elements processed per loop
-// iteration from the widest store stream (falling back to loads).
-func elemsPerIter(b *isa.Block, m *uarch.Model) int {
-	loadBits, storeBits := 0, 0
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		w := 64
-		for _, op := range in.Operands {
-			if op.Kind == isa.OpReg && op.Reg.Class == isa.ClassVec && op.Reg.Width > w {
-				w = op.Reg.Width
-			}
-		}
-		eff := isa.InstrEffects(in, m.Dialect)
-		storeBits += len(eff.StoreOps) * w
-		loadBits += len(eff.LoadOps) * w
-	}
-	if storeBits > 0 {
-		return storeBits / 64
-	}
-	if loadBits > 0 {
-		return loadBits / 64
-	}
-	return 1
 }
 
 func fatal(err error) {

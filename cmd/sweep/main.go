@@ -137,7 +137,7 @@ func main() {
 	pipeline.ReportTiers(os.Stderr, "sweep", nw)
 	cs := pipeline.CompiledArtifacts().Stats()
 	fmt.Fprintf(os.Stderr, "sweep: %d variants / %d distinct port signatures over %d blocks (%d parsed), cells %d warm / %d cold, %d analyzed\n",
-		len(res.Variants), res.DistinctSignatures, len(res.Blocks), cs.Blocks, res.Warm, res.Cold, sweep.GlobalStats().CellsAnalyzed)
+		len(res.Variants), res.DistinctSignatures, len(res.Blocks), cs.Blocks, res.Warm, res.Cold, res.Analyzed)
 }
 
 // parseAxis parses one -axis flag value: name=v1,v2,...

@@ -47,7 +47,7 @@ func main() {
 				log.Fatal(err)
 			}
 			line := fmt.Sprintf("  %3d cores: standard %.2f", c, std.WARatio())
-			if key != "neoversev2" {
+			if cfg.Policy != memsim.PolicyAutoClaim {
 				nt, err := sys.RunStoreStream(c, memsim.DefaultStoreLinesPerCore, true)
 				if err != nil {
 					log.Fatal(err)

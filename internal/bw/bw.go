@@ -35,8 +35,9 @@ type Result struct {
 const linesPerCore = 8192
 
 // MeasureTriad sweeps the triad benchmark over core counts. NT stores are
-// used on the x86 systems (the STREAM convention with streaming stores);
-// Grace's automatic claim achieves the same with standard stores.
+// used wherever memsim's calibrated policy does not claim lines
+// automatically (the x86 systems: the STREAM convention with streaming
+// stores); Grace's automatic claim achieves the same with standard stores.
 //
 // Samples are submitted through the shared pipeline: they run on the
 // default pool (serial unless the caller widened it) and each (node,
@@ -47,10 +48,11 @@ func MeasureTriad(key string, counts []int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := memsim.ConfigFor(key); err != nil {
+	cfg, err := memsim.ConfigFor(key)
+	if err != nil {
 		return nil, err
 	}
-	nt := key != "neoversev2"
+	nt := cfg.Policy != memsim.PolicyAutoClaim
 	res := &Result{Key: key, TheoreticalGBs: n.TheoreticalBandwidthGBs()}
 	points, err := pipeline.Map(pipeline.Default(), counts, func(c int) (Point, error) {
 		tr, err := pipeline.Triad(key, c, linesPerCore, nt)

@@ -52,7 +52,7 @@ func ExtractLoops(src string, d isa.Dialect) []Loop {
 	labelLine := map[string]int{}
 	var cands []Loop
 	for i, raw := range lines {
-		line := strings.TrimSpace(stripListingComment(raw, d))
+		line := strings.TrimSpace(isa.StripComment(raw, d))
 		if line == "" {
 			continue
 		}
@@ -85,21 +85,6 @@ func ExtractLoops(src string, d isa.Dialect) []Loop {
 		}
 	}
 	return out
-}
-
-// stripListingComment removes trailing comments for loop scanning only;
-// block parsing re-applies the isa parser's own comment handling.
-func stripListingComment(line string, d isa.Dialect) string {
-	markers := []string{"#", "//", ";"}
-	if d == isa.DialectAArch64 {
-		markers = []string{"//", ";"}
-	}
-	for _, m := range markers {
-		if i := strings.Index(line, m); i >= 0 {
-			line = line[:i]
-		}
-	}
-	return line
 }
 
 // branchTarget reports a line's branch mnemonic and label target, or

@@ -22,7 +22,7 @@ func TestTrafficForBlockTriad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TrafficForBlock(b, m.Dialect, 2)
+	tr := TrafficForBlock(b, 2)
 	if tr.LoadBytes != 128 {
 		t.Errorf("triad load streams: %f B, want 128 (2 streams)", tr.LoadBytes)
 	}
@@ -34,7 +34,6 @@ func TestTrafficForBlockTriad(t *testing.T) {
 func TestTrafficForBlockStencilNeighborsShareStream(t *testing.T) {
 	// A 2D 5-point stencil has 4 loads but only 3 distinct streams
 	// (i±1 share the center row's base/index).
-	m := uarch.MustGet("goldencove")
 	k, err := kernels.ByName("j2d5")
 	if err != nil {
 		t.Fatal(err)
@@ -43,28 +42,64 @@ func TestTrafficForBlockStencilNeighborsShareStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TrafficForBlock(b, m.Dialect, 2)
+	tr := TrafficForBlock(b, 2)
 	if tr.LoadBytes != 3*64 {
 		t.Errorf("j2d5 load streams: %f B, want 192 (3 streams)", tr.LoadBytes)
 	}
 }
 
+// kernelStreams is each kernel's distinct (load, store) array streams,
+// read off its C loop body.
+var kernelStreams = map[string][2]int{
+	"copy": {1, 1}, "init": {0, 1}, "update": {1, 1}, "add": {2, 1},
+	"striad": {2, 1}, "schtriad": {3, 1}, "sum": {1, 0}, "pi": {0, 0},
+	"j2d5": {3, 1}, "j3d7": {5, 1}, "j3d11": {7, 1}, "j3d27": {9, 1},
+	"gs2d5": {3, 1},
+}
+
 func TestTrafficForBlockMatchesKernelDescriptors(t *testing.T) {
 	// For every generated variant, the block-derived stream counts must
-	// equal the kernel's declared stream counts (they are two routes to
-	// the same quantity).
+	// equal the kernel's stream counts read off its loop body.
 	full, err := kernels.FullSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(kernelStreams) != len(kernels.Kernels) {
+		t.Fatalf("oracle covers %d kernels, suite has %d", len(kernelStreams), len(kernels.Kernels))
+	}
 	for _, tb := range full {
-		m := uarch.MustGet(tb.Config.Arch)
-		tr := TrafficForBlock(tb.Block, m.Dialect, 2)
-		wantLoads := float64(64 * tb.Kernel.LoadStreams)
-		wantStores := float64(64 * tb.Kernel.StoreStreams)
-		if tr.LoadBytes != wantLoads || tr.StoreBytes != wantStores {
-			t.Errorf("%s: streams loads=%.0f stores=%.0f, descriptor wants %.0f/%.0f",
-				tb.Block.Name, tr.LoadBytes/64, tr.StoreBytes/64, wantLoads/64, wantStores/64)
+		want, ok := kernelStreams[tb.Kernel.Name]
+		if !ok {
+			t.Fatalf("no stream counts for kernel %s", tb.Kernel.Name)
 		}
+		tr := TrafficForBlock(tb.Block, 2)
+		if tr.LoadBytes != float64(64*want[0]) || tr.StoreBytes != float64(64*want[1]) {
+			t.Errorf("%s: streams loads=%.0f stores=%.0f, want %d/%d",
+				tb.Block.Name, tr.LoadBytes/64, tr.StoreBytes/64, want[0], want[1])
+		}
+	}
+}
+
+// TestElemsPerIterMatchesKernels: on every suite block that touches
+// memory, the element count read off the block equals the generator's.
+// The vectorized pi blocks move no data, so the block cannot tell their
+// lane count.
+func TestElemsPerIterMatchesKernels(t *testing.T) {
+	full, err := kernels.FullSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, tb := range full {
+		if tr := TrafficForBlock(tb.Block, 2); tr.LoadBytes == 0 && tr.StoreBytes == 0 {
+			continue
+		}
+		checked++
+		if got := ElemsPerIter(tb.Block); got != tb.ElemsPerIter {
+			t.Errorf("%s: %d elements/iteration, generator says %d", tb.Block.Name, got, tb.ElemsPerIter)
+		}
+	}
+	if checked != 384 {
+		t.Errorf("checked %d memory-touching blocks, want 384", checked)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"incore/internal/core"
+	"incore/internal/isa"
 	"incore/internal/kernels"
 	"incore/internal/uarch"
 )
@@ -141,31 +142,43 @@ func TestInCoreInputs(t *testing.T) {
 	}
 }
 
+// kernelBlock generates a kernel's first-compiler -Ofast block for arch.
+func kernelBlock(t *testing.T, name, arch string) *isa.Block {
+	t.Helper()
+	k, err := kernels.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := kernels.Generate(k, kernels.Config{Arch: arch, Compiler: kernels.CompilersFor(arch)[0], Opt: kernels.Ofast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestTrafficForKernel(t *testing.T) {
-	k, _ := kernels.ByName("striad")
-	tr := TrafficForKernel(k, 2)
+	tr := TrafficForBlock(kernelBlock(t, "striad", "goldencove"), 2)
 	if tr.LoadBytes != 128 || tr.StoreBytes != 64 || tr.WAFactor != 2 {
 		t.Errorf("striad traffic: %+v", tr)
 	}
-	pi, _ := kernels.ByName("pi")
-	trPi := TrafficForKernel(pi, 2)
+	trPi := TrafficForBlock(kernelBlock(t, "pi", "zen4"), 2)
 	if trPi.LoadBytes != 0 || trPi.StoreBytes != 0 {
 		t.Errorf("pi must move no data: %+v", trPi)
 	}
 }
 
 func TestWAFactorFor(t *testing.T) {
-	if WAFactorFor("neoversev2", true) != 1.0 {
+	if WAFactorFor("neoversev2") != 1.0 {
 		t.Error("Grace claims lines: factor 1")
 	}
-	if WAFactorFor("goldencove", true) != 1.75 {
+	if WAFactorFor("goldencove") != 1.75 {
 		t.Error("saturated SPR: factor 1.75")
 	}
-	if WAFactorFor("goldencove", false) != 2.0 {
-		t.Error("unsaturated SPR: factor 2")
-	}
-	if WAFactorFor("zen4", true) != 2.0 {
+	if WAFactorFor("zen4") != 2.0 {
 		t.Error("Genoa always allocates")
+	}
+	if WAFactorFor("uncalibrated") != 2.0 {
+		t.Error("an architecture without a memsim calibration must allocate")
 	}
 }
 
@@ -193,11 +206,10 @@ func TestReport(t *testing.T) {
 // halves the memory traffic of a store-dominated kernel relative to
 // Genoa — the node-level consequence of Fig. 4 expressed in ECM terms.
 func TestGraceVsGenoaStoreKernels(t *testing.T) {
-	init, _ := kernels.ByName("init")
 	gcs := mustFor(t, "neoversev2")
 	gen := mustFor(t, "zen4")
-	rG := gcs.Predict(0.5, 1, TrafficForKernel(init, WAFactorFor("neoversev2", true)), MEM)
-	rZ := gen.Predict(0.5, 1, TrafficForKernel(init, WAFactorFor("zen4", true)), MEM)
+	rG := gcs.Predict(0.5, 1, TrafficForBlock(kernelBlock(t, "init", "neoversev2"), WAFactorFor("neoversev2")), MEM)
+	rZ := gen.Predict(0.5, 1, TrafficForBlock(kernelBlock(t, "init", "zen4"), WAFactorFor("zen4")), MEM)
 	if !(rG.TL3Mem < rZ.TL3Mem) {
 		t.Errorf("Grace store traffic must be lower: %f vs %f", rG.TL3Mem, rZ.TL3Mem)
 	}

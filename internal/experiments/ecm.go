@@ -68,7 +68,7 @@ func RunECM() (*ECMStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr := ecm.TrafficForKernel(k, ecm.WAFactorFor(arch, true))
+		tr := ecm.TrafficForBlock(b, ecm.WAFactorFor(arch))
 		var rows []ECMRow
 		for _, level := range []ecm.MemLevel{ecm.L1, ecm.L2, ecm.L3, ecm.MEM} {
 			r := em.Predict(tOL, tnOL, tr, level)

@@ -70,8 +70,8 @@ func RunNodePerf() (*NodePerf, error) {
 		best := NodePerfCell{Arch: arch, Kernel: k.Name}
 		bestCyPerElem := math.Inf(1)
 		var bestRes *core.Result
+		var bestBlock *isa.Block
 		var bestElems int
-		var bestExt isa.Ext
 		for _, comp := range kernels.CompilersFor(arch) {
 			cfg := kernels.Config{Arch: arch, Compiler: comp, Opt: kernels.Ofast}
 			b, err := kernels.Generate(k, cfg)
@@ -88,12 +88,12 @@ func RunNodePerf() (*NodePerf, error) {
 				bestCyPerElem = cpe
 				best.BestVariant = string(comp) + "-Ofast"
 				bestRes = res
+				bestBlock = b
 				bestElems = elems
-				bestExt = dominantExt(b)
 			}
 		}
 
-		f, err := g.Sustained(n.Cores, bestExt)
+		f, err := g.Sustained(n.Cores, dominantExt(bestBlock))
 		if err != nil {
 			// ISA class without a calibrated activity factor (e.g.
 			// scalar-only kernels on x86): fall back to scalar.
@@ -111,7 +111,7 @@ func RunNodePerf() (*NodePerf, error) {
 		if err != nil {
 			return NodePerfCell{}, err
 		}
-		tr := ecm.TrafficForKernel(k, ecm.WAFactorFor(arch, true))
+		tr := ecm.TrafficForBlock(bestBlock, ecm.WAFactorFor(arch))
 		r := em.Predict(tOL, tnOL, tr, ecm.MEM)
 		perfCLperCy := float64(n.Cores) / r.TECM
 		if r.TL3Mem > 0 {
@@ -140,12 +140,8 @@ func RunNodePerf() (*NodePerf, error) {
 // frequency governor).
 func dominantExt(b *isa.Block) isa.Ext {
 	best := isa.ExtScalar
-	rank := map[isa.Ext]int{
-		isa.ExtScalar: 0, isa.ExtSSE: 1, isa.ExtNEON: 1, isa.ExtSVE: 2,
-		isa.ExtAVX: 2, isa.ExtAVX512: 3,
-	}
 	for i := range b.Instrs {
-		if rank[b.Instrs[i].Ext] > rank[best] {
+		if b.Instrs[i].Ext.Wider(best) {
 			best = b.Instrs[i].Ext
 		}
 	}

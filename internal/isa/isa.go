@@ -243,6 +243,16 @@ func (e Ext) VectorBits() int {
 	}
 }
 
+// Wider reports whether e is a wider ISA class than o: more VectorBits
+// wins, and on a tie the later class does (SVE over NEON), so the widest
+// class of any set is unique.
+func (e Ext) Wider(o Ext) bool {
+	if eb, ob := e.VectorBits(), o.VectorBits(); eb != ob {
+		return eb > ob
+	}
+	return e > o
+}
+
 // Instruction is one assembly instruction in IR form.
 type Instruction struct {
 	// Mnemonic is the lower-case opcode without width suffixes removed;

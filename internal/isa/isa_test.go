@@ -60,6 +60,25 @@ func TestExtVectorBits(t *testing.T) {
 	}
 }
 
+func TestExtWider(t *testing.T) {
+	for _, c := range []struct {
+		e, o Ext
+		want bool
+	}{
+		{ExtAVX512, ExtAVX, true},
+		{ExtAVX, ExtSSE, true},
+		{ExtSSE, ExtScalar, true},
+		{ExtSVE, ExtNEON, true},
+		{ExtNEON, ExtSVE, false},
+		{ExtSVE, ExtSVE, false},
+		{ExtScalar, ExtNEON, false},
+	} {
+		if got := c.e.Wider(c.o); got != c.want {
+			t.Errorf("%s.Wider(%s) = %v, want %v", c.e, c.o, got, c.want)
+		}
+	}
+}
+
 func TestExtString(t *testing.T) {
 	for _, e := range []Ext{ExtScalar, ExtSSE, ExtAVX, ExtAVX512, ExtNEON, ExtSVE} {
 		if e.String() == "" || strings.Contains(e.String(), "Ext(") {

@@ -36,7 +36,7 @@ func ParseBlock(name, arch string, d Dialect, src string) (*Block, error) {
 	for lineNo, more := 1, true; more; lineNo++ {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
-		line = strings.TrimSpace(stripComment(line, d))
+		line = strings.TrimSpace(StripComment(line, d))
 		switch {
 		case line == "":
 		case line[len(line)-1] == ':':
@@ -140,9 +140,9 @@ func (s *parseScratch) build(b *Block) {
 	}
 }
 
-// stripComment cuts line at its first comment marker: '#' (x86 only; it
+// StripComment cuts line at its first comment marker: '#' (x86 only; it
 // introduces immediates on AArch64), "//" or ';'.
-func stripComment(line string, d Dialect) string {
+func StripComment(line string, d Dialect) string {
 	for i := 0; i < len(line); i++ {
 		switch line[i] {
 		case '#':
@@ -544,12 +544,7 @@ func classifyExt(in *Instruction, d Dialect) Ext {
 }
 
 func classifyExtX86(in *Instruction) Ext {
-	maxW := 0
-	for _, op := range in.Operands {
-		if op.Kind == OpReg && op.Reg.Class == ClassVec && op.Reg.Width > maxW {
-			maxW = op.Reg.Width
-		}
-	}
+	maxW := in.VecWidth()
 	m := in.Mnemonic
 	scalarFP := strings.HasSuffix(m, "sd") && m != "movabsd"
 	switch {

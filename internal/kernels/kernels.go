@@ -95,8 +95,6 @@ type Kernel struct {
 	// Doc is the C-level loop body.
 	Doc  string
 	Kind Kind
-	// LoadStreams / StoreStreams count distinct array streams.
-	LoadStreams, StoreStreams int
 	// FlopsPerElem counts adds+muls (divs listed separately).
 	AddsPerElem, MulsPerElem, DivsPerElem int
 	// Vectorizable marks kernels compilers can vectorize at all.
@@ -109,31 +107,31 @@ type Kernel struct {
 // Kernels is the paper's 13-kernel validation set (Sec. II).
 var Kernels = []Kernel{
 	{Name: "copy", Doc: "a[i] = b[i]", Kind: KindCopy,
-		LoadStreams: 1, StoreStreams: 1, Vectorizable: true},
+		Vectorizable: true},
 	{Name: "init", Doc: "a[i] = s", Kind: KindInit,
-		StoreStreams: 1, Vectorizable: true},
+		Vectorizable: true},
 	{Name: "update", Doc: "a[i] = s*a[i]", Kind: KindUpdate,
-		LoadStreams: 1, StoreStreams: 1, MulsPerElem: 1, Vectorizable: true},
+		MulsPerElem: 1, Vectorizable: true},
 	{Name: "add", Doc: "a[i] = b[i] + c[i]", Kind: KindAdd,
-		LoadStreams: 2, StoreStreams: 1, AddsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 1, Vectorizable: true},
 	{Name: "striad", Doc: "a[i] = b[i] + s*c[i]", Kind: KindStriad,
-		LoadStreams: 2, StoreStreams: 1, AddsPerElem: 1, MulsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 1, MulsPerElem: 1, Vectorizable: true},
 	{Name: "schtriad", Doc: "a[i] = b[i] + c[i]*d[i]", Kind: KindSchTriad,
-		LoadStreams: 3, StoreStreams: 1, AddsPerElem: 1, MulsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 1, MulsPerElem: 1, Vectorizable: true},
 	{Name: "sum", Doc: "s += a[i]", Kind: KindSum,
-		LoadStreams: 1, AddsPerElem: 1, Vectorizable: true, NeedsFastMath: true},
+		AddsPerElem: 1, Vectorizable: true, NeedsFastMath: true},
 	{Name: "pi", Doc: "x = (i+0.5)*dx; s += 4.0/(1.0 + x*x)", Kind: KindPi,
 		AddsPerElem: 3, MulsPerElem: 2, DivsPerElem: 1, Vectorizable: true, NeedsFastMath: true},
 	{Name: "j2d5", Doc: "b[j][i] = 0.25*(a[j][i-1]+a[j][i+1]+a[j-1][i]+a[j+1][i])", Kind: KindJ2D5,
-		LoadStreams: 3, StoreStreams: 1, AddsPerElem: 3, MulsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 3, MulsPerElem: 1, Vectorizable: true},
 	{Name: "j3d7", Doc: "b[k][j][i] = c*(a[k][j][i-1]+a[k][j][i+1]+a[k][j-1][i]+a[k][j+1][i]+a[k-1][j][i]+a[k+1][j][i])", Kind: KindJ3D7,
-		LoadStreams: 5, StoreStreams: 1, AddsPerElem: 5, MulsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 5, MulsPerElem: 1, Vectorizable: true},
 	{Name: "j3d11", Doc: "11-point star stencil (center, i±1, i±2, j±1, j±2, k±1, k±2)", Kind: KindJ3D11,
-		LoadStreams: 7, StoreStreams: 1, AddsPerElem: 10, MulsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 10, MulsPerElem: 1, Vectorizable: true},
 	{Name: "j3d27", Doc: "27-point box stencil", Kind: KindJ3D27,
-		LoadStreams: 9, StoreStreams: 1, AddsPerElem: 26, MulsPerElem: 1, Vectorizable: true},
+		AddsPerElem: 26, MulsPerElem: 1, Vectorizable: true},
 	{Name: "gs2d5", Doc: "phi[j][i] = 0.25*(phi[j][i-1]+phi[j][i+1]+phi[j-1][i]+phi[j+1][i]) (in place)", Kind: KindGS2D5,
-		LoadStreams: 3, StoreStreams: 1, AddsPerElem: 3, MulsPerElem: 1, Vectorizable: false},
+		AddsPerElem: 3, MulsPerElem: 1, Vectorizable: false},
 }
 
 // ByName returns the kernel with the given name.

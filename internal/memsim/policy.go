@@ -32,6 +32,21 @@ func (k WAPolicyKind) String() string {
 	}
 }
 
+// WAFactor returns the memory traffic per stored byte that standard
+// stores cause on a saturated socket: 1 where lines are claimed without a
+// read, 2 - SpecI2MMaxShare where SpecI2M converts at most that share of
+// RFOs near saturation, and 2 where every store miss allocates.
+func (c Config) WAFactor() float64 {
+	switch c.Policy {
+	case PolicyAutoClaim:
+		return 1
+	case PolicySpecI2M:
+		return 2 - c.SpecI2MMaxShare
+	default:
+		return 2
+	}
+}
+
 // streamDetector recognizes sequential full-line write streams (the
 // trigger for automatic cache-line claim on Neoverse cores).
 type streamDetector struct {

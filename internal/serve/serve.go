@@ -212,7 +212,7 @@ type HealthResponse struct {
 	// blocks, and depgraph skeletons cached for the process lifetime,
 	// with hit/attach/compile counts and an estimated byte footprint.
 	Compiled pipeline.ArtifactStats `json:"compiled"`
-	// Sweep reports the process-wide design-space sweep counters, the
+	// Sweep reports this server's design-space sweep counters, the
 	// same ones /metrics exposes as incore_sweep_*.
 	Sweep sweep.Stats `json:"sweep"`
 }
@@ -301,6 +301,10 @@ type Server struct {
 	// the model on every call.
 	inlineMu sync.Mutex
 	inline   map[[sha256.Size]byte]*uarch.Model
+
+	// sweepMu guards sweepStats, the accounting of this server's sweeps.
+	sweepMu    sync.Mutex
+	sweepStats sweep.Stats
 }
 
 // NewWithOptions returns a server with OSACA-like analyzer defaults — the
@@ -558,14 +562,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: items})
 }
 
-// dialectName renders a model's dialect for the wire.
-func dialectName(m *uarch.Model) string {
-	if m.Dialect == isa.DialectAArch64 {
-		return "aarch64"
-	}
-	return "x86"
-}
-
 // handleModels lists registered models with offset/limit pagination and
 // an optional arch filter matching either a model key or a dialect
 // family ("x86", "aarch64"). Total counts matches before pagination, so
@@ -589,7 +585,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	arch := q.Get("arch")
 	infos := make([]ModelInfo, 0)
 	for _, m := range s.opt.Models.All() {
-		if arch != "" && arch != m.Key && arch != dialectName(m) {
+		if arch != "" && arch != m.Key && arch != m.Dialect.String() {
 			continue
 		}
 		infos = append(infos, ModelInfo{
@@ -597,7 +593,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Name:          m.Name,
 			CPU:           m.CPU,
 			Vendor:        m.Vendor,
-			Dialect:       dialectName(m),
+			Dialect:       m.Dialect.String(),
 			Ports:         m.Ports,
 			IssueWidth:    m.IssueWidth,
 			Fingerprint:   m.Fingerprint(),
@@ -680,8 +676,10 @@ func (s *Server) health() HealthResponse {
 		Cache:    pipeline.Shared().Stats(),
 		Jobs:     s.jobs.Stats(),
 		Compiled: pipeline.CompiledArtifacts().Stats(),
-		Sweep:    sweep.GlobalStats(),
 	}
+	s.sweepMu.Lock()
+	resp.Sweep = s.sweepStats
+	s.sweepMu.Unlock()
 	if st := pipeline.PersistentStore(); st != nil {
 		stats := st.Stats()
 		resp.Store = &stats

@@ -77,7 +77,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// request has cost nothing yet beyond parsing its own body.
 	if max := s.opt.MaxSweepVariants; max > 0 {
 		if n := sweep.Count(canon); n > max {
-			sweep.CountRejected()
+			s.sweepMu.Lock()
+			s.sweepStats.RejectedTooLarge++
+			s.sweepMu.Unlock()
 			writeError(w, r, apiErrorf(CodeSweepTooLarge, http.StatusRequestEntityTooLarge,
 				"sweep cross-product of %d variants exceeds the cap of %d", n, max))
 			return
@@ -93,6 +95,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, wrapAPIError(CodeInvalidRequest, http.StatusBadRequest, err))
 		return
 	}
+	s.sweepMu.Lock()
+	s.sweepStats.Add(res)
+	s.sweepMu.Unlock()
 	writeJSON(w, http.StatusOK, res)
 }
 

@@ -110,7 +110,8 @@ func TestSweepEndpointCustomModelNeedsBlocks(t *testing.T) {
 }
 
 // TestHealthzSweepMatchesMetrics pins that /healthz and /metrics report
-// the same sweep counters.
+// the same sweep counters, and that they count this server's sweeps
+// only: one two-variant sweep of one fresh block and one refused sweep.
 func TestHealthzSweepMatchesMetrics(t *testing.T) {
 	ts := newTestServer(t)
 	asm := fmt.Sprintf("\tvaddpd %%ymm1, %%ymm0, %%ymm0\n\taddq $%d, %%rax\n\tcmpq %%rcx, %%rax\n\tjb .L1\n", freshImm())
@@ -121,6 +122,14 @@ func TestHealthzSweepMatchesMetrics(t *testing.T) {
 	}
 	if resp, body := post(t, ts, "/v1/sweep", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status = %d: %s", resp.StatusCode, body)
+	}
+	wide := make([]float64, 65)
+	for i := range wide {
+		wide[i] = float64(100 + i)
+	}
+	big := SweepRequest{Arch: "zen4", Axes: []SweepAxis{{Param: "tdp_watts", Values: wide}, {Param: "mem_bandwidth_gbs", Values: wide}}}
+	if resp, body := post(t, ts, "/v1/sweep", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized sweep status = %d: %s", resp.StatusCode, body)
 	}
 	var h HealthResponse
 	getJSON(t, ts, "/healthz", &h)
@@ -142,8 +151,8 @@ func TestHealthzSweepMatchesMetrics(t *testing.T) {
 		t.Fatalf("metrics output missing %s", name)
 		return ""
 	}
-	if h.Sweep.CellsAnalyzed == 0 {
-		t.Error("/healthz sweep.cells_analyzed is 0 after a cold sweep")
+	if st := h.Sweep; st.Sweeps != 1 || st.Variants != 2 || st.CellsAnalyzed != 1 || st.RejectedTooLarge != 1 {
+		t.Errorf("/healthz sweep = %+v, want 1 sweep, 2 variants, 1 analysis, 1 rejected", st)
 	}
 	if got, want := strconv.FormatUint(h.Sweep.CellsAnalyzed, 10), series("incore_sweep_cells_analyzed_total"); got != want {
 		t.Errorf("/healthz sweep.cells_analyzed = %s, /metrics incore_sweep_cells_analyzed_total = %s", got, want)

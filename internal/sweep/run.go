@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"incore/internal/core"
 	"incore/internal/ecm"
@@ -14,17 +13,18 @@ import (
 	"incore/internal/uarch"
 )
 
-// Block is one unit of swept work: a parsed block plus the optional
-// kernel provenance that enables the memory-level (ECM) projection.
+// Block is one unit of swept work: a parsed block plus the element count
+// and stream traffic that enable the memory-level (ECM) projection.
 type Block struct {
 	Name string
 	B    *isa.Block
 	// ElemsPerIter is the number of scalar elements one loop iteration
 	// processes (0 disables the ECM projection for this block).
 	ElemsPerIter int
-	// Kernel, when known, supplies the data-traffic pattern for the ECM
-	// projection; nil disables it for this block.
-	Kernel *kernels.Kernel
+	// Traffic is B's per-cache-line stream traffic
+	// (ecm.TrafficForBlock), derived once per block; each variant sets
+	// its own write-allocate factor.
+	Traffic ecm.Traffic
 }
 
 // SuiteBlocks generates the kernel validation suite for one architecture
@@ -43,7 +43,7 @@ func SuiteBlocks(arch string) ([]Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: tb.ElemsPerIter, Kernel: tb.Kernel})
+		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: tb.ElemsPerIter, Traffic: ecm.TrafficForBlock(b, 0)})
 	}
 	return out, nil
 }
@@ -116,9 +116,14 @@ type Result struct {
 	// Warm / Cold aggregate the per-variant cell provenance.
 	Warm int `json:"warm"`
 	Cold int `json:"cold"`
+	// Analyzed counts the cell analyses that actually ran: variants
+	// sharing a port signature share one per block content, so a cold
+	// node-only sweep analyzes each block once.
+	Analyzed int `json:"-"`
 }
 
-// Stats is the process-wide sweep accounting exposed on /metrics.
+// Stats is sweep accounting over many runs, as a server exposes it on
+// /metrics.
 type Stats struct {
 	// Sweeps counts completed sweep runs; Variants the models they
 	// generated; SharedSignature the variants that reused another
@@ -138,28 +143,15 @@ type Stats struct {
 	RejectedTooLarge uint64 `json:"rejected_too_large" help:"Sweeps refused by the variant cap."`
 }
 
-var stats struct {
-	sweeps, variants, shared            atomic.Uint64
-	cellsWarm, cellsCold, cellsAnalyzed atomic.Uint64
-	rejected                            atomic.Uint64
+// Add counts one completed sweep.
+func (st *Stats) Add(r *Result) {
+	st.Sweeps++
+	st.Variants += uint64(len(r.Variants))
+	st.SharedSignature += uint64(len(r.Variants) - r.DistinctSignatures)
+	st.CellsWarm += uint64(r.Warm)
+	st.CellsCold += uint64(r.Cold)
+	st.CellsAnalyzed += uint64(r.Analyzed)
 }
-
-// GlobalStats snapshots the process-wide sweep accounting.
-func GlobalStats() Stats {
-	return Stats{
-		Sweeps:           stats.sweeps.Load(),
-		Variants:         stats.variants.Load(),
-		SharedSignature:  stats.shared.Load(),
-		CellsWarm:        stats.cellsWarm.Load(),
-		CellsCold:        stats.cellsCold.Load(),
-		CellsAnalyzed:    stats.cellsAnalyzed.Load(),
-		RejectedTooLarge: stats.rejected.Load(),
-	}
-}
-
-// CountRejected records a sweep refused by a variant cap (callers that
-// enforce caps before reaching Run, e.g. the serve tier).
-func CountRejected() { stats.rejected.Add(1) }
 
 // Run executes the sweep: expand the cross-product, analyze every
 // (variant, block) cell through the memoized arena path, project
@@ -174,7 +166,6 @@ func Run(base *uarch.Model, axes []Axis, blocks []Block, opt Options) (*Result, 
 		return nil, err
 	}
 	if n := Count(canon); opt.MaxVariants > 0 && n > opt.MaxVariants {
-		stats.rejected.Add(1)
 		return nil, &ErrTooLarge{Variants: n, Max: opt.MaxVariants}
 	}
 	if len(blocks) == 0 {
@@ -203,7 +194,6 @@ func Run(base *uarch.Model, axes []Axis, blocks []Block, opt Options) (*Result, 
 	rows, err := pipeline.MapN(pipeline.Default(), len(variants), func(i int) (VariantResult, error) {
 		return runVariant(an, &variants[i], blocks, plan[variants[i].Model.PortSignature()])
 	})
-	stats.cellsAnalyzed.Add(uint64(plan.analyzed()))
 	if err != nil {
 		return nil, err
 	}
@@ -214,13 +204,8 @@ func Run(base *uarch.Model, axes []Axis, blocks []Block, opt Options) (*Result, 
 		res.Cold += rows[i].Cold
 	}
 	res.DistinctSignatures = len(plan)
+	res.Analyzed = plan.analyzed()
 	res.Fronts = fronts(res)
-
-	stats.sweeps.Add(1)
-	stats.variants.Add(uint64(len(rows)))
-	stats.shared.Add(uint64(len(rows) - len(plan)))
-	stats.cellsWarm.Add(uint64(res.Warm))
-	stats.cellsCold.Add(uint64(res.Cold))
 	return res, nil
 }
 
@@ -283,6 +268,7 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block, slots []pipeline.
 			em = e
 		}
 	}
+	wa := ecm.WAFactorFor(m.Key)
 	for i, blk := range blocks {
 		cell, warm, err := pipeline.AnalyzeCellWarm(an, blk.B, m, ar, &slots[i])
 		if err != nil {
@@ -296,9 +282,10 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block, slots []pipeline.
 		}
 		row.Predictions[i] = cell.Prediction
 		row.TotalCycles += cell.Prediction
-		if em != nil && blk.Kernel != nil && blk.ElemsPerIter > 0 {
+		if em != nil && blk.ElemsPerIter > 0 {
 			scale := 8.0 / float64(blk.ElemsPerIter)
-			tr := ecm.TrafficForKernel(blk.Kernel, ecm.WAFactorFor(m.Key, true))
+			tr := blk.Traffic
+			tr.WAFactor = wa
 			er := em.Predict(cell.TOLIt*scale, cell.TnOLIt*scale, tr, ecm.MEM)
 			row.ECMMemCycles += er.CyclesPerIt(blk.ElemsPerIter)
 		}

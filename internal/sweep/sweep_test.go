@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"incore/internal/core"
+	"incore/internal/ecm"
 	"incore/internal/isa"
 	"incore/internal/kernels"
 	"incore/internal/pipeline"
@@ -31,7 +32,7 @@ func testBlocks(t *testing.T, arch string) []Block {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: kernels.ElemsPerIter(k, cfg), Kernel: k})
+		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: kernels.ElemsPerIter(k, cfg), Traffic: ecm.TrafficForBlock(b, 0)})
 	}
 	return out
 }
@@ -338,7 +339,6 @@ func TestRunSharesCellsPerSignature(t *testing.T) {
 		keys[pipeline.BlockKey(b.B)] = true
 	}
 
-	before := GlobalStats()
 	r, err := Run(base, mixedAxes, blocks, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestRunSharesCellsPerSignature(t *testing.T) {
 	if r.DistinctSignatures != 2 {
 		t.Fatalf("%d distinct signatures, want 2", r.DistinctSignatures)
 	}
-	if got, want := GlobalStats().CellsAnalyzed-before.CellsAnalyzed, uint64(2*len(keys)); got != want {
+	if got, want := r.Analyzed, 2*len(keys); got != want {
 		t.Fatalf("cold run analyzed %d cells, want %d (signatures x block contents)", got, want)
 	}
 	// Without sharing, a variant's first cell per block content is cold
@@ -386,7 +386,6 @@ func TestRunSharesCellsPerSignature(t *testing.T) {
 		}
 	}
 
-	before = GlobalStats()
 	r2, err := Run(base, mixedAxes, blocks, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +398,7 @@ func TestRunSharesCellsPerSignature(t *testing.T) {
 			t.Fatalf("rerun variant %d: %d warm / %d cold, want all warm", row.Index, row.Warm, row.Cold)
 		}
 	}
-	if got := GlobalStats().CellsAnalyzed - before.CellsAnalyzed; got != 0 {
+	if got := r2.Analyzed; got != 0 {
 		t.Fatalf("warm rerun analyzed %d cells, want 0", got)
 	}
 }

@@ -76,26 +76,25 @@ type FreqParams struct {
 
 // WidestExt resolves the ISA class at which sustained-peak ceilings
 // (Roofline, Table I) evaluate the governor: WidestVectorExt when named,
-// else the widest (by vector width, then name for determinism)
-// extension the governor carries an activity factor for, so machine
-// files that skip the optional field still get one.
+// else the widest (isa.Ext.Wider) extension the governor carries an
+// activity factor for, so machine files that skip the optional field
+// still get one.
 func (f *FreqParams) WidestExt() (isa.Ext, error) {
 	if f.WidestVectorExt != "" {
 		return isa.ParseExt(f.WidestVectorExt)
 	}
-	best, bestName := isa.Ext(0), ""
+	if len(f.ActivityFactor) == 0 {
+		return 0, fmt.Errorf("governor names no ISA extensions")
+	}
+	best := isa.ExtScalar
 	for name := range f.ActivityFactor {
 		ext, err := isa.ParseExt(name)
 		if err != nil {
 			return 0, err
 		}
-		if bestName == "" || ext.VectorBits() > best.VectorBits() ||
-			(ext.VectorBits() == best.VectorBits() && name < bestName) {
-			best, bestName = ext, name
+		if ext.Wider(best) {
+			best = ext
 		}
-	}
-	if bestName == "" {
-		return 0, fmt.Errorf("governor names no ISA extensions")
 	}
 	return best, nil
 }

@@ -430,7 +430,7 @@ func TestPortsByNamePanicsOnUnknown(t *testing.T) {
 
 // TestWidestExt covers the one widest-ISA resolver Roofline and Table I
 // share: the named extension when given, else the widest activity-factor
-// class with ties broken by name, and an error when neither exists.
+// class by isa.Ext.Wider, and an error when neither exists.
 func TestWidestExt(t *testing.T) {
 	for _, tc := range []struct {
 		key   string
@@ -441,7 +441,7 @@ func TestWidestExt(t *testing.T) {
 		{"neoversev2", false, isa.ExtSVE},
 		{"zen4", false, isa.ExtAVX512},
 		{"goldencove", true, isa.ExtAVX512},
-		{"neoversev2", true, isa.ExtNEON}, // neon and sve are both 128 bits
+		{"neoversev2", true, isa.ExtSVE}, // a 128-bit tie goes to the later class
 	} {
 		fp := *MustGet(tc.key).Node.Freq
 		if tc.clear {
