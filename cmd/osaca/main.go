@@ -158,15 +158,15 @@ func runECM(b *isa.Block, m *uarch.Model, res *core.Result, levelName string, nt
 		return err
 	}
 	elems := ecm.ElemsPerIter(b)
+	if elems == 0 {
+		return fmt.Errorf("ecm: block %s has no memory access, so it streams no cache lines to model", b.Name)
+	}
 	tOL, tnOL, err := ecm.InCoreInputs(res, elems)
 	if err != nil {
 		return err
 	}
-	wa := ecm.WAFactorFor(m.Key)
-	if nt {
-		wa = 1.0
-	}
-	tr := ecm.TrafficForBlock(b, wa)
+	tr := ecm.TrafficForBlock(b)
+	tr.NT = nt
 	r := em.Predict(tOL, tnOL, tr, level)
 	fmt.Print(r.Report())
 	fmt.Printf("  = %.2f cy/it at %d elements/iteration\n", r.CyclesPerIt(elems), elems)

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"incore/internal/memsim"
-	"incore/internal/nodes"
 	"incore/internal/pipeline"
 	"incore/internal/uarch"
 )
@@ -52,12 +51,12 @@ func main() {
 		keys = []string{*arch}
 	}
 	outputs, err := pipeline.Map(pipeline.Default(), keys, func(key string) (string, error) {
-		n, err := nodes.Get(key)
+		m, err := uarch.Get(key)
 		if err != nil {
 			return "", err
 		}
-		counts := memsim.DefaultCounts(n.Cores)
-		ratios, err := pipeline.WACurve(key, *nt, counts)
+		counts := memsim.DefaultCounts(m.CoresPerChip)
+		ratios, err := pipeline.WACurve(m, *nt, counts)
 		if err != nil {
 			return "", err
 		}

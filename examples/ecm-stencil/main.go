@@ -52,9 +52,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wa := ecm.WAFactorFor(arch)
-		tr := ecm.TrafficForBlock(b, wa)
-		fmt.Printf("--- %s (%s, WA factor %.2f) ---\n", em.Core.Name, arch, wa)
+		tr := ecm.TrafficForBlock(b)
+		fmt.Printf("--- %s (%s, WA factor %.2f) ---\n", em.Core.Name, arch, em.WAFactor)
 		for _, level := range []ecm.MemLevel{ecm.L1, ecm.L2, ecm.L3, ecm.MEM} {
 			r := em.Predict(tOL, tnOL, tr, level)
 			fmt.Print(r.Report())

@@ -17,7 +17,6 @@ import (
 
 	"incore/internal/freq"
 	"incore/internal/isa"
-	"incore/internal/nodes"
 	"incore/internal/uarch"
 )
 
@@ -35,17 +34,17 @@ func main() {
 	fmt.Println("Peak FMA GFlop/s at sustained frequency vs. active cores")
 	fmt.Println()
 	for _, s := range systems {
-		n, err := nodes.Get(s.key)
+		m, err := uarch.Get(s.key)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := freq.ForModel(uarch.MustGet(s.key))
+		g, err := freq.ForModel(m)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s — %d flops/cycle/core:\n", s.label, n.FlopsPerCycle())
+		fmt.Printf("%s — %d flops/cycle/core:\n", s.label, m.Node.FlopsPerCycle)
 		for _, fr := range []float64{0.25, 0.5, 0.75, 1.0} {
-			c := int(fr * float64(n.Cores))
+			c := int(fr * float64(m.CoresPerChip))
 			if c < 1 {
 				c = 1
 			}
@@ -53,7 +52,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			gf := float64(c) * float64(n.FlopsPerCycle()) * f
+			gf := float64(c) * float64(m.Node.FlopsPerCycle) * f
 			fmt.Printf("  %3d cores @ %.2f GHz: %8.0f GFlop/s\n", c, f, gf)
 		}
 		fmt.Println()

@@ -16,7 +16,7 @@ import (
 	"log"
 
 	"incore/internal/memsim"
-	"incore/internal/nodes"
+	"incore/internal/uarch"
 )
 
 func main() {
@@ -24,11 +24,11 @@ func main() {
 	fmt.Println("(1.0 = perfect write-allocate evasion, 2.0 = full write-allocate)")
 	fmt.Println()
 	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
-		n, err := nodes.Get(key)
+		m, err := uarch.Get(key)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg, err := memsim.ConfigFor(key)
+		cfg, err := memsim.ConfigFor(m)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,9 +36,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s (%s, policy %s):\n", n.Name, key, cfg.Policy)
+		fmt.Printf("%s (%s, policy %s):\n", m.CPU, key, cfg.Policy)
 		for _, frac := range []float64{0.1, 0.5, 1.0} {
-			c := int(frac * float64(n.Cores))
+			c := int(frac * float64(m.CoresPerChip))
 			if c < 1 {
 				c = 1
 			}

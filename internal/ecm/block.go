@@ -1,17 +1,15 @@
 package ecm
 
-import (
-	"incore/internal/isa"
-	"incore/internal/memsim"
-)
+import "incore/internal/isa"
 
 // TrafficForBlock derives per-cache-line traffic from an assembly block by
 // counting its distinct memory streams: memory operands sharing base and
 // index registers belong to one stream (stencil neighbor offsets hit the
 // cache and cost no extra traffic). Each load stream moves one 64-byte
-// line per line of work; stores are scaled by waFactor. In-place update
-// streams (load+store on the same base) count once for each direction.
-func TrafficForBlock(b *isa.Block, waFactor float64) Traffic {
+// line per line of work, each store stream one line before the model's
+// write-allocate factor. In-place update streams (load+store on the same
+// base) count once for each direction.
+func TrafficForBlock(b *isa.Block) Traffic {
 	type streamKey struct {
 		base, index isa.RegKey
 	}
@@ -39,14 +37,13 @@ func TrafficForBlock(b *isa.Block, waFactor float64) Traffic {
 	return Traffic{
 		LoadBytes:  64 * float64(len(loadStreams)),
 		StoreBytes: 64 * float64(len(storeStreams)),
-		WAFactor:   waFactor,
 	}
 }
 
 // ElemsPerIter estimates the double-precision elements one loop iteration
 // processes from the bits its stores move (falling back to loads): a
 // scalar-class access moves 64 bits, a vector access its widest register.
-// A block without memory accesses counts 1.
+// A block without memory accesses has no element count, and gets 0.
 func ElemsPerIter(b *isa.Block) int {
 	loadBits, storeBits := 0, 0
 	for i := range b.Instrs {
@@ -62,20 +59,5 @@ func ElemsPerIter(b *isa.Block) int {
 	if storeBits > 0 {
 		return storeBits / 64
 	}
-	if loadBits > 0 {
-		return loadBits / 64
-	}
-	return 1
-}
-
-// WAFactorFor returns the write-allocate traffic factor of standard
-// stores on a saturated socket, as memsim's calibration for the
-// architecture models it (see memsim.Config.WAFactor); an architecture
-// without a calibration always allocates (2).
-func WAFactorFor(arch string) float64 {
-	cfg, err := memsim.ConfigFor(arch)
-	if err != nil {
-		return 2
-	}
-	return cfg.WAFactor()
+	return loadBits / 64
 }

@@ -22,7 +22,7 @@ func TestTrafficForBlockTriad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TrafficForBlock(b, 2)
+	tr := TrafficForBlock(b)
 	if tr.LoadBytes != 128 {
 		t.Errorf("triad load streams: %f B, want 128 (2 streams)", tr.LoadBytes)
 	}
@@ -42,7 +42,7 @@ func TestTrafficForBlockStencilNeighborsShareStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TrafficForBlock(b, 2)
+	tr := TrafficForBlock(b)
 	if tr.LoadBytes != 3*64 {
 		t.Errorf("j2d5 load streams: %f B, want 192 (3 streams)", tr.LoadBytes)
 	}
@@ -72,7 +72,7 @@ func TestTrafficForBlockMatchesKernelDescriptors(t *testing.T) {
 		if !ok {
 			t.Fatalf("no stream counts for kernel %s", tb.Kernel.Name)
 		}
-		tr := TrafficForBlock(tb.Block, 2)
+		tr := TrafficForBlock(tb.Block)
 		if tr.LoadBytes != float64(64*want[0]) || tr.StoreBytes != float64(64*want[1]) {
 			t.Errorf("%s: streams loads=%.0f stores=%.0f, want %d/%d",
 				tb.Block.Name, tr.LoadBytes/64, tr.StoreBytes/64, want[0], want[1])
@@ -82,24 +82,27 @@ func TestTrafficForBlockMatchesKernelDescriptors(t *testing.T) {
 
 // TestElemsPerIterMatchesKernels: on every suite block that touches
 // memory, the element count read off the block equals the generator's.
-// The vectorized pi blocks move no data, so the block cannot tell their
-// lane count.
+// The blocks that move no data (the pi variants) have no element count
+// the block could tell, and get 0.
 func TestElemsPerIterMatchesKernels(t *testing.T) {
 	full, err := kernels.FullSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	touching, free := 0, 0
 	for _, tb := range full {
-		if tr := TrafficForBlock(tb.Block, 2); tr.LoadBytes == 0 && tr.StoreBytes == 0 {
-			continue
+		want := tb.ElemsPerIter
+		if tr := TrafficForBlock(tb.Block); tr.LoadBytes == 0 && tr.StoreBytes == 0 {
+			free++
+			want = 0
+		} else {
+			touching++
 		}
-		checked++
-		if got := ElemsPerIter(tb.Block); got != tb.ElemsPerIter {
-			t.Errorf("%s: %d elements/iteration, generator says %d", tb.Block.Name, got, tb.ElemsPerIter)
+		if got := ElemsPerIter(tb.Block); got != want {
+			t.Errorf("%s: %d elements/iteration, want %d", tb.Block.Name, got, want)
 		}
 	}
-	if checked != 384 {
-		t.Errorf("checked %d memory-touching blocks, want 384", checked)
+	if touching != 384 || free != 32 {
+		t.Errorf("checked %d memory-touching and %d memory-free blocks, want 384 and 32", touching, free)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"incore/internal/core"
+	"incore/internal/memsim"
 	"incore/internal/uarch"
 )
 
@@ -96,12 +97,18 @@ type Model struct {
 	Overlap [3]bool
 	// FreqGHz is the clock the cycle counts refer to.
 	FreqGHz float64
+	// WAFactor multiplies standard-store traffic below L1: memory traffic
+	// per stored byte on a saturated socket (1 = lines claimed without a
+	// read, 2 = every store miss allocates).
+	WAFactor float64
 }
 
 // ForModel builds the ECM model of a machine model. The transfer-chain
 // calibration comes from the model's node-level section
 // (uarch.NodeParams), so machine files get node-level predictions
-// exactly like the built-ins.
+// exactly like the built-ins. The write-allocate factor comes from
+// memsim's calibration of the model (memsim.Config.WAFactor); a model
+// memsim has no calibration for always allocates (2).
 func ForModel(cm *uarch.Model) (*Model, error) {
 	np := cm.Node
 	if np == nil || np.ECM == nil {
@@ -117,6 +124,10 @@ func ForModel(cm *uarch.Model) (*Model, error) {
 	// cycle: a single core cannot move data faster than the socket;
 	// saturation is reached when n cores' combined demand hits this.
 	m.BW.L3Mem = np.MemBWGBs / m.FreqGHz
+	m.WAFactor = 2
+	if cfg, err := memsim.ConfigFor(cm); err == nil {
+		m.WAFactor = cfg.WAFactor()
+	}
 	return m, nil
 }
 
@@ -128,18 +139,9 @@ type Traffic struct {
 	// level (e.g. a triad moves 2 load lines + 1 store line = 192 B
 	// loads, 64 B stores per line of output).
 	LoadBytes, StoreBytes float64
-	// WAFactor multiplies store traffic below L1 (2 = write-allocate,
-	// 1 = NT stores or automatic claim).
-	WAFactor float64
-}
-
-// bytesBetweenLevels returns the traffic crossing one boundary.
-func (tr Traffic) bytesBetweenLevels() float64 {
-	wa := tr.WAFactor
-	if wa == 0 {
-		wa = 2
-	}
-	return tr.LoadBytes + wa*tr.StoreBytes
+	// NT marks non-temporal stores, which bypass the write-allocate and
+	// move each stored byte once.
+	NT bool
 }
 
 // Result is one single-core ECM prediction.
@@ -195,7 +197,11 @@ func InCoreInputs(res *core.Result, elemsPerIter int) (tOL, tnOL float64, err er
 // set resident in level.
 func (m *Model) Predict(tOL, tnOL float64, tr Traffic, level MemLevel) *Result {
 	r := &Result{Model: m, Level: level, TOL: tOL, TnOL: tnOL}
-	vol := tr.bytesBetweenLevels()
+	wa := m.WAFactor
+	if tr.NT {
+		wa = 1
+	}
+	vol := tr.LoadBytes + wa*tr.StoreBytes
 	if level >= L2 {
 		r.TL1L2 = vol / m.BW.L1L2
 	}

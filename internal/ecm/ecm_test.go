@@ -42,7 +42,7 @@ func TestMemLevelString(t *testing.T) {
 
 func TestL1ResidentIsCoreBound(t *testing.T) {
 	m := mustFor(t, "goldencove")
-	tr := Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 2}
+	tr := Traffic{LoadBytes: 128, StoreBytes: 64}
 	r := m.Predict(2, 3, tr, L1)
 	if r.TL1L2 != 0 || r.TL2L3 != 0 || r.TL3Mem != 0 {
 		t.Error("L1-resident data must incur no transfers")
@@ -54,7 +54,7 @@ func TestL1ResidentIsCoreBound(t *testing.T) {
 
 func TestLevelsAddMonotonically(t *testing.T) {
 	m := mustFor(t, "goldencove")
-	tr := Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 2}
+	tr := Traffic{LoadBytes: 128, StoreBytes: 64}
 	prev := 0.0
 	for _, lvl := range []MemLevel{L1, L2, L3, MEM} {
 		r := m.Predict(2, 3, tr, lvl)
@@ -67,9 +67,10 @@ func TestLevelsAddMonotonically(t *testing.T) {
 
 func TestIntelNonOverlappingChain(t *testing.T) {
 	m := mustFor(t, "goldencove")
-	tr := Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 2} // 256 B
+	tr := Traffic{LoadBytes: 128, StoreBytes: 64}
 	r := m.Predict(1, 2, tr, MEM)
-	wantData := 2 + 256.0/m.BW.L1L2 + 256.0/m.BW.L2L3 + 256.0/m.BW.L3Mem
+	vol := 128 + 1.75*64.0 // SpecI2M's saturated write-allocate factor
+	wantData := 2 + vol/m.BW.L1L2 + vol/m.BW.L2L3 + vol/m.BW.L3Mem
 	if math.Abs(r.TECM-wantData) > 1e-9 {
 		t.Errorf("Intel chain TECM = %f, want %f (additive)", r.TECM, wantData)
 	}
@@ -77,7 +78,7 @@ func TestIntelNonOverlappingChain(t *testing.T) {
 
 func TestArmOverlappingChain(t *testing.T) {
 	m := mustFor(t, "neoversev2")
-	tr := Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 1}
+	tr := Traffic{LoadBytes: 128, StoreBytes: 64}
 	r := m.Predict(1, 2, tr, L3)
 	// L1L2 and L2L3 overlap on V2: contribution is max-wise, so TECM is
 	// well below the additive Intel-style combination.
@@ -90,7 +91,7 @@ func TestArmOverlappingChain(t *testing.T) {
 func TestSaturationPoint(t *testing.T) {
 	m := mustFor(t, "goldencove")
 	// STREAM-triad-shaped traffic with WA: 2 load lines + 2x1 store.
-	tr := Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 2}
+	tr := Traffic{LoadBytes: 128, StoreBytes: 64}
 	r := m.Predict(1, 2, tr, MEM)
 	if r.NSat < 8 || r.NSat > 20 {
 		t.Errorf("SPR triad saturation at %d cores, expected ~a dozen", r.NSat)
@@ -99,8 +100,8 @@ func TestSaturationPoint(t *testing.T) {
 
 func TestNTStoresReduceTraffic(t *testing.T) {
 	m := mustFor(t, "zen4")
-	wa := m.Predict(1, 2, Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 2}, MEM)
-	nt := m.Predict(1, 2, Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 1}, MEM)
+	wa := m.Predict(1, 2, Traffic{LoadBytes: 128, StoreBytes: 64}, MEM)
+	nt := m.Predict(1, 2, Traffic{LoadBytes: 128, StoreBytes: 64, NT: true}, MEM)
 	if !(nt.TECM < wa.TECM) {
 		t.Errorf("NT stores must shorten the memory time: %f vs %f", nt.TECM, wa.TECM)
 	}
@@ -157,34 +158,45 @@ func kernelBlock(t *testing.T, name, arch string) *isa.Block {
 }
 
 func TestTrafficForKernel(t *testing.T) {
-	tr := TrafficForBlock(kernelBlock(t, "striad", "goldencove"), 2)
-	if tr.LoadBytes != 128 || tr.StoreBytes != 64 || tr.WAFactor != 2 {
+	tr := TrafficForBlock(kernelBlock(t, "striad", "goldencove"))
+	if tr.LoadBytes != 128 || tr.StoreBytes != 64 || tr.NT {
 		t.Errorf("striad traffic: %+v", tr)
 	}
-	trPi := TrafficForBlock(kernelBlock(t, "pi", "zen4"), 2)
+	trPi := TrafficForBlock(kernelBlock(t, "pi", "zen4"))
 	if trPi.LoadBytes != 0 || trPi.StoreBytes != 0 {
 		t.Errorf("pi must move no data: %+v", trPi)
 	}
 }
 
+// TestWAFactorFor: ForModel takes the write-allocate factor from memsim's
+// calibration of the model, and a model memsim cannot calibrate always
+// allocates.
 func TestWAFactorFor(t *testing.T) {
-	if WAFactorFor("neoversev2") != 1.0 {
-		t.Error("Grace claims lines: factor 1")
+	for key, want := range map[string]float64{
+		"neoversev2": 1.0,  // Grace claims lines
+		"goldencove": 1.75, // saturated SPR: SpecI2M converts a quarter of RFOs
+		"zen4":       2.0,  // Genoa always allocates
+	} {
+		if got := mustFor(t, key).WAFactor; got != want {
+			t.Errorf("%s: WA factor %v, want %v", key, got, want)
+		}
 	}
-	if WAFactorFor("goldencove") != 1.75 {
-		t.Error("saturated SPR: factor 1.75")
+	rekeyed, err := uarch.NewDeriver(uarch.MustGet("neoversev2")).Derive(func(m *uarch.Model) error { m.Key = "uncalibrated"; return nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if WAFactorFor("zen4") != 2.0 {
-		t.Error("Genoa always allocates")
+	m, err := ForModel(rekeyed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if WAFactorFor("uncalibrated") != 2.0 {
-		t.Error("an architecture without a memsim calibration must allocate")
+	if m.WAFactor != 2 {
+		t.Errorf("a model without a memsim calibration must allocate: factor %v", m.WAFactor)
 	}
 }
 
 func TestCyclesPerIt(t *testing.T) {
 	m := mustFor(t, "zen4")
-	r := m.Predict(4, 2, Traffic{LoadBytes: 64, WAFactor: 1}, L1)
+	r := m.Predict(4, 2, Traffic{LoadBytes: 64}, L1)
 	// 4 cy/CL at 8 elems/CL -> 2 cy for a 4-element iteration.
 	if got := r.CyclesPerIt(4); math.Abs(got-2) > 1e-12 {
 		t.Errorf("CyclesPerIt = %f, want 2", got)
@@ -193,7 +205,7 @@ func TestCyclesPerIt(t *testing.T) {
 
 func TestReport(t *testing.T) {
 	m := mustFor(t, "neoversev2")
-	r := m.Predict(2, 1, Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 1}, MEM)
+	r := m.Predict(2, 1, Traffic{LoadBytes: 128, StoreBytes: 64}, MEM)
 	out := r.Report()
 	for _, want := range []string{"T_OL", "T_ECM", "MEM", "saturates"} {
 		if !strings.Contains(out, want) {
@@ -208,8 +220,8 @@ func TestReport(t *testing.T) {
 func TestGraceVsGenoaStoreKernels(t *testing.T) {
 	gcs := mustFor(t, "neoversev2")
 	gen := mustFor(t, "zen4")
-	rG := gcs.Predict(0.5, 1, TrafficForBlock(kernelBlock(t, "init", "neoversev2"), WAFactorFor("neoversev2")), MEM)
-	rZ := gen.Predict(0.5, 1, TrafficForBlock(kernelBlock(t, "init", "zen4"), WAFactorFor("zen4")), MEM)
+	rG := gcs.Predict(0.5, 1, TrafficForBlock(kernelBlock(t, "init", "neoversev2")), MEM)
+	rZ := gen.Predict(0.5, 1, TrafficForBlock(kernelBlock(t, "init", "zen4")), MEM)
 	if !(rG.TL3Mem < rZ.TL3Mem) {
 		t.Errorf("Grace store traffic must be lower: %f vs %f", rG.TL3Mem, rZ.TL3Mem)
 	}

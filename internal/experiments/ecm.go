@@ -38,10 +38,9 @@ var ecmKernels = []string{"striad", "add", "j2d5", "j3d7", "sum"}
 // product is one pipeline job per pair; the in-core analyses hit the
 // shared memo cache when fig3 or the node-perf study already ran them.
 func RunECM() (*ECMStudy, error) {
-	archs := []string{"neoversev2", "goldencove", "zen4"}
 	an := core.New()
-	perPair, err := pipeline.MapN(pipeline.Default(), len(archs)*len(ecmKernels), func(i int) ([]ECMRow, error) {
-		arch, kname := archs[i/len(ecmKernels)], ecmKernels[i%len(ecmKernels)]
+	perPair, err := pipeline.MapN(pipeline.Default(), len(paperArchs)*len(ecmKernels), func(i int) ([]ECMRow, error) {
+		arch, kname := paperArchs[i/len(ecmKernels)], ecmKernels[i%len(ecmKernels)]
 		m, err := uarch.Get(arch)
 		if err != nil {
 			return nil, err
@@ -68,7 +67,7 @@ func RunECM() (*ECMStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr := ecm.TrafficForBlock(b, ecm.WAFactorFor(arch))
+		tr := ecm.TrafficForBlock(b)
 		var rows []ECMRow
 		for _, level := range []ecm.MemLevel{ecm.L1, ecm.L2, ecm.L3, ecm.MEM} {
 			r := em.Predict(tOL, tnOL, tr, level)
@@ -98,14 +97,14 @@ func (s *ECMStudy) Render() string {
 	fmt.Fprintf(&sb, "machine's write-allocate behaviour (%s claims, %s SpecI2M, %s full WA)\n\n",
 		chipLabel("neoversev2"), chipLabel("goldencove"), chipLabel("zen4"))
 	head := []string{"kernel", "level"}
-	for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
+	for _, a := range paperArchs {
 		head = append(head, chipLabel(a), "n_sat")
 	}
 	var rows [][]string
 	for _, kname := range ecmKernels {
 		for _, level := range []ecm.MemLevel{ecm.L1, ecm.L2, ecm.L3, ecm.MEM} {
 			row := []string{kname, level.String()}
-			for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
+			for _, a := range paperArchs {
 				var cell, sat string
 				for _, r := range s.Rows {
 					if r.Arch == a && r.Kernel == kname && r.Level == level {

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"incore/internal/memsim"
-	"incore/internal/nodes"
 	"incore/internal/pipeline"
+	"incore/internal/uarch"
 )
 
 // Fig4Series is one traffic-ratio curve of the WA-evasion study.
@@ -46,12 +46,12 @@ func RunFig4() (*Fig4, error) {
 		if s.nt {
 			label += " NT stores"
 		}
-		n, err := nodes.Get(s.arch)
+		m, err := uarch.Get(s.arch)
 		if err != nil {
 			return Fig4Series{}, err
 		}
-		counts := memsim.DefaultCounts(n.Cores)
-		ratios, err := pipeline.WACurve(s.arch, s.nt, counts)
+		counts := memsim.DefaultCounts(m.CoresPerChip)
+		ratios, err := pipeline.WACurve(m, s.nt, counts)
 		if err != nil {
 			return Fig4Series{}, fmt.Errorf("fig4: %s: %w", label, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"incore/internal/freq"
 	"incore/internal/isa"
 	"incore/internal/kernels"
-	"incore/internal/nodes"
 	"incore/internal/pipeline"
 	"incore/internal/uarch"
 )
@@ -44,16 +43,11 @@ type NodePerf struct {
 // (memory-resident working set), scaled by the sustained frequency for
 // the variant's ISA class.
 func RunNodePerf() (*NodePerf, error) {
-	archs := []string{"neoversev2", "goldencove", "zen4"}
 	an := core.New()
-	cells, err := pipeline.MapN(pipeline.Default(), len(kernels.Kernels)*len(archs), func(i int) (NodePerfCell, error) {
-		k := &kernels.Kernels[i/len(archs)]
-		arch := archs[i%len(archs)]
+	cells, err := pipeline.MapN(pipeline.Default(), len(kernels.Kernels)*len(paperArchs), func(i int) (NodePerfCell, error) {
+		k := &kernels.Kernels[i/len(paperArchs)]
+		arch := paperArchs[i%len(paperArchs)]
 		m, err := uarch.Get(arch)
-		if err != nil {
-			return NodePerfCell{}, err
-		}
-		n, err := nodes.Get(arch)
 		if err != nil {
 			return NodePerfCell{}, err
 		}
@@ -93,27 +87,27 @@ func RunNodePerf() (*NodePerf, error) {
 			}
 		}
 
-		f, err := g.Sustained(n.Cores, dominantExt(bestBlock))
+		f, err := g.Sustained(m.CoresPerChip, dominantExt(bestBlock))
 		if err != nil {
 			// ISA class without a calibrated activity factor (e.g.
 			// scalar-only kernels on x86): fall back to scalar.
-			f, err = g.Sustained(n.Cores, isa.ExtScalar)
+			f, err = g.Sustained(m.CoresPerChip, isa.ExtScalar)
 			if err != nil {
 				return NodePerfCell{}, err
 			}
 		}
 
 		// Core-bound (L1) performance.
-		best.CoreBoundGUPs = float64(n.Cores) / bestCyPerElem * f
+		best.CoreBoundGUPs = float64(m.CoresPerChip) / bestCyPerElem * f
 
 		// Memory-resident ECM prediction.
 		tOL, tnOL, err := ecm.InCoreInputs(bestRes, bestElems)
 		if err != nil {
 			return NodePerfCell{}, err
 		}
-		tr := ecm.TrafficForBlock(bestBlock, ecm.WAFactorFor(arch))
+		tr := ecm.TrafficForBlock(bestBlock)
 		r := em.Predict(tOL, tnOL, tr, ecm.MEM)
-		perfCLperCy := float64(n.Cores) / r.TECM
+		perfCLperCy := float64(m.CoresPerChip) / r.TECM
 		if r.TL3Mem > 0 {
 			if ceiling := 1.0 / r.TL3Mem; perfCLperCy > ceiling {
 				perfCLperCy = ceiling
@@ -165,7 +159,7 @@ func (np *NodePerf) Render() string {
 	sb.WriteString("Node-level kernel performance prediction (full socket, memory-resident)\n")
 	sb.WriteString("in-core model -> ECM -> sustained frequency; G updates/s per kernel\n\n")
 	head := []string{"kernel"}
-	for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
+	for _, a := range paperArchs {
 		head = append(head, chipLabel(a))
 	}
 	head = append(head, "winner", "bound")
@@ -173,7 +167,7 @@ func (np *NodePerf) Render() string {
 	for ki := range kernels.Kernels {
 		k := kernels.Kernels[ki].Name
 		row := []string{k}
-		for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
+		for _, a := range paperArchs {
 			row = append(row, fmt.Sprintf("%.1f", np.Cells[k][a].GUPs))
 		}
 		w, _ := np.Winner(k)
@@ -186,14 +180,14 @@ func (np *NodePerf) Render() string {
 	writeTable(&sb, head, rows)
 	sb.WriteString("\nCore-bound (L1-resident) comparison:\n")
 	head2 := []string{"kernel"}
-	for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
+	for _, a := range paperArchs {
 		head2 = append(head2, chipLabel(a))
 	}
 	var rows2 [][]string
 	for ki := range kernels.Kernels {
 		k := kernels.Kernels[ki].Name
 		row := []string{k}
-		for _, a := range []string{"neoversev2", "goldencove", "zen4"} {
+		for _, a := range paperArchs {
 			row = append(row, fmt.Sprintf("%.1f", np.Cells[k][a].CoreBoundGUPs))
 		}
 		rows2 = append(rows2, row)

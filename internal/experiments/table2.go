@@ -29,7 +29,7 @@ type Table2 struct {
 // RunTable2 derives the comparison from the registered machine models,
 // one pipeline job per system.
 func RunTable2() (*Table2, error) {
-	rows, err := pipeline.Map(pipeline.Default(), []string{"neoversev2", "goldencove", "zen4"}, func(key string) (Table2Row, error) {
+	rows, err := pipeline.Map(pipeline.Default(), paperArchs, func(key string) (Table2Row, error) {
 		m, err := uarch.Get(key)
 		if err != nil {
 			return Table2Row{}, err
@@ -82,6 +82,11 @@ func (t *Table2) Render() string {
 	return sb.String()
 }
 
+// paperArchs lists the built-in models in the paper's column order:
+// Grace, Sapphire Rapids, Genoa.
+var paperArchs = []string{"neoversev2", "goldencove", "zen4"}
+
+// chipLabel names a built-in model by the paper's short system label.
 func chipLabel(key string) string {
 	switch key {
 	case "neoversev2":

@@ -84,10 +84,9 @@ type Table3 struct {
 // product is flattened into one pipeline job per cell, each memoized on
 // the shared cache.
 func RunTable3() (*Table3, error) {
-	archs := []string{"neoversev2", "goldencove", "zen4"}
 	kinds := AllInstrKinds()
-	cells, err := pipeline.MapN(pipeline.Default(), len(archs)*len(kinds), func(i int) (Table3Cell, error) {
-		arch, kind := archs[i/len(kinds)], kinds[i%len(kinds)]
+	cells, err := pipeline.MapN(pipeline.Default(), len(paperArchs)*len(kinds), func(i int) (Table3Cell, error) {
+		arch, kind := paperArchs[i/len(kinds)], kinds[i%len(kinds)]
 		m, err := uarch.Get(arch)
 		if err != nil {
 			return Table3Cell{}, err
@@ -120,15 +119,14 @@ func RunTable3() (*Table3, error) {
 func (t *Table3) Render() string {
 	var sb strings.Builder
 	sb.WriteString("Table III — DP instruction throughput and latency (measured on the core simulator; paper values in parentheses)\n")
-	archs := []string{"neoversev2", "goldencove", "zen4"}
 	head := []string{"Instruction"}
-	for _, a := range archs {
+	for _, a := range paperArchs {
 		head = append(head, chipLabel(a)+" tp", chipLabel(a)+" lat")
 	}
 	var rows [][]string
 	for _, kind := range AllInstrKinds() {
 		row := []string{kind.String()}
-		for _, a := range archs {
+		for _, a := range paperArchs {
 			c := t.Cells[a][kind]
 			row = append(row,
 				fmt.Sprintf("%.2f (%.2f)", c.ThroughputElems, c.PaperThroughput),

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"incore/internal/nodes"
+	"incore/internal/uarch"
 )
 
 // CacheScale divides the real cache sizes in the default configs so the
@@ -19,9 +20,12 @@ const CacheScale = 256
 // orders of magnitude above the scaled cache capacity).
 const DefaultStoreLinesPerCore = 16384
 
-// ConfigFor returns the calibrated memory-system config for one of the
-// paper's nodes. The WA policy and its parameters encode the paper's
-// Sec. III findings:
+// ConfigFor returns the calibrated memory-system config of a machine
+// model. Cores come from m.CoresPerChip and the socket's sustained
+// bandwidth from m.Node.MemBWGBs; cache geometry, ccNUMA domains and the
+// write-allocate calibration come from the built-in data sheet of the
+// system m is keyed as. The WA policy and its parameters encode the
+// paper's Sec. III findings:
 //
 //   - Grace (neoversev2): automatic cache-line claim — the only system
 //     that fully evades write-allocates with standard stores;
@@ -29,15 +33,17 @@ const DefaultStoreLinesPerCore = 16384
 //     only when the memory interface approaches saturation; NT stores
 //     keep a ~10% residual RFO share except at very small core counts;
 //   - Genoa (zen4): no automatic evasion; NT stores work perfectly.
-func ConfigFor(key string) (Config, error) {
-	n, err := nodes.Get(key)
-	if err != nil {
-		return Config{}, err
+func ConfigFor(m *uarch.Model) (Config, error) {
+	if m.Node == nil {
+		return Config{}, fmt.Errorf("memsim: model %q carries no node-level section", m.Key)
 	}
-	measuredGBs := n.TheoreticalBandwidthGBs() * n.StreamEfficiency
+	n, err := nodes.Get(m.Key)
+	if err != nil {
+		return Config{}, fmt.Errorf("memsim: no calibration for %q", m.Key)
+	}
 	cfg := Config{
-		Key:     key,
-		Cores:   n.Cores,
+		Key:     m.Key,
+		Cores:   m.CoresPerChip,
 		Domains: n.CCNUMADomains,
 		L1:      CacheConfig{SizeBytes: n.L1Bytes / CacheScale, Ways: 8, LineBytes: n.CacheLineBytes},
 		L2:      CacheConfig{SizeBytes: n.L2Bytes / CacheScale, Ways: 8, LineBytes: n.CacheLineBytes},
@@ -46,12 +52,12 @@ func ConfigFor(key string) (Config, error) {
 			Ways:      16, LineBytes: n.CacheLineBytes,
 		},
 		LineBytes:     n.CacheLineBytes,
-		DomainGBs:     measuredGBs / float64(n.CCNUMADomains),
+		DomainGBs:     m.Node.MemBWGBs / float64(n.CCNUMADomains),
 		MLP:           16,
 		QueueCapBytes: 1 << 16,
 		Placement:     PlacementScatter,
 	}
-	switch key {
+	switch m.Key {
 	case "neoversev2":
 		cfg.Policy = PolicyAutoClaim
 		cfg.DetectorTrainLen = 8
@@ -67,15 +73,14 @@ func ConfigFor(key string) (Config, error) {
 	case "zen4":
 		cfg.Policy = PolicyAlwaysAllocate
 		cfg.CoreGBs = 5.5
-	default:
-		return Config{}, fmt.Errorf("memsim: no calibration for %q", key)
 	}
 	return cfg, nil
 }
 
-// MustConfigFor panics on unknown keys.
+// MustConfigFor returns the config of the built-in model key and panics
+// on unknown keys.
 func MustConfigFor(key string) Config {
-	cfg, err := ConfigFor(key)
+	cfg, err := ConfigFor(uarch.MustGet(key))
 	if err != nil {
 		panic(err)
 	}

@@ -425,15 +425,6 @@ func (r TrafficResult) WARatio() float64 {
 	return float64(r.MemReadBytes+r.MemWriteBytes) / float64(r.StoredBytes)
 }
 
-// TrafficGBs is the achieved memory-interface bandwidth.
-func (r TrafficResult) TrafficGBs() float64 {
-	t := float64(r.Ticks) * TickSeconds
-	if t <= 0 {
-		return 0
-	}
-	return float64(r.MemReadBytes+r.MemWriteBytes) / t / 1e9
-}
-
 // UsefulGBs is the application-visible bandwidth (loaded+stored bytes per
 // second), the STREAM convention.
 func (r TrafficResult) UsefulGBs() float64 {

@@ -4,15 +4,13 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"incore/internal/uarch"
 )
 
 func sys(t *testing.T, key string) *System {
 	t.Helper()
-	cfg, err := ConfigFor(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSystem(cfg)
+	s, err := NewSystem(MustConfigFor(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,18 +19,49 @@ func sys(t *testing.T, key string) *System {
 
 const testLines = 4096
 
+// TrafficGBs is the achieved memory-interface bandwidth.
+func (r TrafficResult) TrafficGBs() float64 {
+	t := float64(r.Ticks) * TickSeconds
+	if t <= 0 {
+		return 0
+	}
+	return float64(r.MemReadBytes+r.MemWriteBytes) / t / 1e9
+}
+
+// TestConfigForAllNodes: cores and socket bandwidth come from the model,
+// the calibration from the data sheet of the system it is keyed as, and
+// a model memsim has no calibration for is refused.
 func TestConfigForAllNodes(t *testing.T) {
 	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
-		cfg, err := ConfigFor(key)
+		m := uarch.MustGet(key)
+		cfg, err := ConfigFor(m)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
 		if cfg.Cores <= 0 || cfg.DomainGBs <= 0 || cfg.CoreGBs <= 0 {
 			t.Errorf("%s config incomplete: %+v", key, cfg)
 		}
+		if cfg.Cores != m.CoresPerChip || cfg.DomainGBs*float64(cfg.Domains) != m.Node.MemBWGBs {
+			t.Errorf("%s: %d cores, %.1f GB/s, want the model's %d cores, %.1f GB/s",
+				key, cfg.Cores, cfg.DomainGBs*float64(cfg.Domains), m.CoresPerChip, m.Node.MemBWGBs)
+		}
 	}
-	if _, err := ConfigFor("unknown"); err == nil {
+	derive := func(edit func(*uarch.Model)) *uarch.Model {
+		m, err := uarch.NewDeriver(uarch.MustGet("zen4")).Derive(func(m *uarch.Model) error { edit(m); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	half := derive(func(m *uarch.Model) { m.CoresPerChip, m.Node.MemBWGBs = 48, m.Node.MemBWGBs/2 })
+	if cfg, err := ConfigFor(half); err != nil || cfg.Cores != 48 || cfg.DomainGBs != half.Node.MemBWGBs {
+		t.Errorf("edited zen4: %+v (%v), want 48 cores at %.1f GB/s", cfg, err, half.Node.MemBWGBs)
+	}
+	if _, err := ConfigFor(derive(func(m *uarch.Model) { m.Key = "unknown" })); err == nil {
 		t.Error("unknown node must error")
+	}
+	if _, err := ConfigFor(derive(func(m *uarch.Model) { m.Node = nil })); err == nil {
+		t.Error("a model without a node section must error")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"incore/internal/memsim"
 	"incore/internal/pipeline"
+	"incore/internal/uarch"
 )
 
 // TestWACurveAndDefaultCounts checks the Fig. 4 sweep counts, and that a
@@ -28,7 +29,7 @@ func TestWACurveAndDefaultCounts(t *testing.T) {
 
 	sweep := []int{1, 4, 9, 12}
 	for _, nt := range []bool{false, true} {
-		curve, err := pipeline.WACurve("goldencove", nt, sweep)
+		curve, err := pipeline.WACurve(uarch.MustGet("goldencove"), nt, sweep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,11 @@ func TestWACurveAndDefaultCounts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := pipeline.WACurve("nosuchnode", false, sweep); err == nil {
+	nosuch, err := uarch.NewDeriver(uarch.MustGet("goldencove")).Derive(func(m *uarch.Model) error { m.Key = "nosuchnode"; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipeline.WACurve(nosuch, false, sweep); err == nil {
 		t.Error("unknown node must error")
 	}
 }

@@ -29,13 +29,12 @@ type Node struct {
 	CacheLineBytes            int
 
 	// Memory system.
-	MemType            string
-	MemGB              int
-	MemChannels        int
-	MemFreqMTs         float64 // transfers/s per channel (millions)
-	MemBusBytes        int     // bytes per channel per transfer
-	CCNUMADomains      int
-	CoresPerNUMADomain int
+	MemType       string
+	MemGB         int
+	MemChannels   int
+	MemFreqMTs    float64 // transfers/s per channel (millions)
+	MemBusBytes   int     // bytes per channel per transfer
+	CCNUMADomains int
 
 	// StreamEfficiency is the fraction of theoretical bandwidth the
 	// memory subsystem sustains for streaming access (controller,
@@ -78,8 +77,7 @@ var Nodes = []Node{
 		Cores: 72, BaseFreqGHz: 3.4, MaxFreqGHz: 3.4,
 		SIMDBits: 128, FMAUnitsPerCyc: 4, TDPWatts: 250,
 		L1Bytes: 64 << 10, L2Bytes: 1 << 20, L3Bytes: 114 << 20, CacheLineBytes: 64,
-		MemType: "LPDDR5X", MemGB: 240, MemChannels: 32, MemFreqMTs: 8532 / 4, MemBusBytes: 8,
-		CCNUMADomains: 1, CoresPerNUMADomain: 72,
+		MemType: "LPDDR5X", MemGB: 240, MemChannels: 32, MemFreqMTs: 8532 / 4, MemBusBytes: 8, CCNUMADomains: 1,
 		StreamEfficiency: 0.855,
 	},
 	{
@@ -87,8 +85,7 @@ var Nodes = []Node{
 		Cores: 52, BaseFreqGHz: 2.0, MaxFreqGHz: 3.8,
 		SIMDBits: 512, FMAUnitsPerCyc: 2, TDPWatts: 350,
 		L1Bytes: 48 << 10, L2Bytes: 2 << 20, L3Bytes: 105 << 20, CacheLineBytes: 64,
-		MemType: "DDR5", MemGB: 512, MemChannels: 8, MemFreqMTs: 4800, MemBusBytes: 8,
-		CCNUMADomains: 4, CoresPerNUMADomain: 13,
+		MemType: "DDR5", MemGB: 512, MemChannels: 8, MemFreqMTs: 4800, MemBusBytes: 8, CCNUMADomains: 4,
 		// Raw controller efficiency; the ~10% residual NT-store RFO
 		// traffic (see memsim) brings the useful triad bandwidth to the
 		// paper's 273 GB/s (89% of pin limit).
@@ -99,8 +96,7 @@ var Nodes = []Node{
 		Cores: 96, BaseFreqGHz: 2.55, MaxFreqGHz: 3.7,
 		SIMDBits: 512, FMAUnitsPerCyc: 1, ExtraAddFlopsPerCyc: 8, TDPWatts: 400,
 		L1Bytes: 32 << 10, L2Bytes: 1 << 20, L3Bytes: 1152 << 20, CacheLineBytes: 64,
-		MemType: "DDR5", MemGB: 384, MemChannels: 12, MemFreqMTs: 4800, MemBusBytes: 8,
-		CCNUMADomains: 1, CoresPerNUMADomain: 96,
+		MemType: "DDR5", MemGB: 384, MemChannels: 12, MemFreqMTs: 4800, MemBusBytes: 8, CCNUMADomains: 1,
 		StreamEfficiency: 0.781,
 	},
 }

@@ -255,20 +255,20 @@ func MeasureInstr(m *uarch.Model, kind ibench.Kind, cfg sim.Config) (*ibench.Res
 	return doStoredJSON(shared, key, func() (*ibench.Result, error) { return ibench.Measure(m, kind, cfg) })
 }
 
-// WACurve runs the store benchmark across core counts and returns the
-// traffic ratio per active core count (a Fig. 4 series). The whole curve
-// is one memo entry keyed by (node key, store flavour, sweep); on a miss
-// its samples run in parallel on the default pool, each on a fresh
-// memsim system. memsim.System.run resets all state per run, so this
-// equals sweeping one system serially.
-func WACurve(key string, nt bool, counts []int) (map[int]float64, error) {
+// WACurve runs the store benchmark on m's memory system across core
+// counts and returns the traffic ratio per active core count (a Fig. 4
+// series). The whole curve is one memo entry keyed by (m.CacheKey(),
+// store flavour, sweep); on a miss its samples run in parallel on the
+// default pool, each on a fresh memsim system. memsim.System.run resets
+// all state per run, so this equals sweeping one system serially.
+func WACurve(m *uarch.Model, nt bool, counts []int) (map[int]float64, error) {
 	parts := make([]string, len(counts))
 	for i, c := range counts {
 		parts[i] = strconv.Itoa(c)
 	}
-	ck := fmt.Sprintf("wacurve\x00%s\x00%t\x00%s", key, nt, strings.Join(parts, ","))
+	ck := fmt.Sprintf("wacurve\x00%s\x00%t\x00%s", m.CacheKey(), nt, strings.Join(parts, ","))
 	return doStoredJSON(shared, ck, func() (map[int]float64, error) {
-		cfg, err := memsim.ConfigFor(key)
+		cfg, err := memsim.ConfigFor(m)
 		if err != nil {
 			return nil, err
 		}
@@ -291,14 +291,14 @@ func WACurve(key string, nt bool, counts []int) (map[int]float64, error) {
 	})
 }
 
-// Triad memoizes one triad sample — (node, active cores, lines per core,
-// store flavour) — on a fresh memsim system. memsim.System.run resets all
-// state per run, so a fresh system per sample is equivalent to a shared
-// system swept serially.
-func Triad(key string, cores, linesPerCore int, nt bool) (memsim.TrafficResult, error) {
-	ck := fmt.Sprintf("triad\x00%s\x00%d\x00%d\x00%t", key, cores, linesPerCore, nt)
+// Triad memoizes one triad sample on m's memory system — (m.CacheKey(),
+// active cores, lines per core, store flavour) — on a fresh memsim
+// system. memsim.System.run resets all state per run, so a fresh system
+// per sample is equivalent to a shared system swept serially.
+func Triad(m *uarch.Model, cores, linesPerCore int, nt bool) (memsim.TrafficResult, error) {
+	ck := fmt.Sprintf("triad\x00%s\x00%d\x00%d\x00%t", m.CacheKey(), cores, linesPerCore, nt)
 	return doStoredJSON(shared, ck, func() (memsim.TrafficResult, error) {
-		cfg, err := memsim.ConfigFor(key)
+		cfg, err := memsim.ConfigFor(m)
 		if err != nil {
 			return memsim.TrafficResult{}, err
 		}

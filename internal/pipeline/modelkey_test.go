@@ -116,3 +116,33 @@ func TestSimulateKeysSeparateVariants(t *testing.T) {
 			varRes.CyclesPerIter, baseRes.CyclesPerIter)
 	}
 }
+
+// TestTriadKeysByModel: memsim samples are memoized and stored under the
+// model's CacheKey, so a model that reuses a built-in's key with another
+// socket bandwidth gets its own triad sample, while the built-in keeps
+// its bare-key entry.
+func TestTriadKeysByModel(t *testing.T) {
+	st := withFreshTiers(t, t.TempDir())
+	base := uarch.MustGet("goldencove")
+	slow, err := uarch.NewDeriver(base).Derive(func(m *uarch.Model) error { m.Node.MemBWGBs /= 4; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.CacheKey() != "goldencove" || slow.CacheKey() == base.CacheKey() {
+		t.Fatalf("cache keys %q and %q: want the bare built-in key and a distinct variant key", base.CacheKey(), slow.CacheKey())
+	}
+	fast, err := Triad(base, 16, 1024, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starved, err := Triad(slow, 16, 1024, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats(); got.Misses != 2 {
+		t.Errorf("store stats = %+v; want 2 cold entries (one per model)", got)
+	}
+	if !(starved.UsefulGBs() < fast.UsefulGBs()) {
+		t.Errorf("a quarter of the bandwidth must slow the saturated triad: %.1f vs %.1f GB/s", starved.UsefulGBs(), fast.UsefulGBs())
+	}
+}

@@ -101,7 +101,7 @@ func TestSimulateAndWACurveSurviveProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldWA, err := WACurve("zen4", false, []int{1, 4})
+	coldWA, err := WACurve(m, false, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSimulateAndWACurveSurviveProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmWA, err := WACurve("zen4", false, []int{1, 4})
+	warmWA, err := WACurve(m, false, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ type Block struct {
 	// processes (0 disables the ECM projection for this block).
 	ElemsPerIter int
 	// Traffic is B's per-cache-line stream traffic
-	// (ecm.TrafficForBlock), derived once per block; each variant sets
-	// its own write-allocate factor.
+	// (ecm.TrafficForBlock), derived once per block; each variant's ECM
+	// model applies its own write-allocate factor.
 	Traffic ecm.Traffic
 }
 
@@ -43,7 +43,7 @@ func SuiteBlocks(arch string) ([]Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: tb.ElemsPerIter, Traffic: ecm.TrafficForBlock(b, 0)})
+		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: tb.ElemsPerIter, Traffic: ecm.TrafficForBlock(b)})
 	}
 	return out, nil
 }
@@ -262,13 +262,7 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block, slots []pipeline.
 		Predictions:   make([]float64, len(blocks)),
 	}
 	ar := &pipeline.InternalArena{}
-	var em *ecm.Model
-	if m.Node != nil && m.Node.ECM != nil {
-		if e, err := ecm.ForModel(m); err == nil {
-			em = e
-		}
-	}
-	wa := ecm.WAFactorFor(m.Key)
+	em, _ := ecm.ForModel(m) // nil without node-level ECM parameters: no ECM projection
 	for i, blk := range blocks {
 		cell, warm, err := pipeline.AnalyzeCellWarm(an, blk.B, m, ar, &slots[i])
 		if err != nil {
@@ -284,9 +278,7 @@ func runVariant(an *core.Analyzer, v *Variant, blocks []Block, slots []pipeline.
 		row.TotalCycles += cell.Prediction
 		if em != nil && blk.ElemsPerIter > 0 {
 			scale := 8.0 / float64(blk.ElemsPerIter)
-			tr := blk.Traffic
-			tr.WAFactor = wa
-			er := em.Predict(cell.TOLIt*scale, cell.TnOLIt*scale, tr, ecm.MEM)
+			er := em.Predict(cell.TOLIt*scale, cell.TnOLIt*scale, blk.Traffic, ecm.MEM)
 			row.ECMMemCycles += er.CyclesPerIt(blk.ElemsPerIter)
 		}
 	}

@@ -32,7 +32,7 @@ func testBlocks(t *testing.T, arch string) []Block {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: kernels.ElemsPerIter(k, cfg), Traffic: ecm.TrafficForBlock(b, 0)})
+		out = append(out, Block{Name: b.Name, B: b, ElemsPerIter: kernels.ElemsPerIter(k, cfg), Traffic: ecm.TrafficForBlock(b)})
 	}
 	return out
 }

@@ -29,7 +29,9 @@ var machineTools = []struct {
 // a -machine-dir file that reuses a built-in key with other content is
 // refused with one error prefix. sweep, which takes -machine but no
 // -machine-dir, sweeps an edited built-in under its fingerprinted cache
-// key and reports a truncated file with the same single prefix.
+// key and reports a truncated file with the same single prefix. osaca
+// -ecm refuses a loop without memory access, whose element count the
+// block cannot tell.
 func TestMachineFlags(t *testing.T) {
 	bin := t.TempDir()
 	pkgs := []string{"./cmd/sweep"}
@@ -87,7 +89,11 @@ func TestMachineFlags(t *testing.T) {
 			t.Errorf("%s: the truncated-file error carries the uarch: prefix %d times, want once\n%s", tool.name, n, out)
 		}
 	}
-	out, err := run("modelinfo", "-machine-dir", dir, "-keys")
+	out, err := run("osaca", "-arch", "zen4", "-ecm", "MEM", asm)
+	if err == nil || !strings.Contains(out, "has no memory access") || strings.Contains(out, "T_ECM") {
+		t.Errorf("osaca -ecm on a loop without memory access: err %v, want a refusal and no ECM numbers\n%s", err, out)
+	}
+	out, err = run("modelinfo", "-machine-dir", dir, "-keys")
 	if err != nil || !strings.Contains("\n"+out, "\nzen4-sd2\n") {
 		t.Errorf("modelinfo -machine-dir -keys: err %v, want zen4-sd2 listed\n%s", err, out)
 	}

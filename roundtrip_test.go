@@ -79,7 +79,8 @@ func TestRoundTrippedModelsPredictNodeLevelIdentically(t *testing.T) {
 		orig := uarch.MustGet(key)
 		loaded := reload(t, orig)
 
-		// ECM: identical bandwidths, overlap flags, and rendered report.
+		// ECM: identical bandwidths, overlap flags, write-allocate factor,
+		// and rendered report.
 		emWant, err := ecm.ForModel(orig)
 		if err != nil {
 			t.Fatal(err)
@@ -88,10 +89,10 @@ func TestRoundTrippedModelsPredictNodeLevelIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reloaded model has no ECM: %v", key, err)
 		}
-		if emGot.BW != emWant.BW || emGot.Overlap != emWant.Overlap || emGot.FreqGHz != emWant.FreqGHz {
+		if emGot.BW != emWant.BW || emGot.Overlap != emWant.Overlap || emGot.FreqGHz != emWant.FreqGHz || emGot.WAFactor != emWant.WAFactor {
 			t.Errorf("%s: ECM calibration changed: %+v vs %+v", key, emGot, emWant)
 		}
-		tr := ecm.Traffic{LoadBytes: 128, StoreBytes: 64, WAFactor: 2}
+		tr := ecm.Traffic{LoadBytes: 128, StoreBytes: 64}
 		if got, want := emGot.Predict(1, 2, tr, ecm.MEM).Report(), emWant.Predict(1, 2, tr, ecm.MEM).Report(); got != want {
 			t.Errorf("%s: ECM report differs:\n%s\nvs\n%s", key, got, want)
 		}
