@@ -50,8 +50,8 @@ func main() {
 	twoStores.Key = "zen4+2xSD"
 	twoStores.Name = "Zen 4 (hypothetical: 2 store ports)"
 	twoStores.Ports = append(twoStores.Ports, "SD2")
-	twoStores.StoreDataPorts |= 1 << uint(len(twoStores.Ports)-1)
-	twoStores.StoreAGUPorts |= 1 << uint(twoStores.PortIndex("AGU1"))
+	twoStores.StoreDataPorts |= twoStores.PortsByName("SD2")
+	twoStores.StoreAGUPorts |= twoStores.PortsByName("AGU1")
 	// Reindex refreshes the lookup tables and the content fingerprint,
 	// so the variant's CacheKey reflects the mutation and its cached
 	// results can never collide with the real zen4's.

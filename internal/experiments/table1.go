@@ -21,9 +21,11 @@ import (
 	"incore/internal/uarch"
 )
 
-// Table1Row is one system column of Table I.
+// Table1Row is one system column of Table I: the chip's facts come from
+// its built-in model, the cache and memory configuration from nodes.
 type Table1Row struct {
-	Node *nodes.Node
+	Model *uarch.Model
+	Node  *nodes.Node
 
 	TheoreticalPeakTFs float64
 	AchievablePeakTFs  float64
@@ -50,11 +52,11 @@ const triadLinesPerCore = 8192
 func RunTable1() (*Table1, error) {
 	rows, err := pipeline.MapN(pipeline.Default(), len(nodes.Nodes), func(i int) (Table1Row, error) {
 		n := &nodes.Nodes[i]
-		row := Table1Row{Node: n}
-		row.TheoreticalPeakTFs = n.TheoreticalPeakTFs()
+		m := uarch.MustGet(n.Key)
+		row := Table1Row{Model: m, Node: n}
+		row.TheoreticalPeakTFs = nodes.PeakTFs(m.CoresPerChip, m.Node.FlopsPerCycle, m.MaxFreqGHz)
 		row.TheoreticalBWGBs = n.TheoreticalBandwidthGBs()
 
-		m := uarch.MustGet(n.Key)
 		g, err := freq.ForModel(m)
 		if err != nil {
 			return row, err
@@ -68,7 +70,7 @@ func RunTable1() (*Table1, error) {
 			return row, err
 		}
 		row.SustainedVecGHz = f
-		row.AchievablePeakTFs = n.AchievablePeakTFs(f)
+		row.AchievablePeakTFs = nodes.PeakTFs(m.CoresPerChip, n.FMAFlopsPerCycle(), f)
 
 		useful, err := triadScaling(m, memsim.DefaultCounts(m.CoresPerChip))
 		if err != nil {
@@ -110,7 +112,7 @@ func (t *Table1) Render() string {
 	var sb strings.Builder
 	head := []string{""}
 	for _, r := range t.Rows {
-		head = append(head, r.Node.Name)
+		head = append(head, r.Model.CPU)
 	}
 	rows := [][]string{
 		{"Microarchitecture"}, {"Cores"}, {"Freq (max/base) [GHz]"},
@@ -120,13 +122,13 @@ func (t *Table1) Render() string {
 		{"Max mem BW measured [GB/s]"}, {"BW efficiency"},
 	}
 	for _, r := range t.Rows {
-		n := r.Node
-		rows[0] = append(rows[0], n.Uarch)
-		rows[1] = append(rows[1], fmt.Sprintf("%d", n.Cores))
-		rows[2] = append(rows[2], fmt.Sprintf("%.1f / %.2f", n.MaxFreqGHz, n.BaseFreqGHz))
+		m, n := r.Model, r.Node
+		rows[0] = append(rows[0], m.Name)
+		rows[1] = append(rows[1], fmt.Sprintf("%d", m.CoresPerChip))
+		rows[2] = append(rows[2], fmt.Sprintf("%.1f / %.2f", m.MaxFreqGHz, m.BaseFreqGHz))
 		rows[3] = append(rows[3], fmt.Sprintf("%.2f", r.TheoreticalPeakTFs))
 		rows[4] = append(rows[4], fmt.Sprintf("%.2f", r.AchievablePeakTFs))
-		rows[5] = append(rows[5], fmt.Sprintf("%.0f", n.TDPWatts))
+		rows[5] = append(rows[5], fmt.Sprintf("%.0f", m.Node.Freq.TDPWatts))
 		rows[6] = append(rows[6], fmt.Sprintf("%dKB/%dMB/%dMB", n.L1Bytes>>10, n.L2Bytes>>20, n.L3Bytes>>20))
 		rows[7] = append(rows[7], fmt.Sprintf("%dGB %s", n.MemGB, n.MemType))
 		rows[8] = append(rows[8], fmt.Sprintf("%d", n.CCNUMADomains))

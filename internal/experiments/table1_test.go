@@ -80,7 +80,15 @@ func TestUnknownNode(t *testing.T) {
 
 func TestTheoreticalMatchesNodes(t *testing.T) {
 	r := table1Rows(t)["goldencove"]
-	if r.TheoreticalBWGBs != nodes.MustGet("goldencove").TheoreticalBandwidthGBs() {
+	n, err := nodes.Get("goldencove")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TheoreticalBWGBs != n.TheoreticalBandwidthGBs() {
 		t.Error("theoretical bandwidth mismatch")
+	}
+	m := uarch.MustGet("goldencove")
+	if r.Model != m || r.TheoreticalPeakTFs != nodes.PeakTFs(m.CoresPerChip, m.Node.FlopsPerCycle, m.MaxFreqGHz) {
+		t.Error("theoretical peak must come from the goldencove model's cores, flops/cycle and max frequency")
 	}
 }

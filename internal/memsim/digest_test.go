@@ -53,7 +53,7 @@ func TestReproSamplesDigest(t *testing.T) {
 		}
 	}
 	for _, node := range nodes.Nodes {
-		for _, cores := range DefaultCounts(node.Cores) {
+		for _, cores := range DefaultCounts(MustConfigFor(node.Key).Cores) {
 			sample(node.Key, func(s *System) (TrafficResult, error) {
 				return s.RunTriad(cores, 8192, node.Key != "neoversev2")
 			})

@@ -312,24 +312,25 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("uarch: machine file: unknown dialect %q", mf.Dialect)
 	}
+	for _, pm := range []struct {
+		mask  *PortMask
+		names []string
+	}{
+		{&m.LoadPorts, mf.LoadPorts}, {&m.StoreAGUPorts, mf.StoreAGUPorts},
+		{&m.StoreDataPorts, mf.StoreDataPorts}, {&m.WideLoadPorts, mf.WideLoadPorts},
+	} {
+		mask, err := m.portMask(pm.names)
+		if err != nil {
+			return nil, fmt.Errorf("uarch: machine file: %w", err)
+		}
+		*pm.mask = mask
+	}
 	var err error
-	if m.LoadPorts, err = m.namesMask(mf.LoadPorts); err != nil {
-		return nil, err
-	}
-	if m.StoreAGUPorts, err = m.namesMask(mf.StoreAGUPorts); err != nil {
-		return nil, err
-	}
-	if m.StoreDataPorts, err = m.namesMask(mf.StoreDataPorts); err != nil {
-		return nil, err
-	}
-	if m.WideLoadPorts, err = m.namesMask(mf.WideLoadPorts); err != nil {
-		return nil, err
-	}
 	if m.Node, err = nodeFromWire(mf.Node); err != nil {
 		return nil, err
 	}
 	if mu := mf.Unknown; mu != nil {
-		mask, err := m.namesMask(mu.Ports)
+		mask, err := m.portMask(mu.Ports)
 		if err != nil {
 			return nil, fmt.Errorf("uarch: machine file: unknown section: %w", err)
 		}
@@ -339,7 +340,7 @@ func ReadJSON(r io.Reader) (*Model, error) {
 		e := Entry{Mnemonic: me.Mnemonic, Sig: me.Sig, Width: me.Width, Lat: me.Lat, Notes: me.Notes}
 		e.Uops = []Uop{}
 		for _, mu := range me.Uops {
-			mask, err := m.namesMask(mu.Ports)
+			mask, err := m.portMask(mu.Ports)
 			if err != nil {
 				return nil, fmt.Errorf("uarch: machine file: entry %s: %w", me.Mnemonic, err)
 			}
@@ -478,22 +479,4 @@ func (m *Model) computePortSignature(table []byte) string {
 		panic(fmt.Sprintf("uarch: port signature %s: %v", m.Key, err))
 	}
 	return splitDigest(header, compactCut, table, compactTail)
-}
-
-func (m *Model) namesMask(names []string) (PortMask, error) {
-	var mask PortMask
-	for _, n := range names {
-		found := false
-		for i, p := range m.Ports {
-			if p == n {
-				mask |= 1 << uint(i)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, fmt.Errorf("uarch: machine file references unknown port %q", n)
-		}
-	}
-	return mask, nil
 }

@@ -9,11 +9,10 @@ import (
 // NodeParams is the optional node-level section of a machine model: the
 // calibration the Execution-Cache-Memory model (internal/ecm), the
 // frequency governor (internal/freq), and the Roofline ceilings
-// (internal/roofline) need beyond the in-core port tables. Built-in
-// models derive these values from the Table I system descriptions
-// (internal/nodes); a machine file supplies them literally under its
-// "node" key, so a runtime-loaded microarchitecture gets full node-level
-// predictions, not just in-core analysis.
+// (internal/roofline) need beyond the in-core port tables. A machine
+// file, built-in or not, supplies them under its "node" key, so a
+// runtime-loaded microarchitecture gets full node-level predictions, not
+// just in-core analysis.
 //
 // The whole section and each subsection are optional: a model without
 // them still supports the analyzer, the MCA baseline, and the simulator;

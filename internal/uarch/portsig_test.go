@@ -2,6 +2,8 @@ package uarch
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
@@ -132,7 +134,9 @@ func TestPortSignatureRoundTrip(t *testing.T) {
 // TestBuiltinIdentitiesPinned pins each built-in's full fingerprint and
 // port signature. Every variant's cache key and every stored sweep cell
 // derive from them, so a refactor of the built-ins (or of the encodings
-// they hash) that moves either value turns existing stores cold.
+// they hash) that moves either value turns existing stores cold. The
+// embedded machine file must hash to the pinned fingerprint and be in
+// canonical form, WriteJSON's bytes for the model it reads as.
 func TestBuiltinIdentitiesPinned(t *testing.T) {
 	for _, tc := range []struct{ key, fingerprint, portSig string }{
 		{"goldencove", "7ec5050b372e86dc662dd5eee6427c9762775de4f590cb25fcc46c0f9fe882aa", "01071fa59ff2219ce0547b881a0941aad2cd416dae52bc0875c4c116359e67be"},
@@ -145,6 +149,27 @@ func TestBuiltinIdentitiesPinned(t *testing.T) {
 		}
 		if got := m.PortSignature(); got != tc.portSig {
 			t.Errorf("%s: PortSignature() = %s, want %s", tc.key, got, tc.portSig)
+		}
+
+		name := "machines/" + tc.key + ".json"
+		file, err := machineFiles.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(file)
+		if got := hex.EncodeToString(sum[:]); got != tc.fingerprint {
+			t.Errorf("%s hashes to %s, want the pinned fingerprint %s; a content change moves the built-in's cache keys", name, got, tc.fingerprint)
+		}
+		rt, err := ReadJSON(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var out bytes.Buffer
+		if err := rt.WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), file) {
+			t.Errorf("%s is not in canonical form: re-export it with `go run ./cmd/modelinfo -machine internal/uarch/%s -export internal/uarch/%s`", name, name, name)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"embed"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -10,8 +12,14 @@ import (
 	"sync"
 )
 
+// machineFiles holds the built-in models as machine files, read through
+// the same loader as -machine-dir (see machines/README.md).
+//
+//go:embed machines/*.json
+var machineFiles embed.FS
+
 // A Registry maps keys to machine models. NewRegistry starts one with
-// the three compiled-in microarchitectures; Register (and the
+// the three built-in microarchitectures; Register (and the
 // LoadFile/LoadDir conveniences) add machine-file models to it. Each
 // registry is a value its owner passes on: a CLI's -machine-dir or the
 // HTTP service's POST /v1/models changes what a key means for that
@@ -35,28 +43,34 @@ type Registry struct {
 var (
 	builtinOnce sync.Once
 	builtinReg  *Registry
-	// builtinFPs pins the content fingerprint of each compiled-in model;
+	// builtinFPs pins the content fingerprint of each built-in model;
 	// CacheKey compares against it to keep bare cache keys stable for
 	// unmodified built-ins, even if a caller mutates one in place.
 	// Written once under builtinOnce, read-only after.
 	builtinFPs map[string]string
 )
 
-// builtins returns the registry of the compiled-in models.
+// builtins returns the registry of the built-in models, loaded from the
+// embedded machine files on first use.
 func builtins() *Registry {
 	builtinOnce.Do(func() {
 		builtinReg = &Registry{models: make(map[string]*Model)}
 		builtinFPs = make(map[string]string)
-		for _, m := range []*Model{NewGoldenCove(), NewNeoverseV2(), NewZen4()} {
-			m.buildIndex()
-			builtinReg.models[m.Key] = m
-			builtinFPs[m.Key] = m.Fingerprint()
+		dir, err := fs.Sub(machineFiles, "machines")
+		if err == nil {
+			_, err = builtinReg.loadFS(dir, "machines")
+		}
+		if err != nil {
+			panic(err)
+		}
+		for k, m := range builtinReg.models {
+			builtinFPs[k] = m.Fingerprint()
 		}
 	})
 	return builtinReg
 }
 
-// builtinFingerprint returns the fingerprint of the compiled-in model
+// builtinFingerprint returns the fingerprint of the built-in model
 // with the given key, if there is one.
 func builtinFingerprint(key string) (string, bool) {
 	builtins()
@@ -64,7 +78,7 @@ func builtinFingerprint(key string) (string, bool) {
 	return fp, ok
 }
 
-// NewRegistry returns a registry holding the compiled-in models (the
+// NewRegistry returns a registry holding the built-in models (the
 // same instances the package-level Get returns).
 func NewRegistry() *Registry {
 	b := builtins()
@@ -75,7 +89,7 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Get returns the compiled-in model with the given key, or an error
+// Get returns the built-in model with the given key, or an error
 // listing the available keys.
 func Get(key string) (*Model, error) { return builtins().Get(key) }
 
@@ -89,7 +103,7 @@ func MustGet(key string) *Model {
 	return m
 }
 
-// Keys returns the compiled-in model keys in sorted order.
+// Keys returns the built-in model keys in sorted order.
 func Keys() []string { return builtins().Keys() }
 
 // maxListedKeys bounds how many keys an unknown-key error lists, so that
@@ -163,12 +177,21 @@ func ReadFile(path, arch string) (*Model, error) {
 		return nil, fmt.Errorf("uarch: %w", err)
 	}
 	defer f.Close()
-	m, err := ReadJSON(f)
+	m, err := readNamed(f, path)
 	if err != nil {
-		return nil, fmt.Errorf("uarch: %s: %w", path, unprefixed{err})
+		return nil, err
 	}
 	if arch != "" && arch != m.Key {
 		return nil, fmt.Errorf("uarch: %s: -arch %q does not match machine file key %q", path, arch, m.Key)
+	}
+	return m, nil
+}
+
+// readNamed reads a machine file and names it path in errors.
+func readNamed(f fs.File, path string) (*Model, error) {
+	m, err := ReadJSON(f)
+	if err != nil {
+		return nil, fmt.Errorf("uarch: %s: %w", path, unprefixed{err})
 	}
 	return m, nil
 }
@@ -215,6 +238,12 @@ func (r *Registry) LoadFile(path string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.addNamed(m, path)
+}
+
+// addNamed registers a model read from path, naming path in a collision
+// error.
+func (r *Registry) addNamed(m *Model, path string) (*Model, error) {
 	held, _, err := r.add(m)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: %s: %w", path, err)
@@ -226,28 +255,47 @@ func (r *Registry) LoadFile(path string) (*Model, error) {
 // lexical order, so collision errors are deterministic) and returns the
 // loaded models.
 func (r *Registry) LoadDir(dir string) ([]*Model, error) {
-	entries, err := os.ReadDir(dir)
+	return r.loadFS(os.DirFS(dir), dir)
+}
+
+// loadFS is LoadDir over the root of fsys, which errors call dir; the
+// built-in models load through it from the embedded machine files.
+func (r *Registry) loadFS(fsys fs.FS, dir string) ([]*Model, error) {
+	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
-		return nil, fmt.Errorf("uarch: %w", err)
+		return nil, pathError(dir, err)
 	}
-	var names []string
+	var models []*Model
 	for _, e := range entries {
-		if e.Type().IsRegular() || e.Type()&fs.ModeSymlink != 0 {
-			if strings.HasSuffix(e.Name(), ".json") {
-				names = append(names, e.Name())
-			}
+		if !e.Type().IsRegular() && e.Type()&fs.ModeSymlink == 0 || !strings.HasSuffix(e.Name(), ".json") {
+			continue
 		}
-	}
-	sort.Strings(names)
-	models := make([]*Model, 0, len(names))
-	for _, name := range names {
-		m, err := r.LoadFile(filepath.Join(dir, name))
+		path := filepath.Join(dir, e.Name())
+		f, err := fsys.Open(e.Name())
 		if err != nil {
+			return nil, pathError(dir, err)
+		}
+		m, err := readNamed(f, path)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+		if m, err = r.addNamed(m, path); err != nil {
 			return nil, err
 		}
 		models = append(models, m)
 	}
 	return models, nil
+}
+
+// pathError restores dir in the path of an fs.FS error, which names
+// files relative to the FS root.
+func pathError(dir string, err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("uarch: %s %s: %w", pe.Op, filepath.Join(dir, pe.Path), pe.Err)
+	}
+	return fmt.Errorf("uarch: %w", err)
 }
 
 // Keys returns the registered model keys in sorted order.

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"incore/internal/isa"
@@ -249,24 +250,28 @@ type entryKey struct {
 	width    int
 }
 
-// PortIndex resolves a port name to its index, panicking on unknown names;
-// intended for model-construction time only.
-func (m *Model) PortIndex(name string) int {
-	for i, p := range m.Ports {
-		if p == name {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("uarch: model %s has no port %q", m.Key, name))
-}
-
-// PortsByName builds a PortMask from port names; construction-time helper.
+// PortsByName builds a PortMask from port names, panicking on a name the
+// model has no port for; for code that edits a model it knows.
 func (m *Model) PortsByName(names ...string) PortMask {
-	var mask PortMask
-	for _, n := range names {
-		mask |= 1 << uint(m.PortIndex(n))
+	mask, err := m.portMask(names)
+	if err != nil {
+		panic(fmt.Sprintf("uarch: model %s: %v", m.Key, err))
 	}
 	return mask
+}
+
+// portMask resolves port names to a PortMask: the one name→mask
+// resolver behind PortsByName and the machine-file reader.
+func (m *Model) portMask(names []string) (PortMask, error) {
+	var mask PortMask
+	for _, n := range names {
+		i := slices.Index(m.Ports, n)
+		if i < 0 {
+			return 0, fmt.Errorf("unknown port %q", n)
+		}
+		mask |= 1 << uint(i)
+	}
+	return mask, nil
 }
 
 // buildIndex populates the lookup index, the precompiled port tables,
@@ -401,7 +406,7 @@ func (m *Model) PortSignature() string {
 
 // CacheKey returns the identity under which pipeline and store entries
 // for this model are filed. For a model whose content is byte-identical
-// to the compiled-in model of the same key it is the bare key — so
+// to the built-in model of the same key it is the bare key — so
 // warm stores written by earlier builds stay valid — and
 // "key@fingerprint" for everything else, so a runtime-loaded or mutated
 // model can never poison cached results of a different scenario sharing

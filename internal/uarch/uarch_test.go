@@ -55,7 +55,7 @@ func TestPortMaskCountQuick(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	// The package-level views hold exactly the compiled-in models, and a
+	// The package-level views hold exactly the built-in models, and a
 	// fresh registry starts with the same instances.
 	for _, k := range []string{"goldencove", "neoversev2", "zen4"} {
 		m, err := Get(k)

@@ -31,7 +31,9 @@ var machineTools = []struct {
 // -machine-dir, sweeps an edited built-in under its fingerprinted cache
 // key and reports a truncated file with the same single prefix. osaca
 // -ecm refuses a loop without memory access, whose element count the
-// block cannot tell.
+// block cannot tell. The committed zen4 machine file given to -machine
+// is the built-in, quirks included: osaca -sim -compare prints the same
+// bytes for it as for -arch zen4.
 func TestMachineFlags(t *testing.T) {
 	bin := t.TempDir()
 	pkgs := []string{"./cmd/sweep"}
@@ -92,6 +94,23 @@ func TestMachineFlags(t *testing.T) {
 	out, err := run("osaca", "-arch", "zen4", "-ecm", "MEM", asm)
 	if err == nil || !strings.Contains(out, "has no memory access") || strings.Contains(out, "T_ECM") {
 		t.Errorf("osaca -ecm on a loop without memory access: err %v, want a refusal and no ECM numbers\n%s", err, out)
+	}
+	div := filepath.Join(data, "div.s")
+	if err := os.WriteFile(div, []byte(".L0:\n\tvdivsd %xmm1, %xmm2, %xmm3\n\tvdivsd %xmm4, %xmm5, %xmm6\n\taddq $8, %rax\n\tcmpq %rbx, %rax\n\tjb .L0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	builtin, err := exec.Command(filepath.Join(bin, "osaca"), "-arch", "zen4", "-sim", "-compare", div).Output()
+	if err != nil {
+		t.Fatalf("osaca -arch zen4 -sim -compare: %v", err)
+	}
+	for _, line := range []string{"prediction       :   10.00 cy/it", "llvm-mca-style     :   10.08 cy/it", "simulated measured :    7.00 cy/it"} {
+		if !bytes.Contains(builtin, []byte(line)) {
+			t.Errorf("osaca -arch zen4 -sim -compare on two vdivsd: want %q\n%s", line, builtin)
+		}
+	}
+	file, err := exec.Command(filepath.Join(bin, "osaca"), "-machine", filepath.Join("internal", "uarch", "machines", "zen4.json"), "-sim", "-compare", div).Output()
+	if err != nil || !bytes.Equal(file, builtin) {
+		t.Errorf("osaca -machine internal/uarch/machines/zen4.json -sim -compare: err %v, want the -arch zen4 bytes\n%s", err, file)
 	}
 	out, err = run("modelinfo", "-machine-dir", dir, "-keys")
 	if err != nil || !strings.Contains("\n"+out, "\nzen4-sd2\n") {

@@ -1,6 +1,6 @@
 // Machine-file round-trip integration test: every built-in model,
 // exported to its JSON machine file and loaded back, must be
-// indistinguishable from the compiled-in model — equal content
+// indistinguishable from the built-in model — equal content
 // fingerprint (hence the same bare cache key) and byte-identical
 // analyzer reports over the full kernel suite — and the node-level
 // models (ECM, frequency governor, Roofline) built from the reloaded
