@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,5 +151,102 @@ func TestMachineFileHumanReadable(t *testing.T) {
 	}
 	if !strings.Contains(out, `"x86"`) {
 		t.Error("dialect missing")
+	}
+}
+
+// editedMachine reads the embedded machine file of a built-in, lets edit
+// change its decoded JSON, and loads the re-encoded file with ReadJSON.
+func editedMachine(t *testing.T, key string, edit func(mf map[string]any)) (*Model, error) {
+	t.Helper()
+	data, err := machineFiles.ReadFile("machines/" + key + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf map[string]any
+	if err := json.Unmarshal(data, &mf); err != nil {
+		t.Fatal(err)
+	}
+	edit(mf)
+	out, err := json.Marshal(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ReadJSON(bytes.NewReader(out))
+}
+
+// section returns the object at path in a decoded machine file.
+func section(mf map[string]any, path ...string) map[string]any {
+	for _, name := range path {
+		mf = mf[name].(map[string]any)
+	}
+	return mf
+}
+
+// TestMachineFileECMOverlap: the ECM overlap list is a set of known
+// levels. Order and repeats in the file do not reach the model's
+// identity, and an unknown level or field is refused by name.
+func TestMachineFileECMOverlap(t *testing.T) {
+	withOverlap := func(levels ...any) (*Model, error) {
+		return editedMachine(t, "neoversev2", func(mf map[string]any) {
+			mf["key"] = "nv2o"
+			section(mf, "node", "ecm")["overlap"] = levels
+		})
+	}
+	canonical, err := withOverlap("l1l2", "l2l3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	messy, err := withOverlap("l2l3", "l1l2", "l2l3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if messy.Fingerprint() != canonical.Fingerprint() {
+		t.Errorf("overlap [l2l3 l1l2 l2l3] fingerprints %s, [l1l2 l2l3] %s", messy.Fingerprint(), canonical.Fingerprint())
+	}
+	if !reflect.DeepEqual(messy.Node, canonical.Node) {
+		t.Errorf("overlap order reached the model: %+v vs %+v", messy.Node.ECM, canonical.Node.ECM)
+	}
+	_, err = withOverlap("l2l3", "l4mem")
+	if want := `uarch: machine file: unknown ECM overlap level "l4mem"`; err == nil || err.Error() != want {
+		t.Errorf("unknown overlap level: err = %v, want %q", err, want)
+	}
+	_, err = editedMachine(t, "neoversev2", func(mf map[string]any) {
+		section(mf, "node", "ecm")["bogus"] = 1
+	})
+	if want := `uarch: machine file: json: unknown field "bogus"`; err == nil || err.Error() != want {
+		t.Errorf("unknown node.ecm field: err = %v, want %q", err, want)
+	}
+}
+
+// TestMachineFileNodeEditsKeepPortSignature: the node section is not
+// in-core content, so editing only node fields in a machine file moves
+// the fingerprint and leaves the port signature where it was.
+func TestMachineFileNodeEditsKeepPortSignature(t *testing.T) {
+	edits := []struct {
+		name string
+		edit func(mf map[string]any)
+	}{
+		{"bandwidth", func(mf map[string]any) { section(mf, "node")["mem_bandwidth_gbs"] = 100.5 }},
+		{"flops", func(mf map[string]any) { section(mf, "node")["flops_per_cycle"] = 8 }},
+		{"overlap", func(mf map[string]any) { section(mf, "node", "ecm")["overlap"] = []any{"l3mem"} }},
+		{"l1l2", func(mf map[string]any) { section(mf, "node", "ecm")["l1_l2_bytes_per_cycle"] = 48 }},
+		{"tdp", func(mf map[string]any) { section(mf, "node", "freq")["tdp_watts"] = 180 }},
+		{"no ecm", func(mf map[string]any) { delete(section(mf, "node"), "ecm") }},
+		{"no node", func(mf map[string]any) { delete(mf, "node") }},
+	}
+	for _, key := range []string{"goldencove", "neoversev2", "zen4"} {
+		base := MustGet(key)
+		for _, tc := range edits {
+			m, err := editedMachine(t, key, tc.edit)
+			if err != nil {
+				t.Fatalf("%s %s: %v", key, tc.name, err)
+			}
+			if m.PortSignature() != base.PortSignature() {
+				t.Errorf("%s %s: port signature moved", key, tc.name)
+			}
+			if m.Fingerprint() == base.Fingerprint() {
+				t.Errorf("%s %s: fingerprint did not move", key, tc.name)
+			}
+		}
 	}
 }
