@@ -39,6 +39,7 @@ package ecm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"incore/internal/core"
@@ -119,7 +120,9 @@ func ForModel(cm *uarch.Model) (*Model, error) {
 	// ECM literature's convention for saturation estimates.
 	m.FreqGHz = cm.BaseFreqGHz
 	m.BW = Levels{L1L2: np.ECM.L1L2BytesPerCycle, L2L3: np.ECM.L2L3BytesPerCycle}
-	m.Overlap = [3]bool{np.ECM.OverlapL1L2, np.ECM.OverlapL2L3, np.ECM.OverlapL3Mem}
+	for i, level := range uarch.OverlapLevels {
+		m.Overlap[i] = slices.Contains(np.ECM.Overlap, level)
+	}
 	// The socket-bandwidth ceiling expressed in bytes per core-clock
 	// cycle: a single core cannot move data faster than the socket;
 	// saturation is reached when n cores' combined demand hits this.

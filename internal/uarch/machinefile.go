@@ -19,13 +19,35 @@ import (
 // Port masks are serialized as port-name lists for readability.
 
 type machineFile struct {
-	Key     string `json:"key"`
-	Name    string `json:"name"`
-	CPU     string `json:"cpu"`
-	Vendor  string `json:"vendor"`
-	Dialect string `json:"dialect"`
+	Key    string `json:"key"`
+	Name   string `json:"name"`
+	CPU    string `json:"cpu"`
+	Vendor string `json:"vendor"`
 
-	Ports []string `json:"ports"`
+	coreHeader
+
+	VecWidth      int     `json:"vec_width"`
+	CoresPerChip  int     `json:"cores_per_chip"`
+	BaseFreqGHz   float64 `json:"base_freq_ghz"`
+	MaxFreqGHz    float64 `json:"max_freq_ghz"`
+	FPVectorUnits int     `json:"fp_vector_units"`
+	IntUnits      int     `json:"int_units"`
+
+	Node *NodeParams `json:"node,omitempty"`
+
+	Unknown *machineUnknown `json:"unknown,omitempty"`
+
+	Entries []machineEntry `json:"instructions"`
+}
+
+// coreHeader is the in-core part of the machine-file header: the fields
+// every in-core stage reads besides the unknown-instruction policy and
+// the instruction table. machineFile and portFile both embed it, and
+// encoding/json flattens an embedded struct in place, so each field is
+// declared once and encodes at the same position in both identities.
+type coreHeader struct {
+	Dialect string   `json:"dialect"`
+	Ports   []string `json:"ports"`
 
 	IssueWidth  int `json:"issue_width"`
 	DecodeWidth int `json:"decode_width"`
@@ -43,19 +65,6 @@ type machineFile struct {
 	StoreWidthBits int      `json:"store_width_bits"`
 	WideLoadPorts  []string `json:"wide_load_ports,omitempty"`
 	WideLoadBits   int      `json:"wide_load_bits,omitempty"`
-
-	VecWidth      int     `json:"vec_width"`
-	CoresPerChip  int     `json:"cores_per_chip"`
-	BaseFreqGHz   float64 `json:"base_freq_ghz"`
-	MaxFreqGHz    float64 `json:"max_freq_ghz"`
-	FPVectorUnits int     `json:"fp_vector_units"`
-	IntUnits      int     `json:"int_units"`
-
-	Node *machineNode `json:"node,omitempty"`
-
-	Unknown *machineUnknown `json:"unknown,omitempty"`
-
-	Entries []machineEntry `json:"instructions"`
 }
 
 // machineUnknown is the optional unknown-instruction policy: the
@@ -66,101 +75,6 @@ type machineUnknown struct {
 	Ports  []string `json:"ports,omitempty"`
 	Lat    int      `json:"latency,omitempty"`
 	Cycles float64  `json:"cycles,omitempty"`
-}
-
-// machineNode is the optional node-level section: the calibration the
-// ECM model, the frequency governor, and the Roofline ceilings need
-// beyond the in-core tables (see NodeParams).
-type machineNode struct {
-	MemBWGBs      float64      `json:"mem_bandwidth_gbs,omitempty"`
-	FlopsPerCycle int          `json:"flops_per_cycle,omitempty"`
-	ECM           *machineECM  `json:"ecm,omitempty"`
-	Freq          *machineFreq `json:"freq,omitempty"`
-}
-
-type machineECM struct {
-	L1L2BytesPerCycle float64 `json:"l1_l2_bytes_per_cycle"`
-	L2L3BytesPerCycle float64 `json:"l2_l3_bytes_per_cycle"`
-	// Overlap lists the transfer levels that overlap with the rest of
-	// the data chain; any subset of "l1l2", "l2l3", "l3mem".
-	Overlap []string `json:"overlap,omitempty"`
-}
-
-type machineFreq struct {
-	TDPWatts           float64            `json:"tdp_watts"`
-	UncoreWatts        float64            `json:"uncore_watts"`
-	StaticWattsPerCore float64            `json:"static_watts_per_core"`
-	MinFreqGHz         float64            `json:"min_freq_ghz"`
-	ActivityFactor     map[string]float64 `json:"activity_factor"`
-	MaxFreqGHz         map[string]float64 `json:"max_freq_ghz"`
-	WidestVectorExt    string             `json:"widest_vector_ext,omitempty"`
-}
-
-// overlapLevelNames is the canonical writer order of machineECM.Overlap;
-// ReadJSON accepts any order.
-var overlapLevelNames = [3]string{"l1l2", "l2l3", "l3mem"}
-
-func nodeToWire(np *NodeParams) *machineNode {
-	if np == nil {
-		return nil
-	}
-	mn := &machineNode{MemBWGBs: np.MemBWGBs, FlopsPerCycle: np.FlopsPerCycle}
-	if e := np.ECM; e != nil {
-		me := &machineECM{
-			L1L2BytesPerCycle: e.L1L2BytesPerCycle,
-			L2L3BytesPerCycle: e.L2L3BytesPerCycle,
-		}
-		for i, on := range [3]bool{e.OverlapL1L2, e.OverlapL2L3, e.OverlapL3Mem} {
-			if on {
-				me.Overlap = append(me.Overlap, overlapLevelNames[i])
-			}
-		}
-		mn.ECM = me
-	}
-	if f := np.Freq; f != nil {
-		mn.Freq = &machineFreq{
-			TDPWatts: f.TDPWatts, UncoreWatts: f.UncoreWatts,
-			StaticWattsPerCore: f.StaticWattsPerCore, MinFreqGHz: f.MinFreqGHz,
-			ActivityFactor: f.ActivityFactor, MaxFreqGHz: f.MaxFreqGHz,
-			WidestVectorExt: f.WidestVectorExt,
-		}
-	}
-	return mn
-}
-
-func nodeFromWire(mn *machineNode) (*NodeParams, error) {
-	if mn == nil {
-		return nil, nil
-	}
-	np := &NodeParams{MemBWGBs: mn.MemBWGBs, FlopsPerCycle: mn.FlopsPerCycle}
-	if me := mn.ECM; me != nil {
-		e := &ECMParams{
-			L1L2BytesPerCycle: me.L1L2BytesPerCycle,
-			L2L3BytesPerCycle: me.L2L3BytesPerCycle,
-		}
-		for _, name := range me.Overlap {
-			switch name {
-			case "l1l2":
-				e.OverlapL1L2 = true
-			case "l2l3":
-				e.OverlapL2L3 = true
-			case "l3mem":
-				e.OverlapL3Mem = true
-			default:
-				return nil, fmt.Errorf("uarch: machine file: unknown ECM overlap level %q", name)
-			}
-		}
-		np.ECM = e
-	}
-	if mf := mn.Freq; mf != nil {
-		np.Freq = &FreqParams{
-			TDPWatts: mf.TDPWatts, UncoreWatts: mf.UncoreWatts,
-			StaticWattsPerCore: mf.StaticWattsPerCore, MinFreqGHz: mf.MinFreqGHz,
-			ActivityFactor: mf.ActivityFactor, MaxFreqGHz: mf.MaxFreqGHz,
-			WidestVectorExt: mf.WidestVectorExt,
-		}
-	}
-	return np, nil
 }
 
 type machineEntry struct {
@@ -214,8 +128,20 @@ func (m *Model) WriteJSON(w io.Writer) error {
 // wireHeader is the machine-file wire form of everything but the
 // instruction table (Entries stays nil).
 func (m *Model) wireHeader() machineFile {
-	mf := machineFile{
+	return machineFile{
 		Key: m.Key, Name: m.Name, CPU: m.CPU, Vendor: m.Vendor,
+		coreHeader: m.wireCore(),
+		VecWidth:   m.VecWidth, CoresPerChip: m.CoresPerChip,
+		BaseFreqGHz: m.BaseFreqGHz, MaxFreqGHz: m.MaxFreqGHz,
+		FPVectorUnits: m.FPVectorUnits, IntUnits: m.IntUnits,
+		Node:    m.Node,
+		Unknown: m.wireUnknown(),
+	}
+}
+
+// wireCore is the wire form of the in-core header.
+func (m *Model) wireCore() coreHeader {
+	return coreHeader{
 		Dialect: m.Dialect.String(), Ports: m.Ports,
 		IssueWidth: m.IssueWidth, DecodeWidth: m.DecodeWidth,
 		RetireWidth: m.RetireWidth, ROBSize: m.ROBSize, SchedSize: m.SchedSize,
@@ -226,15 +152,17 @@ func (m *Model) wireHeader() machineFile {
 		LoadLat:        m.LoadLat, LoadWidthBits: m.LoadWidthBits,
 		StoreWidthBits: m.StoreWidthBits,
 		WideLoadPorts:  m.maskNames(m.WideLoadPorts), WideLoadBits: m.WideLoadBits,
-		VecWidth: m.VecWidth, CoresPerChip: m.CoresPerChip,
-		BaseFreqGHz: m.BaseFreqGHz, MaxFreqGHz: m.MaxFreqGHz,
-		FPVectorUnits: m.FPVectorUnits, IntUnits: m.IntUnits,
-		Node: nodeToWire(m.Node),
 	}
-	if u := m.Unknown; u != nil {
-		mf.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
+}
+
+// wireUnknown is the wire form of the unknown-instruction policy, nil
+// when the model has none.
+func (m *Model) wireUnknown() *machineUnknown {
+	u := m.Unknown
+	if u == nil {
+		return nil
 	}
-	return mf
+	return &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
 }
 
 // wireEntries is the wire form of the instruction table. Notes are kept
@@ -325,10 +253,14 @@ func ReadJSON(r io.Reader) (*Model, error) {
 		}
 		*pm.mask = mask
 	}
-	var err error
-	if m.Node, err = nodeFromWire(mf.Node); err != nil {
-		return nil, err
+	if np := mf.Node; np != nil && np.ECM != nil {
+		overlap, err := np.ECM.canonicalOverlap()
+		if err != nil {
+			return nil, err
+		}
+		np.ECM.Overlap = overlap
 	}
+	m.Node = mf.Node
 	if mu := mf.Unknown; mu != nil {
 		mask, err := m.portMask(mu.Ports)
 		if err != nil {
@@ -429,25 +361,7 @@ func (m *Model) computeFingerprint(table []byte) string {
 // Key, labels, clocking, core counts, and the node section are deliberately
 // absent: varying them must not change the signature.
 type portFile struct {
-	Dialect string   `json:"dialect"`
-	Ports   []string `json:"ports"`
-
-	IssueWidth  int `json:"issue_width"`
-	DecodeWidth int `json:"decode_width"`
-	RetireWidth int `json:"retire_width"`
-	ROBSize     int `json:"rob_size"`
-	SchedSize   int `json:"scheduler_size"`
-	PhysVecRegs int `json:"phys_vec_regs,omitempty"`
-	PhysGPRegs  int `json:"phys_gp_regs,omitempty"`
-
-	LoadPorts      []string `json:"load_ports"`
-	StoreAGUPorts  []string `json:"store_agu_ports"`
-	StoreDataPorts []string `json:"store_data_ports"`
-	LoadLat        int      `json:"load_latency"`
-	LoadWidthBits  int      `json:"load_width_bits"`
-	StoreWidthBits int      `json:"store_width_bits"`
-	WideLoadPorts  []string `json:"wide_load_ports,omitempty"`
-	WideLoadBits   int      `json:"wide_load_bits,omitempty"`
+	coreHeader
 
 	Unknown *machineUnknown `json:"unknown,omitempty"`
 
@@ -459,22 +373,7 @@ type portFile struct {
 // computeFingerprint, the encoding is deterministic, so equal in-core
 // content always yields equal signatures across processes and builds.
 func (m *Model) computePortSignature(table []byte) string {
-	pf := portFile{
-		Dialect: m.Dialect.String(), Ports: m.Ports,
-		IssueWidth: m.IssueWidth, DecodeWidth: m.DecodeWidth,
-		RetireWidth: m.RetireWidth, ROBSize: m.ROBSize, SchedSize: m.SchedSize,
-		PhysVecRegs: m.PhysVecRegs, PhysGPRegs: m.PhysGPRegs,
-		LoadPorts:      m.maskNames(m.LoadPorts),
-		StoreAGUPorts:  m.maskNames(m.StoreAGUPorts),
-		StoreDataPorts: m.maskNames(m.StoreDataPorts),
-		LoadLat:        m.LoadLat, LoadWidthBits: m.LoadWidthBits,
-		StoreWidthBits: m.StoreWidthBits,
-		WideLoadPorts:  m.maskNames(m.WideLoadPorts), WideLoadBits: m.WideLoadBits,
-	}
-	if u := m.Unknown; u != nil {
-		pf.Unknown = &machineUnknown{Ports: m.maskNames(u.Ports), Lat: u.Lat, Cycles: u.Cycles}
-	}
-	header, err := json.Marshal(pf)
+	header, err := json.Marshal(portFile{coreHeader: m.wireCore(), Unknown: m.wireUnknown()})
 	if err != nil {
 		panic(fmt.Sprintf("uarch: port signature %s: %v", m.Key, err))
 	}

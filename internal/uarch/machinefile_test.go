@@ -250,3 +250,29 @@ func TestMachineFileNodeEditsKeepPortSignature(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineFileGovernorNeedsWidestCeiling: sustained-peak ceilings
+// evaluate the governor at its widest extension, so a governor without a
+// frequency ceiling there is refused when the file loads, not when a
+// roofline is first asked for.
+func TestMachineFileGovernorNeedsWidestCeiling(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(freq map[string]any)
+	}{
+		{"named widest", func(freq map[string]any) {}},
+		{"derived widest", func(freq map[string]any) { delete(freq, "widest_vector_ext") }},
+	}
+	for _, tc := range cases {
+		_, err := editedMachine(t, "zen4", func(mf map[string]any) {
+			mf["key"] = "z4nf"
+			freq := section(mf, "node", "freq")
+			delete(section(freq, "max_freq_ghz"), "avx512")
+			tc.edit(freq)
+		})
+		want := `uarch: model z4nf: governor has no frequency ceiling for its widest extension "avx512"`
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+}
