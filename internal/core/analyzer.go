@@ -107,14 +107,14 @@ func New() *Analyzer {
 //
 // It runs on every memo lookup, so it is appended into a stack buffer
 // rather than formatted; the string is part of persisted store keys and
-// must keep the form "falsedeps=%t|memwin=%d|stfwd=%d|degrade=%t".
+// must keep the form "falsedeps=%t|memwin=%d|stfwd=0|degrade=%t": stfwd
+// was a store-forward latency option, now the fixed isa.StoreForwardDelay.
 func (a *Analyzer) Fingerprint() string {
 	var buf [96]byte
 	b := append(buf[:0], "falsedeps="...)
 	b = strconv.AppendBool(b, a.Opt.IncludeFalseDeps)
 	b = strconv.AppendInt(append(b, "|memwin="...), a.Opt.MemCarriedWindow, 10)
-	b = strconv.AppendInt(append(b, "|stfwd="...), int64(a.Opt.StoreForwardLat), 10)
-	b = strconv.AppendBool(append(b, "|degrade="...), a.Opt.DegradeUnknown)
+	b = strconv.AppendBool(append(b, "|stfwd=0|degrade="...), a.Opt.DegradeUnknown)
 	return string(b)
 }
 
@@ -159,7 +159,7 @@ func (a *Analyzer) AnalyzeArena(b *isa.Block, m *uarch.Model, sk *depgraph.Skele
 		}
 		ar.descs = descs
 	}
-	g := sk.Instantiate(b, m, descs, a.Opt, &ar.dg)
+	g := sk.Instantiate(b, m, descs, &ar.dg)
 
 	res := &ar.res
 	*res = Result{Block: b, Model: m, Instrs: ar.instrs[:0]}

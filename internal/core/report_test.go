@@ -156,15 +156,15 @@ func TestFingerprintFormat(t *testing.T) {
 	if got, want := New().Fingerprint(), "falsedeps=false|memwin=64|stfwd=0|degrade=true"; got != want {
 		t.Fatalf("New().Fingerprint() = %q, want %q", got, want)
 	}
+	// stfwd stays 0: the forward delay is a constant now, and the
+	// literal keeps keys written before it was one.
 	for _, fd := range []bool{false, true} {
 		for _, mw := range []int64{0, 64, -1, math.MaxInt64, math.MinInt64} {
-			for _, sf := range []int{0, 7, -3, math.MaxInt, math.MinInt} {
-				for _, du := range []bool{false, true} {
-					a := &Analyzer{Opt: depgraph.Options{IncludeFalseDeps: fd, MemCarriedWindow: mw, StoreForwardLat: sf, DegradeUnknown: du}}
-					want := fmt.Sprintf("falsedeps=%t|memwin=%d|stfwd=%d|degrade=%t", fd, mw, sf, du)
-					if got := a.Fingerprint(); got != want {
-						t.Errorf("Fingerprint() = %q, want %q", got, want)
-					}
+			for _, du := range []bool{false, true} {
+				a := &Analyzer{Opt: depgraph.Options{IncludeFalseDeps: fd, MemCarriedWindow: mw, DegradeUnknown: du}}
+				want := fmt.Sprintf("falsedeps=%t|memwin=%d|stfwd=0|degrade=%t", fd, mw, du)
+				if got := a.Fingerprint(); got != want {
+					t.Errorf("Fingerprint() = %q, want %q", got, want)
 				}
 			}
 		}

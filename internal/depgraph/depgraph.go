@@ -78,10 +78,6 @@ type Options struct {
 	// considered overlapping across iterations. Zero disables memory
 	// carried dependencies.
 	MemCarriedWindow int64
-	// StoreForwardLat is the total store-to-load-result latency charged
-	// across a forwarding edge plus the load itself; when zero,
-	// LoadLat + 2 is used (matching the simulator's forwarding model).
-	StoreForwardLat int
 	// DegradeUnknown resolves instructions through the model's degraded
 	// lookup path: mnemonics outside the instruction table receive a
 	// synthesized conservative descriptor (uarch.MatchUnknown) instead
@@ -314,14 +310,12 @@ func chainLat(d *uarch.Desc) float64 {
 // fillEdges materializes structural edges into dst with each kind's
 // model-dependent latency: RAW edges charge the producer's chain latency,
 // false dependencies one rename cycle, and memory edges the store-forward
-// latency minus the consuming load's own chain contribution (charged by
-// the load's outgoing edges, so the total store→load-result cost equals
-// the forward latency), floored at one cycle.
-func fillEdges(dst []Edge, skel []skelEdge, nodes []Node, loadLat int, opt Options) []Edge {
-	fwd := opt.StoreForwardLat
-	if fwd == 0 {
-		fwd = loadLat + 2
-	}
+// latency (isa.StoreForwardDelay + loadLat) minus the consuming load's
+// own chain contribution (charged by the load's outgoing edges, so the
+// total store→load-result cost equals the forward latency), floored at
+// one cycle.
+func fillEdges(dst []Edge, skel []skelEdge, nodes []Node, loadLat int) []Edge {
+	fwd := loadLat + isa.StoreForwardDelay
 	for i := range skel {
 		se := &skel[i]
 		e := Edge{

@@ -33,7 +33,7 @@ func build(b *isa.Block, m *uarch.Model, opt Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sk.Instantiate(b, m, descs, opt, &Scratch{}), nil
+	return sk.Instantiate(b, m, descs, &Scratch{}), nil
 }
 
 func TestEdgeKindString(t *testing.T) {

@@ -31,8 +31,8 @@ type Skeleton struct {
 }
 
 // NewSkeleton builds the durable structure of b under opt's structural
-// fields (IncludeFalseDeps, MemCarriedWindow; latency-side options are
-// applied at Instantiate). It is NewSkeletonScratch over a fresh scratch,
+// fields (IncludeFalseDeps, MemCarriedWindow; edge latencies are filled
+// at Instantiate). It is NewSkeletonScratch over a fresh scratch,
 // so the skeleton owns its memory and may be cached and shared.
 func NewSkeleton(b *isa.Block, opt Options) (*Skeleton, error) {
 	sk, err := NewSkeletonScratch(b, opt, &Scratch{})
@@ -142,12 +142,10 @@ func (sk *Skeleton) AppendDescs(dst []uarch.Desc, m *uarch.Model, degrade bool) 
 // nodes in program order, the skeleton's edges in
 // its order with each kind's latency filled from descs. b must be
 // content-identical to the skeleton's source block (same instruction
-// sequence and dialect), descs must come from ResolveDescs against m (or a
-// cache of it) with opt.DegradeUnknown, and opt must agree with the
-// skeleton's build options on IncludeFalseDeps and MemCarriedWindow; the
-// artifact keys in internal/pipeline enforce all three. The graph is valid
-// until s's next use.
-func (sk *Skeleton) Instantiate(b *isa.Block, m *uarch.Model, descs []uarch.Desc, opt Options, s *Scratch) *Graph {
+// sequence and dialect) and descs must come from ResolveDescs against m
+// (or a cache of it); the artifact keys in internal/pipeline enforce both.
+// The graph is valid until s's next use.
+func (sk *Skeleton) Instantiate(b *isa.Block, m *uarch.Model, descs []uarch.Desc, s *Scratch) *Graph {
 	g := &s.graph
 	*g = Graph{Block: b, Model: m, scr: s}
 	n := len(sk.effs)
@@ -156,7 +154,7 @@ func (sk *Skeleton) Instantiate(b *isa.Block, m *uarch.Model, descs []uarch.Desc
 	for i := range g.Nodes {
 		g.Nodes[i] = Node{Index: i, Desc: descs[i]}
 	}
-	g.Edges = fillEdges(s.edges[:0], sk.edges, g.Nodes, m.LoadLat, opt)
+	g.Edges = fillEdges(s.edges[:0], sk.edges, g.Nodes, m.LoadLat)
 	s.edges = g.Edges
 	g.out = sk.out
 	return g

@@ -302,6 +302,12 @@ func (e *Effects) AddrRegs(dst []RegKey) []RegKey {
 // cache line.
 const MemCarriedWindow = 64
 
+// StoreForwardDelay is the cycles from a store's data µ-op issuing to a
+// load it forwards to issuing. The load's result arrives a load latency
+// later, so a store→load pair costs StoreForwardDelay + load latency;
+// the analyzer and the simulator both charge that total.
+const StoreForwardDelay = 2
+
 // StoreLoadDeps calls fn for every store→load pair of a loop body that
 // may alias, stores outer and loads inner, each in program order (effs
 // holds one entry per instruction). A store and a load alias only on the

@@ -41,17 +41,12 @@ type Params struct {
 	// VecLatBias is added to vector FP latencies (immature models often
 	// carry worst-case latencies).
 	VecLatBias int
-	// CeilOccupancy rounds fractional port occupancies up to integers.
-	CeilOccupancy bool
 	// RoundRobin selects ports statically (round-robin per mask) instead
 	// of by current availability.
 	RoundRobin bool
 	// LoadLat overrides the model's load-to-use latency (generic default
 	// in immature models); 0 keeps the model value.
 	LoadLat int
-	// GroupBreak starts a fresh dispatch group after every taken branch
-	// (LLVM-MCA's per-cycle dispatch grouping).
-	GroupBreak bool
 }
 
 // ParamsFor returns the baseline model parameters for a microarchitecture,
@@ -59,13 +54,13 @@ type Params struct {
 func ParamsFor(key string) Params {
 	switch key {
 	case "neoversev2":
-		return Params{DispatchWidth: 4, VecLatBias: 1, CeilOccupancy: true, RoundRobin: true, LoadLat: 6, GroupBreak: true}
+		return Params{DispatchWidth: 4, VecLatBias: 1, RoundRobin: true, LoadLat: 6}
 	case "goldencove":
-		return Params{DispatchWidth: 4, VecLatBias: 1, CeilOccupancy: true, RoundRobin: true, GroupBreak: true}
+		return Params{DispatchWidth: 4, VecLatBias: 1, RoundRobin: true}
 	case "zen4":
-		return Params{DispatchWidth: 5, VecLatBias: 0, CeilOccupancy: true, RoundRobin: false, GroupBreak: true}
+		return Params{DispatchWidth: 5, VecLatBias: 0, RoundRobin: false}
 	default:
-		return Params{DispatchWidth: 4, VecLatBias: 1, CeilOccupancy: true, RoundRobin: true, GroupBreak: true}
+		return Params{DispatchWidth: 4, VecLatBias: 1, RoundRobin: true}
 	}
 }
 
@@ -243,7 +238,9 @@ func (c *Compiled) Predict() (*Result, error) {
 		if slot >= p.DispatchWidth {
 			disp = dispatched[slot-p.DispatchWidth] + 1
 		}
-		if p.GroupBreak && dyn > 0 && static[(dyn-1)%nStatic].desc.IsBranch && slot > 0 {
+		// LLVM-MCA's per-cycle dispatch grouping: a taken branch ends
+		// the group, so the next instruction dispatches a cycle later.
+		if dyn > 0 && static[(dyn-1)%nStatic].desc.IsBranch && slot > 0 {
 			if t := dispatched[slot-1] + 1; t > disp {
 				disp = t
 			}
@@ -258,10 +255,9 @@ func (c *Compiled) Predict() (*Result, error) {
 
 		startMax := opReady
 		for _, u := range st.desc.Uops {
-			occ := u.Cycles
-			if p.CeilOccupancy {
-				occ = math.Ceil(occ)
-			}
+			// Fractional occupancies round up to whole cycles, as in
+			// LLVM-MCA's scheduler models of these cores.
+			occ := math.Ceil(u.Cycles)
 			var t float64
 			if p.RoundRobin {
 				// Static resource-group rotation: the port is chosen by

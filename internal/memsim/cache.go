@@ -22,6 +22,12 @@ import (
 	"math/bits"
 )
 
+// LineBytes is the cache-line size of all three systems, 1<<lineShift.
+const (
+	lineShift = 6
+	LineBytes = 1 << lineShift
+)
+
 // LineAddr is a cache-line-granular address.
 type LineAddr uint64
 
@@ -29,15 +35,14 @@ type LineAddr uint64
 type CacheConfig struct {
 	SizeBytes int64
 	Ways      int
-	LineBytes int
 }
 
 // Sets returns the number of sets.
 func (c CacheConfig) Sets() int {
-	if c.Ways <= 0 || c.LineBytes <= 0 {
+	if c.Ways <= 0 {
 		return 0
 	}
-	s := c.SizeBytes / int64(c.Ways) / int64(c.LineBytes)
+	s := c.SizeBytes / int64(c.Ways) / LineBytes
 	if s < 1 {
 		return 1
 	}
@@ -106,7 +111,7 @@ type CacheStats struct {
 func NewCache(cfg CacheConfig) (*Cache, error) {
 	n := cfg.Sets()
 	if n == 0 || cfg.Ways > maxWays {
-		return nil, fmt.Errorf("memsim: cache %+v: need 1..%d ways and a positive size and line size", cfg, maxWays)
+		return nil, fmt.Errorf("memsim: cache %+v: need 1..%d ways", cfg, maxWays)
 	}
 	c := &Cache{
 		ways:  cfg.Ways,

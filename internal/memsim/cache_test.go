@@ -24,7 +24,7 @@ func (c *Cache) Invalidate(a LineAddr) (present, dirty bool) {
 }
 
 func testCache() *Cache {
-	c, err := NewCache(CacheConfig{SizeBytes: 4096, Ways: 4, LineBytes: 64})
+	c, err := NewCache(CacheConfig{SizeBytes: 4096, Ways: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -34,15 +34,15 @@ func testCache() *Cache {
 func TestNewCacheRejectsUnsupportedGeometry(t *testing.T) {
 	for _, cfg := range []CacheConfig{
 		{},
-		{SizeBytes: 4096, Ways: 0, LineBytes: 64},
-		{SizeBytes: 4096, Ways: 4, LineBytes: 0},
-		{SizeBytes: 1 << 20, Ways: maxWays + 1, LineBytes: 64},
+		{SizeBytes: 4096, Ways: 0},
+		{SizeBytes: 4096, Ways: -1},
+		{SizeBytes: 1 << 20, Ways: maxWays + 1},
 	} {
 		if _, err := NewCache(cfg); err == nil {
 			t.Errorf("NewCache(%+v) must fail", cfg)
 		}
 	}
-	if _, err := NewCache(CacheConfig{SizeBytes: 1 << 20, Ways: maxWays, LineBytes: 64}); err != nil {
+	if _, err := NewCache(CacheConfig{SizeBytes: 1 << 20, Ways: maxWays}); err != nil {
 		t.Errorf("NewCache with %d ways: %v", maxWays, err)
 	}
 }
@@ -220,7 +220,7 @@ func testGeometries() []CacheConfig {
 	var geoms []CacheConfig
 	for _, sets := range []int{1, 3, 4, 7, 16} {
 		for _, ways := range []int{1, 2, 3, 4, 8, 11, 16} {
-			geoms = append(geoms, CacheConfig{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64})
+			geoms = append(geoms, CacheConfig{SizeBytes: int64(sets * ways * 64), Ways: ways})
 		}
 	}
 	return geoms
@@ -339,14 +339,14 @@ func TestCacheFirstTouchMatchesLRU(t *testing.T) {
 }
 
 func TestCacheConfigSets(t *testing.T) {
-	cfg := CacheConfig{SizeBytes: 4096, Ways: 4, LineBytes: 64}
+	cfg := CacheConfig{SizeBytes: 4096, Ways: 4}
 	if cfg.Sets() != 16 {
 		t.Errorf("Sets = %d, want 16", cfg.Sets())
 	}
 	if (CacheConfig{}).Sets() != 0 {
 		t.Error("zero config must have no sets")
 	}
-	tiny := CacheConfig{SizeBytes: 64, Ways: 4, LineBytes: 64}
+	tiny := CacheConfig{SizeBytes: 64, Ways: 4}
 	if tiny.Sets() != 1 {
 		t.Errorf("tiny cache must clamp to 1 set, got %d", tiny.Sets())
 	}
@@ -458,23 +458,22 @@ func TestCacheCapacityProperty(t *testing.T) {
 
 func TestStreamDetector(t *testing.T) {
 	var d streamDetector
-	d.TrainLen = 4
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DetectorTrainLen; i++ {
 		if d.Observe(LineAddr(i)) {
 			t.Errorf("detector engaged during training at line %d", i)
 		}
 	}
-	if !d.Observe(4) {
-		t.Error("detector must engage after TrainLen consecutive lines")
+	if !d.Observe(DetectorTrainLen) {
+		t.Error("detector must engage after DetectorTrainLen consecutive lines")
 	}
-	if d.consecutive <= d.TrainLen {
+	if d.consecutive <= DetectorTrainLen {
 		t.Error("detector must stay engaged between observations")
 	}
 	// A jump resets it.
 	if d.Observe(100) {
 		t.Error("non-sequential write must reset the detector")
 	}
-	if d.consecutive > d.TrainLen {
+	if d.consecutive > DetectorTrainLen {
 		t.Error("detector must be reset")
 	}
 }

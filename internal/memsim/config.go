@@ -42,25 +42,17 @@ func ConfigFor(m *uarch.Model) (Config, error) {
 		return Config{}, fmt.Errorf("memsim: no calibration for %q", m.Key)
 	}
 	cfg := Config{
-		Key:     m.Key,
-		Cores:   m.CoresPerChip,
-		Domains: n.CCNUMADomains,
-		L1:      CacheConfig{SizeBytes: n.L1Bytes / CacheScale, Ways: 8, LineBytes: n.CacheLineBytes},
-		L2:      CacheConfig{SizeBytes: n.L2Bytes / CacheScale, Ways: 8, LineBytes: n.CacheLineBytes},
-		L3: CacheConfig{
-			SizeBytes: n.L3Bytes / CacheScale / int64(n.CCNUMADomains),
-			Ways:      16, LineBytes: n.CacheLineBytes,
-		},
-		LineBytes:     n.CacheLineBytes,
-		DomainGBs:     m.Node.MemBWGBs / float64(n.CCNUMADomains),
-		MLP:           16,
-		QueueCapBytes: 1 << 16,
-		Placement:     PlacementScatter,
+		Key:       m.Key,
+		Cores:     m.CoresPerChip,
+		Domains:   n.CCNUMADomains,
+		L1:        CacheConfig{SizeBytes: n.L1Bytes / CacheScale, Ways: 8},
+		L2:        CacheConfig{SizeBytes: n.L2Bytes / CacheScale, Ways: 8},
+		L3:        CacheConfig{SizeBytes: n.L3Bytes / CacheScale / int64(n.CCNUMADomains), Ways: 16},
+		DomainGBs: m.Node.MemBWGBs / float64(n.CCNUMADomains),
 	}
 	switch m.Key {
 	case "neoversev2":
 		cfg.Policy = PolicyAutoClaim
-		cfg.DetectorTrainLen = 8
 		cfg.CoreGBs = 8
 	case "goldencove":
 		cfg.Policy = PolicySpecI2M

@@ -47,31 +47,29 @@ func (c Config) WAFactor() float64 {
 	}
 }
 
+// DetectorTrainLen is the number of consecutive lines the auto-claim
+// streaming detector needs before it engages.
+const DetectorTrainLen = 8
+
 // streamDetector recognizes sequential full-line write streams (the
 // trigger for automatic cache-line claim on Neoverse cores).
 type streamDetector struct {
 	lastLine    LineAddr
 	consecutive int32
-	// TrainLen is the number of consecutive lines required before the
-	// detector engages.
-	TrainLen int32
 }
 
 // Observe feeds one written line address and reports whether the detector
-// is (now) in streaming mode. The streak stops counting one past TrainLen,
-// where the answer no longer changes, so two detectors that answer alike
-// compare equal.
+// is (now) in streaming mode. The streak stops counting one past
+// DetectorTrainLen, where the answer no longer changes, so two detectors
+// that answer alike compare equal.
 func (d *streamDetector) Observe(a LineAddr) bool {
-	if d.TrainLen <= 0 {
-		d.TrainLen = 8
-	}
 	if d.consecutive > 0 && a == d.lastLine+1 {
-		d.consecutive = min(d.consecutive+1, d.TrainLen+1)
+		d.consecutive = min(d.consecutive+1, DetectorTrainLen+1)
 	} else {
 		d.consecutive = 1
 	}
 	d.lastLine = a
-	return d.consecutive > d.TrainLen
+	return d.consecutive > DetectorTrainLen
 }
 
 // specI2MState tracks the deterministic fractional conversion of RFOs to

@@ -10,32 +10,30 @@ import (
 // TickSeconds is the simulation time step (10 ns).
 const TickSeconds = 10e-9
 
+// Core and controller limits, alike on all three systems.
+const (
+	// MLP is the per-core outstanding-read limit.
+	MLP = 16
+	// QueueCapBytes bounds each controller queue (back-pressure).
+	QueueCapBytes = 64 << 10
+)
+
 // Config describes one simulated node's memory system.
 type Config struct {
 	Key     string
 	Cores   int
 	Domains int
-	// Placement selects how active cores map to NUMA domains.
-	Placement Placement
 
 	L1, L2 CacheConfig // per core
 	L3     CacheConfig // per domain slice
-	// LineBytes is the cache-line size, a power of two.
-	LineBytes int
 
 	// DomainGBs is each memory controller's sustained capacity.
 	DomainGBs float64
 	// CoreGBs is the per-core stored-byte generation rate for a
 	// store-only stream (the core-side limit).
 	CoreGBs float64
-	// MLP is the per-core outstanding-read limit.
-	MLP int
-	// QueueCapBytes bounds each controller queue (back-pressure).
-	QueueCapBytes int64
 
 	Policy WAPolicyKind
-	// DetectorTrainLen configures the auto-claim streaming detector.
-	DetectorTrainLen int
 	// SpecI2M parameters (used when Policy == PolicySpecI2M).
 	SpecI2MThreshold float64
 	SpecI2MMaxShare  float64
@@ -46,18 +44,6 @@ type Config struct {
 	NTResidualRFO      float64
 	NTResidualMinCores int
 }
-
-// Placement maps active cores to domains.
-type Placement int
-
-// Placement policies.
-const (
-	// PlacementScatter distributes active cores round-robin across
-	// domains (OpenMP "spread", the paper's SNC-mode default).
-	PlacementScatter Placement = iota
-	// PlacementCompact fills one domain before the next.
-	PlacementCompact
-)
 
 // run is a stretch of a controller queue: members first..first+n-1 of a
 // domain each queue per one-line requests, bit i of reads set for a read,
@@ -125,12 +111,12 @@ func (c *controller) reset(cfg Config) {
 // byte budget lasts and credits the reads to dm's members. LineBytes is a
 // power of two, so the budget less k lines is exact, as k subtractions
 // of one line are: the lines the budget covers are counted at once.
-func (c *controller) serve(lb int64, dm *domain) {
+func (c *controller) serve(dm *domain) {
 	c.budget += c.bytesPerTick
 	var served, reads int64
 	if c.queue.size > 0 {
-		// budget >= 0, so this is floor(budget / lb).
-		for avail := int64(c.budget) >> bits.TrailingZeros64(uint64(lb)); c.queue.size > 0 && served < avail; {
+		// budget >= 0, so this is floor(budget / LineBytes).
+		for avail := int64(c.budget) >> lineShift; c.queue.size > 0 && served < avail; {
 			r := &c.queue.buf[c.queue.head]
 			k := int32(min(int64(r.n*r.per-r.head), avail-served))
 			reads += r.take(k, dm)
@@ -139,10 +125,10 @@ func (c *controller) serve(lb int64, dm *domain) {
 				c.queue.size--
 			}
 		}
-		c.queuedBytes -= served * lb
-		c.budget -= float64(served * lb)
-		c.ReadBytes += reads * lb
-		c.WriteBytes += (served - reads) * lb
+		c.queuedBytes -= served * LineBytes
+		c.budget -= float64(served * LineBytes)
+		c.ReadBytes += reads * LineBytes
+		c.WriteBytes += (served - reads) * LineBytes
 	}
 	if c.budget > c.bytesPerTick {
 		// Idle capacity does not bank beyond one tick.
@@ -153,7 +139,7 @@ func (c *controller) serve(lb int64, dm *domain) {
 		// util >= 0, so adding the zero served term changes nothing.
 		c.util *= 1 - alpha
 	} else {
-		c.util = (1-alpha)*c.util + alpha*math.Min(1, float64(served*lb)/c.bytesPerTick)
+		c.util = (1-alpha)*c.util + alpha*math.Min(1, float64(served*LineBytes)/c.bytesPerTick)
 	}
 }
 
@@ -240,7 +226,6 @@ type domain struct {
 	groups        []group
 	starts, awake []uint64
 	notDone       int
-	mlp           int32
 }
 
 // credit takes the reads in mask off the outstanding counts of members
@@ -255,7 +240,7 @@ func (dm *domain) credit(lo, hi int32, mask uint64) int64 {
 	dm.split(hi)
 	for ; g < hi; g = dm.groups[g].hi {
 		if st := &dm.groups[g]; !st.done {
-			if st.outstanding -= n; st.outstanding < dm.mlp {
+			if st.outstanding -= n; st.outstanding < MLP {
 				set(dm.awake, g)
 			}
 		}
@@ -367,12 +352,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Cores <= 0 || cfg.Domains <= 0 {
 		return nil, fmt.Errorf("memsim: bad config: cores=%d domains=%d", cfg.Cores, cfg.Domains)
 	}
-	if cfg.LineBytes <= 0 {
-		cfg.LineBytes = 64
-	}
-	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return nil, fmt.Errorf("memsim: bad config: line size %d is not a power of two", cfg.LineBytes)
-	}
 	s := &System{cfg: cfg, doms: make([]domain, cfg.Domains)}
 	for d := 0; d < cfg.Domains; d++ {
 		l3, err := NewCache(cfg.L3)
@@ -397,15 +376,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.cores = append(s.cores, &simCore{l1: l1, l2: l2})
 	}
 	return s, nil
-}
-
-// domainOf maps the i-th *active* core to its NUMA domain.
-func (s *System) domainOf(activeIdx, activeTotal int) int {
-	if s.cfg.Placement == PlacementCompact {
-		per := (s.cfg.Cores + s.cfg.Domains - 1) / s.cfg.Domains
-		return (activeIdx / per) % s.cfg.Domains
-	}
-	return activeIdx % s.cfg.Domains
 }
 
 // TrafficResult summarises one workload run.
@@ -471,14 +441,13 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 		return TrafficResult{}, fmt.Errorf("memsim: linesPerCore must be positive")
 	}
 	// Per-core disjoint address regions, 1 GiB apart per core per stream.
-	lineShift := uint(6)
 	regionLines := LineAddr(1 << (30 - lineShift))
 	act := s.cores[:active]
 	for i, c := range act {
 		c.strides = c.strides[:0]
 		for _, st := range streams {
 			c.strides = append(c.strides, workStream{
-				base:  st.base/64 + LineAddr(i)*regionLines*8,
+				base:  st.base>>lineShift + LineAddr(i)*regionLines*8,
 				write: st.write,
 				nt:    st.nt,
 			})
@@ -494,8 +463,10 @@ func (s *System) run(active, linesPerCore int, streams []workStream) (TrafficRes
 func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, error) {
 	active := len(act)
 	s.reset()
+	// Active cores scatter round-robin across the domains (OpenMP
+	// "spread", the paper's SNC-mode default).
 	for i, c := range act {
-		c.domain = s.domainOf(i, active)
+		c.domain = i % s.cfg.Domains
 		dm := &s.doms[c.domain]
 		c.member = int32(len(dm.members))
 		dm.members = append(dm.members, c)
@@ -505,16 +476,15 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 		s.schedule(act, linesPerCore)
 	}
 	s.grouped = s.replay && !s.forceSingle
-	start := coreState{detector: streamDetector{TrainLen: int32(s.cfg.DetectorTrainLen)}}
 	for d := range s.doms {
 		dm := &s.doms[d]
 		n := int32(len(dm.members))
 		dm.groups, dm.starts, dm.awake = zeroed(dm.groups, n), zeroed(dm.starts, n/64+1), zeroed(dm.awake, n/64+1)
-		dm.notDone, dm.mlp = int(n), int32(s.cfg.MLP)
+		dm.notDone = int(n)
 		set(dm.starts, n)
 		for m := n - 1; m >= 0; m-- {
 			if m == 0 || !s.grouped || dm.members[m-1].class != dm.members[m].class {
-				dm.groups[m] = group{coreState: start, hi: next(dm.starts, m+1)}
+				dm.groups[m] = group{hi: next(dm.starts, m+1)}
 				set(dm.starts, m)
 				set(dm.awake, m)
 			}
@@ -523,7 +493,7 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 
 	// Issue rate: CoreGBs of *stored* bytes per second translates into
 	// iterations/tick; each iteration touches len(streams) lines.
-	rate := s.cfg.CoreGBs * TickSeconds * 1e9 / float64(s.cfg.LineBytes)
+	rate := s.cfg.CoreGBs * TickSeconds * 1e9 / LineBytes
 
 	maxTicks := int64(200_000_000)
 	flushed := false
@@ -550,7 +520,7 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 		}
 		empty := true
 		for d := range s.doms {
-			s.ctrl[d].serve(int64(s.cfg.LineBytes), &s.doms[d])
+			s.ctrl[d].serve(&s.doms[d])
 			if s.ctrl[d].queue.size > 0 {
 				empty = false
 			}
@@ -570,7 +540,7 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 		res.MemWriteBytes += ctl.WriteBytes
 	}
 	// Every core ran all its iterations, one line per stream each.
-	lines := int64(linesPerCore * s.cfg.LineBytes)
+	lines := int64(linesPerCore * LineBytes)
 	for _, c := range act {
 		for _, st := range c.strides {
 			if st.write {
@@ -591,12 +561,12 @@ func (s *System) issue(d int, t int64, rate float64, active, lines int) bool {
 	if dm.notDone == 0 {
 		return true
 	}
-	for lo := next(dm.awake, 0); lo < int32(len(dm.members)) && ctl.queuedBytes <= s.cfg.QueueCapBytes; {
+	for lo := next(dm.awake, 0); lo < int32(len(dm.members)) && ctl.queuedBytes <= QueueCapBytes; {
 		g := &dm.groups[lo]
 		hi := g.hi
 		settle(g, t, rate)
 		switch {
-		case g.outstanding >= dm.mlp:
+		case g.outstanding >= MLP:
 			unset(dm.awake, lo)
 		case g.issueAcc+rate < 1:
 			g.issueAcc += rate
@@ -661,7 +631,7 @@ func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, line
 		n := int32(s.issueMember(dm.members[m], st, rate, active, lines, int64(hi-m-1)))
 		if tl := &s.tally; n > 0 && tl.per > 0 {
 			s.fills[d].evictions += int64(n) * tl.fills
-			ctl.queuedBytes += int64(n*tl.per) * int64(s.cfg.LineBytes)
+			ctl.queuedBytes += int64(n*tl.per) * LineBytes
 			ctl.queue.push(run{first: m + 1, n: n, reads: tl.reads, per: tl.per})
 		}
 		if st.done {
@@ -674,13 +644,13 @@ func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, line
 			c.hi, cur = m, m
 			set(dm.starts, m)
 			dm.groups[m] = group{coreState: *st, since: t + 1, reads: s.reads, hi: hi}
-			if !st.done && st.outstanding < dm.mlp {
+			if !st.done && st.outstanding < MLP {
 				set(dm.awake, m)
 			}
 		}
 		m += 1 + n
 	}
-	if g.done || g.outstanding >= dm.mlp {
+	if g.done || g.outstanding >= MLP {
 		unset(dm.awake, lo)
 	}
 }
@@ -691,12 +661,12 @@ func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, line
 // queue under its cap at each of their iterations.
 func (s *System) issueMember(c *simCore, st *coreState, rate float64, active, lines int, limit int64) int64 {
 	s.issues++
-	ctl, t, lb := s.ctrl[c.domain], &s.tally, int64(s.cfg.LineBytes)
+	ctl, t := s.ctrl[c.domain], &s.tally
 	*t = tally{}
 	c.st = st
 	capped, last := false, int64(0)
-	for st.issueAcc += rate; st.issueAcc >= 1 && !st.done && int(st.outstanding) < s.cfg.MLP; {
-		if last = ctl.queuedBytes + int64(t.per)*lb; last > s.cfg.QueueCapBytes {
+	for st.issueAcc += rate; st.issueAcc >= 1 && !st.done && st.outstanding < MLP; {
+		if last = ctl.queuedBytes + int64(t.per)*LineBytes; last > QueueCapBytes {
 			capped = true
 			break
 		}
@@ -708,20 +678,20 @@ func (s *System) issueMember(c *simCore, st *coreState, rate float64, active, li
 	if t.per > 0 {
 		s.queueTally(c)
 	}
-	switch bytes := int64(t.per) * lb; {
+	switch bytes := int64(t.per) * LineBytes; {
 	case limit == 0 || t.alone || capped && bytes > 0:
 		return 0
 	case bytes == 0:
 		return limit
 	default: // the next members' last cap checks see last+bytes, +2 bytes, ...
-		return min(limit, (s.cfg.QueueCapBytes-last)/bytes)
+		return min(limit, (QueueCapBytes-last)/bytes)
 	}
 }
 
 // queueTally queues the requests in the tally as core c's.
 func (s *System) queueTally(c *simCore) {
 	t, ctl := &s.tally, s.ctrl[c.domain]
-	ctl.queuedBytes += int64(t.per) * int64(s.cfg.LineBytes)
+	ctl.queuedBytes += int64(t.per) * LineBytes
 	ctl.queue.push(run{first: c.member, n: 1, reads: t.reads, per: t.per})
 	if t.reads != 0 {
 		s.reads = ctl.queue.pushed
@@ -902,7 +872,7 @@ func (s *System) reset() {
 func (s *System) writeback(d, n int) {
 	if n > 0 {
 		s.ctrl[d].queue.push(run{n: int32(n), per: 1})
-		s.ctrl[d].queuedBytes += int64(n * s.cfg.LineBytes)
+		s.ctrl[d].queuedBytes += int64(n * LineBytes)
 	}
 }
 

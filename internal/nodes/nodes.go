@@ -20,7 +20,6 @@ type Node struct {
 
 	// Cache sizes in bytes (L1D/L2 per core, L3 per chip).
 	L1Bytes, L2Bytes, L3Bytes int64
-	CacheLineBytes            int
 
 	// Memory system.
 	MemType       string
@@ -54,19 +53,19 @@ var Nodes = []Node{
 	{
 		Key:      "neoversev2",
 		SIMDBits: 128, FMAUnitsPerCyc: 4,
-		L1Bytes: 64 << 10, L2Bytes: 1 << 20, L3Bytes: 114 << 20, CacheLineBytes: 64,
+		L1Bytes: 64 << 10, L2Bytes: 1 << 20, L3Bytes: 114 << 20,
 		MemType: "LPDDR5X", MemGB: 240, MemChannels: 32, MemFreqMTs: 8532 / 4, MemBusBytes: 8, CCNUMADomains: 1,
 	},
 	{
 		Key:      "goldencove",
 		SIMDBits: 512, FMAUnitsPerCyc: 2,
-		L1Bytes: 48 << 10, L2Bytes: 2 << 20, L3Bytes: 105 << 20, CacheLineBytes: 64,
+		L1Bytes: 48 << 10, L2Bytes: 2 << 20, L3Bytes: 105 << 20,
 		MemType: "DDR5", MemGB: 512, MemChannels: 8, MemFreqMTs: 4800, MemBusBytes: 8, CCNUMADomains: 4,
 	},
 	{
 		Key:      "zen4",
 		SIMDBits: 512, FMAUnitsPerCyc: 1,
-		L1Bytes: 32 << 10, L2Bytes: 1 << 20, L3Bytes: 1152 << 20, CacheLineBytes: 64,
+		L1Bytes: 32 << 10, L2Bytes: 1 << 20, L3Bytes: 1152 << 20,
 		MemType: "DDR5", MemGB: 384, MemChannels: 12, MemFreqMTs: 4800, MemBusBytes: 8, CCNUMADomains: 1,
 	},
 }

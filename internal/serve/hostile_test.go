@@ -107,7 +107,8 @@ func TestAnalysisDeadlineReturns503(t *testing.T) {
 		sb.WriteString("\tvmovsd (%rsi), %xmm0\n\tvmovsd %xmm0, (%rsi)\n")
 	}
 	sb.WriteString("\tjne .L0\n")
-	resp, body := post(t, ts, "/v1/analyze", AnalyzeRequest{Arch: "goldencove", Asm: sb.String()})
+	req := AnalyzeRequest{Arch: "goldencove", Asm: sb.String()}
+	resp, body := post(t, ts, "/v1/analyze", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503; body: %.200s", resp.StatusCode, body)
 	}
@@ -124,6 +125,15 @@ func TestAnalysisDeadlineReturns503(t *testing.T) {
 		Asm: "\taddq $1, %rax\n"})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("server did not recover after a deadline rejection: %d %s", resp2.StatusCode, body2)
+	}
+	// Drain the abandoned analysis before returning: it would otherwise
+	// add its artifacts to the process-wide tiers while a later test
+	// compares two snapshots of them. The same request without a
+	// deadline attaches to the in-flight computation and returns once
+	// it settles.
+	drain := newServerWith(t, Options{AnalysisTimeout: -1})
+	if resp3, body3 := post(t, drain, "/v1/analyze", req); resp3.StatusCode != http.StatusOK {
+		t.Fatalf("draining the abandoned analysis: %d %.200s", resp3.StatusCode, body3)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"incore/internal/jobqueue"
 	"incore/internal/pipeline"
 	"incore/internal/remotestore"
+	"incore/internal/sweep"
 )
 
 // metricsFamiliesPath pins every /metrics family a server with a store
@@ -122,7 +123,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			{"/v1/batch", BatchRequest{Requests: []AnalyzeRequest{{Arch: "goldencove", Asm: asm(".LMB")}, {Arch: "zen4", Asm: asm(".LMC")}}}},
 			{"/v1/sweep", SweepRequest{
 				Arch:   "zen4",
-				Axes:   []SweepAxis{{Param: "tdp_watts", Values: []float64{200, 280}}},
+				Axes:   []sweep.Axis{{Param: "tdp_watts", Values: []float64{200, 280}}},
 				Blocks: []SweepBlock{{Name: "fresh", Asm: asm(".LMS")}},
 			}},
 		} {

@@ -30,18 +30,12 @@ type SweepRequest struct {
 	// vocabulary). Order and duplicate values are irrelevant: axes are
 	// canonicalized, so equal ranges always produce the identical
 	// variant grid — and identical cache keys.
-	Axes []SweepAxis `json:"axes"`
+	Axes []sweep.Axis `json:"axes"`
 	// Blocks optionally restricts the sweep to explicit assembly blocks.
 	// Empty means the full kernel validation suite for the model's
 	// architecture (built-in models only; custom machines must send
 	// blocks).
 	Blocks []SweepBlock `json:"blocks,omitempty"`
-}
-
-// SweepAxis is one swept parameter range on the wire.
-type SweepAxis struct {
-	Param  string    `json:"param"`
-	Values []float64 `json:"values"`
 }
 
 // SweepBlock is one explicit block to sweep.
@@ -64,11 +58,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	axes := make([]sweep.Axis, len(req.Axes))
-	for i, a := range req.Axes {
-		axes[i] = sweep.Axis{Param: a.Param, Values: a.Values}
-	}
-	canon, err := sweep.Canonicalize(axes)
+	canon, err := sweep.Canonicalize(req.Axes)
 	if err != nil {
 		writeError(w, r, wrapAPIError(CodeInvalidRequest, http.StatusBadRequest, err))
 		return

@@ -21,7 +21,7 @@ func TestSweepEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	req := SweepRequest{
 		Arch: "zen4",
-		Axes: []SweepAxis{
+		Axes: []sweep.Axis{
 			{Param: "mem_bandwidth_gbs", Values: []float64{60, 120}},
 			{Param: "tdp_watts", Values: []float64{200, 280}},
 		},
@@ -77,7 +77,7 @@ func TestSweepEndpointDefaultsToSuite(t *testing.T) {
 	ts := newTestServer(t)
 	req := SweepRequest{
 		Arch: "goldencove",
-		Axes: []SweepAxis{{Param: "mem_bandwidth_gbs", Values: []float64{100, 200}}},
+		Axes: []sweep.Axis{{Param: "mem_bandwidth_gbs", Values: []float64{100, 200}}},
 	}
 	resp, body := post(t, ts, "/v1/sweep", req)
 	if resp.StatusCode != http.StatusOK {
@@ -102,7 +102,7 @@ func TestSweepEndpointCustomModelNeedsBlocks(t *testing.T) {
 	m := customModel(t, "sweep-custom")
 	resp, body := post(t, ts, "/v1/sweep", map[string]any{
 		"machine": json.RawMessage(machineJSON(t, m)),
-		"axes":    []SweepAxis{{Param: "rob_size", Values: []float64{64, 128}}},
+		"axes":    []sweep.Axis{{Param: "rob_size", Values: []float64{64, 128}}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
@@ -117,7 +117,7 @@ func TestHealthzSweepMatchesMetrics(t *testing.T) {
 	asm := fmt.Sprintf("\tvaddpd %%ymm1, %%ymm0, %%ymm0\n\taddq $%d, %%rax\n\tcmpq %%rcx, %%rax\n\tjb .L1\n", freshImm())
 	req := SweepRequest{
 		Arch:   "zen4",
-		Axes:   []SweepAxis{{Param: "tdp_watts", Values: []float64{200, 280}}},
+		Axes:   []sweep.Axis{{Param: "tdp_watts", Values: []float64{200, 280}}},
 		Blocks: []SweepBlock{{Name: "fresh", Asm: asm}},
 	}
 	if resp, body := post(t, ts, "/v1/sweep", req); resp.StatusCode != http.StatusOK {
@@ -127,7 +127,7 @@ func TestHealthzSweepMatchesMetrics(t *testing.T) {
 	for i := range wide {
 		wide[i] = float64(100 + i)
 	}
-	big := SweepRequest{Arch: "zen4", Axes: []SweepAxis{{Param: "tdp_watts", Values: wide}, {Param: "mem_bandwidth_gbs", Values: wide}}}
+	big := SweepRequest{Arch: "zen4", Axes: []sweep.Axis{{Param: "tdp_watts", Values: wide}, {Param: "mem_bandwidth_gbs", Values: wide}}}
 	if resp, body := post(t, ts, "/v1/sweep", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized sweep status = %d: %s", resp.StatusCode, body)
 	}

@@ -290,7 +290,7 @@ func (s *simState) run(p *Program, cfg *Config, issueWidth int) (*Result, error)
 					ok = sd >= 0 && sd/nStatic == iter && md.store < si
 				}
 				if ok {
-					if t := s.started[sd&imask] + fwdIssueDelay; t > loadDepReady {
+					if t := s.started[sd&imask] + isa.StoreForwardDelay; t > loadDepReady {
 						loadDepReady = t
 					}
 				}

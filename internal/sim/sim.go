@@ -154,13 +154,6 @@ func Run(b *isa.Block, m *uarch.Model, cfg Config) (*Result, error) {
 	return p.Run(cfg)
 }
 
-// Store→load forwarding: the forwarded load may *issue* fwdIssueDelay
-// cycles after the store's data µ-op issues; its result arrives a
-// load latency later, so the total store-to-result delay is
-// fwdIssueDelay + LoadLat. The analyzer charges the same total on
-// its memory-carried edges.
-const fwdIssueDelay = 2.0
-
 // Run executes the compiled program under cfg.
 func (p *Program) Run(cfg Config) (*Result, error) {
 	if cfg.WarmupIters <= 0 {

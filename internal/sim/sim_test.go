@@ -193,7 +193,7 @@ func TestStoreForwardingChain(t *testing.T) {
 	cmpq %rbx, %rax
 	jne .L0
 `)
-	// fwdIssueDelay(2) + LoadLat(7) + mul(4) = 13.
+	// isa.StoreForwardDelay(2) + LoadLat(7) + mul(4) = 13.
 	if !approx(r.CyclesPerIter, 13, 1.0) {
 		t.Errorf("store-forward chain = %f cy/iter, want ~13", r.CyclesPerIter)
 	}
