@@ -482,14 +482,14 @@ func TestSpecI2MStateRamp(t *testing.T) {
 	s := specI2MState{Threshold: 0.6, MaxShare: 0.25, RampEnd: 0.9}
 	// Below threshold: never converts.
 	for i := 0; i < 100; i++ {
-		if s.Convert(0.5) {
+		if s.Convert(s.share(0.5)) {
 			t.Fatal("conversion below threshold")
 		}
 	}
 	// At saturation: exactly 25% convert.
 	conv := 0
 	for i := 0; i < 1000; i++ {
-		if s.Convert(1.0) {
+		if s.Convert(s.share(1.0)) {
 			conv++
 		}
 	}
@@ -500,7 +500,7 @@ func TestSpecI2MStateRamp(t *testing.T) {
 	s2 := specI2MState{Threshold: 0.6, MaxShare: 0.25, RampEnd: 0.9}
 	conv = 0
 	for i := 0; i < 1000; i++ {
-		if s2.Convert(0.75) {
+		if s2.Convert(s2.share(0.75)) {
 			conv++
 		}
 	}

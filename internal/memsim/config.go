@@ -66,6 +66,9 @@ func ConfigFor(m *uarch.Model) (Config, error) {
 		cfg.Policy = PolicyAlwaysAllocate
 		cfg.CoreGBs = 5.5
 	}
+	if _, err := issueCredit(cfg); err != nil {
+		return Config{}, err
+	}
 	return cfg, nil
 }
 

@@ -7,8 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"testing"
-
-	"incore/internal/nodes"
 )
 
 // reproSamplesDigest is the sha256 of every memsim sample `repro -exp all`
@@ -42,21 +40,9 @@ func TestReproSamplesDigest(t *testing.T) {
 		h.Write(append(b, '\n'))
 		n++
 	}
-	for _, series := range []struct {
-		key string
-		nt  bool
-	}{{"neoversev2", false}, {"goldencove", false}, {"goldencove", true}, {"zen4", false}, {"zen4", true}} {
+	for _, series := range reproSeries {
 		for _, cores := range DefaultCounts(MustConfigFor(series.key).Cores) {
-			sample(series.key, func(s *System) (TrafficResult, error) {
-				return s.RunStoreStream(cores, DefaultStoreLinesPerCore, series.nt)
-			})
-		}
-	}
-	for _, node := range nodes.Nodes {
-		for _, cores := range DefaultCounts(MustConfigFor(node.Key).Cores) {
-			sample(node.Key, func(s *System) (TrafficResult, error) {
-				return s.RunTriad(cores, 8192, node.Key != "neoversev2")
-			})
+			sample(series.key, func(s *System) (TrafficResult, error) { return series.run(s, cores) })
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); n != 98 || got != reproSamplesDigest {

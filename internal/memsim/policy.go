@@ -86,11 +86,11 @@ type specI2MState struct {
 	acc     float64
 }
 
-// Convert reports whether the next RFO should be converted to I2M given
-// the controller utilization. Conversion is deterministic: the share
-// accumulates fractionally, so exactly share(util) of requests convert.
-func (s *specI2MState) Convert(util float64) bool {
-	share := s.share(util)
+// Convert reports whether the next RFO should be converted to I2M, given
+// share(util) of the controller utilization. Conversion is deterministic:
+// the share accumulates fractionally, so exactly that share of requests
+// convert.
+func (s *specI2MState) Convert(share float64) bool {
 	if share <= 0 {
 		return false
 	}

@@ -62,26 +62,29 @@ type ring struct {
 	pushed     int64
 }
 
-// push appends r, extending the newest run when r continues it: writes
-// onto writes, or the next members with the same requests.
-func (q *ring) push(r run) {
-	if r.reads == 0 {
-		r.first, r.n, r.per = 0, r.n*r.per, 1
+// push appends a run (see run), extending the newest run when it
+// continues it: writes onto writes, or the next members with the same
+// requests. It stores field by field: a whole run built from separate
+// values would stall on store forwarding.
+func (q *ring) push(reads uint64, first, n, per int32) {
+	if reads == 0 {
+		first, n, per = 0, n*per, 1
 	}
 	if q.size > 0 {
 		t := &q.buf[(q.head+q.size-1)&(len(q.buf)-1)]
-		if t.reads == r.reads && t.per == r.per && (r.reads == 0 || t.first+t.n == r.first) {
-			t.n += r.n
+		if t.reads == reads && t.per == per && (reads == 0 || t.first+t.n == first) {
+			t.n += n
 			return
 		}
 	}
 	if q.size == len(q.buf) {
 		grown := make([]run, max(2*len(q.buf), 64))
-		n := copy(grown, q.buf[q.head:])
-		copy(grown[n:], q.buf[:q.head])
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.size)&(len(q.buf)-1)] = r
+	r := &q.buf[(q.head+q.size)&(len(q.buf)-1)]
+	r.reads, r.first, r.n, r.per, r.head = reads, first, n, per, 0
 	q.size++
 	q.pushed++
 }
@@ -93,6 +96,8 @@ type controller struct {
 	queuedBytes  int64
 	util         float64 // EMA of served/capacity
 	i2m          specI2MState
+	// share is i2m's conversion share at utilization shareAt.
+	share, shareAt float64
 
 	ReadBytes, WriteBytes int64
 }
@@ -105,6 +110,7 @@ func (c *controller) reset(cfg Config) {
 		queue:        ring{buf: c.queue.buf},
 		i2m:          specI2MState{Threshold: cfg.SpecI2MThreshold, MaxShare: cfg.SpecI2MMaxShare, RampEnd: cfg.SpecI2MRampEnd},
 	}
+	c.share = c.i2m.share(0)
 }
 
 // serve advances one tick: it serves lines from the queue front while the
@@ -139,7 +145,7 @@ func (c *controller) serve(dm *domain) {
 		// util >= 0, so adding the zero served term changes nothing.
 		c.util *= 1 - alpha
 	} else {
-		c.util = (1-alpha)*c.util + alpha*math.Min(1, float64(served*LineBytes)/c.bytesPerTick)
+		c.util = (1-alpha)*c.util + alpha*min(1, float64(served*LineBytes)/c.bytesPerTick)
 	}
 }
 
@@ -148,10 +154,25 @@ func (c *controller) serve(dm *domain) {
 func (r *run) take(k int32, dm *domain) int64 {
 	h, e := r.head, r.head+k
 	r.head = e
-	if r.reads == 0 {
+	switch {
+	case r.reads == 0:
 		return 0
+	case r.n == 1 && has(dm.starts, r.first) && has(dm.starts, r.first+1):
+		// One member, a group of its own.
+		n, g := int32(bits.OnesCount64(r.reads&span(h, e))), &dm.groups[r.first]
+		if !g.done {
+			if g.outstanding -= n; g.outstanding < MLP {
+				set(dm.awake, r.first)
+			}
+		}
+		return int64(n)
+	case r.n == 1:
+		return dm.credit(r.first, r.first+1, r.reads&span(h, e))
+	case r.per == 1:
+		return dm.credit(r.first+h, r.first+e, 1)
 	}
-	a, b, oa, ob := r.first+h/r.per, r.first+e/r.per, h%r.per, e%r.per
+	qa, qb := h/r.per, e/r.per
+	a, b, oa, ob := r.first+qa, r.first+qb, h-qa*r.per, e-qb*r.per
 	if a == b {
 		return dm.credit(a, a+1, r.reads&span(oa, ob))
 	}
@@ -173,7 +194,7 @@ func span(a, b int32) uint64 {
 
 // coreState is the part of a core that changes from tick to tick.
 type coreState struct {
-	issueAcc    float64
+	issueAcc    int64 // issue credit in bytes
 	ntResidAcc  float64
 	cursor      int64
 	detector    streamDetector
@@ -210,8 +231,8 @@ type workStream struct {
 
 // group is the state of a run of a domain's members, kept at its first
 // member; hi is one past its last, and reads numbers the queue run with
-// its newest reads. The issue rate of ticks from since on is still to be
-// added (settle).
+// its newest reads. The issue credit of ticks from since on is still to
+// be added (settle).
 type group struct {
 	coreState
 	since, reads int64
@@ -226,6 +247,8 @@ type domain struct {
 	groups        []group
 	starts, awake []uint64
 	notDone       int
+	// doneAt is the first tick the domain started with every member done.
+	doneAt int64
 }
 
 // credit takes the reads in mask off the outstanding counts of members
@@ -282,15 +305,18 @@ func set(b []uint64, i int32)      { b[i>>6] |= 1 << uint(i&63) }
 func unset(b []uint64, i int32)    { b[i>>6] &^= 1 << uint(i&63) }
 
 func next(b []uint64, i int32) int32 {
-	for w, x := int(i>>6), uint64(0); w < len(b); w++ {
-		if x = b[w]; w == int(i>>6) {
-			x &^= 1<<uint(i&63) - 1
-		}
+	w := int(i >> 6)
+	if w >= len(b) {
+		return int32(len(b) * 64)
+	}
+	for x := b[w] &^ (1<<uint(i&63) - 1); ; x = b[w] {
 		if x != 0 {
 			return int32(w*64 + bits.TrailingZeros64(x))
 		}
+		if w++; w == len(b) {
+			return int32(len(b) * 64)
+		}
 	}
-	return int32(len(b) * 64)
 }
 
 func prev(b []uint64, i int32) int32 {
@@ -305,9 +331,9 @@ func prev(b []uint64, i int32) int32 {
 }
 
 // tally is one member's issue step: its requests and L3 fills, and
-// whether shared state told it apart (alone): a SpecI2M accumulator that
-// may move, a fill into a slice with room, or more requests than a run
-// holds.
+// whether shared state told it apart (alone): a fill into a slice with
+// room, or more requests than a run holds. (A SpecI2M accumulator that
+// may move tells every member apart: issue steps those ticks as solo.)
 type tally struct {
 	reads uint64
 	per   int32
@@ -325,6 +351,10 @@ type System struct {
 	ticks int64
 	// bases holds the current run's stream bases for the layout check.
 	bases []LineAddr
+	// rate is a core's issue credit per tick in bytes; active and lines
+	// are the current run's core and line counts.
+	rate          int64
+	active, lines int
 	// tally, spare and reads are one member's issue step, the state it
 	// issues on when it leaves its group, and its newest reads' run.
 	tally tally
@@ -342,9 +372,12 @@ type System struct {
 	// and forceSingle keeps groups at one member; only package tests set
 	// them. grouped is set when groups may hold more than one member.
 	forceLRU, forceSingle, grouped bool
-	// issues counts the members the last run issued one at a time, and
-	// memberTicks the ticks its members were not done in.
-	issues, memberTicks int64
+	// stdStores is set when the run's workload stores without NT.
+	stdStores bool
+	// issues counts the members the last run issued one at a time,
+	// memberTicks the ticks its members were not done in, and groupSteps
+	// the visits that issued a group of more than one member.
+	issues, memberTicks, groupSteps int64
 }
 
 // NewSystem builds a system from a config.
@@ -352,7 +385,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Cores <= 0 || cfg.Domains <= 0 {
 		return nil, fmt.Errorf("memsim: bad config: cores=%d domains=%d", cfg.Cores, cfg.Domains)
 	}
-	s := &System{cfg: cfg, doms: make([]domain, cfg.Domains)}
+	rate, err := issueCredit(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &System{cfg: cfg, doms: make([]domain, cfg.Domains), rate: rate}
 	for d := 0; d < cfg.Domains; d++ {
 		l3, err := NewCache(cfg.L3)
 		if err != nil {
@@ -376,6 +413,17 @@ func NewSystem(cfg Config) (*System, error) {
 		s.cores = append(s.cores, &simCore{l1: l1, l2: l2})
 	}
 	return s, nil
+}
+
+// issueCredit returns a core's issue credit per tick in bytes, CoreGBs
+// over one tick. It must be whole, so that credit adds and iterations
+// subtract exactly and a slept tick costs one multiplication at most.
+func issueCredit(cfg Config) (int64, error) {
+	b := cfg.CoreGBs * TickSeconds * 1e9
+	if !(b >= 1 && b <= 1<<20) || b != math.Trunc(b) {
+		return 0, fmt.Errorf("memsim: %s: CoreGBs %g gives %g bytes of issue credit per tick, want a whole number in 1..2^20", cfg.Key, cfg.CoreGBs, b)
+	}
+	return int64(b), nil
 }
 
 // TrafficResult summarises one workload run.
@@ -476,6 +524,8 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 		s.schedule(act, linesPerCore)
 	}
 	s.grouped = s.replay && !s.forceSingle
+	s.stdStores = slices.ContainsFunc(act[0].strides, func(w workStream) bool { return w.write && !w.nt })
+	s.active, s.lines = active, linesPerCore
 	for d := range s.doms {
 		dm := &s.doms[d]
 		n := int32(len(dm.members))
@@ -491,44 +541,39 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 		}
 	}
 
-	// Issue rate: CoreGBs of *stored* bytes per second translates into
-	// iterations/tick; each iteration touches len(streams) lines.
-	rate := s.cfg.CoreGBs * TickSeconds * 1e9 / LineBytes
-
-	maxTicks := int64(200_000_000)
-	flushed := false
-	for tick := int64(0); ; tick++ {
-		if tick > maxTicks {
-			return TrafficResult{}, fmt.Errorf("memsim: %s: run did not converge within %d ticks", s.cfg.Key, maxTicks)
-		}
-		allDone := true
-		for d := range s.doms {
-			if !s.issue(d, tick, rate, active, linesPerCore) {
-				allDone = false
-			}
-		}
-		if allDone && !flushed {
-			// Trailing writebacks: dirty lines still in the caches
-			// drain through the controllers like any other traffic.
-			for _, c := range act {
-				s.writeback(c.domain, s.privateDirty(c))
-			}
-			for d := range s.l3 {
-				s.writeback(d, s.l3Dirty(d))
-			}
-			flushed = true
-		}
-		empty := true
-		for d := range s.doms {
+	// Domains share nothing but the flush, which comes at the first tick
+	// that every domain starts done. So each domain ticks on its own up
+	// to the tick it starts done, and then, serving only, through the
+	// flush until its queue is empty; the run ends when the last is.
+	const maxTicks = 200_000_000
+	flush := int64(0)
+	for d := range s.doms {
+		t := int64(0)
+		for ; t <= maxTicks && !s.issue(d, t); t++ {
 			s.ctrl[d].serve(&s.doms[d])
-			if s.ctrl[d].queue.size > 0 {
-				empty = false
+		}
+		s.doms[d].doneAt, flush = t, max(flush, t)
+	}
+	s.ticks = flush
+	for d := range s.doms {
+		dm := &s.doms[d]
+		for t := dm.doneAt; s.ticks <= maxTicks; t++ {
+			if t == flush {
+				// Trailing writebacks: dirty lines still in the caches
+				// drain through the controllers like any other traffic.
+				s.writeback(d)
+			}
+			if s.ctrl[d].serve(dm); t >= flush && s.ctrl[d].queue.size == 0 {
+				s.ticks = max(s.ticks, t)
+				break
+			}
+			if t == maxTicks {
+				s.ticks = t + 1 // still draining: did not converge
 			}
 		}
-		if allDone && flushed && empty {
-			s.ticks = tick
-			break
-		}
+	}
+	if s.ticks > maxTicks {
+		return TrafficResult{}, fmt.Errorf("memsim: %s: run did not converge within %d ticks", s.cfg.Key, maxTicks)
 	}
 
 	if s.replay {
@@ -556,52 +601,74 @@ func (s *System) simulate(act []*simCore, linesPerCore int) (TrafficResult, erro
 // issue runs one tick's issue step for domain d and reports whether every
 // member was already done. It visits the awake groups in member order
 // until the queue is over its cap, after which no member issues.
-func (s *System) issue(d int, t int64, rate float64, active, lines int) bool {
+func (s *System) issue(d int, t int64) bool {
 	dm, ctl := &s.doms[d], s.ctrl[d]
 	if dm.notDone == 0 {
 		return true
 	}
+	// In a solo tick no two members share an issue step: a SpecI2M
+	// accumulator that may move answers each standard store in turn.
+	// Groups split into singles and do not merge.
+	solo := !s.grouped || s.stdStores && s.cfg.Policy == PolicySpecI2M && ctl.util >= ctl.i2m.Threshold
 	for lo := next(dm.awake, 0); lo < int32(len(dm.members)) && ctl.queuedBytes <= QueueCapBytes; {
 		g := &dm.groups[lo]
+		s.settle(g, t)
+		if solo && g.hi > lo+1 {
+			dm.split(lo + 1)
+		}
 		hi := g.hi
-		settle(g, t, rate)
 		switch {
 		case g.outstanding >= MLP:
 			unset(dm.awake, lo)
-		case g.issueAcc+rate < 1:
-			g.issueAcc += rate
+		case g.issueAcc+s.rate < LineBytes:
+			g.issueAcc += s.rate
 			g.since++
+		case hi == lo+1:
+			// A member alone in its group issues as a core did before
+			// grouping: no start state, no copies.
+			g.since, s.reads = t+1, g.reads
+			s.issueMember(dm.members[lo], &g.coreState, 0)
+			if g.reads = s.reads; g.done {
+				dm.notDone--
+				s.memberTicks += t + 1
+			}
+			if g.done || g.outstanding >= MLP {
+				unset(dm.awake, lo)
+			}
 		default:
-			s.issueGroup(d, lo, t, rate, active, lines)
+			s.issueGroup(d, lo, t)
 		}
-		s.merge(dm, lo, t, rate)
+		if !solo && lo > 0 {
+			// Only groups at one cursor can merge.
+			if p := prev(dm.starts, lo-1); dm.groups[p].cursor == g.cursor {
+				s.merge(dm, p, lo, t)
+			}
+		}
 		lo = next(dm.awake, hi)
 	}
 	return false
 }
 
-// settle adds the issue rate of the ticks before t that the group slept
-// through, blocked on MLP.
-func settle(g *group, t int64, rate float64) {
-	for ; !g.done && g.since < t; g.since++ {
-		g.issueAcc += rate
+// settle adds the issue credit of the ticks before t that the group
+// slept through, blocked on MLP. Credit is whole bytes, so one
+// multiplication adds what one addition per tick would.
+func (s *System) settle(g *group, t int64) {
+	if !g.done && g.since < t {
+		g.issueAcc += s.rate * (t - g.since)
+		g.since = t
 	}
 }
 
-// merge joins the group at lo, visited in tick t, to the one before it
+// merge joins the group at lo, visited in tick t, to the group p before it
 // when they end the tick in equal states with any reads in one queue run:
 // reads in different runs would split them again.
-func (s *System) merge(dm *domain, lo int32, t int64, rate float64) {
-	if !s.grouped || lo == 0 {
-		return
-	}
-	p := prev(dm.starts, lo-1)
+func (s *System) merge(dm *domain, p, lo int32, t int64) {
 	a, b := &dm.groups[p], &dm.groups[lo]
-	if a.cursor != b.cursor || b.outstanding > 0 && a.reads != b.reads || dm.members[p].class != dm.members[lo].class {
+	if b.outstanding > 0 && a.reads != b.reads || dm.members[p].class != dm.members[lo].class {
 		return
 	}
-	settle(a, t+1, rate) // a sleeping group sleeps through this tick too
-	settle(b, t+1, rate)
+	s.settle(a, t+1) // a sleeping group sleeps through this tick too
+	s.settle(b, t+1)
 	if a.coreState == b.coreState {
 		a.hi = b.hi
 		unset(dm.starts, lo)
@@ -616,11 +683,12 @@ func (s *System) merge(dm *domain, lo int32, t int64, rate float64) {
 // member issues from the group's state at the tick's start, and the
 // members after it that would issue exactly as it did copy it at once;
 // one that ends in another state than the member before starts a group.
-func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, lines int) {
+func (s *System) issueGroup(d int, lo int32, t int64) {
 	dm, ctl := &s.doms[d], s.ctrl[d]
 	g := &dm.groups[lo]
 	hi, start, cur, reads := g.hi, g.coreState, lo, g.reads
 	g.since = t + 1
+	s.groupSteps++
 	for m := lo; m < hi; {
 		st := &g.coreState
 		if m > lo {
@@ -628,11 +696,11 @@ func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, line
 			st = &s.spare
 		}
 		s.reads = reads
-		n := int32(s.issueMember(dm.members[m], st, rate, active, lines, int64(hi-m-1)))
+		n := int32(s.issueMember(dm.members[m], st, int64(hi-m-1)))
 		if tl := &s.tally; n > 0 && tl.per > 0 {
 			s.fills[d].evictions += int64(n) * tl.fills
 			ctl.queuedBytes += int64(n*tl.per) * LineBytes
-			ctl.queue.push(run{first: m + 1, n: n, reads: tl.reads, per: tl.per})
+			ctl.queue.push(tl.reads, m+1, n, tl.per)
 		}
 		if st.done {
 			dm.notDone -= int(1 + n)
@@ -659,24 +727,34 @@ func (s *System) issueGroup(d int, lo int32, t int64, rate float64, active, line
 // queues its requests. It returns how many of up to limit members after
 // c would issue exactly as c did from st: the same requests and state, the
 // queue under its cap at each of their iterations.
-func (s *System) issueMember(c *simCore, st *coreState, rate float64, active, lines int, limit int64) int64 {
+func (s *System) issueMember(c *simCore, st *coreState, limit int64) int64 {
 	s.issues++
 	ctl, t := s.ctrl[c.domain], &s.tally
 	*t = tally{}
 	c.st = st
 	capped, last := false, int64(0)
-	for st.issueAcc += rate; st.issueAcc >= 1 && !st.done && st.outstanding < MLP; {
+	for st.issueAcc += s.rate; st.issueAcc >= LineBytes && !st.done && st.outstanding < MLP; {
 		if last = ctl.queuedBytes + int64(t.per)*LineBytes; last > QueueCapBytes {
 			capped = true
 			break
 		}
-		s.issueIteration(c, active)
-		if st.issueAcc--; st.cursor >= int64(lines) {
+		if int(t.per)+2*len(c.strides) > 64 {
+			// An iteration queues at most two requests per stream, and
+			// a run holds 64: queue these, and copy no member.
+			s.queueTally(c)
+			*t = tally{alone: true}
+		}
+		s.issueIteration(c)
+		if st.issueAcc -= LineBytes; st.cursor >= int64(s.lines) {
 			*st = coreState{cursor: st.cursor, done: true}
 		}
 	}
 	if t.per > 0 {
-		s.queueTally(c)
+		ctl.queuedBytes += int64(t.per) * LineBytes
+		ctl.queue.push(t.reads, c.member, 1, t.per)
+		if t.reads != 0 {
+			s.reads = ctl.queue.pushed
+		}
 	}
 	switch bytes := int64(t.per) * LineBytes; {
 	case limit == 0 || t.alone || capped && bytes > 0:
@@ -692,7 +770,7 @@ func (s *System) issueMember(c *simCore, st *coreState, rate float64, active, li
 func (s *System) queueTally(c *simCore) {
 	t, ctl := &s.tally, s.ctrl[c.domain]
 	ctl.queuedBytes += int64(t.per) * LineBytes
-	ctl.queue.push(run{first: c.member, n: 1, reads: t.reads, per: t.per})
+	ctl.queue.push(t.reads, c.member, 1, t.per)
 	if t.reads != 0 {
 		s.reads = ctl.queue.pushed
 	}
@@ -701,10 +779,6 @@ func (s *System) queueTally(c *simCore) {
 // enqueue records one line request of core c in the tally.
 func (s *System) enqueue(c *simCore, read bool) {
 	t := &s.tally
-	if t.per == 64 { // more requests than one run holds
-		s.queueTally(c)
-		t.reads, t.per, t.alone = 0, 0, true
-	}
 	if read {
 		t.reads |= 1 << uint(t.per)
 		c.st.outstanding++
@@ -732,30 +806,60 @@ func (s *System) linesNeverRepeat(act []*simCore, linesPerCore int) bool {
 	return true
 }
 
-// issueIteration performs one iteration (one line per stream) for a core.
-func (s *System) issueIteration(c *simCore, active int) {
-	access := int(c.st.cursor) * len(c.strides)
-	for j, st := range c.strides {
-		addr := st.base + LineAddr(c.st.cursor)
-		switch {
-		case st.write && st.nt:
-			s.ntStore(c, active)
-		case st.write:
-			s.store(c, access+j, addr)
-		default:
-			s.load(c, access+j, addr)
+// issueIteration performs one iteration, one line per stream, for core
+// c. A standard store or a load that misses reads its line unless the
+// policy claims it, then fills L1. A replayed run never looks up (no line
+// repeats, so every lookup would miss, and the misses are counted in
+// bulk), and its class schedule says which line, if any, the private
+// caches hand to L3 for the access.
+func (s *System) issueIteration(c *simCore) {
+	st := c.st
+	access := int(st.cursor) * len(c.strides)
+	for j, w := range c.strides {
+		a := w.base + LineAddr(st.cursor)
+		if w.nt {
+			s.ntStore(c)
+			continue
+		}
+		// The detector sees addresses relative to the core's region, so
+		// the members of a layout class observe the same lines.
+		streaming := w.write && s.cfg.Policy == PolicyAutoClaim && st.detector.Observe(a-c.strides[0].base)
+		if !s.replay && s.lookup(c, a, w.write) {
+			continue
+		}
+		read := true
+		switch ctl := s.ctrl[c.domain]; {
+		case !w.write:
+		case s.cfg.Policy == PolicyAutoClaim:
+			read = !streaming
+		case s.cfg.Policy == PolicySpecI2M:
+			if ctl.shareAt != ctl.util {
+				ctl.share, ctl.shareAt = ctl.i2m.share(ctl.util), ctl.util
+			}
+			read = !ctl.i2m.Convert(ctl.share)
+		}
+		if read {
+			s.enqueue(c, true)
+		}
+		if !s.replay {
+			s.insertL1(c, a, w.write)
+		} else if h := c.handoff[access+j]; h != 0 {
+			f := &s.fills[c.domain]
+			// Members share one class schedule, but their lines land in
+			// different sets: until every set is full, their fills differ.
+			s.tally.alone = s.tally.alone || !f.full()
+			s.tally.fills++
+			if f.insert(h - 1 + c.l3shift) {
+				s.enqueue(c, false)
+			}
 		}
 	}
-	c.st.cursor++
+	st.cursor++
 }
 
-// hit looks a line up in the core's L1, L2 and L3, filling L1 from a
-// lower level. A replayed run never looks up: no line repeats, so every
-// lookup would miss, and the misses are counted in bulk.
-func (s *System) hit(c *simCore, a LineAddr, write bool) bool {
-	if s.replay {
-		return false
-	}
+// lookup looks a line up in the core's L1, L2 and L3, filling L1 from a
+// lower level.
+func (s *System) lookup(c *simCore, a LineAddr, write bool) bool {
 	if c.l1.Lookup(a, write) {
 		return true
 	}
@@ -766,67 +870,11 @@ func (s *System) hit(c *simCore, a LineAddr, write bool) bool {
 	return false
 }
 
-// allocate fills a missed line into the core's L1. In a replayed run the
-// class schedule says which line, if any, the private caches hand to L3
-// for this access.
-func (s *System) allocate(c *simCore, access int, a LineAddr, dirty bool) {
-	if !s.replay {
-		s.insertL1(c, a, dirty)
-		return
-	}
-	if h := c.handoff[access]; h != 0 {
-		f := &s.fills[c.domain]
-		// Members share one class schedule, but their lines land in
-		// different sets: until every set is full, their fills differ.
-		s.tally.alone = s.tally.alone || !f.full()
-		s.tally.fills++
-		if f.insert(h - 1 + c.l3shift) {
-			s.enqueue(c, false)
-		}
-	}
-}
-
-// store handles a standard full-line store of the core's access-th line.
-func (s *System) store(c *simCore, access int, a LineAddr) {
-	streaming := false
-	if s.cfg.Policy == PolicyAutoClaim {
-		// The detector sees addresses relative to the core's region, so
-		// the members of a layout class observe the same lines.
-		streaming = c.st.detector.Observe(a - c.strides[0].base)
-	}
-	if s.hit(c, a, true) {
-		return
-	}
-	ctl := s.ctrl[c.domain]
-	needRead := true
-	switch s.cfg.Policy {
-	case PolicyAutoClaim:
-		needRead = !streaming
-	case PolicySpecI2M:
-		// The accumulator may move, and it answers each member in turn.
-		s.tally.alone = s.tally.alone || ctl.util >= ctl.i2m.Threshold
-		needRead = !ctl.i2m.Convert(ctl.util)
-	}
-	if needRead {
-		s.enqueue(c, true)
-	}
-	s.allocate(c, access, a, true)
-}
-
-// load handles a full-line read of the core's access-th line.
-func (s *System) load(c *simCore, access int, a LineAddr) {
-	if s.hit(c, a, false) {
-		return
-	}
-	s.enqueue(c, true)
-	s.allocate(c, access, a, false)
-}
-
 // ntStore handles a non-temporal full-line store through write-combining
 // buffers: the line bypasses the cache hierarchy entirely.
-func (s *System) ntStore(c *simCore, active int) {
+func (s *System) ntStore(c *simCore) {
 	s.enqueue(c, false)
-	if s.cfg.NTResidualRFO > 0 && active > s.cfg.NTResidualMinCores {
+	if s.cfg.NTResidualRFO > 0 && s.active > s.cfg.NTResidualMinCores {
 		c.st.ntResidAcc += s.cfg.NTResidualRFO
 		if c.st.ntResidAcc >= 1 {
 			c.st.ntResidAcc--
@@ -865,37 +913,30 @@ func (s *System) reset() {
 		s.ctrl[d].reset(s.cfg)
 		s.doms[d].members = s.doms[d].members[:0]
 	}
-	s.ticks, s.issues, s.memberTicks = 0, 0, 0
+	s.ticks, s.issues, s.memberTicks, s.groupSteps = 0, 0, 0, 0
 }
 
-// writeback queues n line writebacks on domain d's controller.
-func (s *System) writeback(d, n int) {
-	if n > 0 {
-		s.ctrl[d].queue.push(run{n: int32(n), per: 1})
-		s.ctrl[d].queuedBytes += int64(n * LineBytes)
-	}
-}
-
-// privateDirty marks the core's dirty L1 and L2 lines clean and returns
-// how many there were.
-func (s *System) privateDirty(c *simCore) int {
-	if s.replay {
-		return s.classes[c.class].dirty
-	}
-	n := 0
+// writeback marks the dirty lines of domain d, in its members' L1 and L2
+// and its L3 slice, clean and queues them as writebacks. Writes extend a
+// run of writes, so one run of all of them queues as one per cache would.
+func (s *System) writeback(d int) {
+	n := int32(0)
 	count := func(LineAddr) { n++ }
-	c.l1.FlushDirty(count)
-	c.l2.FlushDirty(count)
-	return n
-}
-
-// l3Dirty marks domain d's dirty L3 lines clean and returns how many
-// there were.
-func (s *System) l3Dirty(d int) int {
-	if s.replay {
-		return s.fills[d].lines
+	for _, c := range s.doms[d].members {
+		if s.replay {
+			n += int32(s.classes[c.class].dirty)
+		} else {
+			c.l1.FlushDirty(count)
+			c.l2.FlushDirty(count)
+		}
 	}
-	n := 0
-	s.l3[d].FlushDirty(func(LineAddr) { n++ })
-	return n
+	if s.replay {
+		n += int32(s.fills[d].lines)
+	} else {
+		s.l3[d].FlushDirty(count)
+	}
+	if n > 0 {
+		s.ctrl[d].queue.push(0, 0, n, 1)
+		s.ctrl[d].queuedBytes += int64(n) * LineBytes
+	}
 }

@@ -65,6 +65,26 @@ func TestConfigForAllNodes(t *testing.T) {
 	}
 }
 
+// TestIssueCreditWhole: each calibration's core issues a whole number of
+// bytes of credit per tick, so credit adds exactly and a slept tick costs
+// nothing (the goldens and TestReproSamplesDigest pin that the results
+// are those of the per-tick fractional sums), and a system whose CoreGBs
+// would need fractional credit is refused.
+func TestIssueCreditWhole(t *testing.T) {
+	for key, want := range map[string]int64{"neoversev2": 80, "goldencove": 50, "zen4": 55} {
+		if got, err := issueCredit(MustConfigFor(key)); err != nil || got != want {
+			t.Errorf("%s: credit %d bytes per tick (%v), want %d", key, got, err, want)
+		}
+	}
+	cfg := MustConfigFor("zen4")
+	for _, gbs := range []float64{5.55, 0, -1, 1e9} {
+		cfg.CoreGBs = gbs
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("CoreGBs %g: NewSystem accepted %g bytes of credit per tick", gbs, gbs*TickSeconds*1e9)
+		}
+	}
+}
+
 func TestGraceAutoClaimPerfectEvasion(t *testing.T) {
 	s := sys(t, "neoversev2")
 	for _, cores := range []int{1, 8, 72} {
