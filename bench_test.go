@@ -133,7 +133,7 @@ func BenchmarkAblationRenaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blk, err := kernels.Generate(k, kernels.Config{Arch: "goldencove", Compiler: kernels.Clang, Opt: kernels.O3})
+	blk, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.Clang, Opt: kernels.O3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func BenchmarkAblationFrontendWidth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blk, err := kernels.Generate(k, kernels.Config{Arch: "neoversev2", Compiler: kernels.GCC, Opt: kernels.O1})
+	blk, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("neoversev2")), Compiler: kernels.GCC, Opt: kernels.O1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func BenchmarkAblationFrontendWidth(b *testing.B) {
 func BenchmarkAnalyzerSingleBlock(b *testing.B) {
 	m := uarch.MustGet("goldencove")
 	k, _ := kernels.ByName("striad")
-	blk, err := kernels.Generate(k, kernels.Config{Arch: "goldencove", Compiler: kernels.GCC, Opt: kernels.O3})
+	blk, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.GCC, Opt: kernels.O3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func BenchmarkAnalyzerSingleBlock(b *testing.B) {
 func BenchmarkSimulatorSingleBlock(b *testing.B) {
 	m := uarch.MustGet("goldencove")
 	k, _ := kernels.ByName("striad")
-	blk, err := kernels.Generate(k, kernels.Config{Arch: "goldencove", Compiler: kernels.GCC, Opt: kernels.O3})
+	blk, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.GCC, Opt: kernels.O3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func BenchmarkSimulatorSingleBlock(b *testing.B) {
 func BenchmarkMCASingleBlock(b *testing.B) {
 	m := uarch.MustGet("goldencove")
 	k, _ := kernels.ByName("striad")
-	blk, err := kernels.Generate(k, kernels.Config{Arch: "goldencove", Compiler: kernels.GCC, Opt: kernels.O3})
+	blk, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.GCC, Opt: kernels.O3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func BenchmarkMCASingleBlock(b *testing.B) {
 
 func BenchmarkParserX86(b *testing.B) {
 	k, _ := kernels.ByName("j3d27")
-	blk, err := kernels.Generate(k, kernels.Config{Arch: "goldencove", Compiler: kernels.Clang, Opt: kernels.O3})
+	blk, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.Clang, Opt: kernels.O3})
 	if err != nil {
 		b.Fatal(err)
 	}

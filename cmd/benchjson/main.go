@@ -65,7 +65,7 @@ func genBlock(name, arch string, c kernels.Compiler, o kernels.OptLevel) *isa.Bl
 	if err != nil {
 		panic(err)
 	}
-	b, err := kernels.Generate(k, kernels.Config{Arch: arch, Compiler: c, Opt: o})
+	b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: c, Opt: o})
 	if err != nil {
 		panic(err)
 	}
@@ -212,7 +212,7 @@ func suite() map[string]func(b *testing.B) {
 	}
 	sweepColdBench := func() func(b *testing.B) {
 		base := uarch.MustGet("goldencove")
-		blocks, err := sweep.SuiteBlocks(base.Key)
+		blocks, err := sweep.BlocksFor(base)
 		if err != nil {
 			panic(err)
 		}

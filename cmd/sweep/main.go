@@ -1,5 +1,5 @@
 // Command sweep runs a design-space sweep: a base machine model, a set
-// of parameter axes, and the architecture's kernel validation suite (or
+// of parameter axes, and the base model's kernel validation suite (or
 // an explicit assembly file) expanded into the full cross-product of
 // variant models, each analyzed through the shared pipeline caches, and
 // reduced to Pareto fronts (predicted cycles vs. hardware cost, and
@@ -41,7 +41,7 @@ import (
 func main() {
 	arch := flag.String("arch", "", "base machine model key (built-in or registered)")
 	machine := flag.String("machine", "", "base machine model from this JSON machine file instead of -arch")
-	asmFile := flag.String("asm", "", "sweep this assembly file instead of the kernel validation suite")
+	asmFile := flag.String("asm", "", "sweep this assembly file instead of the kernel validation suite generated for the base model")
 	workers := flag.Int("j", 1, "pipeline workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent result store directory (empty = process-local cache only)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -108,9 +108,9 @@ func main() {
 		}
 		blocks = []sweep.Block{{Name: *asmFile, B: b}}
 	} else {
-		blocks, err = sweep.SuiteBlocks(base.Key)
+		blocks, err = sweep.BlocksFor(base)
 		if err != nil {
-			fail("no kernel suite for %q (%v); use -asm FILE", base.Key, err)
+			fail("%v", err)
 		}
 	}
 

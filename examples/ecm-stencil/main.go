@@ -33,8 +33,8 @@ func main() {
 	fmt.Printf("ECM study: 3D 7-point Jacobi — %s\n\n", k.Doc)
 	for _, arch := range []string{"neoversev2", "goldencove", "zen4"} {
 		m := uarch.MustGet(arch)
-		comp := kernels.CompilersFor(arch)[0]
-		cfg := kernels.Config{Arch: arch, Compiler: comp, Opt: kernels.Ofast}
+		t := kernels.TargetOf(m)
+		cfg := kernels.Config{Target: t, Compiler: t.Compilers()[0], Opt: kernels.Ofast}
 		b, err := kernels.Generate(k, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -32,9 +32,10 @@ func main() {
 	fmt.Printf("%-34s %14s %14s %12s\n", "variant", "pred [cy/it]", "meas [cy/it]", "cy/update")
 	for _, arch := range []string{"neoversev2", "goldencove", "zen4"} {
 		m := uarch.MustGet(arch)
-		for _, comp := range kernels.CompilersFor(arch) {
+		t := kernels.TargetOf(m)
+		for _, comp := range t.Compilers() {
 			for _, opt := range kernels.AllOptLevels() {
-				cfg := kernels.Config{Arch: arch, Compiler: comp, Opt: opt}
+				cfg := kernels.Config{Target: t, Compiler: comp, Opt: opt}
 				b, err := kernels.Generate(k, cfg)
 				if err != nil {
 					log.Fatal(err)

@@ -83,7 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := kernels.Config{Arch: "zen4", Compiler: kernels.GCC, Opt: kernels.Ofast}
+		cfg := kernels.Config{Target: kernels.TargetOf(base), Compiler: kernels.GCC, Opt: kernels.Ofast}
 		b, err := kernels.Generate(k, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -23,7 +23,7 @@ func TestAnalyzeCompiledMatchesAnalyze(t *testing.T) {
 		for ki := range kernels.Kernels {
 			k := &kernels.Kernels[ki]
 			b, err := kernels.Generate(k, kernels.Config{
-				Arch: arch, Compiler: kernels.CompilersFor(arch)[0], Opt: kernels.Ofast,
+				Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: kernels.TargetOf(uarch.MustGet(arch)).Compilers()[0], Opt: kernels.Ofast,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +70,7 @@ func TestArenaResultInvalidatedByReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := kernels.Generate(k, kernels.Config{Arch: "zen4", Compiler: kernels.CompilersFor("zen4")[0], Opt: kernels.O3})
+		b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("zen4")), Compiler: kernels.TargetOf(uarch.MustGet("zen4")).Compilers()[0], Opt: kernels.O3})
 		if err != nil {
 			t.Fatal(err)
 		}

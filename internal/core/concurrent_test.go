@@ -28,7 +28,7 @@ func hammerCases(t testing.TB) ([]*isa.Block, []*uarch.Model) {
 		m := uarch.MustGet(arch)
 		for i := range kernels.Kernels {
 			k := &kernels.Kernels[i]
-			b, err := kernels.Generate(k, kernels.Config{Arch: arch, Compiler: kernels.GCC, Opt: kernels.O3})
+			b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: kernels.GCC, Opt: kernels.O3})
 			if err != nil {
 				t.Fatal(err)
 			}

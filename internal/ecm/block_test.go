@@ -38,7 +38,7 @@ func TestTrafficForBlockStencilNeighborsShareStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := kernels.Generate(k, kernels.Config{Arch: "goldencove", Compiler: kernels.GCC, Opt: kernels.O2})
+	b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.GCC, Opt: kernels.O2})
 	if err != nil {
 		t.Fatal(err)
 	}

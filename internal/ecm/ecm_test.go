@@ -113,7 +113,7 @@ func TestInCoreInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := kernels.Config{Arch: "goldencove", Compiler: kernels.GCC, Opt: kernels.O3}
+	cfg := kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.GCC, Opt: kernels.O3}
 	b, err := kernels.Generate(k, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func kernelBlock(t *testing.T, name, arch string) *isa.Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := kernels.Generate(k, kernels.Config{Arch: arch, Compiler: kernels.CompilersFor(arch)[0], Opt: kernels.Ofast})
+	b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: kernels.TargetOf(uarch.MustGet(arch)).Compilers()[0], Opt: kernels.Ofast})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,8 @@ func RunECM() (*ECMStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := kernels.Config{Arch: arch, Compiler: kernels.CompilersFor(arch)[0], Opt: kernels.Ofast}
+		t := kernels.TargetOf(m)
+		cfg := kernels.Config{Target: t, Compiler: t.Compilers()[0], Opt: kernels.Ofast}
 		b, err := kernels.Generate(k, cfg)
 		if err != nil {
 			return nil, err

@@ -66,8 +66,9 @@ func RunNodePerf() (*NodePerf, error) {
 		var bestRes *core.Result
 		var bestBlock *isa.Block
 		var bestElems int
-		for _, comp := range kernels.CompilersFor(arch) {
-			cfg := kernels.Config{Arch: arch, Compiler: comp, Opt: kernels.Ofast}
+		t := kernels.TargetOf(m)
+		for _, comp := range t.Compilers() {
+			cfg := kernels.Config{Target: t, Compiler: comp, Opt: kernels.Ofast}
 			b, err := kernels.Generate(k, cfg)
 			if err != nil {
 				return NodePerfCell{}, err

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"testing"
+
+	"incore/internal/isa"
 )
 
 // Digests of the full 416-block suite in suite order. They pin the
@@ -23,7 +25,7 @@ const (
 func emittedText(t *testing.T, tb TestBlock) string {
 	t.Helper()
 	emit := emitX86
-	if tb.Config.Arch == "neoversev2" {
+	if tb.Block.Dialect == isa.DialectAArch64 {
 		emit = emitAArch64
 	}
 	text, err := emitText(emit, tb.Kernel, deriveParams(tb.Kernel, tb.Config))

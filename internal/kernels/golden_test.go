@@ -17,7 +17,7 @@ var goldens = []struct {
 }{
 	{
 		kernel: "striad",
-		cfg:    Config{Arch: "goldencove", Compiler: GCC, Opt: O3},
+		cfg:    Config{Target: target("goldencove"), Compiler: GCC, Opt: O3},
 		want: `.L0:
 	vmovupd (%rsi,%rax,8), %zmm0
 	vfmadd231pd (%rdx,%rax,8), %zmm15, %zmm0
@@ -32,7 +32,7 @@ var goldens = []struct {
 	},
 	{
 		kernel: "add",
-		cfg:    Config{Arch: "neoversev2", Compiler: ArmClang, Opt: O2},
+		cfg:    Config{Target: target("neoversev2"), Compiler: ArmClang, Opt: O2},
 		want: `.L0:
 	ld1d { z0.d }, p0/z, [x1, x3, lsl #3]
 	ld1d { z1.d }, p0/z, [x2, x3, lsl #3]
@@ -45,7 +45,7 @@ var goldens = []struct {
 	},
 	{
 		kernel: "gs2d5",
-		cfg:    Config{Arch: "zen4", Compiler: GCC, Opt: O1},
+		cfg:    Config{Target: target("zen4"), Compiler: GCC, Opt: O1},
 		want: `.L0:
 	vmovsd -8(%rsi,%rax,8), %xmm1
 	vaddsd 8(%rsi,%rax,8), %xmm1, %xmm1
@@ -60,7 +60,7 @@ var goldens = []struct {
 	},
 	{
 		kernel: "sum",
-		cfg:    Config{Arch: "goldencove", Compiler: Clang, Opt: Ofast},
+		cfg:    Config{Target: target("goldencove"), Compiler: Clang, Opt: Ofast},
 		want: `.L0:
 	vmovupd (%rsi), %ymm4
 	vaddpd %ymm4, %ymm0, %ymm0
@@ -77,7 +77,7 @@ var goldens = []struct {
 	},
 	{
 		kernel: "pi",
-		cfg:    Config{Arch: "neoversev2", Compiler: GCC, Opt: O2},
+		cfg:    Config{Target: target("neoversev2"), Compiler: GCC, Opt: O2},
 		want: `.L0:
 	scvtf d1, x3
 	fadd d1, d1, d13
@@ -116,7 +116,7 @@ func TestGoldenBodies(t *testing.T) {
 // distinction explicitly.
 func TestFoldingDistinction(t *testing.T) {
 	k, _ := ByName("sum")
-	gcc, err := Generate(k, Config{Arch: "goldencove", Compiler: GCC, Opt: Ofast})
+	gcc, err := Generate(k, Config{Target: target("goldencove"), Compiler: GCC, Opt: Ofast})
 	if err != nil {
 		t.Fatal(err)
 	}

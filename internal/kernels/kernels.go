@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"incore/internal/isa"
+	"incore/internal/uarch"
 )
 
 // Compiler identifies a code-generation personality.
@@ -31,12 +32,46 @@ const (
 	ArmClang Compiler = "armclang"
 )
 
-// CompilersFor returns the compilers used on an architecture in the paper.
-func CompilersFor(arch string) []Compiler {
-	if arch == "neoversev2" {
+// Target is what the generator reads from a machine model: the key that
+// suffixes block names, the dialect that picks the emitter and the
+// compilers, and the widest vector width of its instruction entries.
+type Target struct {
+	Arch    string
+	Dialect isa.Dialect
+	VecBits int
+}
+
+// TargetOf reads m's target once; a suite generates every block from it.
+func TargetOf(m *uarch.Model) Target {
+	t := Target{Arch: m.Key, Dialect: m.Dialect}
+	for i := range m.Entries {
+		t.VecBits = max(t.VecBits, m.Entries[i].Width)
+	}
+	return t
+}
+
+// Compilers returns the compilers the paper used on the target's ISA.
+func (t Target) Compilers() []Compiler {
+	if t.Dialect == isa.DialectAArch64 {
 		return []Compiler{GCC, ArmClang}
 	}
 	return []Compiler{GCC, Clang, ICX}
+}
+
+// vecBits is the vector width compiler c targets on t: the machine's
+// widest, capped by the code generator. clang prefers 256-bit vectors on
+// x86 (-mprefer-vector-width=256), and the AArch64 emitter writes 128-bit
+// NEON and SVE. No target gets less than the 128-bit vectors every
+// x86-64 and AArch64 core has.
+func vecBits(t Target, c Compiler) int {
+	limit := 512
+	switch {
+	case t.Dialect == isa.DialectAArch64:
+		limit = 128
+	case c == Clang:
+		limit = 256
+	}
+	return max(128, min(t.VecBits, limit))
 }
 
 // OptLevel is a compiler optimization level.
@@ -146,12 +181,12 @@ func ByName(name string) (*Kernel, error) {
 
 // Config selects one generated variant.
 type Config struct {
-	Arch     string
+	Target
 	Compiler Compiler
 	Opt      OptLevel
 }
 
-// String names the variant ("striad-gcc-O3-goldencove").
+// String names the variant by compiler and level ("gcc-O3").
 func (c Config) String() string {
 	return fmt.Sprintf("%s-%s", c.Compiler, c.Opt)
 }
@@ -171,21 +206,6 @@ type genParams struct {
 	gsFMA          bool // Ofast: FMA-contracted carried update
 }
 
-// vecWidthFor returns the vector width a compiler targets on an arch.
-func vecWidthFor(arch string, c Compiler) int {
-	switch arch {
-	case "neoversev2":
-		return 128
-	case "goldencove", "zen4":
-		if c == Clang {
-			return 256
-		}
-		return 512
-	default:
-		return 128
-	}
-}
-
 // deriveParams reproduces each compiler's code-generation policy.
 func deriveParams(k *Kernel, cfg Config) genParams {
 	p := genParams{scalar: true, unroll: 1, indexed: true}
@@ -197,42 +217,27 @@ func deriveParams(k *Kernel, cfg Config) genParams {
 	}
 	p.foldMem = cfg.Compiler == GCC || cfg.Compiler == ICX
 
-	vectorize := k.Vectorizable && cfg.Opt >= O2
-	if k.NeedsFastMath && cfg.Opt < Ofast {
-		vectorize = false
-	}
-	if vectorize {
+	if k.Vectorizable && cfg.Opt >= O2 && (!k.NeedsFastMath || cfg.Opt == Ofast) {
 		p.scalar = false
-		p.vecBits = vecWidthFor(cfg.Arch, cfg.Compiler)
+		p.vecBits = vecBits(cfg.Target, cfg.Compiler)
 	}
 
-	// Unrolling policy (vector loops; scalar loops stay rolled except
-	// for clang/icx at O3+ on simple streams).
-	switch cfg.Compiler {
-	case GCC:
-		if cfg.Opt >= O3 && !p.scalar {
-			p.unroll = 2
-		}
-	case Clang:
-		if !p.scalar {
+	// Unrolling policy: scalar loops stay rolled, and so do armclang's
+	// whilelo-predicated SVE loops, reductions included, with one vector
+	// accumulator. Loop-carried kernels cannot be unrolled profitably.
+	if !p.scalar {
+		switch cfg.Compiler {
+		case GCC:
 			if cfg.Opt >= O3 {
-				p.unroll = 4
-			} else {
 				p.unroll = 2
 			}
-		}
-	case ICX:
-		if !p.scalar && cfg.Opt >= O2 {
+		case Clang, ICX:
 			p.unroll = 2
 			if cfg.Opt >= O3 {
 				p.unroll = 4
 			}
 		}
-	case ArmClang:
-		// whilelo-predicated SVE loops stay rolled.
-		p.unroll = 1
 	}
-	// Loop-carried kernels cannot be unrolled profitably.
 	if k.Kind == KindGS2D5 {
 		p.unroll = 1
 		p.gsMemRoundTrip = cfg.Opt == O1
@@ -240,36 +245,19 @@ func deriveParams(k *Kernel, cfg Config) genParams {
 	}
 
 	// FMA contraction.
-	switch cfg.Compiler {
-	case ICX:
-		p.fma = true
-	default:
-		p.fma = cfg.Opt >= O2
-	}
+	p.fma = cfg.Compiler == ICX || cfg.Opt >= O2
 
 	// Reduction accumulators.
 	p.accs = 1
 	if (k.Kind == KindSum || k.Kind == KindPi) && !p.scalar {
 		switch cfg.Compiler {
 		case Clang:
-			p.accs = 4
-			p.unroll = 4
-		case GCC:
-			p.accs = 2
-			p.unroll = 2
-		case ICX:
-			p.accs = 2
-			p.unroll = 2
-		case ArmClang:
-			// whilelo-predicated SVE reductions stay rolled with a
-			// single vector accumulator.
-			p.accs = 1
-			p.unroll = 1
+			p.accs, p.unroll = 4, 4
+		case GCC, ICX:
+			p.accs, p.unroll = 2, 2
 		}
 	}
-	if p.unroll < p.accs {
-		p.unroll = p.accs
-	}
+	p.unroll = max(p.unroll, p.accs)
 	return p
 }
 
@@ -280,19 +268,15 @@ func Generate(k *Kernel, cfg Config) (*isa.Block, error) {
 	}
 	p := deriveParams(k, cfg)
 	name := k.Name + "-" + string(cfg.Compiler) + "-" + cfg.Opt.String() + "-" + cfg.Arch
-	emit, dialect := emitX86, isa.DialectX86
-	switch cfg.Arch {
-	case "goldencove", "zen4":
-	case "neoversev2":
-		emit, dialect = emitAArch64, isa.DialectAArch64
-	default:
-		return nil, fmt.Errorf("kernels: unsupported arch %q", cfg.Arch)
+	emit := emitX86
+	if cfg.Dialect == isa.DialectAArch64 {
+		emit = emitAArch64
 	}
 	text, err := emitText(emit, k, p)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: %w", name, err)
 	}
-	b, err := isa.ParseBlock(name, cfg.Arch, dialect, text)
+	b, err := isa.ParseBlock(name, cfg.Arch, cfg.Dialect, text)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s: generated assembly does not parse: %w", name, err)
 	}

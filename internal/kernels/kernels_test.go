@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,12 +40,68 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// target reads the generator's target off a built-in model.
+func target(arch string) Target { return TargetOf(uarch.MustGet(arch)) }
+
+// TestCompilersFor: the compilers follow the model's dialect.
 func TestCompilersFor(t *testing.T) {
-	if got := CompilersFor("neoversev2"); len(got) != 2 {
+	if got := target("neoversev2").Compilers(); len(got) != 2 {
 		t.Errorf("neoversev2 compilers: %v", got)
 	}
-	if got := CompilersFor("goldencove"); len(got) != 3 {
+	if got := target("goldencove").Compilers(); len(got) != 3 {
 		t.Errorf("goldencove compilers: %v", got)
+	}
+}
+
+// TestTargetOf pins the facts the generator reads from each built-in:
+// its key, its dialect and its widest instruction entry.
+func TestTargetOf(t *testing.T) {
+	for arch, want := range map[string]Target{
+		"goldencove": {Arch: "goldencove", Dialect: isa.DialectX86, VecBits: 512},
+		"neoversev2": {Arch: "neoversev2", Dialect: isa.DialectAArch64, VecBits: 128},
+		"zen4":       {Arch: "zen4", Dialect: isa.DialectX86, VecBits: 512},
+	} {
+		if got := target(arch); got != want {
+			t.Errorf("TargetOf(%s) = %+v, want %+v", arch, got, want)
+		}
+	}
+}
+
+// TestNarrowX86TargetsYMM: on an x86 model whose widest entry is 256
+// bits, gcc and icx vectorize with ymm registers and never zmm, and the
+// element counts follow the narrower vectors.
+func TestNarrowX86TargetsYMM(t *testing.T) {
+	m := &uarch.Model{Key: "avx2", Dialect: isa.DialectX86}
+	m.Entries = slices.DeleteFunc(slices.Clone(uarch.MustGet("goldencove").Entries), func(e uarch.Entry) bool { return e.Width > 256 })
+	tg := TargetOf(m)
+	if tg.VecBits != 256 {
+		t.Fatalf("VecBits = %d, want 256", tg.VecBits)
+	}
+	striad, _ := ByName("striad")
+	for _, c := range []Compiler{GCC, ICX} {
+		for _, o := range []OptLevel{O2, O3, Ofast} {
+			cfg := Config{Target: tg, Compiler: c, Opt: o}
+			b, err := Generate(striad, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if text := b.Text(); !strings.Contains(text, "%ymm") || strings.Contains(text, "%zmm") {
+				t.Errorf("%s: want ymm and no zmm:\n%s", b.Name, text)
+			}
+			wide := Config{Target: target("goldencove"), Compiler: c, Opt: o}
+			if got, want := ElemsPerIter(striad, cfg), ElemsPerIter(striad, wide)/2; got != want {
+				t.Errorf("%s: ElemsPerIter = %d, want %d", b.Name, got, want)
+			}
+		}
+	}
+	suite, err := Suite(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range suite {
+		if strings.Contains(tb.Block.Text(), "%zmm") {
+			t.Errorf("%s emits zmm on a 256-bit machine", tb.Block.Name)
+		}
 	}
 }
 
@@ -59,7 +116,7 @@ func TestOptLevelString(t *testing.T) {
 func TestSuiteSizes(t *testing.T) {
 	// 13 x 2 x 4 = 104 on Grace, 13 x 3 x 4 = 156 on each x86 system.
 	for arch, want := range map[string]int{"neoversev2": 104, "goldencove": 156, "zen4": 156} {
-		s, err := Suite(arch)
+		s, err := Suite(uarch.MustGet(arch))
 		if err != nil {
 			t.Fatalf("Suite(%s): %v", arch, err)
 		}
@@ -135,19 +192,19 @@ func TestLowerBoundProperty(t *testing.T) {
 func TestElemsPerIter(t *testing.T) {
 	k, _ := ByName("add")
 	// gcc O1: scalar rolled.
-	if n := ElemsPerIter(k, Config{Arch: "goldencove", Compiler: GCC, Opt: O1}); n != 1 {
+	if n := ElemsPerIter(k, Config{Target: target("goldencove"), Compiler: GCC, Opt: O1}); n != 1 {
 		t.Errorf("gcc O1 elems = %d, want 1", n)
 	}
 	// gcc O3 on GLC: 512-bit x unroll 2 = 16.
-	if n := ElemsPerIter(k, Config{Arch: "goldencove", Compiler: GCC, Opt: O3}); n != 16 {
+	if n := ElemsPerIter(k, Config{Target: target("goldencove"), Compiler: GCC, Opt: O3}); n != 16 {
 		t.Errorf("gcc O3 elems = %d, want 16", n)
 	}
 	// clang O3 on GLC: 256-bit x unroll 4 = 16.
-	if n := ElemsPerIter(k, Config{Arch: "goldencove", Compiler: Clang, Opt: O3}); n != 16 {
+	if n := ElemsPerIter(k, Config{Target: target("goldencove"), Compiler: Clang, Opt: O3}); n != 16 {
 		t.Errorf("clang O3 elems = %d, want 16", n)
 	}
 	// armclang O2 (SVE rolled): 2.
-	if n := ElemsPerIter(k, Config{Arch: "neoversev2", Compiler: ArmClang, Opt: O2}); n != 2 {
+	if n := ElemsPerIter(k, Config{Target: target("neoversev2"), Compiler: ArmClang, Opt: O2}); n != 2 {
 		t.Errorf("armclang O2 elems = %d, want 2", n)
 	}
 }
@@ -155,14 +212,14 @@ func TestElemsPerIter(t *testing.T) {
 func TestVectorizationPolicy(t *testing.T) {
 	sum, _ := ByName("sum")
 	// Reductions need -Ofast to vectorize.
-	b3, err := Generate(sum, Config{Arch: "goldencove", Compiler: GCC, Opt: O3})
+	b3, err := Generate(sum, Config{Target: target("goldencove"), Compiler: GCC, Opt: O3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b3.Text(), "zmm") {
 		t.Error("sum at O3 must stay scalar (strict FP)")
 	}
-	bf, err := Generate(sum, Config{Arch: "goldencove", Compiler: GCC, Opt: Ofast})
+	bf, err := Generate(sum, Config{Target: target("goldencove"), Compiler: GCC, Opt: Ofast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +228,7 @@ func TestVectorizationPolicy(t *testing.T) {
 	}
 	// Gauss-Seidel never vectorizes.
 	gs, _ := ByName("gs2d5")
-	bgs, err := Generate(gs, Config{Arch: "goldencove", Compiler: GCC, Opt: Ofast})
+	bgs, err := Generate(gs, Config{Target: target("goldencove"), Compiler: GCC, Opt: Ofast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +240,7 @@ func TestVectorizationPolicy(t *testing.T) {
 func TestGSShapes(t *testing.T) {
 	gs, _ := ByName("gs2d5")
 	// O1: memory round trip (negative-displacement reload).
-	o1, err := Generate(gs, Config{Arch: "goldencove", Compiler: GCC, Opt: O1})
+	o1, err := Generate(gs, Config{Target: target("goldencove"), Compiler: GCC, Opt: O1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +248,7 @@ func TestGSShapes(t *testing.T) {
 		t.Errorf("GS O1 must reload phi[i-1] from memory:\n%s", o1.Text())
 	}
 	// O2: register-carried chain, no reload.
-	o2, err := Generate(gs, Config{Arch: "goldencove", Compiler: GCC, Opt: O2})
+	o2, err := Generate(gs, Config{Target: target("goldencove"), Compiler: GCC, Opt: O2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +256,7 @@ func TestGSShapes(t *testing.T) {
 		t.Errorf("GS O2 must carry phi in a register:\n%s", o2.Text())
 	}
 	// Ofast: FMA-contracted.
-	of, err := Generate(gs, Config{Arch: "goldencove", Compiler: GCC, Opt: Ofast})
+	of, err := Generate(gs, Config{Target: target("goldencove"), Compiler: GCC, Opt: Ofast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +268,14 @@ func TestGSShapes(t *testing.T) {
 func TestCompilerIdioms(t *testing.T) {
 	add, _ := ByName("add")
 	// gcc uses indexed addressing, clang pointer bumps.
-	gcc, err := Generate(add, Config{Arch: "zen4", Compiler: GCC, Opt: O2})
+	gcc, err := Generate(add, Config{Target: target("zen4"), Compiler: GCC, Opt: O2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(gcc.Text(), "%rax,8)") {
 		t.Errorf("gcc must use indexed addressing:\n%s", gcc.Text())
 	}
-	clang, err := Generate(add, Config{Arch: "zen4", Compiler: Clang, Opt: O2})
+	clang, err := Generate(add, Config{Target: target("zen4"), Compiler: Clang, Opt: O2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +283,7 @@ func TestCompilerIdioms(t *testing.T) {
 		t.Errorf("clang must use pointer bumps:\n%s", clang.Text())
 	}
 	// armclang uses SVE with whilelo for streams.
-	arm, err := Generate(add, Config{Arch: "neoversev2", Compiler: ArmClang, Opt: O2})
+	arm, err := Generate(add, Config{Target: target("neoversev2"), Compiler: ArmClang, Opt: O2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +292,7 @@ func TestCompilerIdioms(t *testing.T) {
 	}
 	// armclang stencils fall back to NEON.
 	j, _ := ByName("j2d5")
-	armj, err := Generate(j, Config{Arch: "neoversev2", Compiler: ArmClang, Opt: O2})
+	armj, err := Generate(j, Config{Target: target("neoversev2"), Compiler: ArmClang, Opt: O2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +305,7 @@ func TestStencilLoadCounts(t *testing.T) {
 	counts := map[string]int{"j2d5": 4, "j3d7": 6, "j3d11": 11, "j3d27": 27}
 	for name, want := range counts {
 		k, _ := ByName(name)
-		b, err := Generate(k, Config{Arch: "goldencove", Compiler: GCC, Opt: O1})
+		b, err := Generate(k, Config{Target: target("goldencove"), Compiler: GCC, Opt: O1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,10 +321,22 @@ func TestStencilLoadCounts(t *testing.T) {
 	}
 }
 
+// TestGenerateUnknownArch: a key no registry knows still generates, from
+// its target alone; only the block name's suffix tells it apart.
 func TestGenerateUnknownArch(t *testing.T) {
 	k, _ := ByName("add")
-	if _, err := Generate(k, Config{Arch: "mips", Compiler: GCC, Opt: O2}); err == nil {
-		t.Error("unknown arch must error")
+	gc := target("goldencove")
+	want, err := Generate(k, Config{Target: gc, Compiler: GCC, Opt: O2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc.Arch = "gc2"
+	got, err := Generate(k, Config{Target: gc, Compiler: GCC, Opt: O2})
+	if err != nil {
+		t.Fatalf("re-keyed target: %v", err)
+	}
+	if got.Name != "add-gcc-O2-gc2" || got.Arch != "gc2" || got.Text() != want.Text() {
+		t.Errorf("re-keyed block %s (%s) differs from %s:\n%s\n%s", got.Name, got.Arch, want.Name, got.Text(), want.Text())
 	}
 	if _, err := Generate(nil, Config{}); err == nil {
 		t.Error("nil kernel must error")
@@ -292,8 +361,8 @@ func TestAllBlocksValidate(t *testing.T) {
 func TestPiHasDivide(t *testing.T) {
 	pi, _ := ByName("pi")
 	for _, arch := range []string{"goldencove", "zen4", "neoversev2"} {
-		for _, comp := range CompilersFor(arch) {
-			b, err := Generate(pi, Config{Arch: arch, Compiler: comp, Opt: O2})
+		for _, comp := range target(arch).Compilers() {
+			b, err := Generate(pi, Config{Target: target(arch), Compiler: comp, Opt: O2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"incore/internal/isa"
+	"incore/internal/uarch"
 )
 
 // TestBlock is one generated validation block with its provenance.
@@ -16,10 +17,10 @@ type TestBlock struct {
 	ElemsPerIter int
 }
 
-// Suite generates the full validation suite for one architecture:
-// 13 kernels x compilers(arch) x 4 optimization levels.
-func Suite(arch string) ([]TestBlock, error) {
-	return appendSuite(nil, arch)
+// Suite generates the full validation suite for one machine model:
+// 13 kernels x its dialect's compilers x 4 optimization levels.
+func Suite(m *uarch.Model) ([]TestBlock, error) {
+	return appendSuite(nil, TargetOf(m))
 }
 
 // FullSuite generates the paper's complete 416-block study across all
@@ -27,23 +28,26 @@ func Suite(arch string) ([]TestBlock, error) {
 func FullSuite() ([]TestBlock, error) {
 	var out []TestBlock
 	for _, arch := range [...]string{"neoversev2", "goldencove", "zen4"} {
-		var err error
-		if out, err = appendSuite(out, arch); err != nil {
+		m, err := uarch.Get(arch)
+		if err != nil {
+			return nil, err
+		}
+		if out, err = appendSuite(out, TargetOf(m)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// appendSuite appends Suite(arch) to out.
-func appendSuite(out []TestBlock, arch string) ([]TestBlock, error) {
-	compilers, opts := CompilersFor(arch), AllOptLevels()
+// appendSuite appends the suite for t to out.
+func appendSuite(out []TestBlock, t Target) ([]TestBlock, error) {
+	compilers, opts := t.Compilers(), AllOptLevels()
 	out = slices.Grow(out, len(Kernels)*len(compilers)*len(opts))
 	for ki := range Kernels {
 		k := &Kernels[ki]
 		for _, c := range compilers {
 			for _, o := range opts {
-				cfg := Config{Arch: arch, Compiler: c, Opt: o}
+				cfg := Config{Target: t, Compiler: c, Opt: o}
 				b, err := Generate(k, cfg)
 				if err != nil {
 					return nil, err

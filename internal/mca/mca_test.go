@@ -149,7 +149,7 @@ func TestGroupBreakAddsPerIterationCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := kernels.Generate(k, kernels.Config{Arch: "zen4", Compiler: kernels.GCC, Opt: kernels.O1})
+	b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet("zen4")), Compiler: kernels.GCC, Opt: kernels.O1})
 	if err != nil {
 		t.Fatal(err)
 	}

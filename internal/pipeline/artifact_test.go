@@ -330,7 +330,7 @@ func BenchmarkAnalyzeInternal(b *testing.B) {
 		b.Fatal(err)
 	}
 	blk, err := kernels.Generate(k, kernels.Config{
-		Arch: "goldencove", Compiler: kernels.CompilersFor("goldencove")[0], Opt: kernels.Ofast,
+		Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.TargetOf(uarch.MustGet("goldencove")).Compilers()[0], Opt: kernels.Ofast,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -22,7 +22,7 @@ func TestMemoKeysByContentNotName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := kernels.Config{Arch: "goldencove", Compiler: kernels.CompilersFor("goldencove")[0], Opt: kernels.Ofast}
+	cfg := kernels.Config{Target: kernels.TargetOf(uarch.MustGet("goldencove")), Compiler: kernels.TargetOf(uarch.MustGet("goldencove")).Compilers()[0], Opt: kernels.Ofast}
 	b1, err := kernels.Generate(k, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestMemoSimulateMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := kernels.Config{Arch: "zen4", Compiler: kernels.CompilersFor("zen4")[0], Opt: kernels.Ofast}
+	cfg := kernels.Config{Target: kernels.TargetOf(uarch.MustGet("zen4")), Compiler: kernels.TargetOf(uarch.MustGet("zen4")).Compilers()[0], Opt: kernels.Ofast}
 	b, err := kernels.Generate(k, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func genBlock(t *testing.T, arch, kernel string) (*uarch.Model, *core.Analyzer, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := kernels.Config{Arch: arch, Compiler: kernels.CompilersFor(arch)[0], Opt: kernels.Ofast}
+	cfg := kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: kernels.TargetOf(uarch.MustGet(arch)).Compilers()[0], Opt: kernels.Ofast}
 	b, err := kernels.Generate(k, cfg)
 	if err != nil {
 		t.Fatal(err)

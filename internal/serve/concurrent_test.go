@@ -47,7 +47,7 @@ func TestConcurrentAnalyzeRequests(t *testing.T) {
 	for _, arch := range []string{"goldencove", "neoversev2", "zen4"} {
 		m := uarch.MustGet(arch)
 		for i := range kernels.Kernels {
-			b, err := kernels.Generate(&kernels.Kernels[i], kernels.Config{Arch: arch, Compiler: kernels.GCC, Opt: kernels.O3})
+			b, err := kernels.Generate(&kernels.Kernels[i], kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: kernels.GCC, Opt: kernels.O3})
 			if err != nil {
 				t.Fatal(err)
 			}

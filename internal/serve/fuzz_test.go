@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"incore/internal/kernels"
+	"incore/internal/uarch"
 )
 
 // plain is AnalyzeResponse without its methods, so encoding/json renders
@@ -24,7 +25,7 @@ func FuzzAnalyzeResponseJSON(f *testing.F) {
 	type block struct{ arch, asm string }
 	var blocks []block
 	for _, arch := range []string{"goldencove", "neoversev2", "zen4"} {
-		suite, err := kernels.Suite(arch)
+		suite, err := kernels.Suite(uarch.MustGet(arch))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -54,7 +54,8 @@ func TestAnalyzeMatchesOsaca(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := kernels.Generate(k, kernels.Config{Arch: m.Key, Compiler: kernels.CompilersFor(m.Key)[0], Opt: kernels.Ofast})
+	tg := kernels.TargetOf(m)
+	b, err := kernels.Generate(k, kernels.Config{Target: tg, Compiler: tg.Compilers()[0], Opt: kernels.Ofast})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ const DefaultMaxSweepVariants = 4096
 
 // SweepRequest asks for a design-space sweep: a base machine model, a
 // set of parameter axes, and optionally explicit blocks to sweep
-// (defaulting to the architecture's kernel validation suite).
+// (defaulting to the model's kernel validation suite).
 type SweepRequest struct {
 	// Arch / Machine select the base model exactly as in AnalyzeRequest:
 	// a registered key, or an inline machine file used for this request
@@ -32,9 +32,8 @@ type SweepRequest struct {
 	// variant grid — and identical cache keys.
 	Axes []sweep.Axis `json:"axes"`
 	// Blocks optionally restricts the sweep to explicit assembly blocks.
-	// Empty means the full kernel validation suite for the model's
-	// architecture (built-in models only; custom machines must send
-	// blocks).
+	// Empty means the full kernel validation suite generated for the
+	// model, built-in or custom.
 	Blocks []SweepBlock `json:"blocks,omitempty"`
 }
 
@@ -93,15 +92,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // sweepBlocks resolves a sweep request's work set: explicit blocks parse
 // through the shared artifact cache under the instruction cap, an empty
-// list selects the architecture's kernel validation suite.
+// list selects the model's kernel validation suite.
 func (s *Server) sweepBlocks(m *uarch.Model, reqBlocks []SweepBlock) ([]sweep.Block, error) {
 	if len(reqBlocks) == 0 {
-		blocks, err := sweep.SuiteBlocks(m.Key)
-		if err != nil {
-			return nil, apiErrorf(CodeInvalidRequest, http.StatusBadRequest,
-				"no kernel suite for model %q (%v); send explicit blocks", m.Key, err)
-		}
-		return blocks, nil
+		return sweep.BlocksFor(m)
 	}
 	out := make([]sweep.Block, 0, len(reqBlocks))
 	for i, sb := range reqBlocks {

@@ -95,8 +95,9 @@ func TestSweepEndpointDefaultsToSuite(t *testing.T) {
 	}
 }
 
-// TestSweepEndpointCustomModelNeedsBlocks: a custom machine has no
-// kernel suite, so a block-less sweep is a clear client error.
+// TestSweepEndpointCustomModelNeedsBlocks: a custom machine needs no
+// blocks. A block-less sweep of an inline zen4 clone under another key
+// covers the full x86 suite generated from the clone itself.
 func TestSweepEndpointCustomModelNeedsBlocks(t *testing.T) {
 	ts := newTestServer(t)
 	m := customModel(t, "sweep-custom")
@@ -104,8 +105,25 @@ func TestSweepEndpointCustomModelNeedsBlocks(t *testing.T) {
 		"machine": json.RawMessage(machineJSON(t, m)),
 		"axes":    []sweep.Axis{{Param: "rob_size", Values: []float64{64, 128}}},
 	})
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var res sweep.Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Blocks) != 156 || len(res.Variants) != 2 {
+		t.Fatalf("swept %d blocks in %d variants, want the 156-block x86 suite in 2", len(res.Blocks), len(res.Variants))
+	}
+	for _, name := range res.Blocks {
+		if !strings.HasSuffix(name, "-sweep-custom") {
+			t.Errorf("block %q is not generated for the custom model", name)
+		}
+	}
+	for _, v := range res.Variants {
+		if len(v.Predictions) != 156 {
+			t.Errorf("variant %d has %d predictions, want 156", v.Index, len(v.Predictions))
+		}
 	}
 }
 

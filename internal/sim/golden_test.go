@@ -67,7 +67,7 @@ func goldenBlock(t testing.TB, name, arch string, c kernels.Compiler, o kernels.
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := kernels.Generate(k, kernels.Config{Arch: arch, Compiler: c, Opt: o})
+	b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: c, Opt: o})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,9 @@ func TestSteadyStateBitIdenticalAllKernels(t *testing.T) {
 		m := uarch.MustGet(arch)
 		for i := range kernels.Kernels {
 			k := &kernels.Kernels[i]
-			for _, c := range kernels.CompilersFor(arch) {
+			for _, c := range kernels.TargetOf(uarch.MustGet(arch)).Compilers() {
 				for _, o := range kernels.AllOptLevels() {
-					b, err := kernels.Generate(k, kernels.Config{Arch: arch, Compiler: c, Opt: o})
+					b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: c, Opt: o})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -27,13 +27,22 @@ type Block struct {
 	Traffic ecm.Traffic
 }
 
-// SuiteBlocks generates the kernel validation suite for one architecture
-// as sweep work. Blocks are routed through the compiled-artifact parse
-// cache (pipeline.ParseRequestBlock), so the suite's duplicate bodies
-// collapse to one parsed block each and the tier's counters account the
-// parse work exactly once per unique body.
+// SuiteBlocks is BlocksFor on the built-in model arch.
 func SuiteBlocks(arch string) ([]Block, error) {
-	suite, err := kernels.Suite(arch)
+	m, err := uarch.Get(arch)
+	if err != nil {
+		return nil, err
+	}
+	return BlocksFor(m)
+}
+
+// BlocksFor generates the kernel validation suite for model m as sweep
+// work. Blocks are routed through the compiled-artifact parse cache
+// (pipeline.ParseRequestBlock), so the suite's duplicate bodies collapse
+// to one parsed block each and the tier's counters account the parse
+// work exactly once per unique body.
+func BlocksFor(m *uarch.Model) ([]Block, error) {
+	suite, err := kernels.Suite(m)
 	if err != nil {
 		return nil, err
 	}

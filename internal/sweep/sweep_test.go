@@ -27,7 +27,7 @@ func testBlocks(t *testing.T, arch string) []Block {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := kernels.Config{Arch: arch, Compiler: kernels.GCC, Opt: kernels.O3}
+		cfg := kernels.Config{Target: kernels.TargetOf(uarch.MustGet(arch)), Compiler: kernels.GCC, Opt: kernels.O3}
 		b, err := kernels.Generate(k, cfg)
 		if err != nil {
 			t.Fatal(err)

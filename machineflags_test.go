@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,7 +30,9 @@ var machineTools = []struct {
 // a -machine-dir file that reuses a built-in key with other content is
 // refused with one error prefix. sweep, which takes -machine but no
 // -machine-dir, sweeps an edited built-in under its fingerprinted cache
-// key and reports a truncated file with the same single prefix. osaca
+// key and reports a truncated file with the same single prefix; a
+// goldencove export under another key sweeps the kernel suite generated
+// from the file and predicts what -arch goldencove does. osaca
 // -ecm refuses a loop without memory access, whose element count the
 // block cannot tell. The committed zen4 machine file given to -machine
 // is the built-in, quirks included: osaca -sim -compare prints the same
@@ -48,9 +51,9 @@ func TestMachineFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(data, "models")
-	rekeyed := writeZen4Variant(t, dir, "sd2.json", func(m *uarch.Model) { m.Key = "zen4-sd2" })
+	rekeyed := writeVariant(t, "zen4", dir, "sd2.json", func(m *uarch.Model) { m.Key = "zen4-sd2" })
 	clash := filepath.Join(data, "clash")
-	writeZen4Variant(t, clash, "z.json", func(m *uarch.Model) { m.Name = "Zen 4 edited" })
+	writeVariant(t, "zen4", clash, "z.json", func(m *uarch.Model) { m.Name = "Zen 4 edited" })
 	whole, err := os.ReadFile(rekeyed)
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +131,26 @@ func TestMachineFlags(t *testing.T) {
 	} else if err := json.Unmarshal(stdout, &res); err != nil || !strings.HasPrefix(res.BaseCacheKey, "zen4@") {
 		t.Errorf("sweep -machine with an edited zen4: base_cache_key %q (%v), want zen4@…", res.BaseCacheKey, err)
 	}
+	gc2 := writeVariant(t, "goldencove", data, "gc2.json", func(m *uarch.Model) { m.Key = "gc2" })
+	var byKey, byFile sweepJSON
+	sweepInto(t, &byKey, filepath.Join(bin, "sweep"), "-arch", "goldencove", "-axis", "issue_width=6", "-format", "json")
+	sweepInto(t, &byFile, filepath.Join(bin, "sweep"), "-machine", gc2, "-axis", "issue_width=6", "-format", "json")
+	if !strings.HasPrefix(byFile.BaseCacheKey, "gc2@") || len(byFile.Blocks) != 156 || len(byKey.Blocks) != 156 {
+		t.Errorf("sweep -machine gc2.json: base_cache_key %q over %d blocks, want gc2@… over the %d of -arch goldencove",
+			byFile.BaseCacheKey, len(byFile.Blocks), len(byKey.Blocks))
+	} else {
+		for i, name := range byKey.Blocks {
+			if want := strings.TrimSuffix(name, "-goldencove") + "-gc2"; byFile.Blocks[i] != want {
+				t.Errorf("sweep -machine gc2.json: block %d is %q, want %q", i, byFile.Blocks[i], want)
+			}
+		}
+	}
+	if len(byFile.Variants) != 1 || len(byKey.Variants) != 1 {
+		t.Fatalf("sweep over one issue_width: %d and %d variants, want 1", len(byFile.Variants), len(byKey.Variants))
+	}
+	if got, want := byFile.Variants[0], byKey.Variants[0]; !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep -machine gc2.json predicts\n%+v\nwant -arch goldencove's\n%+v", got, want)
+	}
 	out, err = run("sweep", "-machine", truncated, "-axis", "tdp_watts=300,400")
 	if err == nil || !strings.Contains(out, "sweep: uarch: "+truncated+": machine file: unexpected EOF") {
 		t.Errorf("sweep -machine with a truncated file: err %v, want a one-prefix unexpected EOF\n%s", err, out)
@@ -140,12 +163,39 @@ func TestMachineFlags(t *testing.T) {
 	}
 }
 
-// writeZen4Variant writes a copy of the built-in zen4, changed by edit,
-// as dir/name and returns its path.
-func writeZen4Variant(t *testing.T, dir, name string, edit func(*uarch.Model)) string {
+// sweepJSON is the part of cmd/sweep's JSON that a machine file under
+// another key must reproduce: everything a variant predicts, and the
+// block names.
+type sweepJSON struct {
+	BaseCacheKey string   `json:"base_cache_key"`
+	Blocks       []string `json:"blocks"`
+	Variants     []struct {
+		PortSignature   string    `json:"port_signature"`
+		Predictions     []float64 `json:"predictions"`
+		TotalCycles     float64   `json:"total_cycles"`
+		SustainedGHz    float64   `json:"sustained_ghz"`
+		SustainedGFLOPs float64   `json:"sustained_gflops"`
+	} `json:"variants"`
+}
+
+// sweepInto runs the sweep binary with args and decodes its JSON into v.
+func sweepInto(t *testing.T, v *sweepJSON, bin string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("sweep %s: %v", strings.Join(args, " "), err)
+	}
+	if err := json.Unmarshal(out, v); err != nil {
+		t.Fatalf("sweep %s: %v", strings.Join(args, " "), err)
+	}
+}
+
+// writeVariant writes a copy of the built-in base, changed by edit, as
+// dir/name and returns its path.
+func writeVariant(t *testing.T, base, dir, name string, edit func(*uarch.Model)) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := uarch.MustGet("zen4").WriteJSON(&buf); err != nil {
+	if err := uarch.MustGet(base).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m, err := uarch.ReadJSON(&buf)

@@ -47,9 +47,9 @@ func TestRoundTrippedModelsAnalyzeIdentically(t *testing.T) {
 		checked := 0
 		for i := range kernels.Kernels {
 			k := &kernels.Kernels[i]
-			for _, compiler := range kernels.CompilersFor(key) {
+			for _, compiler := range kernels.TargetOf(uarch.MustGet(key)).Compilers() {
 				for _, opt := range []kernels.OptLevel{kernels.O3, kernels.Ofast} {
-					b, err := kernels.Generate(k, kernels.Config{Arch: key, Compiler: compiler, Opt: opt})
+					b, err := kernels.Generate(k, kernels.Config{Target: kernels.TargetOf(uarch.MustGet(key)), Compiler: compiler, Opt: opt})
 					if err != nil {
 						continue
 					}
