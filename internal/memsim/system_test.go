@@ -30,16 +30,40 @@ func (r TrafficResult) TrafficGBs() float64 {
 
 // TestConfigForAllNodes: cores and socket bandwidth come from the model,
 // the calibration from the data sheet of the system it is keyed as, and
-// a model memsim has no calibration for is refused.
+// a model memsim has no calibration for is refused. Every field of the
+// three built-ins' configs is pinned, so a config no golden or repro
+// sample happens to exercise cannot move unnoticed.
 func TestConfigForAllNodes(t *testing.T) {
+	want := map[string]Config{
+		"neoversev2": {
+			Key: "neoversev2", Cores: 72, Domains: 1,
+			L1: CacheConfig{SizeBytes: 256, Ways: 8}, L2: CacheConfig{SizeBytes: 4096, Ways: 8},
+			L3:        CacheConfig{SizeBytes: 466944, Ways: 16},
+			DomainGBs: 466.87104, CoreGBs: 8, Policy: PolicyAutoClaim,
+		},
+		"goldencove": {
+			Key: "goldencove", Cores: 52, Domains: 4,
+			L1: CacheConfig{SizeBytes: 192, Ways: 8}, L2: CacheConfig{SizeBytes: 8192, Ways: 8},
+			L3:        CacheConfig{SizeBytes: 107520, Ways: 16},
+			DomainGBs: 70.656, CoreGBs: 5, Policy: PolicySpecI2M,
+			SpecI2MThreshold: 0.65, SpecI2MMaxShare: 0.25, SpecI2MRampEnd: 0.9,
+			NTResidualRFO: 0.1, NTResidualMinCores: 4,
+		},
+		"zen4": {
+			Key: "zen4", Cores: 96, Domains: 1,
+			L1: CacheConfig{SizeBytes: 128, Ways: 8}, L2: CacheConfig{SizeBytes: 4096, Ways: 8},
+			L3:        CacheConfig{SizeBytes: 4718592, Ways: 16},
+			DomainGBs: 359.88480000000004, CoreGBs: 5.5, Policy: PolicyAlwaysAllocate,
+		},
+	}
 	for _, key := range []string{"neoversev2", "goldencove", "zen4"} {
 		m := uarch.MustGet(key)
 		cfg, err := ConfigFor(m)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		if cfg.Cores <= 0 || cfg.DomainGBs <= 0 || cfg.CoreGBs <= 0 {
-			t.Errorf("%s config incomplete: %+v", key, cfg)
+		if cfg != want[key] {
+			t.Errorf("%s config:\n got %+v\nwant %+v", key, cfg, want[key])
 		}
 		if cfg.Cores != m.CoresPerChip || cfg.DomainGBs*float64(cfg.Domains) != m.Node.MemBWGBs {
 			t.Errorf("%s: %d cores, %.1f GB/s, want the model's %d cores, %.1f GB/s",
