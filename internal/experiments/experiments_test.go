@@ -16,10 +16,10 @@ func TestTable1(t *testing.T) {
 	}
 	for _, r := range tab.Rows {
 		if r.MeasuredBWGBs <= 0 || r.MeasuredBWGBs > r.TheoreticalBWGBs {
-			t.Errorf("%s: measured %.0f vs theoretical %.0f", r.Node.Key, r.MeasuredBWGBs, r.TheoreticalBWGBs)
+			t.Errorf("%s: measured %.0f vs theoretical %.0f", r.Model.Key, r.MeasuredBWGBs, r.TheoreticalBWGBs)
 		}
 		if r.AchievablePeakTFs > r.TheoreticalPeakTFs {
-			t.Errorf("%s: achievable peak exceeds theoretical", r.Node.Key)
+			t.Errorf("%s: achievable peak exceeds theoretical", r.Model.Key)
 		}
 	}
 	out := tab.Render()

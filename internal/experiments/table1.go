@@ -14,18 +14,23 @@ import (
 	"slices"
 	"strings"
 
+	"incore/internal/core"
 	"incore/internal/freq"
+	"incore/internal/ibench"
 	"incore/internal/memsim"
-	"incore/internal/nodes"
 	"incore/internal/pipeline"
 	"incore/internal/uarch"
 )
 
 // Table1Row is one system column of Table I: the chip's facts come from
-// its built-in model, the cache and memory configuration from nodes.
+// its built-in model, the FMA pipes from the in-core analysis of Table
+// III's FMA throughput block, the cache geometry and ccNUMA domains from
+// the memsim config its triad sweep runs on, and the main memory from the
+// paper's data sheet.
 type Table1Row struct {
-	Model *uarch.Model
-	Node  *nodes.Node
+	Model  *uarch.Model
+	Mem    memsim.Config
+	Memory paperMemory
 
 	TheoreticalPeakTFs float64
 	AchievablePeakTFs  float64
@@ -33,6 +38,51 @@ type Table1Row struct {
 
 	TheoreticalBWGBs float64
 	MeasuredBWGBs    float64
+}
+
+// paperMemory is one system's main memory as Table I lists it: facts no
+// model or simulator reads.
+type paperMemory struct {
+	Type     string
+	GB       int
+	Channels int
+	MTs      float64 // transfers/s per channel (millions)
+	BusBytes int     // bytes per channel per transfer
+}
+
+// theoreticalGBs returns channels x rate x width in GB/s.
+func (p paperMemory) theoreticalGBs() float64 {
+	return float64(p.Channels) * p.MTs * 1e6 * float64(p.BusBytes) / 1e9
+}
+
+// paperTable1 holds Table I's main memory of each system.
+var paperTable1 = map[string]paperMemory{
+	"neoversev2": {Type: "LPDDR5X", GB: 240, Channels: 32, MTs: 8532 / 4, BusBytes: 8},
+	"goldencove": {Type: "DDR5", GB: 512, Channels: 8, MTs: 4800, BusBytes: 8},
+	"zen4":       {Type: "DDR5", GB: 384, Channels: 12, MTs: 4800, BusBytes: 8},
+}
+
+// peakTFs returns a chip's double-precision peak in TFlop/s for the given
+// cores, flops per cycle per core, and clock.
+func peakTFs(cores int, flopsPerCycle, ghz float64) float64 {
+	return float64(cores) * flopsPerCycle * ghz * 1e9 / 1e12
+}
+
+// fmaFlopsPerCycle returns the DP flops per cycle per core of m's FMA
+// pipes alone, the rate the achievable peak counts (without the ADD
+// pipes vendors add to the theoretical one): Table III's FMA throughput
+// block at its in-core throughput bound, two flops per lane. The analysis
+// runs directly, past the pipeline's memo and store.
+func fmaFlopsPerCycle(m *uarch.Model) (float64, error) {
+	b, err := ibench.Build(m, ibench.VecFMA, false)
+	if err != nil {
+		return 0, err
+	}
+	res, err := core.New().Analyze(b, m)
+	if err != nil {
+		return 0, err
+	}
+	return ibench.TputInstances / res.TPBound * float64(ibench.Lanes(m, ibench.VecFMA)) * 2, nil
 }
 
 // Table1 reproduces Table I: node features plus measured bandwidth and
@@ -50,12 +100,11 @@ const triadLinesPerCore = 8192
 // frequency for the widest vector ISA. One pipeline job per system; the
 // bandwidth sweep inside each job fans out further on the same pool.
 func RunTable1() (*Table1, error) {
-	rows, err := pipeline.MapN(pipeline.Default(), len(nodes.Nodes), func(i int) (Table1Row, error) {
-		n := &nodes.Nodes[i]
-		m := uarch.MustGet(n.Key)
-		row := Table1Row{Model: m, Node: n}
-		row.TheoreticalPeakTFs = nodes.PeakTFs(m.CoresPerChip, m.Node.FlopsPerCycle, m.MaxFreqGHz)
-		row.TheoreticalBWGBs = n.TheoreticalBandwidthGBs()
+	rows, err := pipeline.MapN(pipeline.Default(), len(paperArchs), func(i int) (Table1Row, error) {
+		m := uarch.MustGet(paperArchs[i])
+		row := Table1Row{Model: m, Memory: paperTable1[m.Key]}
+		row.TheoreticalPeakTFs = peakTFs(m.CoresPerChip, float64(m.Node.FlopsPerCycle), m.MaxFreqGHz)
+		row.TheoreticalBWGBs = row.Memory.theoreticalGBs()
 
 		g, err := freq.ForModel(m)
 		if err != nil {
@@ -70,9 +119,14 @@ func RunTable1() (*Table1, error) {
 			return row, err
 		}
 		row.SustainedVecGHz = f
-		row.AchievablePeakTFs = nodes.PeakTFs(m.CoresPerChip, n.FMAFlopsPerCycle(), f)
+		fma, err := fmaFlopsPerCycle(m)
+		if err != nil {
+			return row, fmt.Errorf("table1: model %q: %w", m.Key, err)
+		}
+		row.AchievablePeakTFs = peakTFs(m.CoresPerChip, fma, f)
 
-		useful, err := triadScaling(m, memsim.DefaultCounts(m.CoresPerChip))
+		var useful []float64
+		row.Mem, useful, err = triadScaling(m, memsim.DefaultCounts(m.CoresPerChip))
 		if err != nil {
 			return row, err
 		}
@@ -91,20 +145,21 @@ func RunTable1() (*Table1, error) {
 // lines automatically (the x86 systems: the STREAM convention with
 // streaming stores); Grace's automatic claim achieves the same with
 // standard stores. Each sample is a memoized pipeline.Triad job on the
-// default pool.
-func triadScaling(m *uarch.Model, counts []int) ([]float64, error) {
+// default pool. It also returns the memsim config the sweep runs on.
+func triadScaling(m *uarch.Model, counts []int) (memsim.Config, []float64, error) {
 	cfg, err := memsim.ConfigFor(m)
 	if err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
 	nt := cfg.Policy != memsim.PolicyAutoClaim
-	return pipeline.Map(pipeline.Default(), counts, func(c int) (float64, error) {
+	useful, err := pipeline.Map(pipeline.Default(), counts, func(c int) (float64, error) {
 		tr, err := pipeline.Triad(m, c, triadLinesPerCore, nt)
 		if err != nil {
 			return 0, fmt.Errorf("table1: %s at %d cores: %w", m.Key, c, err)
 		}
 		return tr.UsefulGBs(), nil
 	})
+	return cfg, useful, err
 }
 
 // Render draws the table in the paper's layout (systems as columns).
@@ -122,16 +177,17 @@ func (t *Table1) Render() string {
 		{"Max mem BW measured [GB/s]"}, {"BW efficiency"},
 	}
 	for _, r := range t.Rows {
-		m, n := r.Model, r.Node
+		m, c, mem := r.Model, r.Mem, r.Memory
 		rows[0] = append(rows[0], m.Name)
 		rows[1] = append(rows[1], fmt.Sprintf("%d", m.CoresPerChip))
 		rows[2] = append(rows[2], fmt.Sprintf("%.1f / %.2f", m.MaxFreqGHz, m.BaseFreqGHz))
 		rows[3] = append(rows[3], fmt.Sprintf("%.2f", r.TheoreticalPeakTFs))
 		rows[4] = append(rows[4], fmt.Sprintf("%.2f", r.AchievablePeakTFs))
 		rows[5] = append(rows[5], fmt.Sprintf("%.0f", m.Node.Freq.TDPWatts))
-		rows[6] = append(rows[6], fmt.Sprintf("%dKB/%dMB/%dMB", n.L1Bytes>>10, n.L2Bytes>>20, n.L3Bytes>>20))
-		rows[7] = append(rows[7], fmt.Sprintf("%dGB %s", n.MemGB, n.MemType))
-		rows[8] = append(rows[8], fmt.Sprintf("%d", n.CCNUMADomains))
+		rows[6] = append(rows[6], fmt.Sprintf("%dKB/%dMB/%dMB", c.L1.SizeBytes*memsim.CacheScale>>10,
+			c.L2.SizeBytes*memsim.CacheScale>>20, c.L3.SizeBytes*memsim.CacheScale*int64(c.Domains)>>20))
+		rows[7] = append(rows[7], fmt.Sprintf("%dGB %s", mem.GB, mem.Type))
+		rows[8] = append(rows[8], fmt.Sprintf("%d", c.Domains))
 		rows[9] = append(rows[9], fmt.Sprintf("%.0f", r.TheoreticalBWGBs))
 		rows[10] = append(rows[10], fmt.Sprintf("%.0f", r.MeasuredBWGBs))
 		rows[11] = append(rows[11], fmt.Sprintf("%.0f%%", 100*r.MeasuredBWGBs/r.TheoreticalBWGBs))

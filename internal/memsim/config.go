@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"incore/internal/nodes"
 	"incore/internal/uarch"
 )
 
@@ -23,9 +22,10 @@ const DefaultStoreLinesPerCore = 16384
 // ConfigFor returns the calibrated memory-system config of a machine
 // model. Cores come from m.CoresPerChip and the socket's sustained
 // bandwidth from m.Node.MemBWGBs; cache geometry, ccNUMA domains and the
-// write-allocate calibration come from the built-in data sheet of the
-// system m is keyed as. The WA policy and its parameters encode the
-// paper's Sec. III findings:
+// write-allocate calibration come from the one switch below on the
+// system m is keyed as, which is the simulator's data sheet of the
+// paper's three nodes (Table I). The WA policy and its parameters encode
+// the paper's Sec. III findings:
 //
 //   - Grace (neoversev2): automatic cache-line claim — the only system
 //     that fully evades write-allocates with standard stores;
@@ -37,24 +37,17 @@ func ConfigFor(m *uarch.Model) (Config, error) {
 	if m.Node == nil {
 		return Config{}, fmt.Errorf("memsim: model %q carries no node-level section", m.Key)
 	}
-	n, err := nodes.Get(m.Key)
-	if err != nil {
-		return Config{}, fmt.Errorf("memsim: no calibration for %q", m.Key)
-	}
-	cfg := Config{
-		Key:       m.Key,
-		Cores:     m.CoresPerChip,
-		Domains:   n.CCNUMADomains,
-		L1:        CacheConfig{SizeBytes: n.L1Bytes / CacheScale, Ways: 8},
-		L2:        CacheConfig{SizeBytes: n.L2Bytes / CacheScale, Ways: 8},
-		L3:        CacheConfig{SizeBytes: n.L3Bytes / CacheScale / int64(n.CCNUMADomains), Ways: 16},
-		DomainGBs: m.Node.MemBWGBs / float64(n.CCNUMADomains),
-	}
+	// Real cache sizes in bytes: L1D and L2 per core, L3 per chip.
+	var l1, l2, l3 int64
+	cfg := Config{Key: m.Key, Cores: m.CoresPerChip, Domains: 1}
 	switch m.Key {
 	case "neoversev2":
+		l1, l2, l3 = 64<<10, 1<<20, 114<<20
 		cfg.Policy = PolicyAutoClaim
 		cfg.CoreGBs = 8
 	case "goldencove":
+		l1, l2, l3 = 48<<10, 2<<20, 105<<20
+		cfg.Domains = 4
 		cfg.Policy = PolicySpecI2M
 		cfg.SpecI2MThreshold = 0.65
 		cfg.SpecI2MRampEnd = 0.90
@@ -63,9 +56,16 @@ func ConfigFor(m *uarch.Model) (Config, error) {
 		cfg.NTResidualMinCores = 4
 		cfg.CoreGBs = 5
 	case "zen4":
+		l1, l2, l3 = 32<<10, 1<<20, 1152<<20
 		cfg.Policy = PolicyAlwaysAllocate
 		cfg.CoreGBs = 5.5
+	default:
+		return Config{}, fmt.Errorf("memsim: no calibration for %q", m.Key)
 	}
+	cfg.L1 = CacheConfig{SizeBytes: l1 / CacheScale, Ways: 8}
+	cfg.L2 = CacheConfig{SizeBytes: l2 / CacheScale, Ways: 8}
+	cfg.L3 = CacheConfig{SizeBytes: l3 / CacheScale / int64(cfg.Domains), Ways: 16}
+	cfg.DomainGBs = m.Node.MemBWGBs / float64(cfg.Domains)
 	if _, err := issueCredit(cfg); err != nil {
 		return Config{}, err
 	}
