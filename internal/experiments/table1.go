@@ -29,7 +29,7 @@ import (
 // paper's data sheet.
 type Table1Row struct {
 	Model  *uarch.Model
-	Mem    memsim.Config
+	Sim    memsim.Config
 	Memory paperMemory
 
 	TheoreticalPeakTFs float64
@@ -126,7 +126,7 @@ func RunTable1() (*Table1, error) {
 		row.AchievablePeakTFs = peakTFs(m.CoresPerChip, fma, f)
 
 		var useful []float64
-		row.Mem, useful, err = triadScaling(m, memsim.DefaultCounts(m.CoresPerChip))
+		row.Sim, useful, err = triadScaling(m, memsim.DefaultCounts(m.CoresPerChip))
 		if err != nil {
 			return row, err
 		}
@@ -177,7 +177,7 @@ func (t *Table1) Render() string {
 		{"Max mem BW measured [GB/s]"}, {"BW efficiency"},
 	}
 	for _, r := range t.Rows {
-		m, c, mem := r.Model, r.Mem, r.Memory
+		m, c, mem := r.Model, r.Sim, r.Memory
 		rows[0] = append(rows[0], m.Name)
 		rows[1] = append(rows[1], fmt.Sprintf("%d", m.CoresPerChip))
 		rows[2] = append(rows[2], fmt.Sprintf("%.1f / %.2f", m.MaxFreqGHz, m.BaseFreqGHz))

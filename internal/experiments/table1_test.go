@@ -85,7 +85,7 @@ func TestTheoreticalMatchesNodes(t *testing.T) {
 	if r.Memory != paperTable1["goldencove"] || r.TheoreticalBWGBs != paperTable1["goldencove"].theoreticalGBs() {
 		t.Error("theoretical bandwidth must come from the paper's goldencove memory")
 	}
-	if r.Mem != memsim.MustConfigFor("goldencove") {
+	if r.Sim != memsim.MustConfigFor("goldencove") {
 		t.Error("cache geometry and ccNUMA domains must come from goldencove's memsim config")
 	}
 	m := uarch.MustGet("goldencove")
